@@ -106,8 +106,6 @@ void Ecu::rebuild_kernel(KernelId k, KernelState& st, const IsePlacement* placed
   st.current_uses_cg = false;
   st.mono_attempted = false;
   st.built = true;
-  st.sw_latency = kernel.sw_latency;
-  st.steady_valid = false;
 
   if (placed != nullptr && placed->ise != kInvalidIse) {
     append_ise_options(lib_->ise(placed->ise), /*is_selected=*/true,
@@ -143,10 +141,8 @@ void Ecu::begin_block(const std::vector<IsePlacement>& placements,
   // memos die with the block: a new installation changes the fabric without
   // necessarily passing through a mutation the epoch would catch for a
   // runtime that reuses a prior selection.
-  for (KernelState& st : state_) {
-    st.next = kNeverCycles;  // marker: needs rebuild
-    st.steady_valid = false;
-  }
+  for (KernelState& st : state_) st.next = kNeverCycles;  // needs rebuild
+  for (SteadyMemo& memo : memo_) memo.stamp = 0;
   for (const auto& p : placements) {
     if (raw(p.kernel) >= state_.size()) state_.resize(raw(p.kernel) + 1);
     rebuild_kernel(p.kernel, state_[raw(p.kernel)], &p, now);
@@ -265,28 +261,27 @@ Cycles Ecu::execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
 
     // Steady-state probe. last_executed_ == k now, so subsequent executions
     // in this run never pay the context-switch penalty.
-    KernelState& st = state_[raw(k)];
-    if (!derive_steady(kernel, st, cursor - out.latency)) continue;
+    if (!derive_steady(k, kernel, state_[raw(k)], cursor - out.latency)) {
+      continue;
+    }
+    const SteadyMemo& memo = memo_[raw(k)];
 
     // No better implementation (nor a pending monoCG flip) may arrive
     // before the run's last execution starts.
     const std::size_t m = n - i;
-    const Cycles latency = st.steady_latency;
+    const Cycles latency = memo.latency;
     const Cycles remaining_gap = gap_total - gap_consumed;
     const Cycles last_exec_start =
         cursor + remaining_gap + (static_cast<Cycles>(m) - 1) * latency;
-    if (last_exec_start > st.steady_until) {
+    if (last_exec_start > memo.until) {
       continue;  // the decision changes mid-run — stay on the exact path
     }
 
     // Bulk commit: identical state and totals as m more execute() calls.
-    const auto ki = static_cast<std::size_t>(st.steady_kind);
+    const auto ki = static_cast<std::size_t>(memo.kind);
     stats_.executions[ki] += m;
     stats_.cycles[ki] += static_cast<Cycles>(m) * latency;
-    if (st.sw_latency > latency) {
-      stats_.saved_vs_risc +=
-          static_cast<Cycles>(m) * (st.sw_latency - latency);
-    }
+    stats_.saved_vs_risc += static_cast<Cycles>(m) * memo.saved;
     impl_executions[ki] += m;
     impl_cycles[ki] += static_cast<Cycles>(m) * latency;
     return cursor + remaining_gap + static_cast<Cycles>(m) * latency;
@@ -294,7 +289,8 @@ Cycles Ecu::execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
   return cursor;
 }
 
-bool Ecu::derive_steady(const Kernel& kernel, KernelState& st, Cycles now) {
+bool Ecu::derive_steady(KernelId k, const Kernel& kernel, const KernelState& st,
+                        Cycles now) {
   // Horizon from the timeline: the memo holds strictly before the next
   // (unconsumed) availability point.
   Cycles until = kNeverCycles;
@@ -324,12 +320,17 @@ bool Ecu::derive_steady(const Kernel& kernel, KernelState& st, Cycles now) {
     // else: acquisition failed for this block — the decision stays RISC.
   }
 
-  st.steady_kind = kind;
-  st.steady_latency = latency;
-  st.steady_uses_cg = uses_cg;
-  st.steady_until = until;
-  st.steady_epoch = fabric_->state_epoch();
-  st.steady_valid = true;
+  if (raw(k) >= memo_.size()) memo_.resize(state_.size());
+  SteadyMemo& memo = memo_[raw(k)];
+  memo.stamp = fabric_->state_epoch() + 1;
+  memo.until = until;
+  memo.latency = latency;
+  memo.switch_cost = uses_cg ? CgFabricParams{}.context_switch_cycles : 0;
+  const Cycles sw = kernel.sw_latency;
+  memo.saved = sw > latency ? sw - latency : 0;
+  const Cycles switched = latency + memo.switch_cost;
+  memo.saved_switched = sw > switched ? sw - switched : 0;
+  memo.kind = kind;
   return true;
 }
 
@@ -337,58 +338,119 @@ Cycles Ecu::execute_events(const ExecEvent* events, const ExecRun* runs,
                            std::size_t num_runs, Cycles cursor,
                            std::uint64_t* impl_executions, Cycles* impl_cycles,
                            ObservationSink& obs) {
-  const Cycles switch_cost = CgFabricParams{}.context_switch_cycles;
-  for (std::size_t r = 0; r < num_runs; ++r) {
-    const ExecRun& run = runs[r];
-    const std::size_t kid = raw(run.kernel);
-    const Cycles first_gap = run.first_gap;
-    // Memo fast path: with an unchanged fabric epoch and the whole run
-    // inside the memo's horizon, the per-event path provably makes the same
-    // (kind, latency) decision for every execution — commit it in O(1).
-    // The epoch is re-read per run: a slow-path run below may acquire a
-    // monoCG context and thereby invalidate every older memo.
-    if (!observing_ && kid < state_.size()) {
-      KernelState& st = state_[kid];
-      if (st.steady_valid && st.steady_epoch == fabric_->state_epoch()) {
-        const auto m = static_cast<Cycles>(run.count);
-        const Cycles latency = st.steady_latency;
-        const Cycles sw_pen =
-            st.steady_uses_cg && last_executed_ != run.kernel ? switch_cost : 0;
-        const Cycles first_exec_start = cursor + first_gap;
-        const Cycles last_exec_start =
-            cursor + run.gap_total + sw_pen + (m - 1) * latency;
-        if (last_exec_start <= st.steady_until) {
-          const auto ki = static_cast<std::size_t>(st.steady_kind);
-          const Cycles total = m * latency + sw_pen;
-          stats_.executions[ki] += run.count;
-          stats_.cycles[ki] += total;
-          stats_.context_switch_cycles += sw_pen;
-          // The run's first execution pays latency + sw_pen, the rest pay
-          // latency — saved_vs_risc accounts them separately.
-          const Cycles first_latency = latency + sw_pen;
-          Cycles saved = 0;
-          if (st.sw_latency > first_latency) saved += st.sw_latency - first_latency;
-          if (m > 1 && st.sw_latency > latency) {
-            saved += (m - 1) * (st.sw_latency - latency);
-          }
-          stats_.saved_vs_risc += saved;
-          impl_executions[ki] += run.count;
-          impl_cycles[ki] += total;
-          last_executed_ = run.kernel;
-          cursor += run.gap_total + total;
-          obs.note_run(run, first_gap, first_exec_start, cursor);
-          continue;
-        }
-      }
+  std::size_t r = 0;
+  while (r < num_runs) {
+    if (!observing_) {
+      r = commit_steady(runs, num_runs, r, cursor, impl_executions,
+                        impl_cycles, obs);
+      if (r == num_runs) break;
     }
-    // Exact path; derives/refreshes the kernel's memo once steady.
+    // Exact path; derives/refreshes the kernel's memo once steady. It may
+    // acquire a monoCG context and so bump the epoch, which ends the stretch
+    // of memo commits before it.
+    const ExecRun& run = runs[r];
     Cycles first_exec_start = 0;
     cursor = execute_run(run.kernel, cursor, events + run.first_event,
                          run.count, run.gap_total, impl_executions,
                          impl_cycles, &first_exec_start);
-    obs.note_run(run, first_gap, first_exec_start, cursor);
+    obs.note_run(run, first_exec_start, cursor);
+    ++r;
   }
   return cursor;
+}
+
+std::size_t Ecu::commit_steady(const ExecRun* runs, std::size_t num_runs,
+                               std::size_t r, Cycles& cursor,
+                               std::uint64_t* impl_executions,
+                               Cycles* impl_cycles, ObservationSink& obs) {
+  // Memo commits never touch the fabric, so the epoch holds for the whole
+  // stretch. With an unchanged epoch and an execution inside its kernel's
+  // horizon, the per-event path provably makes the memo's (kind, latency)
+  // decision. Totals gather in locals and are flushed once at the end.
+  const std::uint64_t stamp = fabric_->state_epoch() + 1;
+  const SteadyMemo* memo = memo_.data();
+  const std::size_t num_memos = memo_.size();
+  const RunChunks* chunks = obs.chunks();
+  std::array<std::uint64_t, kNumImplKinds> executions{};
+  std::array<Cycles, kNumImplKinds> cycles{};
+  Cycles switch_cycles = 0;
+  Cycles saved = 0;
+  KernelId last = last_executed_;
+  while (r < num_runs) {
+    if (chunks != nullptr && r % kChunkRuns == 0) {
+      // Whole-chunk commit: each of the chunk's runs would pass the per-run
+      // commit below (no execution starts after the cursor past the chunk),
+      // and what that commit adds up are integer sums in any order. Runs
+      // are maximal, so each follows a run of another kernel and pays its
+      // kernel's switch cost (the instance's first run sits in a chunk that
+      // holds an endpoint).
+      const RunChunk& chunk = chunks->chunks[r / kChunkRuns];
+      const ChunkKernel* entries = chunks->kernels.data() + chunk.first_kernel;
+      bool steady = !chunk.holds_endpoint;
+      Cycles span = chunk.gap_total;
+      Cycles horizon = kNeverCycles;
+      for (std::uint32_t e = 0; steady && e < chunk.num_kernels; ++e) {
+        const std::size_t kid = raw(entries[e].kernel);
+        steady = kid < num_memos && memo[kid].stamp == stamp;
+        if (steady) {
+          const SteadyMemo& m = memo[kid];
+          span += entries[e].executions * m.latency +
+                  entries[e].runs * m.switch_cost;
+          horizon = std::min(horizon, m.until);
+        }
+      }
+      if (steady && cursor + span <= horizon) {
+        for (std::uint32_t e = 0; e < chunk.num_kernels; ++e) {
+          const ChunkKernel& entry = entries[e];
+          const SteadyMemo& m = memo[raw(entry.kernel)];
+          const auto ki = static_cast<std::size_t>(m.kind);
+          const Cycles switched = entry.runs * m.switch_cost;
+          const Cycles total = entry.executions * m.latency + switched;
+          executions[ki] += entry.executions;
+          cycles[ki] += total;
+          switch_cycles += switched;
+          saved += (entry.executions - entry.runs) * m.saved +
+                   entry.runs * m.saved_switched;
+          obs.note_chunk_kernel(entry.kernel, entry.executions, total);
+        }
+        cursor += span;
+        last = chunk.last_kernel;
+        r += kChunkRuns;
+        continue;
+      }
+    }
+    const ExecRun& run = runs[r];
+    const std::size_t kid = raw(run.kernel);
+    if (kid >= num_memos || memo[kid].stamp != stamp) break;
+    const SteadyMemo& m = memo[kid];
+    const auto n = static_cast<Cycles>(run.count);
+    // The run's first execution pays the context switch, if any.
+    const bool switches = run.kernel != last;
+    const Cycles switched = switches ? m.switch_cost : 0;
+    const Cycles total = n * m.latency + switched;
+    const Cycles last_exec_start = cursor + run.gap_total + total - m.latency;
+    if (last_exec_start > m.until) break;
+    const auto ki = static_cast<std::size_t>(m.kind);
+    executions[ki] += run.count;
+    cycles[ki] += total;
+    switch_cycles += switched;
+    saved += switches ? m.saved_switched + (n - 1) * m.saved : n * m.saved;
+    const Cycles first_exec_start = cursor + run.first_gap;
+    cursor += run.gap_total + total;
+    obs.note_run(run, first_exec_start, cursor);
+    last = run.kernel;
+    ++r;
+  }
+  for (std::size_t k = 0; k < kNumImplKinds; ++k) {
+    stats_.executions[k] += executions[k];
+    stats_.cycles[k] += cycles[k];
+    impl_executions[k] += executions[k];
+    impl_cycles[k] += cycles[k];
+  }
+  stats_.context_switch_cycles += switch_cycles;
+  stats_.saved_vs_risc += saved;
+  last_executed_ = last;
+  return r;
 }
 
 void Ecu::note_execution(KernelState& st, KernelId k, ImplKind kind,
@@ -441,6 +503,7 @@ void Ecu::load_state(SnapshotReader& r) {
   stats_ = stats;
   last_executed_ = last;
   state_ = std::move(state);
+  memo_.clear();
 }
 
 void Ecu::reset() {
@@ -450,6 +513,7 @@ void Ecu::reset() {
     fresh.timeline = std::move(st.timeline);
     st = std::move(fresh);
   }
+  memo_.clear();
   stats_ = EcuStats{};
   last_executed_ = kInvalidKernel;
 }

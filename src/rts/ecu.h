@@ -22,11 +22,12 @@
 /// data paths only grows (installs happen at block boundaries), so each
 /// kernel's decision is a monotone timeline of (time, latency) improvements.
 /// begin_block() precomputes that timeline once; execute() is then O(1)
-/// amortized — this is what makes simulating hundreds of thousands of kernel
-/// executions per second feasible. The one approximation: a monoCG context
-/// load that evicts a stale leftover context mid-block is not reflected in
-/// already-built timelines of *other* kernels (the stale context would
-/// almost never be their best option anyway).
+/// amortized, and execute_events() commits steady stretches of a block in
+/// O(1) per run or per 32-run chunk — perfbench's fig_grid simulates about
+/// 6.5e8 kernel executions per host second on one Xeon core. The one
+/// approximation: a monoCG context load that evicts a stale leftover context
+/// mid-block is not reflected in already-built timelines of *other* kernels
+/// (the stale context would almost never be their best option anyway).
 
 #include <array>
 #include <vector>
@@ -103,8 +104,13 @@ class Ecu {
   /// and the fabric state epoch it was taken at); later runs that fit the
   /// horizon at an unchanged epoch commit in O(1) — including the
   /// context-switch penalty of their first execution — without touching
-  /// the timeline or the fabric. Any epoch bump, horizon crossing or
-  /// attached observability falls back to the exact per-event path.
+  /// the timeline or the fabric. When \p obs carries chunk summaries
+  /// (sim/schedule.h RunChunk), a whole 32-run chunk commits in O(kernels
+  /// in the chunk) once every kernel in it has a memo at the current epoch,
+  /// the cursor after the chunk is within the smallest of their horizons
+  /// and the chunk holds no kernel's first or last run of the block. Any
+  /// epoch bump, horizon crossing or attached observability falls back to
+  /// the exact per-event path.
   Cycles execute_events(const ExecEvent* events, const ExecRun* runs,
                         std::size_t num_runs, Cycles cursor,
                         std::uint64_t* impl_executions, Cycles* impl_cycles,
@@ -158,17 +164,20 @@ class Ecu {
     /// Last ImplKind reported to the flight recorder (0xff = none yet);
     /// execute() emits a decision event only when the kind changes.
     std::uint8_t traced_impl = 0xff;
-    Cycles sw_latency = 0;  ///< cached kernel sw_latency (set by rebuild)
+  };
 
-    // Steady-decision memo (see execute_events). Valid only while
-    // steady_epoch matches the fabric's state epoch; covers executions whose
-    // start cycle is <= steady_until.
-    bool steady_valid = false;
-    bool steady_uses_cg = false;
-    ImplKind steady_kind = ImplKind::kRisc;
-    Cycles steady_latency = 0;
-    Cycles steady_until = 0;
-    std::uint64_t steady_epoch = 0;
+  /// Steady-decision memo of one kernel (see execute_events): every
+  /// execution of the kernel starting at or before \p until takes
+  /// (kind, latency) while the fabric's state epoch is stamp - 1 (stamp 0 =
+  /// no memo). The other fields are precomputed for the commit loops.
+  struct SteadyMemo {
+    std::uint64_t stamp = 0;
+    Cycles until = 0;
+    Cycles latency = 0;
+    Cycles switch_cost = 0;     ///< paid by a run's first execution (on CG)
+    Cycles saved = 0;           ///< saved_vs_risc of one execution
+    Cycles saved_switched = 0;  ///< saved_vs_risc of one paying switch_cost
+    ImplKind kind = ImplKind::kRisc;
   };
 
   /// Appends the availability steps of \p ise (levels reachable from the
@@ -180,11 +189,20 @@ class Ecu {
   KernelState& state_for(KernelId k, Cycles now);
   void rebuild_kernel(KernelId k, KernelState& st, const IsePlacement* placed,
                       Cycles now) const;
-  /// Tries to derive the steady-decision memo for \p st right after a full
-  /// execution at cycle \p now. Returns false while the decision is still in
-  /// flux (a monoCG acquisition attempt is due or a reservation is pending
-  /// beyond \p now with no usable horizon).
-  bool derive_steady(const Kernel& kernel, KernelState& st, Cycles now);
+  /// Tries to derive kernel \p k's steady-decision memo (memo_) right after
+  /// a full execution at cycle \p now. Returns false while the decision is
+  /// still in flux (a monoCG acquisition attempt is due or a reservation is
+  /// pending beyond \p now with no usable horizon).
+  bool derive_steady(KernelId k, const Kernel& kernel, const KernelState& st,
+                     Cycles now);
+  /// Commits runs from \p r on through the steady memos — a whole chunk at
+  /// each chunk boundary where execute_events allows it, else run by run —
+  /// until a run needs the exact path, and returns that run's index
+  /// (\p num_runs when none does). Advances \p cursor.
+  std::size_t commit_steady(const ExecRun* runs, std::size_t num_runs,
+                            std::size_t r, Cycles& cursor,
+                            std::uint64_t* impl_executions, Cycles* impl_cycles,
+                            ObservationSink& obs);
   /// Cold tail of execute(): records the decision event / counters. Kept out
   /// of the hot path so the untraced run pays one branch, not code bloat.
   void note_execution(KernelState& st, KernelId k, ImplKind kind,
@@ -210,6 +228,9 @@ class Ecu {
   /// 0..num_kernels-1 by construction of the ISE library). A vector keeps
   /// the per-execution lookup a single indexed load instead of a hash probe.
   std::vector<KernelState> state_;
+  /// Steady memos, dense by raw KernelId like state_ but kept apart from it
+  /// so the commit loops walk a compact table.
+  std::vector<SteadyMemo> memo_;
   KernelId last_executed_ = kInvalidKernel;
   EcuStats stats_;
   TraceRecorder* trace_ = nullptr;

@@ -35,8 +35,7 @@ Cycles RuntimeSystem::execute_events(const ExecEvent* events,
     cursor = execute_run(run.kernel, cursor, events + run.first_event,
                          run.count, run.gap_total, impl_executions,
                          impl_cycles, &first_exec_start);
-    obs.note_run(run, run.first_gap, first_exec_start,
-                 cursor);
+    obs.note_run(run, first_exec_start, cursor);
   }
   return cursor;
 }

@@ -1,6 +1,5 @@
 #include "sim/fb_simulator.h"
 
-#include <algorithm>
 #include <map>
 
 #include "sim/obs_accum.h"
@@ -10,7 +9,7 @@
 namespace mrts {
 namespace {
 
-/// Per-kernel observation accumulator (shared by both loop flavors).
+/// Per-kernel observation accumulator of the legacy loop.
 struct Acc {
   double executions = 0.0;
   Cycles first_start = 0;
@@ -61,11 +60,11 @@ Cycles run_events_legacy(RuntimeSystem& rts,
   return cursor;
 }
 
-/// Batched fast path: dispatches pre-decoded same-kernel runs through
-/// RuntimeSystem::execute_run and accumulates observations in flat
-/// (structure-of-arrays) scratch indexed by raw kernel id — no per-kernel
-/// map nodes, no per-event virtual dispatch. The scratch is thread_local so
-/// concurrent sweep points (--jobs > 1) never share it.
+/// Batched fast path: dispatches pre-decoded same-kernel runs (and their
+/// chunk summaries) through RuntimeSystem::execute_events and accumulates
+/// observations in flat (structure-of-arrays) scratch indexed by raw kernel
+/// id — no per-kernel map nodes, no per-event virtual dispatch. The scratch
+/// is thread_local so concurrent sweep points (--jobs > 1) never share it.
 Cycles run_events_batched(RuntimeSystem& rts,
                           const FunctionalBlockInstance& instance, Cycles start,
                           Cycles cursor, FbRunResult& result) {
@@ -81,37 +80,23 @@ Cycles run_events_batched(RuntimeSystem& rts,
     decode_runs(instance.events, scratch_runs);
     runs = &scratch_runs;
   }
+  // Without summaries of exactly these runs the ECU commits run by run.
+  const RunChunks* chunks =
+      runs_valid && instance.chunks.covers(runs->size()) ? &instance.chunks
+                                                         : nullptr;
 
   thread_local std::vector<ObservationSink::Acc> acc;  // by raw kernel id
   thread_local std::vector<std::uint32_t> touched;
-  touched.clear();
 
   // One virtual call executes the whole block (see Ecu::execute_events);
   // the sink's inline note_run fuses the per-kernel accumulation into the
   // execution loop itself.
-  ObservationSink sink(start, acc, touched);
+  ObservationSink sink(start, acc, touched, chunks);
   cursor = rts.execute_events(instance.events.data(), runs->data(),
                               runs->size(), cursor,
                               result.impl_executions.data(),
                               result.impl_cycles.data(), sink);
-
-  // Ascending kernel id, matching the std::map emission order of the legacy
-  // loop — the MPU feedback (and thus every downstream byte) is identical.
-  std::sort(touched.begin(), touched.end());
-  for (const std::uint32_t kid : touched) {
-    ObservationSink::Acc& a = acc[kid];
-    ObservedKernelStats stats;
-    stats.kernel = KernelId{kid};
-    stats.executions = a.executions;
-    stats.time_to_first = a.first_start;
-    stats.time_between =
-        a.executions > 1.0
-            ? static_cast<Cycles>(static_cast<double>(a.gap_sum) /
-                                  (a.executions - 1.0))
-            : Cycles{0};
-    result.observed.kernels.push_back(stats);
-    a = ObservationSink::Acc{};  // reset for the next block on this thread
-  }
+  sink.emit(result.observed.kernels);
   return cursor;
 }
 

@@ -1,9 +1,66 @@
 #include "sim/schedule.h"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 
 namespace mrts {
+
+namespace {
+
+/// Summarizes \p runs (maximal, as decode_runs makes them) into \p chunks
+/// (cleared first), in one pass over the runs.
+void summarize_chunks(const std::vector<ExecRun>& runs, RunChunks& chunks) {
+  chunks.chunks.clear();
+  chunks.kernels.clear();
+  chunks.chunks.reserve((runs.size() + kChunkRuns - 1) / kChunkRuns);
+  // The instance's distinct kernels with the last chunk each appears in. A
+  // block interleaves few kernels, so linear scans (once per new chunk
+  // entry, and over the chunk's own entries per run) beat any map.
+  struct Span {
+    KernelId kernel;
+    std::size_t last_chunk;
+  };
+  std::vector<Span> spans;
+  for (std::size_t begin = 0; begin < runs.size(); begin += kChunkRuns) {
+    const std::size_t end = std::min(runs.size(), begin + kChunkRuns);
+    const std::size_t c = chunks.chunks.size();
+    RunChunk chunk;
+    chunk.first_kernel = static_cast<std::uint32_t>(chunks.kernels.size());
+    for (std::size_t r = begin; r < end; ++r) {
+      const ExecRun& run = runs[r];
+      chunk.gap_total += run.gap_total;
+      std::size_t e = chunk.first_kernel;
+      while (e < chunks.kernels.size() &&
+             chunks.kernels[e].kernel != run.kernel) {
+        ++e;
+      }
+      if (e == chunks.kernels.size()) {
+        chunks.kernels.push_back({run.kernel, 0, 0});
+        auto span = std::find_if(
+            spans.begin(), spans.end(),
+            [&](const Span& s) { return s.kernel == run.kernel; });
+        if (span == spans.end()) {
+          spans.push_back({run.kernel, c});
+          chunk.holds_endpoint = true;  // the kernel's first run
+        } else {
+          span->last_chunk = c;
+        }
+      }
+      chunks.kernels[e].runs += 1;
+      chunks.kernels[e].executions += run.count;
+    }
+    chunk.num_kernels =
+        static_cast<std::uint32_t>(chunks.kernels.size()) - chunk.first_kernel;
+    chunk.last_kernel = runs[end - 1].kernel;
+    chunks.chunks.push_back(chunk);
+  }
+  for (const Span& span : spans) {
+    chunks.chunks[span.last_chunk].holds_endpoint = true;  // its last run
+  }
+}
+
+}  // namespace
 
 void decode_runs(const std::vector<ExecEvent>& events,
                  std::vector<ExecRun>& runs) {
@@ -24,6 +81,7 @@ void decode_runs(const std::vector<ExecEvent>& events,
 
 void finalize_instance_runs(FunctionalBlockInstance& instance) {
   decode_runs(instance.events, instance.runs);
+  summarize_chunks(instance.runs, instance.chunks);
 }
 
 TriggerInstruction derive_trigger(

@@ -6,6 +6,8 @@
 /// interleaved kernel-execution schedule of that instance (which varies with
 /// the input data — this variation is what the run-time system adapts to).
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,45 @@ struct ExecRun {
   Cycles first_gap = 0;
 };
 
+/// Runs per RunChunk. A constant: 32 keeps a chunk's kernel table short (a
+/// CIF block interleaves a handful of kernels) while a 16-frame CIF block
+/// still spans about 50 chunks.
+inline constexpr std::size_t kChunkRuns = 32;
+
+/// One kernel's share of a RunChunk.
+struct ChunkKernel {
+  KernelId kernel = kInvalidKernel;
+  std::uint32_t runs = 0;        ///< runs of the kernel in the chunk
+  std::uint32_t executions = 0;  ///< executions those runs hold
+};
+
+/// Summary of kChunkRuns consecutive runs of one instance (the instance's
+/// last chunk may hold fewer). It carries what the ECU needs to commit the
+/// whole chunk in O(kernels in the chunk) when every kernel's decision is
+/// steady across it (see Ecu::execute_events).
+struct RunChunk {
+  Cycles gap_total = 0;               ///< sum of gap_total over the runs
+  std::uint32_t first_kernel = 0;     ///< index into RunChunks::kernels
+  std::uint32_t num_kernels = 0;      ///< distinct kernels of the chunk
+  KernelId last_kernel = kInvalidKernel;  ///< kernel of the chunk's last run
+  /// The chunk holds some kernel's first or last run of the instance. Only
+  /// those runs move a kernel's observed first start or last end, so a
+  /// chunk without them can be observed by adding up counts alone.
+  bool holds_endpoint = false;
+};
+
+/// The chunk summaries of an instance's runs: chunk c covers runs
+/// [c * kChunkRuns, (c + 1) * kChunkRuns).
+struct RunChunks {
+  std::vector<RunChunk> chunks;
+  std::vector<ChunkKernel> kernels;  ///< every chunk's entries, in order
+
+  /// True when this table summarizes exactly \p num_runs runs.
+  bool covers(std::size_t num_runs) const {
+    return chunks.size() == (num_runs + kChunkRuns - 1) / kChunkRuns;
+  }
+};
+
 /// One dynamic instance of a functional block.
 struct FunctionalBlockInstance {
   FunctionalBlockId functional_block = kInvalidFunctionalBlock;
@@ -45,9 +86,12 @@ struct FunctionalBlockInstance {
   std::vector<ExecEvent> events;
   /// Run-compressed view of \p events (derived; see finalize_instance_runs).
   /// Empty = not decoded yet; run_block then derives it on the fly. Mutating
-  /// \p events invalidates this — call finalize_instance_runs again (or
-  /// clear it) afterwards.
+  /// \p events invalidates this and \p chunks — call finalize_instance_runs
+  /// again (or clear both) afterwards.
   std::vector<ExecRun> runs;
+  /// Chunk summaries of \p runs (derived with them). Empty = none; the ECU
+  /// then commits run by run.
+  RunChunks chunks;
   /// Non-kernel cycles after the last kernel execution.
   Cycles tail_gap = 0;
 
@@ -77,9 +121,10 @@ struct ApplicationTrace {
 void decode_runs(const std::vector<ExecEvent>& events,
                  std::vector<ExecRun>& runs);
 
-/// Decodes the instance's event list into its run-compressed form (stored in
-/// instance.runs). Workload builders call this once per instance so the
-/// shared, read-only trace carries the decoded runs into every sweep point.
+/// Decodes the instance's event list into its run-compressed form and that
+/// form's chunk summaries (stored in instance.runs / instance.chunks).
+/// Workload builders call this once per instance so the shared, read-only
+/// trace carries both into every sweep point.
 void finalize_instance_runs(FunctionalBlockInstance& instance);
 
 /// Derives the programmed trigger instruction of a block instance from its

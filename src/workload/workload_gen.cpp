@@ -41,9 +41,10 @@ FunctionalBlockInstance make_block_instance(
       }
     }
   }
-  // Decode the run-compressed view once, at build time: the trace is shared
-  // read-only across sweep points, so every run_block call replays the same
-  // pre-decoded runs instead of re-scanning the event list.
+  // Decode the run-compressed view and its chunk summaries once, at build
+  // time: the trace is shared read-only across sweep points, so every
+  // run_block call replays the same pre-decoded runs instead of re-scanning
+  // the event list.
   finalize_instance_runs(instance);
   return instance;
 }

@@ -5,29 +5,37 @@
 // instruction counts, op profiles, register files, memory images and thrown
 // exceptions with the cache on and off. The plain interpreter is the oracle
 // (util/fastpath.h), including under fault-induced re-execution and across
-// sweep worker counts.
+// sweep worker counts. The ECU's chunk and per-run memo commits are checked
+// block by block against the per-event loop on full-size CIF blocks and on
+// hand-made block shapes around the chunk boundaries.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "arch/fault_model.h"
+#include "baselines/morpheus4s_rts.h"
+#include "baselines/offline_optimal_rts.h"
+#include "baselines/rispp_rts.h"
 #include "cgsim/cg_executor.h"
 #include "cgsim/cg_isa.h"
 #include "riscsim/assembler.h"
 #include "riscsim/cpu.h"
 #include "rts/mrts.h"
 #include "sim/app_simulator.h"
+#include "sim/fb_simulator.h"
 #include "sim/metrics.h"
 #include "sim/sweep_runner.h"
 #include "util/csv.h"
 #include "util/fastpath.h"
 #include "util/rng.h"
 #include "workload/h264_app.h"
+#include "workload/workload_gen.h"
 
 namespace mrts {
 namespace {
@@ -617,6 +625,307 @@ TEST_F(BlockCacheSweep, FaultInducedReExecutionIdenticalCacheOnOff) {
       fast = run_faulty(rate, 42);
     }
     EXPECT_EQ(slow, fast);
+  }
+}
+
+// --- ECU chunk commits: fast path vs per-event oracle, block by block -------
+
+/// Everything the simulator reports about one block.
+struct BlockOutcome {
+  Cycles cycles = 0;
+  std::array<std::uint64_t, kNumImplKinds> impl_executions{};
+  std::array<Cycles, kNumImplKinds> impl_cycles{};
+  std::vector<ObservedKernelStats> observed;
+};
+
+using RtsFactory = std::function<std::unique_ptr<RuntimeSystem>()>;
+
+/// Runs \p blocks back to back on a fresh RTS from \p make, as
+/// run_application does, and reports every block. \p ecu receives the ECU's
+/// totals where the RTS exposes its ECU.
+std::vector<BlockOutcome> run_blocks(
+    const RtsFactory& make, const std::vector<FunctionalBlockInstance>& blocks,
+    bool fast, EcuStats& ecu) {
+  FastpathGuard guard(fast);
+  const std::unique_ptr<RuntimeSystem> rts = make();
+  std::vector<BlockOutcome> out;
+  Cycles cursor = 0;
+  for (const FunctionalBlockInstance& block : blocks) {
+    const FbRunResult r = run_block(*rts, block, cursor);
+    cursor += r.cycles;
+    out.push_back({r.cycles, r.impl_executions, r.impl_cycles,
+                   r.observed.kernels});
+  }
+  if (const auto* mrts = dynamic_cast<const MRts*>(rts.get())) {
+    ecu = mrts->ecu().stats();
+  } else if (const auto* rispp = dynamic_cast<const RisppRts*>(rts.get())) {
+    ecu = rispp->ecu().stats();
+  }
+  return out;
+}
+
+/// Compares the fast path with the per-event oracle block by block: cycles,
+/// per-implementation tallies and every observed kernel statistic, then the
+/// ECU's totals. Returns the oracle's outcomes so a test can check its
+/// scenario happened.
+std::vector<BlockOutcome> expect_fast_matches_oracle(
+    const RtsFactory& make,
+    const std::vector<FunctionalBlockInstance>& blocks) {
+  EcuStats oracle_ecu;
+  EcuStats fast_ecu;
+  const std::vector<BlockOutcome> oracle =
+      run_blocks(make, blocks, false, oracle_ecu);
+  const std::vector<BlockOutcome> fast =
+      run_blocks(make, blocks, true, fast_ecu);
+  EXPECT_EQ(fast_ecu.executions, oracle_ecu.executions);
+  EXPECT_EQ(fast_ecu.cycles, oracle_ecu.cycles);
+  EXPECT_EQ(fast_ecu.saved_vs_risc, oracle_ecu.saved_vs_risc);
+  EXPECT_EQ(fast_ecu.context_switch_cycles, oracle_ecu.context_switch_cycles);
+  EXPECT_EQ(fast.size(), oracle.size());
+  for (std::size_t b = 0; b < std::min(fast.size(), oracle.size()); ++b) {
+    SCOPED_TRACE("block " + std::to_string(b));
+    EXPECT_EQ(fast[b].cycles, oracle[b].cycles);
+    EXPECT_EQ(fast[b].impl_executions, oracle[b].impl_executions);
+    EXPECT_EQ(fast[b].impl_cycles, oracle[b].impl_cycles);
+    const std::vector<ObservedKernelStats>& fo = fast[b].observed;
+    const std::vector<ObservedKernelStats>& oo = oracle[b].observed;
+    EXPECT_EQ(fo.size(), oo.size());
+    for (std::size_t i = 0; i < std::min(fo.size(), oo.size()); ++i) {
+      const ObservedKernelStats& f = fo[i];
+      const ObservedKernelStats& o = oo[i];
+      EXPECT_EQ(f.kernel, o.kernel);
+      EXPECT_EQ(f.executions, o.executions);
+      EXPECT_EQ(f.time_to_first, o.time_to_first);
+      EXPECT_EQ(f.time_between, o.time_between);
+    }
+  }
+  return oracle;
+}
+
+std::uint64_t executions(const BlockOutcome& block, ImplKind kind) {
+  return block.impl_executions[static_cast<std::size_t>(kind)];
+}
+
+class EcuChunkCommit : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    H264AppParams params;
+    params.frames = 2;  // full-size CIF blocks, two frames of them
+    app_ = new H264Application(build_h264_application(params));
+    profile_ = new std::vector<BlockProfile>(
+        profile_application(app_->trace, app_->library));
+  }
+  static void TearDownTestSuite() {
+    delete profile_;
+    profile_ = nullptr;
+    delete app_;
+    app_ = nullptr;
+  }
+
+  /// The five run-time systems of the figure grid on \p prcs PRCs and
+  /// \p cg CG fabrics, by name.
+  static std::vector<std::pair<std::string, RtsFactory>> fig_grid_kinds(
+      unsigned prcs, unsigned cg) {
+    const IseLibrary& lib = app_->library;
+    const std::vector<BlockProfile>& profile = *profile_;
+    return {
+        {"mRTS",
+         [&lib, prcs, cg] { return std::make_unique<MRts>(lib, cg, prcs); }},
+        {"mRTS-optimal",
+         [&lib, prcs, cg] {
+           MRtsConfig config;
+           config.use_optimal_selector = true;
+           return std::make_unique<MRts>(lib, cg, prcs, config);
+         }},
+        {"RISPP",
+         [&lib, prcs, cg] {
+           return std::make_unique<RisppRts>(lib, cg, prcs);
+         }},
+        {"Morpheus",
+         [&lib, &profile, prcs, cg] {
+           return std::make_unique<Morpheus4sRts>(lib, cg, prcs, profile);
+         }},
+        {"offline",
+         [&lib, &profile, prcs, cg] {
+           return std::make_unique<OfflineOptimalRts>(lib, cg, prcs, profile);
+         }},
+    };
+  }
+
+  /// A finalized block of \p runs maximal runs of the functional block
+  /// \p fb: run i executes kernel_of(i) min_count to min_count + 5 times,
+  /// each after a seeded gap around \p gap cycles. Its programmed trigger is
+  /// stamped from its own schedule, like a workload-built block's.
+  static FunctionalBlockInstance make_block(
+      FunctionalBlockId fb, std::size_t runs,
+      const std::function<KernelId(std::size_t)>& kernel_of, Cycles gap,
+      std::uint64_t seed, std::uint64_t min_count = 1) {
+    Rng rng(seed);
+    FunctionalBlockInstance block;
+    block.functional_block = fb;
+    block.tail_gap = gap;
+    for (std::size_t i = 0; i < runs; ++i) {
+      const std::uint64_t count = min_count + rng.next_below(6);
+      for (std::uint64_t e = 0; e < count; ++e) {
+        block.events.push_back({kernel_of(i), gap / 2 + rng.next_below(gap)});
+      }
+    }
+    finalize_instance_runs(block);
+    stamp_programmed_trigger(block, app_->library);
+    return block;
+  }
+
+  /// Run \p i of a cycle through the encoding engine's first \p n kernels.
+  static KernelId ee_cycle(std::size_t i, std::size_t n = 3) {
+    const std::array<KernelId, 6> kernels = {app_->k_dct4,  app_->k_ht,
+                                             app_->k_quant, app_->k_idct,
+                                             app_->k_cavlc, app_->k_scan};
+    return kernels[i % n];
+  }
+
+  static H264Application* app_;
+  static std::vector<BlockProfile>* profile_;
+};
+
+H264Application* EcuChunkCommit::app_ = nullptr;
+std::vector<BlockProfile>* EcuChunkCommit::profile_ = nullptr;
+
+TEST_F(EcuChunkCommit, FigGridKindsMatchOracleOnFullCifBlocks) {
+  // A CIF frame's loop-filter block spans 25 chunks, its motion-estimation
+  // and encoding blocks about 50 and 75.
+  std::size_t chunks = 0;
+  for (const FunctionalBlockInstance& block : app_->trace.blocks) {
+    ASSERT_GE(block.chunks.chunks.size(), 25u);
+    chunks += block.chunks.chunks.size();
+  }
+  EXPECT_GE(chunks, 40 * app_->trace.blocks.size());
+  for (const auto& [prcs, cg] : {std::pair{0u, 1u}, std::pair{2u, 0u},
+                                 std::pair{2u, 2u}, std::pair{6u, 3u}}) {
+    for (const auto& [name, make] : fig_grid_kinds(prcs, cg)) {
+      SCOPED_TRACE(name + " on " + std::to_string(prcs) + " PRC + " +
+                   std::to_string(cg) + " CG");
+      expect_fast_matches_oracle(make, app_->trace.blocks);
+    }
+  }
+}
+
+TEST_F(EcuChunkCommit, BlocksAroundTheChunkSizeMatchOracle) {
+  // 31 and 32 runs fill one chunk, 33 starts a second, 64 fills two; the
+  // last chunk always holds the final runs, so none of these may commit a
+  // chunk — they pin the boundary arithmetic.
+  std::vector<FunctionalBlockInstance> blocks;
+  for (const std::size_t runs : {31u, 32u, 33u, 64u}) {
+    blocks.push_back(make_block(app_->fb_ee, runs,
+                                [](std::size_t i) { return ee_cycle(i); }, 400,
+                                runs));
+    ASSERT_EQ(blocks.back().runs.size(), runs);
+    ASSERT_EQ(blocks.back().chunks.chunks.size(),
+              (runs + kChunkRuns - 1) / kChunkRuns);
+  }
+  for (const auto& [name, make] : fig_grid_kinds(2, 2)) {
+    SCOPED_TRACE(name);
+    expect_fast_matches_oracle(make, blocks);
+  }
+}
+
+TEST_F(EcuChunkCommit, KernelWhoseLastRunFallsMidBlock) {
+  // The fourth kernel stops after run 100 of 320: the chunk holding its last
+  // run must go run by run, the chunks after it may commit whole. Behind a
+  // whole chunk of the remaining three-kernel cycle, the next run is of the
+  // kernel that ran just before the chunk, so a stale last-executed kernel
+  // would drop its context switch.
+  const auto kernel_of = [](std::size_t i) {
+    return i < 100 ? ee_cycle(i, 4) : ee_cycle(i, 3);
+  };
+  const FunctionalBlockInstance block =
+      make_block(app_->fb_ee, 320, kernel_of, 400, 7);
+  const std::size_t mid = (100 + kChunkRuns - 1) / kChunkRuns;
+  ASSERT_LT(mid + 2, block.chunks.chunks.size());
+  EXPECT_TRUE(block.chunks.chunks[mid - 1].holds_endpoint);
+  EXPECT_FALSE(block.chunks.chunks[mid + 1].holds_endpoint);
+  for (const auto& [name, make] : fig_grid_kinds(2, 2)) {
+    SCOPED_TRACE(name);
+    expect_fast_matches_oracle(make, {block, block});
+  }
+}
+
+TEST_F(EcuChunkCommit, MemoHorizonInsideAChunk) {
+  // FG data paths finish loading while the block runs, so each upgrade ends
+  // a memo horizon inside some chunk of the 600-run block.
+  const FunctionalBlockInstance block =
+      make_block(app_->fb_ee, 600, [](std::size_t i) { return ee_cycle(i); },
+                 2000, 11);
+  const RtsFactory make = [] {
+    return std::make_unique<MRts>(app_->library, 0, 2);
+  };
+  const std::vector<BlockOutcome> oracle =
+      expect_fast_matches_oracle(make, {block, block});
+  ASSERT_FALSE(oracle.empty());
+  EXPECT_GT(executions(oracle[0], ImplKind::kRisc), 0u);
+  EXPECT_GT(executions(oracle[0], ImplKind::kIntermediate) +
+                executions(oracle[0], ImplKind::kFullIse) +
+                executions(oracle[0], ImplKind::kCoveredIse),
+            0u);
+}
+
+TEST_F(EcuChunkCommit, MonoCgAcquisitionMidBlock) {
+  // Two kernels outside the programmed trigger take turns over the last
+  // five runs of chunk 6 (runs 219-223 of 400). Their monoCG acquisitions
+  // bump the fabric epoch and, on the one CG fabric, evict the first
+  // kernel's monoCG context, so chunk 7 opens with that kernel's memo void
+  // while the newcomers' memos are fresh — the chunk must not commit. (A
+  // kernel's memo is derived within a run, so every run here executes at
+  // least twice.)
+  const auto kernel_of = [](std::size_t i) {
+    if (i < 219) return ee_cycle(i, 3);
+    if (i < 224) return i % 2 == 1 ? app_->k_idct : app_->k_cavlc;
+    return ee_cycle(i + 1, 5);
+  };
+  FunctionalBlockInstance block =
+      make_block(app_->fb_ee, 400, kernel_of, 400, 13, 2);
+  ASSERT_EQ(block.runs.size(), 400u);
+  ASSERT_FALSE(block.chunks.chunks[7].holds_endpoint);
+  block.programmed =
+      make_block(app_->fb_ee, 219, kernel_of, 400, 13, 2).programmed;
+  const RtsFactory make = [] {
+    return std::make_unique<MRts>(app_->library, 1, 0);
+  };
+  const std::vector<BlockOutcome> oracle =
+      expect_fast_matches_oracle(make, {block, block});
+  ASSERT_FALSE(oracle.empty());
+  EXPECT_GT(executions(oracle[0], ImplKind::kMonoCg), 0u);
+}
+
+TEST_F(EcuChunkCommit, FaultInducedQuarantine) {
+  for (const double rate : {0.3, 1.0}) {
+    SCOPED_TRACE("rate " + std::to_string(rate));
+    const RtsFactory make = [rate] {
+      MRtsConfig config;
+      config.fault = FaultModelConfig::uniform(rate, 42, /*max_retries=*/1);
+      return std::make_unique<MRts>(app_->library, 2, 2, config);
+    };
+    expect_fast_matches_oracle(make, app_->trace.blocks);
+    const std::unique_ptr<RuntimeSystem> rts = make();
+    run_application(*rts, app_->trace);
+    const FabricUsage usage = static_cast<MRts&>(*rts).fabric().usage();
+    EXPECT_GT(usage.quarantined_prcs + usage.quarantined_cg, 0u);
+  }
+}
+
+TEST_F(EcuChunkCommit, HandBuiltInstanceWithoutChunkSummaries) {
+  // Runs without chunks commit run by run; events alone are decoded on the
+  // fly. Both must match the oracle (which reads only the events).
+  std::vector<FunctionalBlockInstance> no_chunks = app_->trace.blocks;
+  std::vector<FunctionalBlockInstance> events_only = app_->trace.blocks;
+  for (FunctionalBlockInstance& block : no_chunks) block.chunks = RunChunks{};
+  for (FunctionalBlockInstance& block : events_only) {
+    block.runs.clear();
+    block.chunks = RunChunks{};
+  }
+  for (const auto& [name, make] : fig_grid_kinds(2, 2)) {
+    SCOPED_TRACE(name);
+    expect_fast_matches_oracle(make, no_chunks);
+    expect_fast_matches_oracle(make, events_only);
   }
 }
 

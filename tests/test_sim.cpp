@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "baselines/risc_only_rts.h"
 #include "isa/ise_builder.h"
 #include "sim/app_simulator.h"
 #include "sim/fb_simulator.h"
 #include "sim/metrics.h"
 #include "sim/schedule.h"
+#include "util/fastpath.h"
 
 namespace mrts {
 namespace {
@@ -103,6 +107,31 @@ TEST(RunBlock, ObservationMatchesSchedule) {
   EXPECT_DOUBLE_EQ(obs.executions, 3.0);
   EXPECT_EQ(obs.time_to_first, 10u);
   EXPECT_EQ(obs.time_between, 25u);
+}
+
+TEST(RunBlock, ThrowingBlockLeavesNoObservationBehind) {
+  // A block that throws partway must not leave its kernels' observation
+  // scratch marked seen: the next block on the same thread would then drop
+  // them from its BlockObservation. The per-event loop is the oracle.
+  const IseLibrary lib = one_kernel_library();
+  const KernelId k = lib.find_kernel("K");
+  FunctionalBlockInstance bad;
+  bad.events = {{k, 10}, {KernelId{99}, 10}};
+  const bool previous = fastpath_enabled();
+  std::vector<ObservedKernelStats> observed[2];
+  for (const bool fast : {false, true}) {
+    set_fastpath_enabled(fast);
+    RiscOnlyRts rts(lib);
+    EXPECT_THROW(run_block(rts, bad, 0), std::out_of_range);
+    observed[fast] = run_block(rts, simple_instance(k), 0).observed.kernels;
+  }
+  set_fastpath_enabled(previous);
+  ASSERT_EQ(observed[false].size(), 1u);
+  ASSERT_EQ(observed[true].size(), 1u);
+  EXPECT_EQ(observed[true][0].kernel, observed[false][0].kernel);
+  EXPECT_DOUBLE_EQ(observed[true][0].executions, observed[false][0].executions);
+  EXPECT_EQ(observed[true][0].time_to_first, observed[false][0].time_to_first);
+  EXPECT_EQ(observed[true][0].time_between, observed[false][0].time_between);
 }
 
 TEST(RunApplication, AccumulatesBlocks) {

@@ -8,9 +8,12 @@ Run from the repo root with a release build in build/:
     python3 tools/bench_e2e.py [--samples N] [--build DIR] [--out FILE]
 
 Both modes must produce byte-identical CSVs; this script asserts that on
-every sample before recording the timing. Absolute seconds are
+every sample before recording the timing. Each bench's "before" is the
+cache_on_s of the BENCH_e2e.json committed at HEAD (the file on disk when
+git is unavailable), read before anything is written, so every regenerated
+file states its gain over the previous one. Absolute seconds are
 machine-dependent — the tracked quantity is the speedup trajectory (see
-docs/BENCHMARKS.md, schema mrts-e2e-bench-v1).
+docs/BENCHMARKS.md, schema mrts-e2e-bench-v2).
 """
 
 import argparse
@@ -29,17 +32,28 @@ BENCHES = {
 }
 JOBS = 1
 FRAMES = 16  # the committed file uses the full-size workload; CI shrinks
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMMITTED = "BENCH_e2e.json"
 
-# Whole-bench wall seconds at the parent commit of the fast-path series
-# (same machine, same best-of-N protocol). Not re-measurable from this
-# tree — the cache-off mode still includes the series' ungated
-# optimizations (selector trace guards, planner snapshot, scratch
-# buffers), so cache_off_s underestimates the true "before". Re-anchor
-# these when the series is re-based onto a new baseline.
-SEED_S = {
-    "fig8_state_of_the_art": 0.428,
-    "fig9_heuristic_vs_optimal": 0.545,
-}
+
+def committed_cache_on():
+    """cache_on_s per bench of the committed BENCH_e2e.json, or {} when
+    there is none or it was measured on another configuration."""
+    try:
+        text = subprocess.run(["git", "-C", ROOT, "show", "HEAD:" + COMMITTED],
+                              check=True, capture_output=True,
+                              text=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        try:
+            with open(os.path.join(ROOT, COMMITTED)) as f:
+                text = f.read()
+        except OSError:
+            return {}
+    before = json.loads(text)
+    if before.get("jobs") != JOBS or before.get("frames") != FRAMES:
+        return {}
+    return {name: entry["cache_on_s"]
+            for name, entry in before.get("benches", {}).items()}
 
 
 def run_once(binary, workdir, no_bb_cache, frames):
@@ -100,8 +114,9 @@ def main():
     ap.add_argument("--out", default="BENCH_e2e.json")
     args = ap.parse_args()
 
+    before = committed_cache_on()
     result = {
-        "schema": "mrts-e2e-bench-v1",
+        "schema": "mrts-e2e-bench-v2",
         "unit": "seconds",
         "jobs": JOBS,
         "frames": args.frames,
@@ -119,9 +134,9 @@ def main():
             "cache_on_s": round(on_s, 3),
             "speedup": round(off_s / on_s, 2),
         }
-        if args.frames == FRAMES and name in SEED_S:
-            entry["seed_s"] = SEED_S[name]
-            entry["speedup_vs_seed"] = round(SEED_S[name] / on_s, 2)
+        if args.frames == FRAMES and name in before:
+            entry["before_s"] = before[name]
+            entry["speedup_vs_before"] = round(before[name] / on_s, 2)
         result["benches"][name] = entry
         print(f"{name}: cache-off {off_s:.3f}s, cache-on {on_s:.3f}s, "
               f"{off_s / on_s:.2f}x", file=sys.stderr)
