@@ -164,9 +164,9 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
+  parse_bench_args(&argc, argv, {BenchFlag::kJobs});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
+  run_sweep(bench_jobs());
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_table();

@@ -5,15 +5,16 @@
 /// the full simulation, prints the figure's rows/series as an ASCII table
 /// and dumps a CSV (<bench>.csv) for external plotting.
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "baselines/morpheus4s_rts.h"
 #include "baselines/offline_optimal_rts.h"
@@ -24,6 +25,7 @@
 #include "sim/machine.h"
 #include "sim/metrics.h"
 #include "sim/sweep_runner.h"
+#include "util/cli_spec.h"
 #include "util/counters.h"
 #include "util/csv.h"
 #include "util/fastpath.h"
@@ -33,16 +35,29 @@
 
 namespace mrts::bench {
 
-/// Evaluation workload of Section 5: the H.264 encoder model at CIF size.
-/// MRTS_BENCH_FRAMES overrides the frame count (smaller = faster smoke run).
+/// MRTS_BENCH_FRAMES: the frame count the benches scale their workload by
+/// (16 = full size; smoke runs use 2). Read once; a malformed value is an
+/// input error (exit 2), never read as some other number.
+inline unsigned bench_frames() {
+  static const unsigned frames = [] {
+    std::uint64_t n = 16;
+    const char* env = std::getenv("MRTS_BENCH_FRAMES");
+    if (env != nullptr && !parse_count(env, 1, 100000, &n)) {
+      std::fprintf(stderr, "error: invalid MRTS_BENCH_FRAMES '%s' (expected "
+                           "an integer in [1,100000])\n", env);
+      std::exit(2);
+    }
+    return static_cast<unsigned>(n);
+  }();
+  return frames;
+}
+
+/// Evaluation workload of Section 5: the H.264 encoder model at CIF size,
+/// bench_frames() frames long.
 inline H264AppParams eval_params() {
   H264AppParams params;
-  params.frames = 16;
+  params.frames = bench_frames();
   params.macroblocks = 396;
-  if (const char* env = std::getenv("MRTS_BENCH_FRAMES")) {
-    const int frames = std::atoi(env);
-    if (frames > 0) params.frames = static_cast<unsigned>(frames);
-  }
   return params;
 }
 
@@ -94,193 +109,77 @@ struct EvalContext {
   }
 };
 
-/// Parses and strips a `--jobs N` / `--jobs=N` flag from the command line.
-/// Must run *before* benchmark::Initialize (google-benchmark rejects flags
-/// it does not know). Returns the sweep worker count: 0 means "one worker
-/// per hardware thread" (SweepRunner resolves it); `--jobs 1` is the exact
-/// legacy serial path. The MRTS_BENCH_JOBS environment variable supplies
-/// the default when the flag is absent.
-inline unsigned parse_jobs(int* argc, char** argv) {
-  unsigned jobs = 0;
-  if (const char* env = std::getenv("MRTS_BENCH_JOBS")) {
-    const int v = std::atoi(env);
-    if (v > 0) jobs = static_cast<unsigned>(v);
+/// The flags a bench can honour; every bench also takes --no-bb-cache.
+enum class BenchFlag { kJobs, kTraceDir, kFaultRate, kFaultSeed, kMaxRetries };
+
+/// The running bench's checked command line, looked up by flag name
+/// (`bench_args()["--trace-dir"].text`): written once by parse_bench_args
+/// in main() before any sweep fans out, read-only afterwards. Looking up a
+/// flag the bench does not honour throws.
+inline CliArgs& bench_args() {
+  static CliArgs args;
+  return args;
+}
+
+/// --jobs: sweep workers; 0 = one per hardware thread.
+inline unsigned bench_jobs() {
+  return static_cast<unsigned>(bench_args()["--jobs"].count);
+}
+
+/// The one bench front end: checks MRTS_BENCH_FRAMES, then parses argv
+/// against the rows of exactly the flags \p honoured names (plus
+/// --no-bb-cache) and strips them. With \p google_benchmark, `--benchmark_*`
+/// tokens stay in argv for benchmark::Initialize, which must run after this;
+/// anything else unknown is a usage error. Stores the result in
+/// bench_args(). Exits like the tools: 0 after --help, 1 on a usage error,
+/// 2 on a bad value.
+inline void parse_bench_args(int* argc, char** argv,
+                             std::initializer_list<BenchFlag> honoured,
+                             bool google_benchmark = true) {
+  (void)bench_frames();
+  const CliArg rows[] = {  // one per BenchFlag, in enum order
+      cli_count("--jobs", "<n>", 0, 1024, "0",
+                "sweep workers; 0 = one per hardware thread, 1 = serial"),
+      cli_text("--trace-dir", "<dir>",
+               "write one Chrome trace per mRTS sweep point into <dir>"),
+      cli_probability("--fault-rate", "<p>", "0", "mRTS fault rate"),
+      cli_count("--fault-seed", "<n>", 0, kCliMaxCount, "42", "fault seed"),
+      cli_count("--max-retries", "<n>", 0, 1000, "3", "per-load retries"),
+  };
+  CliSpec spec(std::filesystem::path(argv[0]).filename().string(),
+               google_benchmark
+                   ? "mRTS bench; --benchmark_* flags go to google-benchmark"
+                   : "mRTS bench");
+  CliVerb& verb = spec.add_verb("", "");
+  for (const BenchFlag flag : honoured) {
+    verb.flags.push_back(rows[static_cast<int>(flag)]);
   }
-  int out = 1;  // argv[0] always kept
+  verb.flags.push_back(cli_switch(
+      "--no-bb-cache",
+      "run the plain-interpreter oracle instead of the simulator fast paths "
+      "(outputs stay bit-identical)"));
+
+  std::vector<std::string> tokens;
+  int kept = 1;  // argv[0] always kept
   for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--jobs") == 0 && i + 1 < *argc) {
-      const int v = std::atoi(argv[++i]);
-      if (v > 0) jobs = static_cast<unsigned>(v);
-      continue;
-    }
-    if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      const int v = std::atoi(arg + 7);
-      if (v > 0) jobs = static_cast<unsigned>(v);
-      continue;
-    }
-    if (std::strcmp(arg, "--no-bb-cache") == 0) {
-      // A/B switch for the simulator fast paths (decoded basic-block
-      // caches + batched frame execution): force the plain interpreter /
-      // per-event oracle. Output bytes must be identical either way.
-      set_fastpath_enabled(false);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;
-  return jobs;
-}
-
-/// Fault-injection knobs shared by the benches (arch/fault_model.h). The
-/// defaults are fault-free so the committed figure CSVs stay byte-identical
-/// unless a fault rate is explicitly requested.
-struct FaultFlags {
-  double rate = 0.0;
-  std::uint64_t seed = 42;
-  unsigned max_retries = 3;
-
-  /// The FaultModelConfig this flag set denotes (all-zero when rate == 0).
-  FaultModelConfig config() const {
-    if (rate <= 0.0) return FaultModelConfig{};
-    return FaultModelConfig::uniform(rate, seed, max_retries);
-  }
-};
-
-namespace detail {
-
-/// Strict full-token parsers, mirroring the mrts_cli contract: malformed
-/// values (negative/NaN rates, signed or overflowing seeds) are input
-/// errors — exit code 2, never silently clamped.
-inline bool parse_probability_token(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;  // NaN fails every comparison
-  *out = v;
-  return true;
-}
-
-inline bool parse_u64_token(const char* s, std::uint64_t* out) {
-  if (s[0] == '\0' || s[0] == '-' || s[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-[[noreturn]] inline void fault_flag_error(const char* flag, const char* value,
-                                          const char* expected) {
-  std::fprintf(stderr, "error: invalid %s '%s' (expected %s)\n", flag, value,
-               expected);
-  std::exit(2);
-}
-
-}  // namespace detail
-
-/// Parses and strips `--fault-rate P`, `--fault-seed N` and
-/// `--max-retries N` flags (each also accepts the `--flag=value` form).
-/// Must run before benchmark::Initialize, like parse_jobs. Invalid values
-/// terminate with exit code 2 (documented input-error contract — the sweep
-/// must not run with a silently clamped fault configuration).
-/// MRTS_BENCH_FAULT_RATE / _FAULT_SEED / _MAX_RETRIES env variables supply
-/// defaults when the flags are absent and follow the same strict contract.
-inline FaultFlags parse_fault_flags(int* argc, char** argv) {
-  FaultFlags flags;
-  if (const char* env = std::getenv("MRTS_BENCH_FAULT_RATE")) {
-    if (!detail::parse_probability_token(env, &flags.rate)) {
-      detail::fault_flag_error("MRTS_BENCH_FAULT_RATE", env,
-                               "a probability in [0,1]");
+    if (google_benchmark &&
+        std::string_view(argv[i]).starts_with("--benchmark_")) {
+      argv[kept++] = argv[i];
+    } else {
+      tokens.emplace_back(argv[i]);
     }
   }
-  if (const char* env = std::getenv("MRTS_BENCH_FAULT_SEED")) {
-    if (!detail::parse_u64_token(env, &flags.seed)) {
-      detail::fault_flag_error("MRTS_BENCH_FAULT_SEED", env,
-                               "an unsigned 64-bit integer");
-    }
-  }
-  if (const char* env = std::getenv("MRTS_BENCH_MAX_RETRIES")) {
-    std::uint64_t v = 0;
-    if (!detail::parse_u64_token(env, &v) || v > 1000) {
-      detail::fault_flag_error("MRTS_BENCH_MAX_RETRIES", env,
-                               "an integer in [0,1000]");
-    }
-    flags.max_retries = static_cast<unsigned>(v);
-  }
-  int out = 1;  // argv[0] always kept
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    auto match = [&](const char* name) {
-      const std::size_t len = std::strlen(name);
-      if (std::strcmp(arg, name) == 0 && i + 1 < *argc) {
-        value = argv[++i];
-        return true;
-      }
-      if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-        value = arg + len + 1;
-        return true;
-      }
-      return false;
-    };
-    if (match("--fault-rate")) {
-      if (!detail::parse_probability_token(value, &flags.rate)) {
-        detail::fault_flag_error("--fault-rate", value,
-                                 "a probability in [0,1]");
-      }
-      continue;
-    }
-    if (match("--fault-seed")) {
-      if (!detail::parse_u64_token(value, &flags.seed)) {
-        detail::fault_flag_error("--fault-seed", value,
-                                 "an unsigned 64-bit integer");
-      }
-      continue;
-    }
-    if (match("--max-retries")) {
-      std::uint64_t v = 0;
-      if (!detail::parse_u64_token(value, &v) || v > 1000) {
-        detail::fault_flag_error("--max-retries", value,
-                                 "an integer in [0,1000]");
-      }
-      flags.max_retries = static_cast<unsigned>(v);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;
-  return flags;
-}
+  *argc = kept;
+  argv[kept] = nullptr;
 
-/// Parses and strips a `--trace-dir DIR` / `--trace-dir=DIR` flag (must run
-/// before benchmark::Initialize, like parse_jobs). When set, the bench
-/// writes one Chrome trace per mRTS sweep point into DIR. Empty string =
-/// tracing off (the default; traced runs pay the recording overhead, so the
-/// timing figures should normally run untraced). MRTS_BENCH_TRACE_DIR
-/// supplies the default when the flag is absent.
-inline std::string parse_trace_dir(int* argc, char** argv) {
-  std::string dir;
-  if (const char* env = std::getenv("MRTS_BENCH_TRACE_DIR")) dir = env;
-  int out = 1;  // argv[0] always kept
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--trace-dir") == 0 && i + 1 < *argc) {
-      dir = argv[++i];
-      continue;
-    }
-    if (std::strncmp(arg, "--trace-dir=", 12) == 0) {
-      dir = arg + 12;
-      continue;
-    }
-    argv[out++] = argv[i];
+  CliArgs& args = bench_args();
+  args = CliSpec::parse(verb, tokens);
+  if (args.help) {
+    std::fputs(spec.help().c_str(), stdout);
+    std::exit(0);
   }
-  *argc = out;
-  argv[out] = nullptr;
-  return dir;
+  if (args.status != 0) std::exit(spec.report(args));
+  if (args["--no-bb-cache"].given) set_fastpath_enabled(false);
 }
 
 /// Writes one sweep point's events as Chrome trace JSON into \p dir

@@ -109,7 +109,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)mrts::bench::parse_jobs(&argc, argv);  // strips --no-bb-cache too
+  mrts::bench::parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   print_table();

@@ -11,7 +11,7 @@
 // own simulator stack (own MRts, own FaultModel seeded from --fault-seed),
 // and results merge in submission order, so the table and CSV are
 // byte-identical to `--jobs 1`. --fault-seed/--max-retries apply to every
-// point; --fault-rate is ignored here (the rate axis IS the figure).
+// point; the bench takes no --fault-rate (the rate axis IS the figure).
 
 #include <benchmark/benchmark.h>
 
@@ -34,13 +34,6 @@ constexpr unsigned kCgFabrics = 2;
 const EvalContext& context() {
   static const EvalContext ctx;
   return ctx;
-}
-
-/// --fault-seed / --max-retries for every sweep point. Set once in main()
-/// before the fan-out, read-only afterwards.
-FaultFlags& fault_flags() {
-  static FaultFlags flags;
-  return flags;
 }
 
 /// The fault-rate axis. Rate 0 is the baseline row (must match the
@@ -70,8 +63,9 @@ PointResult run_point(double rate) {
   PointResult result;
   MRtsConfig config;
   if (rate > 0.0) {
-    config.fault = FaultModelConfig::uniform(rate, fault_flags().seed,
-                                             fault_flags().max_retries);
+    config.fault = FaultModelConfig::uniform(
+        rate, bench_args()["--fault-seed"].count,
+        static_cast<unsigned>(bench_args()["--max-retries"].count));
   }
   MRts rts(ctx.app.library, kCgFabrics, kPrcs, config);
   static_cast<RuntimeSystem&>(rts).attach_observability(nullptr,
@@ -149,7 +143,8 @@ void print_figure() {
   std::printf("\nFig. 11 — mRTS speedup vs fault rate on %u PRCs + %u CG "
               "(seed %llu, written to fig11_speedup_vs_fault_rate.csv)\n%s",
               kPrcs, kCgFabrics,
-              static_cast<unsigned long long>(fault_flags().seed),
+              static_cast<unsigned long long>(
+                  bench_args()["--fault-seed"].count),
               table.render().c_str());
   std::printf(
       "fault-free speedup %.2fx; rate-1.0 endpoint %.2fx (expected: "
@@ -161,10 +156,11 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
-  fault_flags() = parse_fault_flags(&argc, argv);
+  parse_bench_args(
+      &argc, argv,
+      {BenchFlag::kJobs, BenchFlag::kFaultSeed, BenchFlag::kMaxRetries});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
+  run_sweep(bench_jobs());
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

@@ -7,10 +7,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 
+#include "bench_common.h"
 #include "util/csv.h"
-#include "util/fastpath.h"
 #include "util/table.h"
 #include "workload/deblocking_case_study.h"
 
@@ -65,17 +64,7 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --no-bb-cache before Google Benchmark sees (and rejects) it.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-bb-cache") == 0) {
-      mrts::set_fastpath_enabled(false);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  argv[out] = nullptr;
+  mrts::bench::parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

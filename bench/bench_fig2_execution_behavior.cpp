@@ -19,13 +19,8 @@
 namespace {
 
 using namespace mrts;
-using mrts::bench::parse_trace_dir;
+using mrts::bench::bench_args;
 using mrts::bench::write_point_trace;
-
-std::string& trace_dir() {
-  static std::string dir;
-  return dir;
-}
 
 H264AppParams fig2_params() {
   H264AppParams params;
@@ -52,7 +47,7 @@ void print_figure() {
   MRts rts(app.library, 2, 2);
   TraceRecorder recorder;
   CounterRegistry counters;
-  const bool traced = !trace_dir().empty();
+  const bool traced = !bench_args()["--trace-dir"].text.empty();
   RuntimeSystem& base = rts;  // observability attaches via the base API
   if (traced) base.attach_observability(&recorder, &counters);
   std::vector<std::string> selected_per_frame;
@@ -108,8 +103,9 @@ void print_figure() {
               "reused for free, so the profit of switching rarely wins.)\n",
               lo, hi, static_cast<double>(hi) / static_cast<double>(lo));
   if (traced) {
-    const std::string path = write_point_trace(
-        trace_dir(), "fig2_mrts.json", recorder.events(), &app.library);
+    const std::string path =
+        write_point_trace(bench_args()["--trace-dir"].text, "fig2_mrts.json",
+                          recorder.events(), &app.library);
     if (!path.empty()) {
       std::printf("[trace] wrote %zu events to %s\n", recorder.size(),
                   path.c_str());
@@ -120,8 +116,8 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)mrts::bench::parse_jobs(&argc, argv);  // strips --no-bb-cache too
-  trace_dir() = parse_trace_dir(&argc, argv);
+  mrts::bench::parse_bench_args(&argc, argv,
+                                {mrts::bench::BenchFlag::kTraceDir});
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

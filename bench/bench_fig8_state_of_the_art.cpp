@@ -30,23 +30,6 @@ const EvalContext& context() {
   return ctx;
 }
 
-/// --trace-dir destination; empty = tracing off. Set once in main() before
-/// the sweep fans out, read-only afterwards.
-std::string& trace_dir() {
-  static std::string dir;
-  return dir;
-}
-
-/// Fault-injection flags (--fault-rate/--fault-seed/--max-retries); the
-/// default is fault-free, which keeps the committed CSV byte-identical.
-/// Faults apply to the mRTS runs only — the baselines stay clean so the
-/// figure isolates how mRTS itself degrades. Set once in main() before the
-/// sweep fans out, read-only afterwards.
-FaultFlags& fault_flags() {
-  static FaultFlags flags;
-  return flags;
-}
-
 struct Row {
   Cycles rispp = 0;
   Cycles offline = 0;
@@ -85,8 +68,18 @@ PointResult run_point(const FabricCombination& combo) {
       ctx.run_offline_optimal(combo.cg, combo.prcs).total_cycles;
   result.row.morpheus = ctx.run_morpheus(combo.cg, combo.prcs).total_cycles;
   MRtsConfig mrts_config;
-  mrts_config.fault = fault_flags().config();
-  if (trace_dir().empty()) {
+  // Faults apply to the mRTS runs only — the baselines stay clean so the
+  // figure isolates how mRTS itself degrades. Rate 0 (the default) keeps
+  // the golden fault-free.
+  const CliArgs& args = bench_args();
+  const double fault_rate = args["--fault-rate"].probability;
+  if (fault_rate > 0.0) {
+    mrts_config.fault = FaultModelConfig::uniform(
+        fault_rate, args["--fault-seed"].count,
+        static_cast<unsigned>(args["--max-retries"].count));
+  }
+  const std::string& trace_dir = args["--trace-dir"].text;
+  if (trace_dir.empty()) {
     result.row.mrts =
         ctx.run_mrts(combo.cg, combo.prcs, mrts_config).total_cycles;
   } else {
@@ -94,7 +87,7 @@ PointResult run_point(const FabricCombination& combo) {
     result.row.mrts = ctx.run_mrts(combo.cg, combo.prcs, mrts_config,
                                    &recorder, &result.counters)
                           .total_cycles;
-    write_point_trace(trace_dir(), "fig8_" + combo.label() + ".json",
+    write_point_trace(trace_dir, "fig8_" + combo.label() + ".json",
                       recorder.events(), &context().app.library);
   }
   return result;
@@ -110,10 +103,10 @@ void run_sweep(unsigned jobs) {
       rows()[points[i].label()] = results[i].row;
       merged.merge(results[i].counters);  // submission order = deterministic
     }
-    if (!trace_dir().empty()) {
+    if (!bench_args()["--trace-dir"].text.empty()) {
       print_counter_summary("Fig. 8", merged);
       std::printf("[trace] wrote %zu per-point traces to %s\n",
-                  points.size(), trace_dir().c_str());
+                  points.size(), bench_args()["--trace-dir"].text.c_str());
     }
   });
 }
@@ -189,11 +182,12 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
-  trace_dir() = parse_trace_dir(&argc, argv);
-  fault_flags() = parse_fault_flags(&argc, argv);
+  parse_bench_args(&argc, argv,
+                   {BenchFlag::kJobs, BenchFlag::kTraceDir,
+                    BenchFlag::kFaultRate, BenchFlag::kFaultSeed,
+                    BenchFlag::kMaxRetries});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(jobs);
+  run_sweep(bench_jobs());
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

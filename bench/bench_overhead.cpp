@@ -211,10 +211,10 @@ void print_scaling_table(unsigned jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = parse_jobs(&argc, argv);
+  parse_bench_args(&argc, argv, {BenchFlag::kJobs});
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   print_table();
-  print_scaling_table(jobs);
+  print_scaling_table(bench_jobs());
   return 0;
 }

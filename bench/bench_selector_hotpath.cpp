@@ -307,9 +307,9 @@ void register_benchmarks() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Accepted for interface parity with the other benches; this bench is
-  // deliberately single-threaded (parallel timing samples would be noise).
-  (void)parse_jobs(&argc, argv);
+  // No --jobs: this bench is deliberately single-threaded (parallel timing
+  // samples would be noise).
+  parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
   const unsigned frames = eval_params().frames;
   // Smoke runs (MRTS_BENCH_FRAMES=2 in CI) shrink both the warm-up depth and

@@ -12,18 +12,17 @@
 // Schema `mrts-serve-bench-v1` is documented in docs/BENCHMARKS.md.
 //
 // MRTS_BENCH_FRAMES=<n> shrinks the job count for the CI smoke run; the
-// committed BENCH_serve.json comes from the full-size default. Flags
-// (e.g. --benchmark_min_time, passed by the shared smoke harness) are
-// accepted and ignored — the bench always runs its fixed workload.
+// committed BENCH_serve.json comes from the full-size default. It is not a
+// google-benchmark binary, so it takes no --benchmark_* flags.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "serve/serve_core.h"
 #include "serve/wire.h"
 #include "util/rng.h"
@@ -167,14 +166,13 @@ void write_json(const std::vector<MixResult>& mixes, std::uint64_t jobs) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  mrts::bench::parse_bench_args(&argc, argv, {}, /*google_benchmark=*/false);
+  // The shared CI-smoke shrink knob: scale the job count the same way the
+  // figure benches scale their frame counts (full size is 16 "frames").
   std::uint64_t jobs = 200;
-  if (const char* frames = std::getenv("MRTS_BENCH_FRAMES")) {
-    // The shared CI-smoke shrink knob: scale the job count the same way the
-    // figure benches scale their frame counts (full size is 16 "frames").
-    const std::uint64_t n = std::strtoull(frames, nullptr, 10);
-    if (n > 0 && n < 16) jobs = std::max<std::uint64_t>(4, jobs * n / 16);
-  }
+  const std::uint64_t frames = mrts::bench::bench_frames();
+  if (frames < 16) jobs = std::max<std::uint64_t>(4, jobs * frames / 16);
 
   // Three mixes: a pure FIFO single-submit stream (latency floor), the
   // loadgen churn batch (queueing under a burst of 8), and a deep burst.

@@ -1,8 +1,8 @@
-# Exit-code contract of `mrts_cli select` trigger-spec parsing, run as a
-# ctest via `cmake -P`: well-formed KERNEL=e[,tf,tb] specs must select
-# (exit 0); partially-parsing or non-finite numbers must be input errors
-# (exit 2) instead of being silently truncated the way a bare strtod
-# would parse "1.5x" as 1.5 or "" as 0.
+# Exit-code contract of `mrts_cli select` argument parsing, run as a ctest
+# via `cmake -P`: well-formed KERNEL=e[,tf,tb] specs and fabric budgets
+# must select (exit 0); partially-parsing, non-finite or out-of-range
+# numbers must be input errors (exit 2) instead of being silently truncated
+# the way a bare strtod would parse "1.5x" as 1.5 or "" as 0.
 #
 # Inputs: -DMRTS_CLI=<path to mrts_cli> -DWORK_DIR=<scratch dir>
 
@@ -43,5 +43,23 @@ expect_select(2 "sad=nan")
 expect_select(2 "sad=")
 expect_select(2 "sad=-3")
 expect_select(2 "sad=120,-1")
+
+# The <prcs> <cg> positionals are strict too: "abc", "2x" and out-of-range
+# budgets are input errors, never a selection on some other fabric.
+function(expect_budget rc_want prcs cg)
+  execute_process(
+    COMMAND "${MRTS_CLI}" select "${lib}" ${prcs} ${cg} "sad=120"
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL ${rc_want})
+    message(FATAL_ERROR "select ${prcs} ${cg}: exited ${rc}, "
+                        "expected ${rc_want}")
+  endif()
+endfunction()
+
+expect_budget(0 0 1)
+expect_budget(2 abc 2)
+expect_budget(2 2x 2)
+expect_budget(2 2 1025)
+expect_budget(2 99999999999 2)
 
 message(STATUS "select parse smoke OK")

@@ -7,8 +7,9 @@
 #   2. Replay leg: a no-drop run records live-served reports
 #      (--save-reports) and the server's job log; `mrts_serve --replay`
 #      of that log must reproduce the reports byte-identically.
-#   3. Exit-code contract: --help is 0, usage errors are 1, input errors
-#      (unreadable/garbage job logs) are 2, for both binaries.
+#   3. Exit-code contract: --help is 0, usage errors (unknown or repeated
+#      flags, missing --socket/--cycles) are 1, input errors (bad flag
+#      values, unreadable/garbage job logs) are 2, for both binaries.
 #
 # The server runs in the background, so the two live legs go through
 # `sh -c` (the serving layer is POSIX-only anyway); `timeout` bounds each
@@ -96,6 +97,14 @@ expect_exit("mrts_serve unknown flag" 1 "${MRTS_SERVE}" --no-such-flag)
 expect_exit("mrts_serve without --socket" 1 "${MRTS_SERVE}")
 expect_exit("mrts_loadgen without --cycles" 1
             "${MRTS_LOADGEN}" --socket "${WORK_DIR}/churn.sock")
+# A repeated flag is a usage error, never "the last one wins".
+expect_exit("mrts_serve repeated --out" 1
+            "${MRTS_SERVE}" --replay "${WORK_DIR}/replay.joblog"
+            --out "${WORK_DIR}/a.reports" --out "${WORK_DIR}/b.reports")
+expect_exit("mrts_loadgen repeated --cycles" 1
+            "${MRTS_LOADGEN}" --socket "${WORK_DIR}/churn.sock"
+            --cycles 1 --cycles 2)
+expect_exit("mrts_serve --prcs 0" 2 "${MRTS_SERVE}" --prcs 0)
 expect_exit("mrts_serve --replay missing file" 2
             "${MRTS_SERVE}" --replay "${WORK_DIR}/does_not_exist.joblog")
 file(WRITE "${WORK_DIR}/garbage.joblog" "this is not a job log\n")

@@ -1,96 +1,22 @@
-// mrts_cli — command-line driver for the mRTS library.
+// mrts_cli — command-line driver for the mRTS library: library inspection,
+// one-shot ISE selection, whole-application runs under every run-time system
+// (with tracing, run reports, fault injection and checkpoint/restore),
+// multi-tenant and CMP runs, and trace analysis.
 //
-//   mrts_cli info <library.txt>
-//       Print the kernels and ISE variants of a library file.
+// Every verb, positional and flag is one row of the CliSpec table below
+// (util/cli_spec.h): the table parses argv, checks every value and renders
+// `mrts_cli --help` / `mrts_cli <verb> --help`. docs/CLI.md describes each
+// verb in prose.
 //
-//   mrts_cli select <library.txt> <prcs> <cg> <KERNEL=e[,tf,tb]> ...
-//       Run one heuristic selection for the given trigger forecast on an
-//       idle machine and print the round-by-round trace.
-//
-//   mrts_cli run <h264|sdr> [prcs] [cg] [frames] [--trace <file>]
-//            [--report <file>] [--fault-rate <p>] [--fault-seed <n>]
-//            [--max-retries <n>]
-//       Run a built-in workload under every run-time system and print the
-//       comparison summary. With --trace, the mRTS run records a flight
-//       recorder trace: *.jsonl writes JSON Lines, anything else writes
-//       Chrome trace-event JSON (load it in Perfetto / chrome://tracing).
-//       With --report, the mRTS run's trace is analyzed in memory and the
-//       RunReport written to the file (.json / .csv / anything-else =
-//       markdown) — works with or without --trace.
-//       --fault-rate enables the deterministic fault injector on the mRTS
-//       run (arch/fault_model.h): p in [0,1] drives load CRC failures,
-//       transient upsets and permanent quarantines; --fault-seed seeds the
-//       injector and --max-retries bounds the per-load retry budget.
-//       Malformed values (negative/NaN rates, out-of-range seeds) are
-//       input errors: exit code 2, never silently clamped.
-//       --checkpoint-every N (with --checkpoint <file>) additionally writes
-//       a whole-runtime snapshot of the mRTS run every N cycles (absolute
-//       grid: at cycles N, 2N, ... — atomically overwriting <file>), so the
-//       run can be killed at any point and resumed with `restore`.
-//
-//   mrts_cli checkpoint <h264|sdr> [prcs] [cg] [frames] --at-cycle <c>
-//            --out <file> [--trace ...] [--report ...] [--fault-* ...]
-//       Run only the mRTS leg of the comparison up to cycle <c> and write a
-//       one-shot whole-runtime snapshot (format mrts.snapshot.v1) to <file>.
-//       A run that finishes before <c> is an input error (exit 2) — there is
-//       nothing left to checkpoint.
-//
-//   mrts_cli restore <snapshot>
-//       Resume a checkpointed run in a fresh process and finish it. The
-//       workload, fabric shape, fault config and observability outputs are
-//       reconstructed from the snapshot's meta header; the resumed run is
-//       bit-identical to the uninterrupted one — same stdout, same trace
-//       file, same report. Truncated/corrupt/wrong-version snapshots are
-//       input errors naming the failing byte offset (exit 2), and never
-//       partially mutate the runtime.
-//
-//   mrts_cli run-multi <prcs> <cg> <blocks> <NAME=POLICY[:ARG][@PRIO]> ...
-//       Multi-tenant simulation: one synthetic task per spec, every task's
-//       MRts bound to one shared fabric behind a FabricArbiter. POLICY is
-//       `weighted` (ARG = weight >= 1, default 1), `reserved`
-//       (ARG = <prcs>+<cg>, e.g. 2+1) or `best-effort` (no ARG); @PRIO sets
-//       the scheduling priority (default 0). Tenants whose reservation does
-//       not fit are bounced by admission control and reported as such.
-//
-//   mrts_cli run-cmp <cores> <prcs> <cg> <blocks> [NAME=POLICY[:ARG][@PRIO] ...]
-//       Chip-multiprocessor simulation (sim/cmp.h): <cores> RISC cores, one
-//       synthetic task per core, contending for one shared <prcs>+<cg>
-//       fabric pool behind a FabricArbiter over the modeled interconnect.
-//       Task specs use the run-multi grammar and map to cores in order
-//       (spec i runs on core i); cores without a spec default to
-//       `core<i>=weighted:1`. More specs than cores is a usage error.
-//       --hop-stride <n> places core i at hop distance 1 + i*n (0, the
-//       default, is the flat/degenerate topology); --transfers-per-block <n>
-//       sets the operand transfers charged per block (default 2).
-//
-//   mrts_cli trace-summary <trace.jsonl>
-//       Validate a JSONL trace and print per-kind event counts plus the
-//       span-duration p50/p90/p99.
-//
-//   mrts_cli trace-analyze <trace.jsonl> [--out <file>]
-//       Run the obs/ analysis engine over a saved JSONL trace: cycle
-//       accounting, occupancy, reconfiguration critical path and per-tenant
-//       latency. Prints the markdown report to stdout, or writes --out
-//       (.json / .csv / anything-else = markdown). A malformed trace is an
-//       input error naming the first bad line (exit 2), never a crash.
-//
-//   mrts_cli --help / mrts_cli <verb> --help
-//       Print the flag table of every verb (or one verb) and exit 0. The
-//       help text is generated from the same CliSpec table the parsers
-//       consult (util/cli_spec.h), so it cannot drift from what the binary
-//       accepts; `run`/`checkpoint` also take --no-bb-cache to disable the
-//       simulator fast paths (outputs stay bit-identical).
-//
-// Exit code 0 on success, 1 on usage errors (unknown verb, bad or trailing
-// arguments), 2 on input/runtime errors (unreadable files, bad content).
+// Exit code 0 on success, 1 on usage errors (unknown verb or flag, repeated
+// or valueless flag, wrong argument count), 2 on input/runtime errors
+// (malformed values, unreadable files, bad content).
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -106,93 +32,10 @@ namespace {
 
 using namespace mrts;
 
-/// The single source of truth for verbs and flags: `--help` renders this
-/// table and the parsers look flags up in it, so the two cannot drift
-/// (tests/test_cli_spec.cpp and the cli_help smoke pin the contract).
-const CliSpec& cli_spec() {
-  static const CliSpec spec = [] {
-    CliSpec s("mrts_cli", "command-line driver for the mRTS library",
-              "exit codes: 0 success, 1 usage error, 2 input error");
-    s.add_verb("info", "<library.txt>",
-               "print the kernels and ISE variants of a library file");
-    s.add_verb("select", "<library.txt> <prcs> <cg> <KERNEL=e[,tf,tb]> ...",
-               "run one heuristic selection for the given trigger forecast "
-               "on an idle machine");
-    const std::vector<CliFlag> shared_run_flags = {
-        {"--trace", "<file>",
-         "record the mRTS run's flight recorder (.jsonl = JSON Lines, "
-         "anything else = Chrome trace-event JSON)"},
-        {"--report", "<file>",
-         "analyze the mRTS run's trace in memory and write the RunReport "
-         "(.json / .csv / anything else = markdown)"},
-        {"--fault-rate", "<p>",
-         "enable the deterministic fault injector, p in [0,1]"},
-        {"--fault-seed", "<n>", "fault-injector seed (default 42)"},
-        {"--max-retries", "<n>",
-         "per-load retry budget in [0,1000] (default 3)"},
-        {"--no-bb-cache", "",
-         "disable the decoded basic-block caches and the batched "
-         "frame-execution fast path (outputs stay bit-identical)"},
-    };
-    CliVerb& run = s.add_verb(
-        "run", "<h264|sdr> [prcs] [cg] [frames]",
-        "run a built-in workload under every run-time system and print the "
-        "comparison summary");
-    run.flags = shared_run_flags;
-    run.flags.push_back(
-        {"--checkpoint-every", "<cycles>",
-         "write a whole-runtime snapshot every N cycles (needs "
-         "--checkpoint)"});
-    run.flags.push_back({"--checkpoint", "<file>",
-                         "snapshot file for --checkpoint-every (atomically "
-                         "overwritten)"});
-    CliVerb& checkpoint = s.add_verb(
-        "checkpoint", "<h264|sdr> [prcs] [cg] [frames]",
-        "run the mRTS leg up to --at-cycle and write a one-shot snapshot");
-    checkpoint.flags = shared_run_flags;
-    checkpoint.flags.push_back(
-        {"--at-cycle", "<c>", "cycle to checkpoint at (required)"});
-    checkpoint.flags.push_back(
-        {"--out", "<file>", "snapshot output file (required)"});
-    s.add_verb("restore", "<snapshot>",
-               "resume a checkpointed run in a fresh process and finish it "
-               "bit-identically");
-    s.add_verb("run-multi", "<prcs> <cg> <blocks> <NAME=POLICY[:ARG][@PRIO]> ...",
-               "multi-tenant simulation behind a FabricArbiter; POLICY is "
-               "weighted[:W] | reserved:<P>+<C> | best-effort");
-    CliVerb& run_cmp = s.add_verb(
-        "run-cmp", "<cores> <prcs> <cg> <blocks> [NAME=POLICY[:ARG][@PRIO] ...]",
-        "CMP simulation: one task per core sharing one fabric pool over the "
-        "modeled interconnect; specs map to cores in order (default "
-        "core<i>=weighted:1)");
-    run_cmp.flags = {
-        {"--hop-stride", "<n>",
-         "core i sits 1 + i*n interconnect hops from the fabric (default 0 = "
-         "flat topology)"},
-        {"--transfers-per-block", "<n>",
-         "operand transfers charged per functional block (default 2)"},
-    };
-    s.add_verb("trace-summary", "<trace.jsonl>",
-               "validate a JSONL trace and print per-kind event counts plus "
-               "span-duration percentiles");
-    CliVerb& analyze = s.add_verb(
-        "trace-analyze", "<trace.jsonl>",
-        "run the obs/ analysis engine over a saved JSONL trace");
-    analyze.flags = {{"--out", "<file>",
-                      "write the report to a file (.json / .csv / anything "
-                      "else = markdown) instead of stdout"}};
-    return s;
-  }();
-  return spec;
-}
+const CliSpec& cli_spec();
 
-int usage() {
-  std::fputs(cli_spec().help().c_str(), stderr);
-  return 1;
-}
-
-int cmd_info(const std::string& path) {
-  const IseLibrary lib = load_library(path);
+int cmd_info(const CliArgs& args) {
+  const IseLibrary lib = load_library(args.positionals[0]);
   std::printf("%zu data paths, %zu kernels, %zu ISE variants\n\n",
               lib.data_paths().size(), lib.num_kernels(), lib.num_ises());
   TextTable table({"kernel", "sw cycles", "variant", "PRCs", "CG",
@@ -214,21 +57,9 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-/// Strict uint64 token parser: digits only, the whole token, no overflow.
-bool parse_u64_token(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s[0] == '-' || s[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
 /// Strict parser for the value part of a `KERNEL=e[,tf,tb]` trigger spec.
 /// Every token must parse in full: `1.5x`, `inf`, `nan`, empty tokens and
-/// negative counts are input errors (exit 2), never silently truncated the
-/// way a bare strtod would.
+/// negative counts are input errors (exit 2), never silently truncated.
 bool parse_trigger_values(const std::string& text, TriggerEntry* entry) {
   std::vector<std::string> tokens;
   std::size_t begin = 0;
@@ -238,30 +69,28 @@ bool parse_trigger_values(const std::string& text, TriggerEntry* entry) {
     if (comma == std::string::npos) break;
     begin = comma + 1;
   }
-  if (tokens.empty() || tokens.size() > 3) return false;
-  char* end = nullptr;
-  const double e = std::strtod(tokens[0].c_str(), &end);
-  if (tokens[0].empty() || end != tokens[0].c_str() + tokens[0].size() ||
+  if (tokens.size() > 3) return false;
+  const std::string& e_text = tokens[0];
+  const char* e_end = e_text.data() + e_text.size();
+  double e = 0.0;
+  const auto [ptr, ec] = std::from_chars(e_text.data(), e_end, e);
+  if (e_text.empty() || ec != std::errc{} || ptr != e_end ||
       !std::isfinite(e) || e < 0.0) {
     return false;
   }
   entry->expected_executions = e;
-  if (tokens.size() >= 2 && !parse_u64_token(tokens[1], &entry->time_to_first)) {
-    return false;
-  }
-  if (tokens.size() == 3 && !parse_u64_token(tokens[2], &entry->time_between)) {
-    return false;
-  }
-  return true;
+  return (tokens.size() < 2 ||
+          parse_count(tokens[1], 0, kCliMaxCount, &entry->time_to_first)) &&
+         (tokens.size() < 3 ||
+          parse_count(tokens[2], 0, kCliMaxCount, &entry->time_between));
 }
 
-int cmd_select(const std::string& path, unsigned prcs, unsigned cg,
-               char** specs, int count) {
-  const IseLibrary lib = load_library(path);
+int cmd_select(const CliArgs& args) {
+  const IseLibrary lib = load_library(args.positionals[0]);
   TriggerInstruction ti;
   ti.functional_block = FunctionalBlockId{0};
-  for (int i = 0; i < count; ++i) {
-    const std::string spec = specs[i];
+  for (std::size_t i = 3; i < args.positionals.size(); ++i) {
+    const std::string& spec = args.positionals[i];
     const std::size_t eq = spec.find('=');
     if (eq == std::string::npos) {
       std::fprintf(stderr, "bad trigger entry '%s' (expected KERNEL=e[,tf,tb])\n",
@@ -287,10 +116,11 @@ int cmd_select(const std::string& path, unsigned prcs, unsigned cg,
     }
     ti.entries.push_back(entry);
   }
-  if (ti.entries.empty()) return usage();
 
   const HeuristicSelector selector(lib);
-  ReconfigPlanner planner(lib.data_paths(), prcs, cg, 0);
+  ReconfigPlanner planner(lib.data_paths(),
+                          static_cast<unsigned>(args["prcs"].count),
+                          static_cast<unsigned>(args["cg"].count), 0);
   std::string trace;
   const SelectionResult result =
       selector.select_with_trace(ti, planner, trace);
@@ -300,38 +130,6 @@ int cmd_select(const std::string& path, unsigned prcs, unsigned cg,
               result.selected.size(), result.total_profit,
               static_cast<unsigned long long>(result.overhead_cycles));
   return 0;
-}
-
-/// Strict probability parser: the full token must be a finite double in
-/// [0, 1]. Rejects NaN/inf, negatives, > 1 and trailing garbage — bad values
-/// are input errors (exit 2), never silently clamped.
-bool parse_probability(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;  // NaN fails every comparison
-  *out = v;
-  return true;
-}
-
-/// Strict uint64 parser: digits only (no sign), no trailing garbage, no
-/// overflow past 2^64-1.
-bool parse_seed(const char* s, std::uint64_t* out) {
-  if (s[0] == '\0' || s[0] == '-' || s[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-/// Strict bounded-unsigned parser for the retry budget.
-bool parse_retries(const char* s, unsigned* out) {
-  std::uint64_t v = 0;
-  if (!parse_seed(s, &v) || v > 1000) return false;  // sane retry ceiling
-  *out = static_cast<unsigned>(v);
-  return true;
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -394,7 +192,7 @@ bool build_workload(const std::string& which, unsigned frames, Workload* w) {
 int run_compare(const CheckpointMeta& meta,
                 const std::vector<std::uint8_t>* resume) {
   Workload w;
-  if (!build_workload(meta.app, meta.frames, &w)) return usage();
+  if (!build_workload(meta.app, meta.frames, &w)) return cli_spec().usage();
   const IseLibrary* lib = w.lib;
   const ApplicationTrace* trace = w.trace;
 
@@ -553,13 +351,49 @@ int run_compare(const CheckpointMeta& meta,
   return 0;
 }
 
+/// The run parameters the `run` and `checkpoint` verbs share.
+CheckpointMeta run_meta(const CliArgs& args) {
+  if (args["--no-bb-cache"].given) set_fastpath_enabled(false);
+  CheckpointMeta meta;
+  meta.app = args.positionals[0];
+  meta.prcs = static_cast<unsigned>(args["prcs"].count);
+  meta.cg = static_cast<unsigned>(args["cg"].count);
+  meta.frames = static_cast<unsigned>(args["frames"].count);
+  const double fault_rate = args["--fault-rate"].probability;
+  if (fault_rate > 0.0) {  // default meta.fault: fault-free
+    meta.fault = FaultModelConfig::uniform(
+        fault_rate, args["--fault-seed"].count,
+        static_cast<unsigned>(args["--max-retries"].count));
+  }
+  meta.trace_path = args["--trace"].text;
+  meta.report_path = args["--report"].text;
+  return meta;
+}
+
+int cmd_run(const CliArgs& args) {
+  // --checkpoint-every and --checkpoint come as a pair.
+  if (args["--checkpoint-every"].given != args["--checkpoint"].given) {
+    return cli_spec().usage();
+  }
+  CheckpointMeta meta = run_meta(args);
+  meta.checkpoint_every = args["--checkpoint-every"].count;
+  meta.checkpoint_path = args["--checkpoint"].text;
+  return run_compare(meta, nullptr);
+}
+
 /// The `checkpoint` verb: run only the mRTS leg up to --at-cycle and write a
 /// one-shot snapshot. No baselines run and no save marker is recorded — the
 /// later `restore` then produces output byte-identical to a plain `run`
 /// (the crash-soak check diffs exactly that).
-int cmd_checkpoint(const CheckpointMeta& meta, Cycles at_cycle) {
+int cmd_checkpoint(const CliArgs& args) {
+  if (!args["--at-cycle"].given || !args["--out"].given) {
+    return cli_spec().usage();
+  }
+  CheckpointMeta meta = run_meta(args);
+  meta.checkpoint_path = args["--out"].text;
+  const Cycles at_cycle = args["--at-cycle"].count;
   Workload w;
-  if (!build_workload(meta.app, meta.frames, &w)) return usage();
+  if (!build_workload(meta.app, meta.frames, &w)) return cli_spec().usage();
 
   const bool instrument =
       !meta.trace_path.empty() || !meta.report_path.empty();
@@ -608,10 +442,10 @@ struct TaskSpec {
   TenantPolicy policy;
 };
 
-/// Strict bounded-unsigned parser (full token, digits only).
+/// parse_count into one of TenantPolicy's unsigned fields.
 bool parse_bounded(const std::string& s, std::uint64_t max, unsigned* out) {
   std::uint64_t v = 0;
-  if (!parse_seed(s.c_str(), &v) || v > max) return false;
+  if (!parse_count(s, 0, max, &v)) return false;
   *out = static_cast<unsigned>(v);
   return true;
 }
@@ -736,10 +570,15 @@ void build_synthetic_workload(const std::vector<TaskSpec>& specs,
   }
 }
 
-int cmd_run_multi(unsigned prcs, unsigned cg, unsigned blocks,
-                  const std::vector<std::string>& spec_args) {
+int cmd_run_multi(const CliArgs& args) {
+  const auto prcs = static_cast<unsigned>(args["prcs"].count);
+  const auto cg = static_cast<unsigned>(args["cg"].count);
+  const auto blocks = static_cast<unsigned>(args["blocks"].count);
   std::vector<TaskSpec> specs;
-  if (!parse_task_specs(spec_args, &specs)) return 2;
+  if (!parse_task_specs({args.positionals.begin() + 3, args.positionals.end()},
+                        &specs)) {
+    return 2;
+  }
 
   IseLibrary combined;
   std::vector<ApplicationTrace> traces;
@@ -830,9 +669,16 @@ int cmd_run_multi(unsigned prcs, unsigned cg, unsigned blocks,
   return 0;
 }
 
-int cmd_run_cmp(unsigned cores, unsigned prcs, unsigned cg, unsigned blocks,
-                unsigned hop_stride, unsigned transfers_per_block,
-                const std::vector<std::string>& spec_args) {
+int cmd_run_cmp(const CliArgs& args) {
+  const auto cores = static_cast<unsigned>(args["cores"].count);
+  const auto prcs = static_cast<unsigned>(args["prcs"].count);
+  const auto cg = static_cast<unsigned>(args["cg"].count);
+  const auto blocks = static_cast<unsigned>(args["blocks"].count);
+  const auto hop_stride = static_cast<unsigned>(args["--hop-stride"].count);
+  const auto transfers_per_block =
+      static_cast<unsigned>(args["--transfers-per-block"].count);
+  const std::vector<std::string> spec_args(args.positionals.begin() + 4,
+                                           args.positionals.end());
   if (spec_args.size() > cores) {
     std::fprintf(stderr,
                  "error: %zu task spec(s) for %u core(s) (one task per core)\n",
@@ -922,7 +768,8 @@ int cmd_run_cmp(unsigned cores, unsigned prcs, unsigned cg, unsigned blocks,
   return 0;
 }
 
-int cmd_trace_summary(const std::string& path) {
+int cmd_trace_summary(const CliArgs& args) {
+  const std::string& path = args.positionals[0];
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "error: cannot open '%s'\n", path.c_str());
@@ -967,7 +814,9 @@ int cmd_trace_summary(const std::string& path) {
   return 0;
 }
 
-int cmd_trace_analyze(const std::string& path, const std::string& out_path) {
+int cmd_trace_analyze(const CliArgs& args) {
+  const std::string& path = args.positionals[0];
+  const std::string& out_path = args["--out"].text;
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "error: cannot open '%s'\n", path.c_str());
@@ -996,248 +845,150 @@ int cmd_trace_analyze(const std::string& path, const std::string& out_path) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  if (command == "--help" || command == "help") {
-    std::fputs(cli_spec().help().c_str(), stdout);
-    return 0;
-  }
-  // `mrts_cli <verb> --help` prints the verb's table-generated help and
-  // exits 0, before any argument validation.
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      const CliVerb* verb = cli_spec().verb(command);
-      if (verb == nullptr) return usage();
-      std::fputs(cli_spec().verb_help(*verb).c_str(), stdout);
-      return 0;
-    }
-  }
-  try {
-    if (command == "info") {
-      if (argc != 3) return usage();
-      return cmd_info(argv[2]);
-    }
-    if (command == "select") {
-      if (argc < 6) return usage();
-      return cmd_select(argv[2],
-                        static_cast<unsigned>(std::atoi(argv[3])),
-                        static_cast<unsigned>(std::atoi(argv[4])), argv + 5,
-                        argc - 5);
-    }
-    if (command == "run" || command == "checkpoint") {
-      const bool checkpoint_verb = command == "checkpoint";
-      std::string trace_path;
-      std::string report_path;
-      double fault_rate = 0.0;
-      std::uint64_t fault_seed = 42;
-      unsigned max_retries = 3;
-      std::uint64_t checkpoint_every = 0;
-      std::string checkpoint_path;
-      std::uint64_t at_cycle = 0;
-      std::vector<std::string> positional;
-      // Flag recognition comes from the spec table (run and checkpoint have
-      // different flag sets there); only the value validation lives here.
-      const CliVerb& verb_spec = *cli_spec().verb(command);
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.empty() || arg[0] != '-') {
-          positional.push_back(arg);
-          continue;
-        }
-        const CliFlag* flag = CliSpec::flag(verb_spec, arg);
-        if (flag == nullptr) return usage();  // unknown option for this verb
-        const char* value = nullptr;
-        if (!flag->value.empty()) {
-          if (i + 1 >= argc) return usage();
-          value = argv[++i];
-        }
-        if (arg == "--trace") {
-          if (!trace_path.empty()) return usage();
-          trace_path = value;
-        } else if (arg == "--report") {
-          if (!report_path.empty()) return usage();
-          report_path = value;
-        } else if (arg == "--fault-rate") {
-          if (!parse_probability(value, &fault_rate)) {
-            std::fprintf(stderr,
-                         "error: invalid --fault-rate '%s' (expected a "
-                         "probability in [0,1])\n",
-                         value);
-            return 2;
-          }
-        } else if (arg == "--fault-seed") {
-          if (!parse_seed(value, &fault_seed)) {
-            std::fprintf(stderr,
-                         "error: invalid --fault-seed '%s' (expected an "
-                         "unsigned 64-bit integer)\n",
-                         value);
-            return 2;
-          }
-        } else if (arg == "--max-retries") {
-          if (!parse_retries(value, &max_retries)) {
-            std::fprintf(stderr,
-                         "error: invalid --max-retries '%s' (expected an "
-                         "integer in [0,1000])\n",
-                         value);
-            return 2;
-          }
-        } else if (arg == "--no-bb-cache") {
-          set_fastpath_enabled(false);
-        } else if (arg == "--checkpoint-every") {
-          if (!parse_seed(value, &checkpoint_every) || checkpoint_every == 0) {
-            std::fprintf(stderr,
-                         "error: invalid --checkpoint-every '%s' (expected a "
-                         "positive cycle count)\n",
-                         value);
-            return 2;
-          }
-        } else if (arg == "--checkpoint") {
-          if (!checkpoint_path.empty()) return usage();
-          checkpoint_path = value;
-        } else if (arg == "--at-cycle") {
-          if (!parse_seed(value, &at_cycle) || at_cycle == 0) {
-            std::fprintf(stderr,
-                         "error: invalid --at-cycle '%s' (expected a "
-                         "positive cycle count)\n",
-                         value);
-            return 2;
-          }
-        } else if (arg == "--out") {
-          if (!checkpoint_path.empty()) return usage();
-          checkpoint_path = value;
-        } else {
-          return usage();  // flag in the table but not handled: keep in sync
-        }
-      }
-      if (positional.empty() || positional.size() > 4) return usage();
-      // --checkpoint-every/--checkpoint come as a pair; checkpoint needs
-      // both --at-cycle and --out.
-      if (!checkpoint_verb &&
-          (checkpoint_every > 0) != !checkpoint_path.empty()) {
-        return usage();
-      }
-      if (checkpoint_verb && (at_cycle == 0 || checkpoint_path.empty())) {
-        return usage();
-      }
-      CheckpointMeta meta;
-      meta.app = positional[0];
-      meta.prcs = positional.size() > 1
-                      ? static_cast<unsigned>(std::atoi(positional[1].c_str()))
-                      : 2;
-      meta.cg = positional.size() > 2
-                    ? static_cast<unsigned>(std::atoi(positional[2].c_str()))
-                    : 2;
-      meta.frames =
-          positional.size() > 3
-              ? static_cast<unsigned>(std::atoi(positional[3].c_str()))
-              : 8;
-      if (fault_rate > 0.0) {  // default meta.fault: fault-free
-        meta.fault =
-            FaultModelConfig::uniform(fault_rate, fault_seed, max_retries);
-      }
-      meta.trace_path = trace_path;
-      meta.report_path = report_path;
-      meta.checkpoint_every = checkpoint_every;
-      meta.checkpoint_path = checkpoint_path;
-      if (checkpoint_verb) return cmd_checkpoint(meta, at_cycle);
-      return run_compare(meta, nullptr);
-    }
-    if (command == "restore") {
-      if (argc != 3) return usage();
-      std::vector<std::uint8_t> bytes;
-      std::string err;
-      if (!read_snapshot_file(argv[2], &bytes, &err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 2;
-      }
-      // Throws SnapshotError (exit 2 below) on truncated/corrupt/
-      // wrong-version images, before any runtime state exists to damage.
-      const CheckpointMeta meta = read_snapshot_meta(bytes);
-      return run_compare(meta, &bytes);
-    }
-    if (command == "run-multi") {
-      if (argc < 6) return usage();
-      unsigned prcs = 0;
-      unsigned cg = 0;
-      unsigned blocks = 0;
-      if (!parse_bounded(argv[2], 1024, &prcs) || prcs == 0 ||
-          !parse_bounded(argv[3], 1024, &cg) || cg == 0 ||
-          !parse_bounded(argv[4], 100000, &blocks) || blocks == 0) {
-        std::fprintf(stderr,
-                     "error: invalid fabric/block counts '%s %s %s' "
-                     "(expected positive integers)\n",
-                     argv[2], argv[3], argv[4]);
-        return 2;
-      }
-      std::vector<std::string> specs;
-      for (int i = 5; i < argc; ++i) {
-        if (argv[i][0] == '-') return usage();  // no options defined
-        specs.emplace_back(argv[i]);
-      }
-      return cmd_run_multi(prcs, cg, blocks, specs);
-    }
-    if (command == "run-cmp") {
-      if (argc < 6) return usage();
-      unsigned cores = 0;
-      unsigned prcs = 0;
-      unsigned cg = 0;
-      unsigned blocks = 0;
-      if (!parse_bounded(argv[2], 1024, &cores) || cores == 0 ||
-          !parse_bounded(argv[3], 1024, &prcs) || prcs == 0 ||
-          !parse_bounded(argv[4], 1024, &cg) || cg == 0 ||
-          !parse_bounded(argv[5], 100000, &blocks) || blocks == 0) {
-        std::fprintf(stderr,
-                     "error: invalid core/fabric/block counts '%s %s %s %s' "
-                     "(expected positive integers)\n",
-                     argv[2], argv[3], argv[4], argv[5]);
-        return 2;
-      }
-      unsigned hop_stride = 0;
-      unsigned transfers_per_block = 2;
-      std::vector<std::string> specs;
-      for (int i = 6; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--hop-stride" || arg == "--transfers-per-block") {
-          if (i + 1 >= argc) return usage();
-          unsigned* target =
-              arg == "--hop-stride" ? &hop_stride : &transfers_per_block;
-          if (!parse_bounded(argv[i + 1], 1024, target)) {
-            std::fprintf(stderr, "error: invalid %s '%s' (expected an "
-                         "integer in [0, 1024])\n",
-                         arg.c_str(), argv[i + 1]);
-            return 2;
-          }
-          ++i;
-        } else if (arg[0] == '-') {
-          return usage();
-        } else {
-          specs.push_back(arg);
-        }
-      }
-      return cmd_run_cmp(cores, prcs, cg, blocks, hop_stride,
-                         transfers_per_block, specs);
-    }
-    if (command == "trace-summary") {
-      if (argc != 3) return usage();
-      return cmd_trace_summary(argv[2]);
-    }
-    if (command == "trace-analyze") {
-      if (argc < 3) return usage();
-      std::string out_path;
-      if (argc == 5) {
-        if (std::string(argv[3]) != "--out") return usage();
-        out_path = argv[4];
-      } else if (argc != 3) {
-        return usage();
-      }
-      return cmd_trace_analyze(argv[2], out_path);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+int cmd_restore(const CliArgs& args) {
+  std::vector<std::uint8_t> bytes;
+  std::string err;
+  if (!read_snapshot_file(args.positionals[0], &bytes, &err)) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
     return 2;
   }
-  return usage();
+  // Throws SnapshotError (exit 2) on truncated/corrupt/wrong-version
+  // images, before any runtime state exists to damage.
+  const CheckpointMeta meta = read_snapshot_meta(bytes);
+  return run_compare(meta, &bytes);
 }
+
+const CliSpec& cli_spec() {
+  static const CliSpec spec = [] {
+    CliSpec s("mrts_cli", "command-line driver for the mRTS library");
+    const CliArg library =
+        cli_text("library.txt", "", "ISE library (isa/library_io.h format)");
+    const std::vector<CliArg> run_positionals = {
+        cli_text("h264|sdr", "", "built-in workload"),
+        cli_count("prcs", "", 0, 1024, "2", "PRCs of the fabric"),
+        cli_count("cg", "", 0, 1024, "2", "CG fabrics"),
+        cli_count("frames", "", 1, 100000, "8", "h264 frames or sdr bursts"),
+    };
+    const std::vector<CliArg> run_flags = {
+        cli_text("--trace", "<file>",
+                 "record the mRTS run's flight recorder (.jsonl = JSON "
+                 "Lines, anything else = Chrome trace-event JSON)"),
+        cli_text("--report", "<file>",
+                 "analyze the mRTS run's trace in memory and write the "
+                 "RunReport (.json / .csv / anything else = markdown)"),
+        cli_probability("--fault-rate", "<p>", "0",
+                        "enable the deterministic fault injector"),
+        cli_count("--fault-seed", "<n>", 0, kCliMaxCount, "42", "fault seed"),
+        cli_count("--max-retries", "<n>", 0, 1000, "3", "per-load retries"),
+        cli_switch("--no-bb-cache",
+                   "disable the decoded basic-block caches and the batched "
+                   "frame-execution fast path (outputs stay bit-identical)"),
+    };
+    const std::vector<CliArg> machine_positionals = {
+        cli_count("prcs", "", 1, 1024, "", "PRCs of the shared fabric"),
+        cli_count("cg", "", 1, 1024, "", "CG fabrics of the shared fabric"),
+        cli_count("blocks", "", 1, 100000, "", "functional blocks per task"),
+    };
+
+    CliVerb& info = s.add_verb(
+        "info", "print the kernels and ISE variants of a library file",
+        cmd_info);
+    info.positionals = {library};
+
+    CliVerb& select = s.add_verb(
+        "select",
+        "run one heuristic selection for the given trigger forecast on an "
+        "idle machine",
+        cmd_select);
+    select.positionals = {
+        library,
+        cli_count("prcs", "", 0, 1024, "", "PRCs of the idle fabric"),
+        cli_count("cg", "", 0, 1024, "", "CG fabrics of the idle fabric"),
+    };
+    select.rest = "KERNEL=e[,tf,tb]";
+    select.rest_required = true;
+
+    CliVerb& run = s.add_verb(
+        "run",
+        "run a built-in workload under every run-time system and print the "
+        "comparison summary",
+        cmd_run);
+    run.positionals = run_positionals;
+    run.flags = run_flags;
+    run.flags.push_back(cli_count(
+        "--checkpoint-every", "<cycles>", 1, kCliMaxCount, "",
+        "write a whole-runtime snapshot every N cycles; needs --checkpoint"));
+    run.flags.push_back(cli_text(
+        "--checkpoint", "<file>",
+        "snapshot file for --checkpoint-every (atomically overwritten)"));
+
+    CliVerb& checkpoint = s.add_verb(
+        "checkpoint",
+        "run the mRTS leg up to --at-cycle and write a one-shot snapshot",
+        cmd_checkpoint);
+    checkpoint.positionals = run_positionals;
+    checkpoint.flags = run_flags;
+    checkpoint.flags.push_back(cli_count("--at-cycle", "<c>", 1, kCliMaxCount,
+                                         "", "required: checkpoint cycle"));
+    checkpoint.flags.push_back(
+        cli_text("--out", "<file>", "required: snapshot output file"));
+
+    CliVerb& restore = s.add_verb(
+        "restore",
+        "resume a checkpointed run in a fresh process and finish it "
+        "bit-identically",
+        cmd_restore);
+    restore.positionals = {cli_text("snapshot", "", "snapshot file")};
+
+    CliVerb& run_multi = s.add_verb(
+        "run-multi",
+        "multi-tenant simulation behind a FabricArbiter; POLICY is "
+        "weighted[:W] | reserved:<P>+<C> | best-effort",
+        cmd_run_multi);
+    run_multi.positionals = machine_positionals;
+    run_multi.rest = "NAME=POLICY[:ARG][@PRIO]";
+    run_multi.rest_required = true;
+
+    CliVerb& run_cmp = s.add_verb(
+        "run-cmp",
+        "CMP simulation: one task per core sharing one fabric pool over the "
+        "modeled interconnect; specs map to cores in order (default "
+        "core<i>=weighted:1)",
+        cmd_run_cmp);
+    run_cmp.positionals = machine_positionals;
+    run_cmp.positionals.insert(
+        run_cmp.positionals.begin(),
+        cli_count("cores", "", 1, 1024, "", "RISC cores, one task each"));
+    run_cmp.rest = "NAME=POLICY[:ARG][@PRIO]";
+    run_cmp.flags = {
+        cli_count("--hop-stride", "<n>", 0, 1024, "0",
+                  "core i sits 1 + i*n interconnect hops from the fabric; "
+                  "0 = flat topology"),
+        cli_count("--transfers-per-block", "<n>", 0, 1024, "2",
+                  "operand transfers charged per functional block"),
+    };
+
+    const CliArg trace = cli_text("trace.jsonl", "", "JSON Lines trace");
+    CliVerb& summary = s.add_verb(
+        "trace-summary",
+        "validate a JSONL trace and print per-kind event counts plus "
+        "span-duration percentiles",
+        cmd_trace_summary);
+    summary.positionals = {trace};
+
+    CliVerb& analyze = s.add_verb(
+        "trace-analyze",
+        "run the obs/ analysis engine over a saved JSONL trace",
+        cmd_trace_analyze);
+    analyze.positionals = {trace};
+    analyze.flags = {cli_text("--out", "<file>",
+                              "write the report to a file (.json / .csv / "
+                              "anything else = markdown) instead of stdout")};
+    return s;
+  }();
+  return spec;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_spec().run(argc, argv); }

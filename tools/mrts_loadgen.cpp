@@ -19,7 +19,6 @@
 // connection/protocol failures.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -35,50 +34,7 @@ namespace {
 using namespace mrts;
 using namespace mrts::serve;
 
-const CliSpec& cli_spec() {
-  static const CliSpec spec = [] {
-    CliSpec s("mrts_loadgen",
-              "tenant connect/submit/disconnect churn generator for "
-              "mrts_serve",
-              "exit codes: 0 success, 1 usage error, 2 input error");
-    CliVerb& main_verb = s.add_verb("", "", "");
-    main_verb.flags = {
-        {"--socket", "<path>", "mrts_serve AF_UNIX socket (required)"},
-        {"--cycles", "<n>", "connect/submit/disconnect cycles (required)"},
-        {"--seed", "<n>", "job-mix seed (default 1)"},
-        {"--jobs-per-cycle", "<n>", "SUBMITs per connection (default 1)"},
-        {"--cancel-every", "<n>",
-         "every n-th cycle cancels its last job instead of waiting "
-         "(default 0 = never)"},
-        {"--drop-every", "<n>",
-         "every n-th cycle closes the socket without DISCONNECT to "
-         "exercise server-side cleanup (default 0 = never)"},
-        {"--save-reports", "<file>",
-         "append every job's final record (mrts_serve --replay format)"},
-        {"--quiet", "", "suppress the completion summary"},
-    };
-    return s;
-  }();
-  return spec;
-}
-
-int usage() {
-  std::fputs(cli_spec().help().c_str(), stderr);
-  return 1;
-}
-
-bool parse_unsigned(const char* text, std::uint64_t max, std::uint64_t* out) {
-  if (text == nullptr || *text == '\0') return false;
-  std::uint64_t n = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    if (n > max / 10) return false;
-    n = n * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (n > max) return false;
-  }
-  *out = n;
-  return true;
-}
+const CliSpec& cli_spec();
 
 /// Deterministic job mix: mostly weighted pool tenants, some best-effort,
 /// an occasional reservation (a few of which are oversized on purpose, to
@@ -135,57 +91,14 @@ ReplayJob to_record(const JobStatusFrame& status) {
   return record;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string socket_path;
-  std::uint64_t cycles = 0;
-  std::uint64_t seed = 1;
-  std::uint64_t jobs_per_cycle = 1;
-  std::uint64_t cancel_every = 0;
-  std::uint64_t drop_every = 0;
-  std::string save_reports;
-  bool quiet = false;
-
-  const CliVerb& verb = *cli_spec().verb("");
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help") {
-      std::fputs(cli_spec().help().c_str(), stdout);
-      return 0;
-    }
-    const CliFlag* flag = CliSpec::flag(verb, arg);
-    if (flag == nullptr) return usage();
-    const char* value = nullptr;
-    if (!flag->value.empty()) {
-      if (i + 1 >= argc) return usage();
-      value = argv[++i];
-    }
-    bool ok = true;
-    if (arg == "--socket") {
-      socket_path = value;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--save-reports") {
-      save_reports = value;
-    } else if (arg == "--cycles") {
-      ok = parse_unsigned(value, 100000000, &cycles) && cycles > 0;
-    } else if (arg == "--seed") {
-      ok = parse_unsigned(value, ~0ull, &seed);
-    } else if (arg == "--jobs-per-cycle") {
-      ok = parse_unsigned(value, 64, &jobs_per_cycle) && jobs_per_cycle > 0;
-    } else if (arg == "--cancel-every") {
-      ok = parse_unsigned(value, 1u << 30, &cancel_every);
-    } else if (arg == "--drop-every") {
-      ok = parse_unsigned(value, 1u << 30, &drop_every);
-    }
-    if (!ok) {
-      std::fprintf(stderr, "error: invalid value for %s: '%s'\n", arg.c_str(),
-                   value == nullptr ? "" : value);
-      return 2;
-    }
-  }
-  if (socket_path.empty() || cycles == 0) return usage();
+int loadgen_main(const CliArgs& args) {
+  const std::string& socket_path = args["--socket"].text;
+  if (socket_path.empty() || !args["--cycles"].given) return cli_spec().usage();
+  const std::uint64_t cycles = args["--cycles"].count;
+  const std::uint64_t jobs_per_cycle = args["--jobs-per-cycle"].count;
+  const std::uint64_t cancel_every = args["--cancel-every"].count;
+  const std::uint64_t drop_every = args["--drop-every"].count;
+  const std::string& save_reports = args["--save-reports"].text;
 
   std::ofstream reports;
   if (!save_reports.empty()) {
@@ -196,7 +109,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  Rng rng(seed);
+  Rng rng(args["--seed"].count);
   std::uint64_t jobs_done = 0;
   std::uint64_t jobs_bounced = 0;
   std::uint64_t jobs_cancelled = 0;
@@ -285,7 +198,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!quiet) {
+  if (!args["--quiet"].given) {
     std::printf(
         "mrts_loadgen: %llu cycles complete (%llu dropped), jobs done=%llu "
         "bounced=%llu cancelled=%llu\n",
@@ -297,3 +210,36 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+const CliSpec& cli_spec() {
+  static const CliSpec spec = [] {
+    CliSpec s("mrts_loadgen",
+              "tenant connect/submit/disconnect churn generator for "
+              "mrts_serve");
+    CliVerb& main_verb = s.add_verb("", "", loadgen_main);
+    main_verb.flags = {
+        cli_text("--socket", "<path>", "mrts_serve AF_UNIX socket (required)"),
+        cli_count("--cycles", "<n>", 1, 100000000, "",
+                  "connect/submit/disconnect cycles (required)"),
+        cli_count("--seed", "<n>", 0, kCliMaxCount, "1", "job-mix seed"),
+        cli_count("--jobs-per-cycle", "<n>", 1, 64, "1",
+                  "SUBMITs per connection"),
+        cli_count("--cancel-every", "<n>", 0, 1u << 30, "0",
+                  "every n-th cycle cancels its last job instead of waiting; "
+                  "0 = never"),
+        cli_count("--drop-every", "<n>", 0, 1u << 30, "0",
+                  "every n-th cycle closes the socket without DISCONNECT to "
+                  "exercise server-side cleanup; 0 = never"),
+        cli_text("--save-reports", "<file>",
+                 "append every job's final record (mrts_serve --replay "
+                 "format)"),
+        cli_switch("--quiet", "suppress the completion summary"),
+    };
+    return s;
+  }();
+  return spec;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_spec().run(argc, argv); }

@@ -19,7 +19,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -36,56 +35,6 @@ using namespace mrts::serve;
 volatile std::sig_atomic_t g_stop = 0;
 
 void handle_stop_signal(int) { g_stop = 1; }
-
-const CliSpec& cli_spec() {
-  static const CliSpec spec = [] {
-    CliSpec s("mrts_serve", "persistent mRTS job-ingestion server "
-                            "(mrts.wire.v1 over AF_UNIX)",
-              "exit codes: 0 success, 1 usage error, 2 input error");
-    CliVerb& main_verb = s.add_verb("", "", "");
-    main_verb.flags = {
-        {"--socket", "<path>", "AF_UNIX socket path to serve on (required "
-                               "unless --replay)"},
-        {"--prcs", "<n>", "resident fabric: FG containers (default 6)"},
-        {"--cg", "<n>", "resident fabric: CG fabrics (default 2)"},
-        {"--job-classes", "<n>", "synthetic kernel classes (default 4)"},
-        {"--max-blocks", "<n>", "per-job functional-block ceiling (default 64)"},
-        {"--macroblocks", "<n>", "macroblock-loop length per block (default 24)"},
-        {"--max-queue", "<n>", "queued-job ceiling (default 256)"},
-        {"--retain-jobs", "<n>", "polled finished-job records kept for late "
-                                 "status polls (default 1024)"},
-        {"--exit-after", "<sessions>",
-         "exit once this many sessions have closed (default 0 = run until "
-         "SIGINT/SIGTERM)"},
-        {"--job-log", "<file>", "write the mrts.joblog.v1 operation log at "
-                                "shutdown"},
-        {"--replay", "<joblog>", "replay a job log through a fresh sim core "
-                                 "instead of serving"},
-        {"--out", "<file>", "replay output file (default stdout)"},
-        {"--quiet", "", "suppress the shutdown accounting summary"},
-    };
-    return s;
-  }();
-  return spec;
-}
-
-int usage() {
-  std::fputs(cli_spec().help().c_str(), stderr);
-  return 1;
-}
-
-bool parse_unsigned(const char* text, std::uint64_t max, std::uint64_t* out) {
-  if (text == nullptr || *text == '\0') return false;
-  std::uint64_t n = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    if (n > max / 10) return false;
-    n = n * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (n > max) return false;
-  }
-  *out = n;
-  return true;
-}
 
 int run_replay(const std::string& joblog_path, const std::string& out_path) {
   std::ifstream in(joblog_path);
@@ -113,67 +62,71 @@ int run_replay(const std::string& joblog_path, const std::string& out_path) {
   return 0;
 }
 
-}  // namespace
+int serve_main(const CliArgs& args);
 
-int main(int argc, char** argv) {
-  ServerConfig config;
-  std::string replay_path;
-  std::string out_path;
+const CliSpec& cli_spec() {
+  static const CliSpec spec = [] {
+    CliSpec s("mrts_serve", "persistent mRTS job-ingestion server "
+                            "(mrts.wire.v1 over AF_UNIX)");
+    const ServerConfig defaults;
+    CliVerb& main_verb = s.add_verb("", "", serve_main);
+    main_verb.flags = {
+        cli_text("--socket", "<path>",
+                 "AF_UNIX socket path to serve on (required unless "
+                 "--replay)"),
+        cli_count("--prcs", "<n>", 1, 1024, std::to_string(defaults.core.prcs),
+                  "resident fabric: FG containers"),
+        cli_count("--cg", "<n>", 1, 1024, std::to_string(defaults.core.cg),
+                  "resident fabric: CG fabrics"),
+        cli_count("--job-classes", "<n>", 1, 64,
+                  std::to_string(defaults.core.job_classes),
+                  "synthetic kernel classes"),
+        cli_count("--max-blocks", "<n>", 1, 100000,
+                  std::to_string(defaults.core.max_blocks),
+                  "per-job functional-block ceiling"),
+        cli_count("--macroblocks", "<n>", 1, 100000,
+                  std::to_string(defaults.core.macroblocks),
+                  "macroblock-loop length per block"),
+        cli_count("--max-queue", "<n>", 1, 1000000,
+                  std::to_string(defaults.core.max_queue),
+                  "queued-job ceiling"),
+        cli_count("--retain-jobs", "<n>", 0, 1000000,
+                  std::to_string(defaults.core.retain_jobs),
+                  "polled finished-job records kept for late status polls"),
+        cli_count("--exit-after", "<sessions>", 0, 1u << 30,
+                  std::to_string(defaults.exit_after_sessions),
+                  "exit once this many sessions have closed; 0 = run until "
+                  "SIGINT/SIGTERM"),
+        cli_text("--job-log", "<file>",
+                 "write the mrts.joblog.v1 operation log at shutdown"),
+        cli_text("--replay", "<joblog>",
+                 "replay a job log through a fresh sim core instead of "
+                 "serving"),
+        cli_text("--out", "<file>", "replay output file; default stdout"),
+        cli_switch("--quiet", "suppress the shutdown accounting summary"),
+    };
+    return s;
+  }();
+  return spec;
+}
 
-  const CliVerb& verb = *cli_spec().verb("");
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help") {
-      std::fputs(cli_spec().help().c_str(), stdout);
-      return 0;
-    }
-    const CliFlag* flag = CliSpec::flag(verb, arg);
-    if (flag == nullptr) return usage();
-    const char* value = nullptr;
-    if (!flag->value.empty()) {
-      if (i + 1 >= argc) return usage();
-      value = argv[++i];
-    }
-    std::uint64_t n = 0;
-    if (arg == "--socket") {
-      config.socket_path = value;
-    } else if (arg == "--job-log") {
-      config.job_log_path = value;
-    } else if (arg == "--replay") {
-      replay_path = value;
-    } else if (arg == "--out") {
-      out_path = value;
-    } else if (arg == "--quiet") {
-      config.quiet = true;
-    } else if (arg == "--prcs" && parse_unsigned(value, 1024, &n) && n > 0) {
-      config.core.prcs = static_cast<unsigned>(n);
-    } else if (arg == "--cg" && parse_unsigned(value, 1024, &n) && n > 0) {
-      config.core.cg = static_cast<unsigned>(n);
-    } else if (arg == "--job-classes" && parse_unsigned(value, 64, &n) &&
-               n > 0) {
-      config.core.job_classes = static_cast<unsigned>(n);
-    } else if (arg == "--max-blocks" && parse_unsigned(value, 100000, &n) &&
-               n > 0) {
-      config.core.max_blocks = static_cast<unsigned>(n);
-    } else if (arg == "--macroblocks" && parse_unsigned(value, 100000, &n) &&
-               n > 0) {
-      config.core.macroblocks = static_cast<unsigned>(n);
-    } else if (arg == "--max-queue" && parse_unsigned(value, 1000000, &n) &&
-               n > 0) {
-      config.core.max_queue = static_cast<std::size_t>(n);
-    } else if (arg == "--retain-jobs" && parse_unsigned(value, 1000000, &n)) {
-      config.core.retain_jobs = static_cast<std::size_t>(n);
-    } else if (arg == "--exit-after" && parse_unsigned(value, 1u << 30, &n)) {
-      config.exit_after_sessions = n;
-    } else {
-      std::fprintf(stderr, "error: invalid value for %s: '%s'\n", arg.c_str(),
-                   value == nullptr ? "" : value);
-      return 2;
-    }
+int serve_main(const CliArgs& args) {
+  if (!args["--replay"].text.empty()) {
+    return run_replay(args["--replay"].text, args["--out"].text);
   }
-
-  if (!replay_path.empty()) return run_replay(replay_path, out_path);
-  if (config.socket_path.empty()) return usage();
+  ServerConfig config;
+  config.socket_path = args["--socket"].text;
+  if (config.socket_path.empty()) return cli_spec().usage();
+  config.job_log_path = args["--job-log"].text;
+  config.quiet = args["--quiet"].given;
+  config.core.prcs = static_cast<unsigned>(args["--prcs"].count);
+  config.core.cg = static_cast<unsigned>(args["--cg"].count);
+  config.core.job_classes = static_cast<unsigned>(args["--job-classes"].count);
+  config.core.max_blocks = static_cast<unsigned>(args["--max-blocks"].count);
+  config.core.macroblocks = static_cast<unsigned>(args["--macroblocks"].count);
+  config.core.max_queue = args["--max-queue"].count;
+  config.core.retain_jobs = args["--retain-jobs"].count;
+  config.exit_after_sessions = args["--exit-after"].count;
 
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
@@ -188,3 +141,7 @@ int main(int argc, char** argv) {
   }
   return server.run(&g_stop);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_spec().run(argc, argv); }
