@@ -110,5 +110,23 @@ expect_exit("mrts_serve --replay missing file" 2
 file(WRITE "${WORK_DIR}/garbage.joblog" "this is not a job log\n")
 expect_exit("mrts_serve --replay garbage" 2
             "${MRTS_SERVE}" --replay "${WORK_DIR}/garbage.joblog")
+# A value wider than its field is an input error, never silently narrowed
+# into another job (share 256 -> 0, blocks 2^32+1 -> 1, seed 2^64+5 -> 5,
+# prcs 2^32+6 -> 6).
+set(header "mrts.joblog.v1 prcs=6 cg=2 job_classes=4 max_blocks=64")
+string(APPEND header " macroblocks=24 max_queue=256 retain_jobs=1024")
+string(REPLACE "prcs=6" "prcs=4294967302" wide_header "${header}")
+foreach(case
+    "share|${header}\nsubmit 1 t1 256 1 0 0 0 0 1 7\nrun 1\n"
+    "blocks|${header}\nsubmit 1 t1 0 1 0 0 0 0 4294967297 7\nrun 1\n"
+    "seed|${header}\nsubmit 1 t1 0 1 0 0 0 0 1 18446744073709551621\nrun 1\n"
+    "prcs|${wide_header}\nsubmit 1 t1 0 1 0 0 0 0 1 7\nrun 1\n")
+  string(REPLACE "|" ";" parts "${case}")
+  list(GET parts 0 field)
+  list(GET parts 1 text)
+  file(WRITE "${WORK_DIR}/wide_${field}.joblog" "${text}")
+  expect_exit("mrts_serve --replay with an out-of-range ${field}" 2
+              "${MRTS_SERVE}" --replay "${WORK_DIR}/wide_${field}.joblog")
+endforeach()
 
 message(STATUS "serve smoke OK: zero leaks, replay byte-identical")

@@ -1,9 +1,12 @@
 #include "obs/report_io.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <string_view>
+#include <type_traits>
 
 namespace mrts::obs {
 namespace {
@@ -22,7 +25,34 @@ std::string fmt(double v) {
   return buf;
 }
 
-void json_row(std::ostream& os, const AccountingRow& row, const char* label,
+/// Append-only text buffer with stream-style insertion: text verbatim,
+/// integers through std::to_chars (the same digits an ostream prints).
+/// The JSON writer renders a whole report into one of these.
+class TextOut {
+ public:
+  explicit TextOut(std::size_t capacity) { text_.reserve(capacity); }
+
+  TextOut& operator<<(std::string_view text) {
+    text_.append(text);
+    return *this;
+  }
+  template <typename T>
+    requires std::is_integral_v<T> && (!std::is_same_v<T, char>) &&
+             (!std::is_same_v<T, bool>)
+  TextOut& operator<<(T value) {
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, value);
+    text_.append(buf, res.ptr);
+    return *this;
+  }
+
+  std::string take() { return std::move(text_); }
+
+ private:
+  std::string text_;
+};
+
+void json_row(TextOut& os, const AccountingRow& row, const char* label,
               const char* indent) {
   os << indent << "{\"" << label << "\":\"" << row.key << "\"";
   for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
@@ -32,7 +62,7 @@ void json_row(std::ostream& os, const AccountingRow& row, const char* label,
   os << ",\"total\":" << row.total() << "}";
 }
 
-void json_histogram(std::ostream& os, const Histogram& h) {
+void json_histogram(TextOut& os, const Histogram& h) {
   os << "{\"count\":" << h.count() << ",\"mean\":" << fmt(h.mean())
      << ",\"p50\":" << fmt(h.percentile(0.50))
      << ",\"p90\":" << fmt(h.percentile(0.90))
@@ -42,7 +72,8 @@ void json_histogram(std::ostream& os, const Histogram& h) {
 
 }  // namespace
 
-void write_report_json(std::ostream& os, const RunReport& r) {
+std::string report_json(const RunReport& r) {
+  TextOut os(4096);  // a one-tenant report is about 2 KiB
   os << "{\n";
   os << "  \"schema\": \"mrts.run_report.v1\",\n";
   os << "  \"events\": " << r.total_events << ",\n";
@@ -127,6 +158,12 @@ void write_report_json(std::ostream& os, const RunReport& r) {
   }
   os << (r.tenant_latency.empty() ? "" : "\n  ") << "]\n";
   os << "}\n";
+  return os.take();
+}
+
+void write_report_json(std::ostream& os, const RunReport& report) {
+  const std::string text = report_json(report);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void write_report_csv(std::ostream& os, const RunReport& r) {

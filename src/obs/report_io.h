@@ -14,6 +14,9 @@
 
 namespace mrts::obs {
 
+/// The JSON form as one string; write_report_json writes exactly these
+/// bytes.
+std::string report_json(const RunReport& report);
 void write_report_json(std::ostream& os, const RunReport& report);
 void write_report_csv(std::ostream& os, const RunReport& report);
 void write_report_markdown(std::ostream& os, const RunReport& report);

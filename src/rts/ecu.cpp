@@ -1,6 +1,7 @@
 #include "rts/ecu.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "sim/obs_accum.h"
 #include "sim/schedule.h"
@@ -16,6 +17,7 @@ constexpr std::array<const char*, kNumImplKinds> kExecCounterNames = {
     "ecu.executions.risc", "ecu.executions.mono_cg",
     "ecu.executions.intermediate", "ecu.executions.full_ise",
     "ecu.executions.covered_ise"};
+constexpr std::string_view kLatencyHistogram = "ecu.exec_latency_cycles";
 }  // namespace
 
 const char* to_string(ImplKind kind) {
@@ -254,10 +256,6 @@ Cycles Ecu::execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
     cursor += out.latency;
     ++i;
     if (i >= n) break;
-    // With a flight recorder / counters attached every execution must flow
-    // through the full path — the per-execution instrumentation stream is
-    // part of the contract.
-    if (observing_) continue;
 
     // Steady-state probe. last_executed_ == k now, so subsequent executions
     // in this run never pay the context-switch penalty.
@@ -277,13 +275,18 @@ Cycles Ecu::execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
       continue;  // the decision changes mid-run — stay on the exact path
     }
 
-    // Bulk commit: identical state and totals as m more execute() calls.
+    // Bulk commit: identical state, totals and counters as m more
+    // execute() calls, none of which would record a trace event.
     const auto ki = static_cast<std::size_t>(memo.kind);
     stats_.executions[ki] += m;
     stats_.cycles[ki] += static_cast<Cycles>(m) * latency;
     stats_.saved_vs_risc += static_cast<Cycles>(m) * memo.saved;
     impl_executions[ki] += m;
     impl_cycles[ki] += static_cast<Cycles>(m) * latency;
+    if (counters_ != nullptr) {
+      counters_->add(kExecCounterNames[ki], m);
+      counters_->observe(kLatencyHistogram, static_cast<double>(latency), m);
+    }
     return cursor + remaining_gap + static_cast<Cycles>(m) * latency;
   }
   return cursor;
@@ -340,11 +343,12 @@ Cycles Ecu::execute_events(const ExecEvent* events, const ExecRun* runs,
                            ObservationSink& obs) {
   std::size_t r = 0;
   while (r < num_runs) {
-    if (!observing_) {
-      r = commit_steady(runs, num_runs, r, cursor, impl_executions,
-                        impl_cycles, obs);
-      if (r == num_runs) break;
-    }
+    r = counters_ != nullptr
+            ? commit_steady<true>(runs, num_runs, r, cursor, impl_executions,
+                                  impl_cycles, obs)
+            : commit_steady<false>(runs, num_runs, r, cursor, impl_executions,
+                                   impl_cycles, obs);
+    if (r == num_runs) break;
     // Exact path; derives/refreshes the kernel's memo once steady. It may
     // acquire a monoCG context and so bump the epoch, which ends the stretch
     // of memo commits before it.
@@ -359,6 +363,7 @@ Cycles Ecu::execute_events(const ExecEvent* events, const ExecRun* runs,
   return cursor;
 }
 
+template <bool kCounting>
 std::size_t Ecu::commit_steady(const ExecRun* runs, std::size_t num_runs,
                                std::size_t r, Cycles& cursor,
                                std::uint64_t* impl_executions,
@@ -366,7 +371,10 @@ std::size_t Ecu::commit_steady(const ExecRun* runs, std::size_t num_runs,
   // Memo commits never touch the fabric, so the epoch holds for the whole
   // stretch. With an unchanged epoch and an execution inside its kernel's
   // horizon, the per-event path provably makes the memo's (kind, latency)
-  // decision. Totals gather in locals and are flushed once at the end.
+  // decision and records no trace event (the kind is the one last traced
+  // and no timeline point is crossed). Totals and execution counters gather
+  // in locals and are flushed once at the end; latency observations go to
+  // the histogram as they are committed.
   const std::uint64_t stamp = fabric_->state_epoch() + 1;
   const SteadyMemo* memo = memo_.data();
   const std::size_t num_memos = memo_.size();
@@ -399,6 +407,15 @@ std::size_t Ecu::commit_steady(const ExecRun* runs, std::size_t num_runs,
           horizon = std::min(horizon, m.until);
         }
       }
+      // The chunk's latency observations are added kernel by kernel, not in
+      // execution order. Integer sums below 2^53 are exact in any order, so
+      // the histogram sum must stay in that range (it is never near it in
+      // practice; outside it the runs commit one by one, in order).
+      if (kCounting && steady) {
+        const Histogram* h = counters_->histogram(kLatencyHistogram);
+        const auto chunk_cycles = static_cast<double>(span - chunk.gap_total);
+        steady = h != nullptr && h->sum_stays_exact(chunk_cycles);
+      }
       if (steady && cursor + span <= horizon) {
         for (std::uint32_t e = 0; e < chunk.num_kernels; ++e) {
           const ChunkKernel& entry = entries[e];
@@ -412,6 +429,14 @@ std::size_t Ecu::commit_steady(const ExecRun* runs, std::size_t num_runs,
           saved += (entry.executions - entry.runs) * m.saved +
                    entry.runs * m.saved_switched;
           obs.note_chunk_kernel(entry.kernel, entry.executions, total);
+          if (kCounting) {
+            counters_->observe(kLatencyHistogram,
+                               static_cast<double>(m.latency + m.switch_cost),
+                               entry.runs);
+            counters_->observe(kLatencyHistogram,
+                               static_cast<double>(m.latency),
+                               entry.executions - entry.runs);
+          }
         }
         cursor += span;
         last = chunk.last_kernel;
@@ -435,6 +460,13 @@ std::size_t Ecu::commit_steady(const ExecRun* runs, std::size_t num_runs,
     cycles[ki] += total;
     switch_cycles += switched;
     saved += switches ? m.saved_switched + (n - 1) * m.saved : n * m.saved;
+    if (kCounting) {
+      // In execution order: the first execution pays the switch, if any.
+      counters_->observe(kLatencyHistogram,
+                         static_cast<double>(m.latency + switched));
+      counters_->observe(kLatencyHistogram, static_cast<double>(m.latency),
+                         run.count - 1);
+    }
     const Cycles first_exec_start = cursor + run.first_gap;
     cursor += run.gap_total + total;
     obs.note_run(run, first_exec_start, cursor);
@@ -446,6 +478,9 @@ std::size_t Ecu::commit_steady(const ExecRun* runs, std::size_t num_runs,
     stats_.cycles[k] += cycles[k];
     impl_executions[k] += executions[k];
     impl_cycles[k] += cycles[k];
+    if (kCounting && executions[k] != 0) {
+      counters_->add(kExecCounterNames[k], executions[k]);
+    }
   }
   stats_.context_switch_cycles += switch_cycles;
   stats_.saved_vs_risc += saved;
@@ -466,8 +501,7 @@ void Ecu::note_execution(KernelState& st, KernelId k, ImplKind kind,
   }
   if (counters_ != nullptr) {
     counters_->add(kExecCounterNames[static_cast<std::size_t>(kind)]);
-    counters_->observe("ecu.exec_latency_cycles",
-                       static_cast<double>(latency));
+    counters_->observe(kLatencyHistogram, static_cast<double>(latency));
   }
 }
 

@@ -89,9 +89,12 @@ class Ecu {
   /// O(1): within one run no fabric mutation can occur (block execution is
   /// single threaded) and instance availability is monotone in time at a
   /// fixed fabric state, so the decided (kind, latency) provably repeats.
-  /// Stats, ECU state and the returned cursor are bit-identical to n
-  /// execute() calls; with observability attached it *is* n execute() calls
-  /// (the trace/counter stream stays exact).
+  /// Stats, ECU state, the returned cursor and any attached observability
+  /// are bit-identical to n execute() calls: the committed executions add
+  /// their counts and latencies to the counters and the latency histogram
+  /// (Histogram::observe(value, n)), and record no trace event, as none of
+  /// those n calls would (the decided kind is the one last traced and no
+  /// timeline point is crossed).
   Cycles execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
                      std::size_t n, Cycles gap_total,
                      std::uint64_t* impl_executions, Cycles* impl_cycles,
@@ -109,8 +112,8 @@ class Ecu {
   /// in the chunk) once every kernel in it has a memo at the current epoch,
   /// the cursor after the chunk is within the smallest of their horizons
   /// and the chunk holds no kernel's first or last run of the block. Any
-  /// epoch bump, horizon crossing or attached observability falls back to
-  /// the exact per-event path.
+  /// epoch bump or horizon crossing falls back to the exact per-event path.
+  /// Observed runs commit the same way (see execute_run).
   Cycles execute_events(const ExecEvent* events, const ExecRun* runs,
                         std::size_t num_runs, Cycles cursor,
                         std::uint64_t* impl_executions, Cycles* impl_cycles,
@@ -133,8 +136,8 @@ class Ecu {
   void load_state(SnapshotReader& r);
 
   /// Attaches the flight recorder / counter registry (either may be null).
-  /// Detached (the default) the per-execution instrumentation is a single
-  /// test of the cached observing_ flag.
+  /// Detached (the default) the per-execution instrumentation of execute()
+  /// is a single test of the cached observing_ flag.
   void attach_observability(TraceRecorder* trace, CounterRegistry* counters) {
     trace_ = trace;
     counters_ = counters;
@@ -198,7 +201,10 @@ class Ecu {
   /// Commits runs from \p r on through the steady memos — a whole chunk at
   /// each chunk boundary where execute_events allows it, else run by run —
   /// until a run needs the exact path, and returns that run's index
-  /// (\p num_runs when none does). Advances \p cursor.
+  /// (\p num_runs when none does). Advances \p cursor. \p kCounting is
+  /// counters_ != nullptr, fixed per call so the loop without counters
+  /// carries no counter code.
+  template <bool kCounting>
   std::size_t commit_steady(const ExecRun* runs, std::size_t num_runs,
                             std::size_t r, Cycles& cursor,
                             std::uint64_t* impl_executions, Cycles* impl_cycles,

@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <climits>
+#include <cstdint>
+#include <iterator>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "isa/ise_builder.h"
 #include "obs/report_io.h"
@@ -236,19 +241,19 @@ void ServeCore::run_job(JobRecord& job) {
   obs::AnalysisConfig analysis;
   analysis.num_prcs = config_.prcs;
   analysis.num_cg = config_.cg;
-  const obs::RunReport report =
-      obs::analyze_trace(recorder_.events(), analysis);
-  std::ostringstream json;
-  obs::write_report_json(json, report);
-  job.report_json = json.str();
+  job.report_json =
+      obs::report_json(obs::analyze_trace(recorder_.events(), analysis));
 
-  std::ostringstream delta;
+  std::string& delta = job.counters_delta;
   for (const auto& [name, value] : counters_.counters()) {
     const auto it = counters_before.find(name);
     const std::uint64_t before = it == counters_before.end() ? 0 : it->second;
-    if (value != before) delta << name << " +" << (value - before) << '\n';
+    if (value == before) continue;
+    char digits[24];
+    const auto res =
+        std::to_chars(digits, digits + sizeof digits, value - before);
+    delta.append(name).append(" +").append(digits, res.ptr).push_back('\n');
   }
-  job.counters_delta = delta.str();
 
   machine_->arbiter().release_tenant(job.tenant);
   job.state = JobState::kDone;
@@ -374,20 +379,20 @@ void ServeCore::retire(JobRecord& job) {
 
 namespace {
 
-/// Parses "key=value" with an unsigned value; false on mismatch.
-bool parse_kv(const std::string& token, const std::string& key,
-              std::uint64_t* out) {
-  const std::string prefix = key + "=";
-  if (token.rfind(prefix, 0) != 0) return false;
-  const std::string value = token.substr(prefix.size());
-  if (value.empty()) return false;
+/// Parses \p text as a decimal integer in [0, \p max], where \p max is the
+/// widest value the destination field holds; false on anything else
+/// (empty, a sign or other non-digit, overflow, a value above max).
+bool parse_uint(std::string_view text, std::uint64_t max, std::uint64_t* out) {
   std::uint64_t n = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return false;
-    n = n * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  const char* end = text.data() + text.size();
+  const auto res = std::from_chars(text.data(), end, n);
+  if (res.ec != std::errc{} || res.ptr != end || n > max) return false;
   *out = n;
   return true;
+}
+
+bool parse_u64(const std::string& tok, std::uint64_t* out) {
+  return parse_uint(tok, UINT64_MAX, out);
 }
 
 std::vector<std::string> split_ws(const std::string& line) {
@@ -398,8 +403,11 @@ std::vector<std::string> split_ws(const std::string& line) {
   return out;
 }
 
-bool parse_u64(const std::string& tok, std::uint64_t* out) {
-  return parse_kv("x=" + tok, "x", out);
+/// "<what> '<text>' is not an integer in [0, <max>]".
+std::string out_of_range(const std::string& what, const std::string& text,
+                         std::uint64_t max) {
+  return what + " '" + text + "' is not an integer in [0, " +
+         std::to_string(max) + "]";
 }
 
 }  // namespace
@@ -423,21 +431,39 @@ ReplayResult replay_job_log(std::istream& in) {
   // Optional field: logs written before the retention GC existed omit it.
   // Replays never poll status(), so the value is config-only here anyway.
   std::uint64_t retain_jobs = ServeConfig{}.retain_jobs;
+  const struct {
+    const char* key;
+    std::uint64_t max;  ///< widest value of the ServeConfig field
+    std::uint64_t* value;
+  } header_fields[] = {
+      {"prcs", UINT_MAX, &prcs},
+      {"cg", UINT_MAX, &cg},
+      {"job_classes", UINT_MAX, &classes},
+      {"max_blocks", UINT_MAX, &max_blocks},
+      {"macroblocks", UINT_MAX, &macroblocks},
+      {"max_queue", SIZE_MAX, &max_queue},
+      {"retain_jobs", SIZE_MAX, &retain_jobs},
+  };
   for (std::size_t i = 1; i < header.size(); ++i) {
     const std::string& tok = header[i];
-    if (!parse_kv(tok, "prcs", &prcs) && !parse_kv(tok, "cg", &cg) &&
-        !parse_kv(tok, "job_classes", &classes) &&
-        !parse_kv(tok, "max_blocks", &max_blocks) &&
-        !parse_kv(tok, "macroblocks", &macroblocks) &&
-        !parse_kv(tok, "max_queue", &max_queue) &&
-        !parse_kv(tok, "retain_jobs", &retain_jobs)) {
+    const std::size_t eq = tok.find('=');
+    const std::string key = tok.substr(0, eq);
+    const auto* field = std::find_if(
+        std::begin(header_fields), std::end(header_fields),
+        [&key](const auto& f) { return key == f.key; });
+    if (eq == std::string::npos || field == std::end(header_fields)) {
       return fail(1, "unknown header field '" + tok + "'");
+    }
+    const std::string value = tok.substr(eq + 1);
+    if (!parse_uint(value, field->max, field->value)) {
+      return fail(1, out_of_range("header field " + key, value, field->max));
     }
   }
   if (prcs == 0 || cg == 0 || classes == 0 || max_blocks == 0 ||
       macroblocks == 0 || max_queue == 0) {
     return fail(1, "incomplete header");
   }
+  // Every value fits its field (checked above), so the casts are exact.
   ServeConfig config;
   config.prcs = static_cast<unsigned>(prcs);
   config.cg = static_cast<unsigned>(cg);
@@ -459,12 +485,28 @@ ReplayResult replay_job_log(std::istream& in) {
       SubmitFrame spec;
       std::uint64_t id = 0, share = 0, weight = 0, rp = 0, rcg = 0, prio = 0,
                     klass = 0, blocks = 0, seed = 0;
-      if (!parse_u64(tok[1], &id) || !parse_u64(tok[3], &share) ||
-          !parse_u64(tok[4], &weight) || !parse_u64(tok[5], &rp) ||
-          !parse_u64(tok[6], &rcg) || !parse_u64(tok[7], &prio) ||
-          !parse_u64(tok[8], &klass) || !parse_u64(tok[9], &blocks) ||
-          !parse_u64(tok[10], &seed)) {
-        return fail(line_no, "bad submit field");
+      const struct {
+        std::size_t column;
+        const char* name;
+        std::uint64_t max;  ///< widest value of the SubmitFrame field
+        std::uint64_t* value;
+      } submit_fields[] = {
+          {1, "id", UINT64_MAX, &id},
+          {3, "share", UINT8_MAX, &share},
+          {4, "weight", UINT32_MAX, &weight},
+          {5, "reserved_prcs", UINT32_MAX, &rp},
+          {6, "reserved_cg", UINT32_MAX, &rcg},
+          {7, "priority", UINT32_MAX, &prio},
+          {8, "job_class", UINT32_MAX, &klass},
+          {9, "blocks", UINT32_MAX, &blocks},
+          {10, "seed", UINT64_MAX, &seed},
+      };
+      for (const auto& field : submit_fields) {
+        if (!parse_uint(tok[field.column], field.max, field.value)) {
+          return fail(line_no,
+                      out_of_range(std::string("submit ") + field.name,
+                                   tok[field.column], field.max));
+        }
       }
       spec.name = tok[2];
       spec.share = static_cast<std::uint8_t>(share);

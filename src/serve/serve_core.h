@@ -156,6 +156,12 @@ class ServeCore {
   std::uint64_t jobs_cancelled() const { return cancelled_; }
   Cycles clock() const { return clock_; }
   const FabricArbiter& arbiter() const { return machine_->arbiter(); }
+  /// The flight recorder every job runs with; it holds the last job's
+  /// trace slice (run_next clears it before each job).
+  const TraceRecorder& recorder() const { return recorder_; }
+  /// The counter registry every job runs with: running totals since the
+  /// core was built (a job's counters_delta is its change to them).
+  const CounterRegistry& counters() const { return counters_; }
 
   /// The operation log: header line plus one line per submit/run/cancel, in
   /// execution order (`mrts.joblog.v1`, docs/SERVING.md). Feeding it to

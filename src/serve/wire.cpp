@@ -121,14 +121,9 @@ const char* to_string(WireJobState state) {
 
 std::uint32_t frame_crc(const std::uint8_t* frame, std::size_t payload_len) {
   // Coverage: header bytes [4, 12) plus the payload — two regions split by
-  // the CRC field itself, joined into one buffer for the one-shot
-  // snapshot_crc32 (frames are small; kMaxPayload bounds the copy).
-  std::vector<std::uint8_t> covered;
-  covered.reserve(8 + payload_len);
-  covered.insert(covered.end(), frame + 4, frame + 12);
-  covered.insert(covered.end(), frame + kFrameHeaderSize,
-                 frame + kFrameHeaderSize + payload_len);
-  return snapshot_crc32(covered.data(), covered.size());
+  // the CRC field itself, fed in place through the running CRC.
+  const std::uint32_t header = crc32_update(0, frame + 4, 8);
+  return crc32_update(header, frame + kFrameHeaderSize, payload_len);
 }
 
 std::vector<std::uint8_t> encode_frame(

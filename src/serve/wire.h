@@ -277,8 +277,8 @@ class FrameDecoder {
 };
 
 /// CRC over the covered region of an already-assembled frame buffer
-/// (header bytes [4, 12) + payload). \p frame must hold at least
-/// kFrameHeaderSize + length bytes.
+/// (header bytes [4, 12) + payload), fed in place through crc32_update.
+/// \p frame must hold at least kFrameHeaderSize + length bytes.
 std::uint32_t frame_crc(const std::uint8_t* frame, std::size_t payload_len);
 
 }  // namespace mrts::serve

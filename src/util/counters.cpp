@@ -14,16 +14,29 @@ std::size_t Histogram::bucket_of(double value) {
   return std::min(bucket, kBuckets - 1);
 }
 
-void Histogram::observe(double value) {
+void Histogram::observe(double value, std::uint64_t n) {
+  if (n == 0) return;
   if (count_ == 0) {
     min_ = max_ = value;
   } else {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  ++count_;
-  sum_ += value;
-  ++buckets_[bucket_of(value)];
+  count_ += n;
+  buckets_[bucket_of(value)] += n;
+  // The product is exact whenever the bound test passes: a true product of
+  // 2^53 or more never rounds below 2^53.
+  const double times = static_cast<double>(n);
+  if (value == std::floor(value) && sum_stays_exact(times * std::fabs(value))) {
+    sum_ += times * value;
+  } else {
+    for (std::uint64_t i = 0; i < n; ++i) sum_ += value;
+  }
+}
+
+bool Histogram::sum_stays_exact(double total) const {
+  return sum_ == std::floor(sum_) &&
+         std::fabs(sum_) + total < 9007199254740992.0 /* 2^53 */;
 }
 
 double Histogram::percentile(double p) const {
@@ -69,12 +82,14 @@ void CounterRegistry::add(std::string_view name, std::uint64_t delta) {
   }
 }
 
-void CounterRegistry::observe(std::string_view name, double value) {
+void CounterRegistry::observe(std::string_view name, double value,
+                              std::uint64_t n) {
+  if (n == 0) return;
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), Histogram{}).first;
   }
-  it->second.observe(value);
+  it->second.observe(value, n);
 }
 
 std::uint64_t CounterRegistry::counter(std::string_view name) const {

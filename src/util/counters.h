@@ -31,7 +31,16 @@ class Histogram {
  public:
   static constexpr std::size_t kBuckets = 48;
 
-  void observe(double value);
+  /// Records \p n observations of \p value, bit-identical to n single
+  /// observations in O(1): while \p value and the running sum are integers
+  /// whose partial sums all stay below 2^53 every addition is exact, so one
+  /// product replaces the n additions; otherwise it adds n times.
+  void observe(double value, std::uint64_t n = 1);
+
+  /// True when adding integer observations that total \p total (>= 0), in
+  /// any order, keeps every partial sum exact: the running sum is an
+  /// integer and sum + total stays below 2^53 in magnitude.
+  bool sum_stays_exact(double total) const;
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
@@ -80,8 +89,9 @@ class CounterRegistry {
   /// Increments counter \p name by \p delta (creating it at 0).
   void add(std::string_view name, std::uint64_t delta = 1);
 
-  /// Records one observation into histogram \p name (creating it empty).
-  void observe(std::string_view name, double value);
+  /// Records \p n observations of \p value into histogram \p name
+  /// (creating it empty unless n is 0).
+  void observe(std::string_view name, double value, std::uint64_t n = 1);
 
   /// Current value of counter \p name; 0 if it was never incremented.
   std::uint64_t counter(std::string_view name) const;

@@ -154,4 +154,11 @@ class SnapshotReader {
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over \p bytes.
 std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size);
 
+/// Running form of snapshot_crc32: extends \p crc, the CRC-32 of the bytes
+/// seen so far (0 for none), by \p size more bytes. Feeding a buffer in any
+/// split gives the one-shot CRC of the whole:
+/// crc32_update(crc32_update(0, a, n), b, m) == CRC of a||b.
+std::uint32_t crc32_update(std::uint32_t crc, const std::uint8_t* data,
+                           std::size_t size);
+
 }  // namespace mrts

@@ -7,11 +7,14 @@
 // (util/fastpath.h), including under fault-induced re-execution and across
 // sweep worker counts. The ECU's chunk and per-run memo commits are checked
 // block by block against the per-event loop on full-size CIF blocks and on
-// hand-made block shapes around the chunk boundaries.
+// hand-made block shapes around the chunk boundaries, and again with a
+// flight recorder and counter registry attached, where the trace, counters
+// and histograms must match the per-event loop's too.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -27,13 +30,16 @@
 #include "riscsim/assembler.h"
 #include "riscsim/cpu.h"
 #include "rts/mrts.h"
+#include "serve/serve_core.h"
 #include "sim/app_simulator.h"
 #include "sim/fb_simulator.h"
 #include "sim/metrics.h"
 #include "sim/sweep_runner.h"
+#include "util/counters.h"
 #include "util/csv.h"
 #include "util/fastpath.h"
 #include "util/rng.h"
+#include "util/trace.h"
 #include "workload/h264_app.h"
 #include "workload/workload_gen.h"
 
@@ -638,24 +644,79 @@ struct BlockOutcome {
   std::vector<ObservedKernelStats> observed;
 };
 
+/// What an attached flight recorder and counter registry saw of a run.
+struct Observation {
+  std::vector<TraceEvent> events;
+  CounterRegistry counters;
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+std::string describe(const TraceEvent& e) {
+  return std::string(to_string(e.kind)) + " track " + std::to_string(e.track) +
+         " at " + std::to_string(e.at) + " dur " + std::to_string(e.duration) +
+         " args " + std::to_string(e.arg0) + "," + std::to_string(e.arg1) +
+         " values " + std::to_string(e.v0) + "," + std::to_string(e.v1) +
+         " tenant " + std::to_string(e.tenant);
+}
+
+/// Every trace event (every field, in order), every counter and every
+/// histogram (count, bit-identical sum, min, max, buckets) must match.
+void expect_same_observation(const Observation& fast,
+                             const Observation& oracle) {
+  EXPECT_EQ(fast.events.size(), oracle.events.size());
+  for (std::size_t i = 0; i < std::min(fast.events.size(), oracle.events.size());
+       ++i) {
+    const TraceEvent& f = fast.events[i];
+    const TraceEvent& o = oracle.events[i];
+    const bool same = f.kind == o.kind && f.track == o.track && f.at == o.at &&
+                      f.duration == o.duration && f.arg0 == o.arg0 &&
+                      f.arg1 == o.arg1 && same_bits(f.v0, o.v0) &&
+                      same_bits(f.v1, o.v1) && f.tenant == o.tenant;
+    ASSERT_TRUE(same) << "event " << i << ": " << describe(f) << " vs "
+                      << describe(o);
+  }
+  EXPECT_EQ(fast.counters.counters(), oracle.counters.counters());
+  const auto& fh = fast.counters.histograms();
+  const auto& oh = oracle.counters.histograms();
+  ASSERT_EQ(fh.size(), oh.size());
+  for (auto f = fh.begin(), o = oh.begin(); f != fh.end(); ++f, ++o) {
+    SCOPED_TRACE("histogram " + o->first);
+    EXPECT_EQ(f->first, o->first);
+    EXPECT_EQ(f->second.count(), o->second.count());
+    EXPECT_TRUE(same_bits(f->second.sum(), o->second.sum()))
+        << f->second.sum() << " vs " << o->second.sum();
+    EXPECT_TRUE(same_bits(f->second.min(), o->second.min()));
+    EXPECT_TRUE(same_bits(f->second.max(), o->second.max()));
+    EXPECT_EQ(f->second.buckets(), o->second.buckets());
+  }
+}
+
 using RtsFactory = std::function<std::unique_ptr<RuntimeSystem>()>;
 
 /// Runs \p blocks back to back on a fresh RTS from \p make, as
 /// run_application does, and reports every block. \p ecu receives the ECU's
-/// totals where the RTS exposes its ECU.
+/// totals where the RTS exposes its ECU. A non-null \p seen attaches a
+/// flight recorder and counter registry and receives what they saw.
 std::vector<BlockOutcome> run_blocks(
     const RtsFactory& make, const std::vector<FunctionalBlockInstance>& blocks,
-    bool fast, EcuStats& ecu) {
+    bool fast, EcuStats& ecu, Observation* seen = nullptr) {
   FastpathGuard guard(fast);
+  TraceRecorder recorder;
   const std::unique_ptr<RuntimeSystem> rts = make();
+  if (seen != nullptr) rts->attach_observability(&recorder, &seen->counters);
   std::vector<BlockOutcome> out;
   Cycles cursor = 0;
   for (const FunctionalBlockInstance& block : blocks) {
-    const FbRunResult r = run_block(*rts, block, cursor);
+    const FbRunResult r = run_block(*rts, block, cursor,
+                                    seen != nullptr ? &recorder : nullptr);
     cursor += r.cycles;
     out.push_back({r.cycles, r.impl_executions, r.impl_cycles,
                    r.observed.kernels});
   }
+  if (seen != nullptr) seen->events = recorder.events();
   if (const auto* mrts = dynamic_cast<const MRts*>(rts.get())) {
     ecu = mrts->ecu().stats();
   } else if (const auto* rispp = dynamic_cast<const RisppRts*>(rts.get())) {
@@ -666,17 +727,21 @@ std::vector<BlockOutcome> run_blocks(
 
 /// Compares the fast path with the per-event oracle block by block: cycles,
 /// per-implementation tallies and every observed kernel statistic, then the
-/// ECU's totals. Returns the oracle's outcomes so a test can check its
-/// scenario happened.
+/// ECU's totals. With \p oracle_seen non-null both runs are observed: the
+/// oracle's observation lands there and the fast run's must equal it.
+/// Returns the oracle's outcomes so a test can check its scenario happened.
 std::vector<BlockOutcome> expect_fast_matches_oracle(
-    const RtsFactory& make,
-    const std::vector<FunctionalBlockInstance>& blocks) {
+    const RtsFactory& make, const std::vector<FunctionalBlockInstance>& blocks,
+    Observation* oracle_seen = nullptr) {
   EcuStats oracle_ecu;
   EcuStats fast_ecu;
+  Observation fast_seen;
   const std::vector<BlockOutcome> oracle =
-      run_blocks(make, blocks, false, oracle_ecu);
+      run_blocks(make, blocks, false, oracle_ecu, oracle_seen);
   const std::vector<BlockOutcome> fast =
-      run_blocks(make, blocks, true, fast_ecu);
+      run_blocks(make, blocks, true, fast_ecu,
+                 oracle_seen != nullptr ? &fast_seen : nullptr);
+  if (oracle_seen != nullptr) expect_same_observation(fast_seen, *oracle_seen);
   EXPECT_EQ(fast_ecu.executions, oracle_ecu.executions);
   EXPECT_EQ(fast_ecu.cycles, oracle_ecu.cycles);
   EXPECT_EQ(fast_ecu.saved_vs_risc, oracle_ecu.saved_vs_risc);
@@ -775,6 +840,35 @@ class EcuChunkCommit : public ::testing::Test {
     return block;
   }
 
+  /// A 400-run block in which two kernels outside the programmed trigger
+  /// take turns over the last five runs of chunk 6 (runs 219-223). Their
+  /// monoCG acquisitions bump the fabric epoch and, on a single CG fabric,
+  /// evict the first kernel's monoCG context, so chunk 7 opens with that
+  /// kernel's memo void while the newcomers' memos are fresh. (A kernel's
+  /// memo is derived within a run, so every run executes at least twice.)
+  static FunctionalBlockInstance mono_cg_mid_block() {
+    const auto kernel_of = [](std::size_t i) {
+      if (i < 219) return ee_cycle(i, 3);
+      if (i < 224) return i % 2 == 1 ? app_->k_idct : app_->k_cavlc;
+      return ee_cycle(i + 1, 5);
+    };
+    FunctionalBlockInstance block =
+        make_block(app_->fb_ee, 400, kernel_of, 400, 13, 2);
+    block.programmed =
+        make_block(app_->fb_ee, 219, kernel_of, 400, 13, 2).programmed;
+    return block;
+  }
+
+  /// mRTS on 2 PRCs + 2 CG fabrics whose loads fail at \p rate with one
+  /// retry, so containers get quarantined as the run goes on.
+  static RtsFactory faulty_mrts(double rate) {
+    return [rate] {
+      MRtsConfig config;
+      config.fault = FaultModelConfig::uniform(rate, 42, /*max_retries=*/1);
+      return std::make_unique<MRts>(app_->library, 2, 2, config);
+    };
+  }
+
   /// Run \p i of a cycle through the encoding engine's first \p n kernels.
   static KernelId ee_cycle(std::size_t i, std::size_t n = 3) {
     const std::array<KernelId, 6> kernels = {app_->k_dct4,  app_->k_ht,
@@ -869,24 +963,11 @@ TEST_F(EcuChunkCommit, MemoHorizonInsideAChunk) {
 }
 
 TEST_F(EcuChunkCommit, MonoCgAcquisitionMidBlock) {
-  // Two kernels outside the programmed trigger take turns over the last
-  // five runs of chunk 6 (runs 219-223 of 400). Their monoCG acquisitions
-  // bump the fabric epoch and, on the one CG fabric, evict the first
-  // kernel's monoCG context, so chunk 7 opens with that kernel's memo void
-  // while the newcomers' memos are fresh — the chunk must not commit. (A
-  // kernel's memo is derived within a run, so every run here executes at
-  // least twice.)
-  const auto kernel_of = [](std::size_t i) {
-    if (i < 219) return ee_cycle(i, 3);
-    if (i < 224) return i % 2 == 1 ? app_->k_idct : app_->k_cavlc;
-    return ee_cycle(i + 1, 5);
-  };
-  FunctionalBlockInstance block =
-      make_block(app_->fb_ee, 400, kernel_of, 400, 13, 2);
+  // Chunk 7 opens with a void memo beside fresh ones (mono_cg_mid_block):
+  // it must not commit whole.
+  const FunctionalBlockInstance block = mono_cg_mid_block();
   ASSERT_EQ(block.runs.size(), 400u);
   ASSERT_FALSE(block.chunks.chunks[7].holds_endpoint);
-  block.programmed =
-      make_block(app_->fb_ee, 219, kernel_of, 400, 13, 2).programmed;
   const RtsFactory make = [] {
     return std::make_unique<MRts>(app_->library, 1, 0);
   };
@@ -899,11 +980,7 @@ TEST_F(EcuChunkCommit, MonoCgAcquisitionMidBlock) {
 TEST_F(EcuChunkCommit, FaultInducedQuarantine) {
   for (const double rate : {0.3, 1.0}) {
     SCOPED_TRACE("rate " + std::to_string(rate));
-    const RtsFactory make = [rate] {
-      MRtsConfig config;
-      config.fault = FaultModelConfig::uniform(rate, 42, /*max_retries=*/1);
-      return std::make_unique<MRts>(app_->library, 2, 2, config);
-    };
+    const RtsFactory make = faulty_mrts(rate);
     expect_fast_matches_oracle(make, app_->trace.blocks);
     const std::unique_ptr<RuntimeSystem> rts = make();
     run_application(*rts, app_->trace);
@@ -927,6 +1004,152 @@ TEST_F(EcuChunkCommit, HandBuiltInstanceWithoutChunkSummaries) {
     expect_fast_matches_oracle(make, no_chunks);
     expect_fast_matches_oracle(make, events_only);
   }
+}
+
+// --- Observed memo commits: recorder and counters attached -----------------
+
+/// Memo commits with a flight recorder and a counter registry attached: the
+/// trace, the counters and the latency histogram must come out exactly as
+/// the per-event oracle leaves them.
+class EcuObservedCommit : public EcuChunkCommit {
+ protected:
+  /// The oracle's latency histogram counts every execution the ECU counted.
+  static void expect_latency_count_matches(const Observation& seen) {
+    std::uint64_t executions = 0;
+    for (const auto& [name, value] : seen.counters.counters()) {
+      if (name.rfind("ecu.executions.", 0) == 0) executions += value;
+    }
+    const Histogram* latency =
+        seen.counters.histogram("ecu.exec_latency_cycles");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_GT(executions, 0u);
+    EXPECT_EQ(latency->count(), executions);
+  }
+};
+
+TEST_F(EcuObservedCommit, FigGridKindsOnTwoFrameCifBlocks) {
+  for (const auto& [prcs, cg] : {std::pair{0u, 1u}, std::pair{2u, 2u},
+                                 std::pair{6u, 3u}}) {
+    for (const auto& [name, make] : fig_grid_kinds(prcs, cg)) {
+      SCOPED_TRACE(name + " on " + std::to_string(prcs) + " PRC + " +
+                   std::to_string(cg) + " CG");
+      Observation oracle;
+      expect_fast_matches_oracle(make, app_->trace.blocks, &oracle);
+      expect_latency_count_matches(oracle);
+    }
+  }
+}
+
+TEST_F(EcuObservedCommit, UpgradeLandingMidRunIsTracedAtTheSameCycle) {
+  // A block of one run of 2000 to 2005 executions: every upgrade traced
+  // after the block's first execution lands inside that run.
+  const FunctionalBlockInstance block = make_block(
+      app_->fb_ee, 1, [](std::size_t) { return app_->k_dct4; }, 400, 3, 2000);
+  ASSERT_EQ(block.runs.size(), 1u);
+  const RtsFactory make = [] {
+    return std::make_unique<MRts>(app_->library, 0, 2);
+  };
+  Observation oracle;
+  expect_fast_matches_oracle(make, {block, block}, &oracle);
+  expect_latency_count_matches(oracle);
+
+  Cycles first_exec = kNeverCycles;
+  Cycles block_end = 0;
+  for (const TraceEvent& e : oracle.events) {
+    if (e.kind == TraceEventKind::kEcuDecision && first_exec == kNeverCycles) {
+      first_exec = e.at;
+    }
+    if (e.kind == TraceEventKind::kBlockEnd) {
+      block_end = e.at + e.duration;
+      break;
+    }
+  }
+  std::size_t mid_run = 0;
+  for (const TraceEvent& e : oracle.events) {
+    mid_run += e.kind == TraceEventKind::kEcuUpgrade && e.at > first_exec &&
+               e.at < block_end;
+  }
+  EXPECT_GT(mid_run, 0u);
+}
+
+TEST_F(EcuObservedCommit, MonoCgAcquisitionMidBlock) {
+  const RtsFactory make = [] {
+    return std::make_unique<MRts>(app_->library, 1, 0);
+  };
+  const FunctionalBlockInstance block = mono_cg_mid_block();
+  Observation oracle;
+  const std::vector<BlockOutcome> outcomes =
+      expect_fast_matches_oracle(make, {block, block}, &oracle);
+  ASSERT_FALSE(outcomes.empty());
+  EXPECT_GT(executions(outcomes[0], ImplKind::kMonoCg), 0u);
+  EXPECT_GT(oracle.counters.counter("ecu.mono_cg_acquired"), 0u);
+  expect_latency_count_matches(oracle);
+}
+
+TEST_F(EcuObservedCommit, FaultInducedQuarantine) {
+  for (const double rate : {0.3, 1.0}) {
+    SCOPED_TRACE("rate " + std::to_string(rate));
+    Observation oracle;
+    expect_fast_matches_oracle(faulty_mrts(rate), app_->trace.blocks, &oracle);
+    expect_latency_count_matches(oracle);
+    EXPECT_GT(oracle.counters.counter("prc.quarantined") +
+                  oracle.counters.counter("cg.quarantined"),
+              0u);
+  }
+}
+
+TEST_F(EcuObservedCommit, ServeCoreJobsOfEveryJobClass) {
+  // The same submissions through a fresh ServeCore at its documented
+  // defaults; after every job, what the core's recorder and counters hold.
+  struct Served {
+    std::vector<Observation> seen;
+    std::vector<std::string> reports;
+  };
+  const auto serve = [](bool fast) {
+    FastpathGuard guard(fast);
+    serve::ServeCore core;
+    Served out;
+    Rng rng(99);
+    for (std::uint32_t i = 0; i < 24; ++i) {
+      serve::SubmitFrame spec;
+      spec.name = "t";
+      spec.name += std::to_string(i);
+      spec.job_class = i % core.config().job_classes;
+      spec.blocks = 1 + i % 3;
+      spec.seed = rng.next_u64();
+      switch (i % 3) {
+        case 0:
+          spec.share = static_cast<std::uint8_t>(serve::WireShare::kWeighted);
+          spec.weight = 1 + i % 4;
+          break;
+        case 1:
+          spec.share =
+              static_cast<std::uint8_t>(serve::WireShare::kBestEffort);
+          break;
+        default:
+          spec.share = static_cast<std::uint8_t>(serve::WireShare::kReserved);
+          spec.reserved_prcs = 1 + i % 2;
+          spec.reserved_cg = i % 2;
+          break;
+      }
+      const std::uint64_t id = core.submit(1, spec);
+      EXPECT_TRUE(core.run_next());
+      const serve::JobRecord* job = core.job(id);
+      EXPECT_EQ(job->state, serve::JobState::kDone);
+      out.seen.push_back({core.recorder().events(), core.counters()});
+      out.reports.push_back(job->report_json + job->counters_delta);
+    }
+    return out;
+  };
+  const Served oracle = serve(false);
+  const Served fast = serve(true);
+  ASSERT_EQ(fast.seen.size(), oracle.seen.size());
+  for (std::size_t j = 0; j < oracle.seen.size(); ++j) {
+    SCOPED_TRACE("job " + std::to_string(j + 1));
+    expect_same_observation(fast.seen[j], oracle.seen[j]);
+    EXPECT_EQ(fast.reports[j], oracle.reports[j]);
+  }
+  expect_latency_count_matches(oracle.seen.back());
 }
 
 }  // namespace

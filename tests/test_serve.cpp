@@ -347,6 +347,46 @@ TEST(ServeCore, ReplayRejectsMalformedLogs) {
   EXPECT_FALSE(replay_of(header + "submit 5 t 0 1 0 0 0 0 1 9\n").ok);
 }
 
+TEST(ServeCore, ReplayRejectsValuesWiderThanTheirField) {
+  // Each of these used to be narrowed into a different, valid job (share 0,
+  // 1 block, seed 5, 6 PRCs) and replayed without complaint.
+  auto replay_error = [](const std::string& text) {
+    std::istringstream in(text);
+    const ReplayResult result = replay_job_log(in);
+    EXPECT_FALSE(result.ok) << text;
+    return result.error;
+  };
+  const std::string header =
+      "mrts.joblog.v1 prcs=4 cg=1 job_classes=2 max_blocks=8 macroblocks=4 "
+      "max_queue=8\n";
+  EXPECT_EQ(replay_error(header + "submit 1 t1 256 1 0 0 0 0 1 7\n"),
+            "joblog line 2: submit share '256' is not an integer in [0, 255]");
+  EXPECT_EQ(replay_error(header + "submit 1 t1 0 1 0 0 0 0 4294967297 7\n"),
+            "joblog line 2: submit blocks '4294967297' is not an integer in "
+            "[0, 4294967295]");
+  EXPECT_EQ(
+      replay_error(header + "submit 1 t1 0 1 0 0 0 0 1 18446744073709551621\n"),
+      "joblog line 2: submit seed '18446744073709551621' is not an integer in "
+      "[0, 18446744073709551615]");
+  EXPECT_EQ(replay_error("mrts.joblog.v1 prcs=4294967302 cg=1 job_classes=2 "
+                         "max_blocks=8 macroblocks=4 max_queue=8\n"),
+            "joblog line 1: header field prcs '4294967302' is not an integer "
+            "in [0, 4294967295]");
+  // Signs, blanks and stray characters are rejected the same way.
+  EXPECT_FALSE(replay_error(header + "submit 1 t1 0 +1 0 0 0 0 1 7\n").empty());
+  EXPECT_FALSE(replay_error(header + "submit 1 t1 0 1 0 0 0 0 1 7x\n").empty());
+  EXPECT_FALSE(replay_error(header.substr(0, header.size() - 1) +
+                            " retain_jobs=\n")
+                   .empty());
+  // The widest seed still replays.
+  std::istringstream widest(header +
+                            "submit 1 t1 0 1 0 0 0 0 1 18446744073709551615\n");
+  const ReplayResult ok = replay_job_log(widest);
+  ASSERT_TRUE(ok.ok) << ok.error;
+  ASSERT_EQ(ok.jobs.size(), 1u);
+  EXPECT_EQ(ok.jobs[0].state, JobState::kQueued);
+}
+
 // ---------------------------------------------------------------------------
 // Session: the protocol state machine, driven with raw bytes.
 // ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -239,17 +241,71 @@ TEST(Histogram, StatsAndMerge) {
   EXPECT_DOUBLE_EQ(empty.min(), 0.0);
 }
 
+TEST(Histogram, RepeatedObservationIsBitIdenticalToSingleOnes) {
+  const double two53 = 9007199254740992.0;
+  struct Case {
+    double start;  ///< one observation made first (NaN = none)
+    double value;
+    std::uint64_t n;
+  };
+  const Case cases[] = {
+      {std::nan(""), 42.0, 1000},      // integer sums: one product
+      {7.0, 0.0, 5},                   // zero
+      {std::nan(""), -3.0, 9},         // negative integers
+      {std::nan(""), 0.1, 1000},       // inexact value: added n times
+      {0.25, 5.0, 100},                // inexact running sum
+      {two53 - 3.0, 1.0, 10},          // partial sums cross 2^53
+      {std::nan(""), 1e300, 3},        // beyond 2^53 at once
+      {std::nan(""), std::nan(""), 4},
+      {std::nan(""), INFINITY, 4},
+      {2.0, 2.0, 0},                   // n = 0 records nothing
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("value " + std::to_string(c.value) + " x " +
+                 std::to_string(c.n));
+    Histogram bulk;
+    Histogram single;
+    if (!std::isnan(c.start)) {
+      bulk.observe(c.start);
+      single.observe(c.start);
+    }
+    bulk.observe(c.value, c.n);
+    for (std::uint64_t i = 0; i < c.n; ++i) single.observe(c.value);
+    EXPECT_EQ(bulk.count(), single.count());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(bulk.sum()),
+              std::bit_cast<std::uint64_t>(single.sum()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(bulk.min()),
+              std::bit_cast<std::uint64_t>(single.min()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(bulk.max()),
+              std::bit_cast<std::uint64_t>(single.max()));
+    EXPECT_EQ(bulk.buckets(), single.buckets());
+  }
+}
+
+TEST(Histogram, SumStaysExactBelowTwoToThe53) {
+  Histogram h;
+  h.observe(9007199254740992.0 - 10.0);  // 2^53 - 10
+  EXPECT_TRUE(h.sum_stays_exact(9.0));
+  EXPECT_FALSE(h.sum_stays_exact(10.0));
+  Histogram fractional;
+  fractional.observe(0.5);
+  EXPECT_FALSE(fractional.sum_stays_exact(0.0));
+}
+
 TEST(CounterRegistry, AddObserveLookup) {
   CounterRegistry reg;
   EXPECT_TRUE(reg.empty());
   reg.add("a.count");
   reg.add("a.count", 4);
   reg.observe("a.latency", 8.0);
+  reg.observe("a.latency", 8.0, 3);
+  reg.observe("never.observed", 8.0, 0);  // n = 0 creates no histogram
   EXPECT_EQ(reg.counter("a.count"), 5u);
   EXPECT_EQ(reg.counter("never.touched"), 0u);
   ASSERT_NE(reg.histogram("a.latency"), nullptr);
-  EXPECT_EQ(reg.histogram("a.latency")->count(), 1u);
+  EXPECT_EQ(reg.histogram("a.latency")->count(), 4u);
   EXPECT_EQ(reg.histogram("never.touched"), nullptr);
+  EXPECT_EQ(reg.histogram("never.observed"), nullptr);
   reg.clear();
   EXPECT_TRUE(reg.empty());
 }

@@ -80,6 +80,79 @@ TEST(WireHeader, CrcCoversVersionTypeFlagsLengthAndPayload) {
 }
 
 // ---------------------------------------------------------------------------
+// CRC-32 pinned by value: known answers, the running form, and a bitwise
+// reference at every length, alignment and on a large buffer.
+// ---------------------------------------------------------------------------
+
+/// CRC-32 straight from the reflected polynomial, one bit at a time.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> seeded_bytes(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> bytes(size);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  return bytes;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(snapshot_crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                           check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(snapshot_crc32(nullptr, 0), 0u);
+  EXPECT_EQ(crc32_update(0, nullptr, 0), 0u);
+}
+
+TEST(Crc32, HelloWorkedExampleFromProtocolDoc) {
+  // docs/PROTOCOL.md "Worked example": HELLO{1, "cli"}, 29 bytes.
+  const std::vector<std::uint8_t> expected = {
+      0x6d, 0x52, 0x54, 0x57, 0x01, 0x00, 0x01, 0x00,  // magic, v1, HELLO
+      0x0d, 0x00, 0x00, 0x00, 0xf5, 0x52, 0x41, 0xe8,  // length 13, crc
+      0x01, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,  // version 1, len 3..
+      0x00, 0x00, 0x63, 0x6c, 0x69};                   // .., "cli"
+  HelloFrame hello;
+  hello.client_version = 1;
+  hello.client_name = "cli";
+  EXPECT_EQ(encode(hello), expected);
+  EXPECT_EQ(frame_crc(expected.data(), 13), 0xe84152f5u);
+  EXPECT_EQ(read_le32(expected.data() + 12), 0xe84152f5u);
+}
+
+TEST(Crc32, RunningFormSplitAtEveryPointEqualsOneShot) {
+  const std::vector<std::uint8_t> bytes = seeded_bytes(100, 1);
+  const std::uint32_t whole = snapshot_crc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head = crc32_update(0, bytes.data(), split);
+    EXPECT_EQ(crc32_update(head, bytes.data() + split, bytes.size() - split),
+              whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  const std::vector<std::uint8_t> bytes = seeded_bytes(64 + 8, 2);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      EXPECT_EQ(snapshot_crc32(bytes.data() + offset, length),
+                reference_crc32(bytes.data() + offset, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  const std::vector<std::uint8_t> big = seeded_bytes(1u << 20, 3);
+  EXPECT_EQ(snapshot_crc32(big.data(), big.size()),
+            reference_crc32(big.data(), big.size()));
+}
+
+// ---------------------------------------------------------------------------
 // Round-trips: every frame type encodes and decodes back field for field.
 // ---------------------------------------------------------------------------
 
