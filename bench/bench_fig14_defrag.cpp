@@ -81,7 +81,7 @@ struct Scenario {
   Scenario() {
     for (unsigned k = 0; k < kKernels; ++k) {
       IseBuildSpec spec;
-      spec.kernel_name = "k" + std::to_string(k);
+      spec.kernel_name = std::string("k").append(std::to_string(k));
       spec.sw_latency = 900;
       spec.control_fraction = 0.6;
       spec.fg_data_path_names = {spec.kernel_name + "_ctrl",

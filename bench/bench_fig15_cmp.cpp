@@ -80,7 +80,7 @@ PointResult run_point(const PointKey& key) {
   IseLibrary combined;
   std::vector<KernelId> kernels;
   for (unsigned i = 0; i < key.cores; ++i) {
-    const std::string name = "C" + std::to_string(i);
+    const std::string name = std::string("C").append(std::to_string(i));
     IseBuildSpec spec;
     spec.kernel_name = name;
     spec.sw_latency = 700;
@@ -118,9 +118,10 @@ PointResult run_point(const PointKey& key) {
     policy.share = TenantShare::kWeighted;
     policy.weight = 1;
     const FabricArbiter::Registration reg =
-        machine.register_tenant("C" + std::to_string(i), policy);
+        machine.register_tenant(std::string("C").append(std::to_string(i)),
+                                policy);
     Task task;
-    task.name = "C" + std::to_string(i);
+    task.name = std::string("C").append(std::to_string(i));
     task.rts = &machine.add_rts(reg.id);
     task.trace = &traces[i];
     task.tenant = reg.id;

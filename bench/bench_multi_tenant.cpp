@@ -109,7 +109,7 @@ PointResult run_point(const PointKey& key) {
   IseLibrary combined;
   std::vector<KernelId> kernels;
   for (unsigned i = 0; i < key.tenants; ++i) {
-    const std::string name = "T" + std::to_string(i);
+    const std::string name = std::string("T").append(std::to_string(i));
     IseBuildSpec spec;
     spec.kernel_name = name;
     spec.sw_latency = 700;
@@ -148,13 +148,14 @@ PointResult run_point(const PointKey& key) {
   for (unsigned i = 0; i < key.tenants; ++i) {
     const TenantPolicy policy = policy_for(key.scenario, i);
     regs.push_back(
-        machine.register_tenant("T" + std::to_string(i), policy));
+        machine.register_tenant(std::string("T").append(std::to_string(i)),
+                                policy));
     if (!regs.back().admitted) {
       ++result.bounced;
       continue;
     }
     Task task;
-    task.name = "T" + std::to_string(i);
+    task.name = std::string("T").append(std::to_string(i));
     task.rts = &machine.add_rts(regs[i].id);
     task.trace = &traces[i];
     task.priority = policy.priority;

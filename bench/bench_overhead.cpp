@@ -117,7 +117,7 @@ IseLibrary scaling_library(unsigned kernels, unsigned fg_dps, unsigned cg_dps) {
   IseLibrary lib;
   for (unsigned k = 0; k < kernels; ++k) {
     IseBuildSpec spec;
-    spec.kernel_name = "K" + std::to_string(k);
+    spec.kernel_name = std::string("K").append(std::to_string(k));
     spec.sw_latency = 600 + 50 * k;
     spec.control_fraction = 0.3 + 0.05 * static_cast<double>(k % 8);
     for (unsigned d = 0; d < fg_dps; ++d) {

@@ -2,23 +2,25 @@
 // perf-trajectory harness (docs/BENCHMARKS.md). Unlike every fig bench, this
 // one measures *seconds*, not simulated cycles: it times raw
 // HeuristicSelector::select() and OptimalSelector::select() calls over the
-// fig8/fig9 fabric grid (PRCs 0..6 x CG 0..3, RISC-only corner excluded),
-// interleaving the tuned configuration (profit memoization + incremental
-// planner, the shipping defaults) with SelectorTuning::baseline() (the
-// pre-optimization implementation kept alive for exactly this A/B) in the
-// same process, on byte-identical inputs.
+// fig8/fig9 fabric grid (PRCs 0..6 x CG 0..3, RISC-only corner excluded).
+// Each selector is timed with one SelectorTuning switch off and on, the two
+// interleaved in the same process on byte-identical inputs:
+//
+//   heuristic  memoize_profits      memo off vs on, incremental planner on
+//   optimal    incremental_planner  planner copied per search node vs
+//                                   commit/rollback on one planner
 //
 // Per grid point the fabric is warmed realistically: the H.264 trigger
 // sequence is replayed with select()+install() between snapshots, so the
 // timed planners carry genuine port backlogs and reusable instances. Every
-// snapshot first cross-checks that tuned and baseline return identical
-// SelectionResults — the optimizations must never change a selection — and
-// then contributes interleaved timing samples.
+// snapshot first cross-checks that both settings return identical
+// SelectionResults — the switches must never change a selection — and then
+// contributes interleaved timing samples.
 //
-// Output: BENCH_selector.json (median ns per select() per variant, speedup,
-// profit-cache hit rate, operator-new allocations per select). Timings are
-// machine-dependent by nature; the JSON is a perf-tracking artifact, not a
-// determinism-checked figure.
+// Output: BENCH_selector.json (median ns per select() per setting, speedup,
+// the heuristic's profit-cache hit rate, operator-new allocations per
+// select). Timings are machine-dependent by nature; the JSON is a
+// perf-tracking artifact, not a determinism-checked figure.
 
 #include <benchmark/benchmark.h>
 
@@ -127,14 +129,16 @@ double median(std::vector<double> v) {
   return v[mid];
 }
 
+/// One selector's A/B: the named SelectorTuning switch off and on.
 struct HotpathReport {
-  VariantStats base, tuned;
+  const char* toggled = "";
+  VariantStats off, on;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 
   double speedup() const {
-    const double t = median(tuned.ns);
-    return t > 0.0 ? median(base.ns) / t : 0.0;
+    const double t = median(on.ns);
+    return t > 0.0 ? median(off.ns) / t : 0.0;
   }
   double hit_rate() const {
     const std::uint64_t total = cache_hits + cache_misses;
@@ -149,43 +153,44 @@ struct HotpathReport {
   }
 };
 
-/// Times one (baseline, tuned) selector pair over the snapshots,
+/// Times one (switch off, switch on) selector pair over the snapshots,
 /// interleaving the two on every repetition so clock drift and cache warmth
 /// affect both sides equally.
 template <typename Selector>
-void measure_pair(const Selector& base, const Selector& tuned,
+void measure_pair(const Selector& off, const Selector& on,
                   const std::vector<Snapshot>& snapshots, unsigned reps,
                   HotpathReport& report) {
   for (const Snapshot& snap : snapshots) {
     // Correctness gate (also counts allocations per variant, untimed).
     const std::uint64_t a0 = g_alloc_count;
-    const SelectionResult expect = base.select(snap.trigger, snap.planner);
-    report.base.allocs += g_alloc_count - a0;
-    ++report.base.counted_calls;
+    const SelectionResult expect = off.select(snap.trigger, snap.planner);
+    report.off.allocs += g_alloc_count - a0;
+    ++report.off.counted_calls;
     const std::uint64_t a1 = g_alloc_count;
-    const SelectionResult got = tuned.select(snap.trigger, snap.planner);
-    report.tuned.allocs += g_alloc_count - a1;
-    ++report.tuned.counted_calls;
+    const SelectionResult got = on.select(snap.trigger, snap.planner);
+    report.on.allocs += g_alloc_count - a1;
+    ++report.on.counted_calls;
     if (!same_selection(expect, got)) {
       std::fprintf(stderr,
-                   "FATAL: tuned selector diverged from baseline (PRC budget "
-                   "%u, CG %u, cycle %llu)\n",
-                   snap.planner.free_prcs(), snap.planner.free_cg(),
+                   "FATAL: %s on diverged from %s off (PRC budget %u, CG %u, "
+                   "cycle %llu)\n",
+                   report.toggled, report.toggled, snap.planner.free_prcs(),
+                   snap.planner.free_cg(),
                    static_cast<unsigned long long>(snap.planner.now()));
       std::exit(1);
     }
     for (unsigned r = 0; r < reps; ++r) {
       const auto b0 = Clock::now();
-      const SelectionResult rb = base.select(snap.trigger, snap.planner);
+      const SelectionResult rb = off.select(snap.trigger, snap.planner);
       const auto b1 = Clock::now();
       benchmark::DoNotOptimize(&rb);
       const auto t0 = Clock::now();
-      const SelectionResult rt = tuned.select(snap.trigger, snap.planner);
+      const SelectionResult rt = on.select(snap.trigger, snap.planner);
       const auto t1 = Clock::now();
       benchmark::DoNotOptimize(&rt);
-      report.base.ns.push_back(
+      report.off.ns.push_back(
           std::chrono::duration<double, std::nano>(b1 - b0).count());
-      report.tuned.ns.push_back(
+      report.on.ns.push_back(
           std::chrono::duration<double, std::nano>(t1 - t0).count());
     }
   }
@@ -197,29 +202,29 @@ HotpathReport g_optimal;
 void run_grid(unsigned reps, std::size_t max_snapshots) {
   const IseLibrary& lib = context().app.library;
 
-  HeuristicSelector h_base(lib);
-  h_base.set_tuning(SelectorTuning::baseline());
-  HeuristicSelector h_tuned(lib);
+  // Heuristic: the memo off and on, the incremental planner on in both.
+  HeuristicSelector h_off(lib);
+  h_off.set_tuning({/*memoize_profits=*/false, /*incremental_planner=*/true});
+  HeuristicSelector h_on(lib);
   ProfitCache h_cache;
-  h_tuned.attach_profit_cache(&h_cache);
+  h_on.attach_profit_cache(&h_cache);
+  g_heuristic.toggled = "memoize_profits";
 
-  OptimalSelector o_base(lib);
-  o_base.set_tuning(SelectorTuning::baseline());
-  OptimalSelector o_tuned(lib);
-  ProfitCache o_cache;
-  o_tuned.attach_profit_cache(&o_cache);
+  // Optimal: a planner copy per search node against commit/rollback.
+  OptimalSelector o_off(lib);
+  o_off.set_tuning(SelectorTuning::baseline());
+  OptimalSelector o_on(lib);
+  g_optimal.toggled = "incremental_planner";
 
   for (const FabricCombination& combo : fabric_sweep(6, 3)) {
     if (combo.risc_only()) continue;  // nothing to select
     const std::vector<Snapshot> snapshots =
         collect_snapshots(combo.prcs, combo.cg, max_snapshots);
-    measure_pair(h_base, h_tuned, snapshots, reps, g_heuristic);
-    measure_pair(o_base, o_tuned, snapshots, reps, g_optimal);
+    measure_pair(h_off, h_on, snapshots, reps, g_heuristic);
+    measure_pair(o_off, o_on, snapshots, reps, g_optimal);
   }
   g_heuristic.cache_hits = h_cache.total_hits();
   g_heuristic.cache_misses = h_cache.total_misses();
-  g_optimal.cache_hits = o_cache.total_hits();
-  g_optimal.cache_misses = o_cache.total_misses();
 }
 
 void write_json(unsigned frames, unsigned reps) {
@@ -228,56 +233,65 @@ void write_json(unsigned frames, unsigned reps) {
     std::fprintf(stderr, "warning: cannot write BENCH_selector.json\n");
     return;
   }
-  const auto variant = [f](const char* name, const HotpathReport& r) {
-    std::fprintf(
-        f,
-        "  \"%s\": {\n"
-        "    \"baseline_ns_median\": %.1f,\n"
-        "    \"tuned_ns_median\": %.1f,\n"
-        "    \"speedup\": %.2f,\n"
-        "    \"cache_hit_rate\": %.4f,\n"
-        "    \"cache_hits\": %llu,\n"
-        "    \"cache_misses\": %llu,\n"
-        "    \"allocs_per_select_baseline\": %.1f,\n"
-        "    \"allocs_per_select_tuned\": %.1f,\n"
-        "    \"samples\": %zu\n"
-        "  }",
-        name, median(r.base.ns), median(r.tuned.ns), r.speedup(),
-        r.hit_rate(), static_cast<unsigned long long>(r.cache_hits),
-        static_cast<unsigned long long>(r.cache_misses),
-        r.allocs_per_select(r.base), r.allocs_per_select(r.tuned),
-        r.tuned.ns.size());
+  // The memo fields only for the selector that has a memo.
+  const auto variant = [f](const char* name, const HotpathReport& r,
+                           bool memo) {
+    std::fprintf(f,
+                 "  \"%s\": {\n"
+                 "    \"switch\": \"%s\",\n"
+                 "    \"off_ns_median\": %.1f,\n"
+                 "    \"on_ns_median\": %.1f,\n"
+                 "    \"speedup\": %.2f,\n",
+                 name, r.toggled, median(r.off.ns), median(r.on.ns),
+                 r.speedup());
+    if (memo) {
+      std::fprintf(f,
+                   "    \"cache_hit_rate\": %.4f,\n"
+                   "    \"cache_hits\": %llu,\n"
+                   "    \"cache_misses\": %llu,\n",
+                   r.hit_rate(), static_cast<unsigned long long>(r.cache_hits),
+                   static_cast<unsigned long long>(r.cache_misses));
+    }
+    std::fprintf(f,
+                 "    \"allocs_per_select_off\": %.1f,\n"
+                 "    \"allocs_per_select_on\": %.1f,\n"
+                 "    \"samples\": %zu\n"
+                 "  }",
+                 r.allocs_per_select(r.off), r.allocs_per_select(r.on),
+                 r.on.ns.size());
   };
   std::fprintf(f,
                "{\n"
-               "  \"schema\": \"mrts-selector-hotpath-v1\",\n"
+               "  \"schema\": \"mrts-selector-hotpath-v2\",\n"
                "  \"grid\": \"PRC 0..6 x CG 0..3, RISC-only corner "
                "excluded\",\n"
                "  \"frames\": %u,\n"
                "  \"reps\": %u,\n",
                frames, reps);
-  variant("optimal", g_optimal);
+  variant("optimal", g_optimal, false);
   std::fprintf(f, ",\n");
-  variant("heuristic", g_heuristic);
+  variant("heuristic", g_heuristic, true);
   std::fprintf(f, "\n}\n");
   std::fclose(f);
 }
 
 void print_report() {
-  TextTable table({"selector", "baseline ns", "tuned ns", "speedup",
-                   "hit rate", "allocs base", "allocs tuned"});
-  const auto row = [&table](const char* name, const HotpathReport& r) {
-    table.add_values(name, format_double(median(r.base.ns), 0),
-                     format_double(median(r.tuned.ns), 0),
+  TextTable table({"selector", "switch", "off ns", "on ns", "speedup",
+                   "hit rate", "allocs off", "allocs on"});
+  const auto row = [&table](const char* name, const HotpathReport& r,
+                            bool memo) {
+    table.add_values(name, r.toggled, format_double(median(r.off.ns), 0),
+                     format_double(median(r.on.ns), 0),
                      format_double(r.speedup(), 2) + "x",
-                     format_double(100.0 * r.hit_rate(), 1) + "%",
-                     format_double(r.allocs_per_select(r.base), 1),
-                     format_double(r.allocs_per_select(r.tuned), 1));
+                     memo ? format_double(100.0 * r.hit_rate(), 1) + "%"
+                          : std::string("-"),
+                     format_double(r.allocs_per_select(r.off), 1),
+                     format_double(r.allocs_per_select(r.on), 1));
   };
-  row("optimal", g_optimal);
-  row("heuristic", g_heuristic);
+  row("optimal", g_optimal, false);
+  row("heuristic", g_heuristic, true);
   std::printf("\nSelector hot path — median wall-clock per select() over the "
-              "fig9 grid, interleaved A/B vs SelectorTuning::baseline() "
+              "fig9 grid, one tuning switch off vs on, interleaved "
               "(written to BENCH_selector.json)\n%s",
               table.render().c_str());
 }
@@ -289,8 +303,7 @@ void BM_SelectorHotpath(benchmark::State& state) {
     benchmark::DoNotOptimize(&r);
   }
   state.counters["speedup"] = r.speedup();
-  state.counters["tuned_ns_median"] = median(r.tuned.ns);
-  state.counters["cache_hit_rate"] = r.hit_rate();
+  state.counters["on_ns_median"] = median(r.on.ns);
 }
 
 void register_benchmarks() {

@@ -52,10 +52,11 @@ struct MRtsConfig {
   /// transient upsets and permanent container quarantines then exercise the
   /// ECU degradation ladder.
   FaultModelConfig fault;
-  /// Selector hot-path switches (rts/profit_cache.h): profit memoization and
-  /// the incremental (commit/rollback) planner. Pure optimizations — every
-  /// selection and output byte is identical at any setting; baseline()
-  /// reproduces the pre-optimization implementation for A/B timing.
+  /// Selector hot-path switches (rts/profit_cache.h): the heuristic's profit
+  /// memoization and the incremental (commit/rollback) planner. Pure
+  /// optimizations — every selection and output byte is identical at any
+  /// setting; baseline() reproduces the pre-optimization implementation for
+  /// A/B timing.
   SelectorTuning selector_tuning;
   /// Migration-based self-healing (rts/migration.h): after a scrub that
   /// quarantined additional containers, compact the surviving FG
@@ -189,7 +190,7 @@ class MRts final : public RuntimeSystem {
   Mpu mpu_;
   HeuristicSelector heuristic_;
   OptimalSelector optimal_;
-  /// Profit memo shared by both selectors (each select() clears it; see
+  /// Profit memo of the heuristic selector (each select() clears it; see
   /// rts/profit_cache.h for the exactness argument).
   ProfitCache profit_cache_;
   Ecu ecu_;

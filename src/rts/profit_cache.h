@@ -1,13 +1,13 @@
 #pragma once
 /// \file profit_cache.h
-/// Memoized Eq. 1-4 profit evaluations for the ISE-selection hot path.
+/// Memoized Eq. 1-4 profit evaluations for the heuristic selector.
 ///
-/// Both selectors re-evaluate the same (ISE, forecast, fabric-state) points
-/// many times per trigger: the branch-and-bound's root upper bounds are
-/// recomputed along every all-"no ISE" DFS prefix, sibling subtrees collide
-/// on identical port cursors and claim counts, and the greedy re-scores
-/// untouched candidates after rounds that only reused instances. A profit
-/// value is a pure function of
+/// The greedy re-scores untouched candidates after rounds that only reused
+/// instances, so the same (ISE, forecast, fabric-state) point can come up
+/// more than once per trigger. The branch-and-bound selector does not use
+/// the memo: its greedy-dive incumbent prunes most repeat visits, and
+/// hashing each of its evaluations cost more time than recomputing it. A
+/// profit value is a pure function of
 ///
 ///   (ISE, ProfitModel, e/tf/tb forecast, plan() output)
 ///
@@ -38,14 +38,16 @@ namespace mrts {
 class CounterRegistry;
 class TraceRecorder;
 
-/// Hot-path switches of both selectors. The defaults are the optimized
+/// Hot-path switches of the selectors. The defaults are the optimized
 /// configuration; baseline() reproduces the pre-optimization implementation
 /// (planner copied per branch-and-bound node, no memoization, per-candidate
 /// allocations) so the wall-clock bench can measure an honest interleaved
 /// A/B in one binary. Both settings are pure optimizations: selections,
-/// counters and CSV outputs are identical either way.
+/// counters and CSV outputs are identical either way. The memo is the
+/// heuristic's only; the branch-and-bound selector reads just
+/// incremental_planner.
 struct SelectorTuning {
-  bool memoize_profits = true;     ///< consult the ProfitCache
+  bool memoize_profits = true;     ///< heuristic: consult the ProfitCache
   bool incremental_planner = true; ///< commit/rollback instead of copying
   static SelectorTuning baseline() { return {false, false}; }
 };

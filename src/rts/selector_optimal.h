@@ -7,11 +7,37 @@
 /// feasible at run time); we use it for the Fig. 9 comparison and for the
 /// offline-optimal baseline.
 ///
-/// Enumeration fixes the reconfiguration order to trigger-instruction order
-/// (the same order the installer uses); each combination is scored as the
+/// Enumeration fixes the reconfiguration order to search order (the order
+/// the installer commits the picks in); each combination is scored as the
 /// sum of the Eq. 4 profits of its members evaluated against the shared
 /// reconfiguration-port backlog. A per-kernel "no ISE" option guarantees
 /// feasibility when the fabric cannot host every kernel.
+///
+/// Search order: kernels by descending root upper bound (the best profit
+/// any of their ISEs reaches on the untouched planner), ties in trigger
+/// order; at each kernel "no ISE" first, then its ISEs that fit the root
+/// budget, in library order, skipping those that no longer fit the node.
+///
+/// Tie rule: a leaf's value is the left-to-right sum of its picks' profits
+/// in search order, computed from 0.0 along the path alone (the search
+/// passes the sum down by value, so no rounding residue of earlier sibling
+/// subtrees leaks in), and a leaf replaces the incumbent only when strictly
+/// greater. select() therefore returns the *first* maximal combination in
+/// search order — exactly what an unpruned enumeration that keeps the first
+/// maximum returns.
+///
+/// Incumbent: before the search, a greedy dive walks the sorted kernels
+/// once on the search's own planner (mark/rollback), taking at each depth
+/// the fitting ISE of highest positive profit (the first on ties). The
+/// search starts with the incumbent value just below the dive leaf's value,
+/// so the dive prunes from the first node but the search still records the
+/// first maximal leaf itself. Both the seed and the prune test keep a
+/// relative slack of 1e-9 (at least 1e-9 absolute): the bound is a sum in
+/// another order than the leaf sums, and the slack keeps rounding from
+/// cutting a subtree that holds a leaf at least as good.
+///
+/// Budget fallback: a search stopped by the node budget returns the dive's
+/// selection unless it had already recorded a leaf at least as good.
 
 #include <cstdint>
 
@@ -22,9 +48,9 @@ namespace mrts {
 class OptimalSelector {
  public:
   /// \param node_budget hard cap on explored search nodes; when exceeded the
-  ///        best combination found so far is returned (never triggered at
-  ///        the paper's problem sizes, it guards against pathological
-  ///        libraries).
+  ///        search stops and the budget fallback above applies (never
+  ///        triggered at the paper's problem sizes, it guards against
+  ///        pathological libraries).
   explicit OptimalSelector(const IseLibrary& lib,
                            std::uint64_t node_budget = 200'000'000);
 
@@ -38,16 +64,9 @@ class OptimalSelector {
   /// select() call are recorded (the search itself is too fine-grained).
   void attach_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  /// Recorder + counter registry in one call (selector.cache.{hit,miss}
-  /// deltas land in the registry once per select()).
-  void attach_observability(TraceRecorder* trace, CounterRegistry* counters) {
-    trace_ = trace;
-    counters_ = counters;
-  }
-
-  /// Attaches the profit memo shared with the heuristic (null detaches).
-  void attach_profit_cache(ProfitCache* cache) { cache_ = cache; }
-
+  /// Only tuning().incremental_planner matters here: commit/rollback on one
+  /// planner, or a planner copy per search node. The profit memo is the
+  /// heuristic's alone (rts/profit_cache.h).
   void set_tuning(SelectorTuning tuning) { tuning_ = tuning; }
   SelectorTuning tuning() const { return tuning_; }
 
@@ -57,8 +76,6 @@ class OptimalSelector {
   SelectorTuning tuning_;
   mutable std::uint64_t last_combinations_ = 0;
   TraceRecorder* trace_ = nullptr;
-  CounterRegistry* counters_ = nullptr;
-  ProfitCache* cache_ = nullptr;
 };
 
 }  // namespace mrts

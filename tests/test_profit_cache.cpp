@@ -44,9 +44,10 @@ bool same_selection(const SelectionResult& a, const SelectionResult& b) {
 }
 
 /// Replays the H.264 trigger sequence on a fabric of the given size and, at
-/// every decision point, compares the tuned selectors (memoization +
-/// incremental planner) against SelectorTuning::baseline() on identical
-/// planner snapshots. Returns the number of decision points checked.
+/// every decision point, compares the tuned selectors (the heuristic with
+/// memoization, both with the incremental planner) against
+/// SelectorTuning::baseline() on identical planner snapshots. Returns the
+/// number of decision points checked.
 std::size_t check_grid_point(const H264Application& app, unsigned prcs,
                              unsigned cg, FabricManager* faulted = nullptr) {
   const IseLibrary& lib = app.library;
@@ -62,8 +63,6 @@ std::size_t check_grid_point(const H264Application& app, unsigned prcs,
   OptimalSelector o_base(lib);
   o_base.set_tuning(SelectorTuning::baseline());
   OptimalSelector o_tuned(lib);
-  ProfitCache o_cache;
-  o_tuned.attach_profit_cache(&o_cache);
 
   std::size_t checked = 0;
   Cycles now = 0;

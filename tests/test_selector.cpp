@@ -1,12 +1,21 @@
 // Unit tests for the ISE selectors: the Fig. 6 greedy heuristic and the
-// branch & bound optimal algorithm, plus the property optimal >= heuristic.
+// branch & bound optimal algorithm, plus the property optimal >= heuristic
+// and a seeded fuzz of the branch & bound against an unpruned enumeration.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "arch/fabric_manager.h"
 #include "isa/ise_builder.h"
+#include "rts/mrts.h"
 #include "rts/selector_heuristic.h"
 #include "rts/selector_optimal.h"
+#include "sim/app_simulator.h"
 #include "util/rng.h"
+#include "util/trace.h"
+#include "workload/h264_app.h"
 
 namespace mrts {
 namespace {
@@ -298,7 +307,7 @@ TEST(HeuristicSelector, WorkIsLinearInCandidates) {
     IseLibrary lib;
     for (unsigned k = 0; k < kernels; ++k) {
       IseBuildSpec spec;
-      spec.kernel_name = "N" + std::to_string(k);
+      spec.kernel_name = std::string("N").append(std::to_string(k));
       spec.sw_latency = 700;
       spec.control_fraction = 0.4;
       spec.fg_data_path_names = {spec.kernel_name + "_f1",
@@ -331,6 +340,310 @@ TEST(OptimalSelector, CountsCombinations) {
   ReconfigPlanner planner(lib.data_paths(), 8, 8, 0);
   optimal.select(make_trigger(lib, 2000, 500), planner);
   EXPECT_GT(optimal.last_combinations(), 0u);
+}
+
+TEST(OptimalSelector, ExactTieGoesToTheFirstCombinationInSearchOrder) {
+  // Content seed 0xC0FFEE + 7 on 5 PRC + 3 CG: at the trigger at cycle
+  // 45,609,227, IPRED.FG1 (one PRC) and IPRED.FG2 (two PRCs) both price at
+  // 392390.97473236773, and the two best combinations, which differ only in
+  // that pick, both total 1219880.7833261178. FG1 comes first in search
+  // order, so it must win. A search that undoes its running sum with -=
+  // carries the rounding residue of earlier sibling subtrees into the tie
+  // and picks FG2.
+  H264AppParams params;
+  params.seed = 0xC0FFEE + 7;
+  const H264Application app = build_h264_application(params);
+  MRtsConfig cfg;
+  cfg.use_optimal_selector = true;
+  MRts rts(app.library, /*num_cg_fabrics=*/3, /*num_prcs=*/5, cfg);
+  TraceRecorder trace;
+  rts.attach_observability(&trace, nullptr);
+  run_application(rts, app.trace, &trace);
+
+  std::vector<std::uint32_t> ipred_picks;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.kind == TraceEventKind::kSelectorPick && e.at == 45'609'227 &&
+        e.arg0 == raw(app.k_ipred)) {
+      ipred_picks.push_back(e.arg1);
+    }
+  }
+  ASSERT_EQ(ipred_picks.size(), 1u);
+  EXPECT_EQ(ipred_picks[0], 19u);
+  EXPECT_EQ(app.library.ise(IseId{ipred_picks[0]}).name, "IPRED.FG1");
+}
+
+/// Kernel options in OptimalSelector's documented search order: kernels by
+/// descending root upper bound (ties in trigger order), each with the ISEs
+/// that fit the root budget in library order.
+struct OrderedKernel {
+  const TriggerEntry* entry = nullptr;
+  std::vector<IseId> ises;
+  double upper_bound = 0.0;
+};
+
+std::vector<OrderedKernel> search_order(const IseLibrary& lib,
+                                        const TriggerInstruction& ti,
+                                        const ReconfigPlanner& planner) {
+  std::vector<OrderedKernel> kernels;
+  for (const TriggerEntry& entry : ti.entries) {
+    OrderedKernel k;
+    k.entry = &entry;
+    for (IseId ise : lib.kernel(entry.kernel).ises) {
+      if (!lib.ise(ise).fits(planner.free_prcs(), planner.free_cg())) continue;
+      k.ises.push_back(ise);
+      k.upper_bound = std::max(
+          k.upper_bound, evaluate_candidate(lib, ise, entry, planner).profit);
+    }
+    kernels.push_back(std::move(k));
+  }
+  std::stable_sort(kernels.begin(), kernels.end(),
+                   [](const OrderedKernel& a, const OrderedKernel& b) {
+                     return a.upper_bound > b.upper_bound;
+                   });
+  return kernels;
+}
+
+/// The oracle: every combination in search order, no pruning, a planner
+/// copy per node, leaf value = left-to-right sum of its picks, and the
+/// first maximum wins.
+SelectionResult enumerate_all(const IseLibrary& lib,
+                              const TriggerInstruction& ti,
+                              const ReconfigPlanner& root) {
+  const std::vector<OrderedKernel> kernels = search_order(lib, ti, root);
+  std::vector<SelectedIse> current;
+  std::vector<SelectedIse> best;
+  double best_value = -std::numeric_limits<double>::infinity();
+  const auto walk = [&](const auto& self, std::size_t depth,
+                        const ReconfigPlanner& planner, double sum) -> void {
+    if (depth == kernels.size()) {
+      if (sum > best_value) {
+        best_value = sum;
+        best = current;
+      }
+      return;
+    }
+    const OrderedKernel& k = kernels[depth];
+    self(self, depth + 1, planner, sum);  // "no ISE"
+    for (IseId ise : k.ises) {
+      const IseVariant& v = lib.ise(ise);
+      if (!planner.fits(v.fg_units, v.cg_units)) continue;
+      const double profit =
+          evaluate_candidate(lib, ise, *k.entry, planner).profit;
+      ReconfigPlanner child = planner;
+      current.push_back(
+          {k.entry->kernel, ise, profit, child.commit(v.data_paths)});
+      self(self, depth + 1, child, sum + profit);
+      current.pop_back();
+    }
+  };
+  walk(walk, 0, root, 0.0);
+  SelectionResult result;
+  result.selected = std::move(best);
+  result.total_profit = std::max(0.0, best_value);
+  return result;
+}
+
+/// The documented greedy dive: per kernel in search order, the fitting ISE
+/// of highest positive profit (the first on ties), committed in turn.
+SelectionResult greedy_dive(const IseLibrary& lib, const TriggerInstruction& ti,
+                            ReconfigPlanner planner) {
+  SelectionResult result;
+  for (const OrderedKernel& k : search_order(lib, ti, planner)) {
+    IseId pick = kInvalidIse;
+    double pick_profit = 0.0;
+    for (IseId ise : k.ises) {
+      const IseVariant& v = lib.ise(ise);
+      if (!planner.fits(v.fg_units, v.cg_units)) continue;
+      const double profit =
+          evaluate_candidate(lib, ise, *k.entry, planner).profit;
+      if (profit > pick_profit) {
+        pick = ise;
+        pick_profit = profit;
+      }
+    }
+    if (pick == kInvalidIse) continue;
+    result.selected.push_back({k.entry->kernel, pick, pick_profit,
+                               planner.commit(lib.ise(pick).data_paths)});
+    result.total_profit += pick_profit;
+  }
+  return result;
+}
+
+::testing::AssertionResult same_picks(const SelectionResult& got,
+                                      const SelectionResult& want) {
+  if (got.total_profit != want.total_profit) {
+    return ::testing::AssertionFailure()
+           << "total_profit " << got.total_profit << " != "
+           << want.total_profit;
+  }
+  if (got.selected.size() != want.selected.size()) {
+    return ::testing::AssertionFailure()
+           << got.selected.size() << " picks != " << want.selected.size();
+  }
+  for (std::size_t i = 0; i < got.selected.size(); ++i) {
+    const SelectedIse& g = got.selected[i];
+    const SelectedIse& w = want.selected[i];
+    if (g.kernel != w.kernel || g.ise != w.ise || g.profit != w.profit ||
+        g.instance_ready != w.instance_ready) {
+      return ::testing::AssertionFailure()
+             << "pick " << i << ": kernel " << raw(g.kernel) << " ISE "
+             << raw(g.ise) << " profit " << g.profit << " vs kernel "
+             << raw(w.kernel) << " ISE " << raw(w.ise) << " profit "
+             << w.profit;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Random library: 2-5 kernels, some sharing data paths; then exact
+/// duplicates of random variants and dominated copies (one more instance of
+/// the last data path at unchanged latency), so exact ties occur.
+IseLibrary random_library(Rng& rng) {
+  IseLibrary lib;
+  const auto kernels = static_cast<unsigned>(rng.uniform_int(2, 5));
+  for (unsigned k = 0; k < kernels; ++k) {
+    IseBuildSpec spec;
+    spec.kernel_name = std::string("R").append(std::to_string(k));
+    spec.sw_latency = static_cast<Cycles>(rng.uniform_int(300, 1500));
+    spec.control_fraction = rng.uniform(0.1, 0.9);
+    // Kernel k may borrow kernel k-1's data paths (cross-kernel reuse).
+    const unsigned owner = k > 0 && rng.bernoulli(0.3) ? k - 1 : k;
+    const std::string tag = std::to_string(owner);
+    const auto fg = rng.uniform_int(0, 3);
+    const auto cg = rng.uniform_int(fg == 0 ? 1 : 0, 2);
+    for (std::int64_t i = 0; i < fg; ++i) {
+      spec.fg_data_path_names.push_back("f" + tag + "_" + std::to_string(i));
+    }
+    for (std::int64_t i = 0; i < cg; ++i) {
+      spec.cg_data_path_names.push_back("c" + tag + "_" + std::to_string(i));
+    }
+    spec.build_mg_variants = rng.bernoulli(0.7);
+    build_kernel_ises(lib, spec);
+  }
+  const std::size_t built = lib.num_ises();
+  for (std::size_t i = 0; i < built; ++i) {
+    const IseVariant original = lib.ise(IseId{static_cast<std::uint32_t>(i)});
+    if (original.is_mono_cg) continue;
+    if (rng.bernoulli(0.25)) {
+      IseVariant copy = original;
+      copy.name += ".dup";
+      lib.add_ise(std::move(copy));
+    }
+    if (rng.bernoulli(0.2)) {
+      IseVariant dominated = original;
+      dominated.name += ".dom";
+      dominated.data_paths.push_back(dominated.data_paths.back());
+      dominated.latency_after.push_back(dominated.latency_after.back());
+      lib.add_ise(std::move(dominated));
+    }
+  }
+  return lib;
+}
+
+TriggerInstruction random_trigger(const IseLibrary& lib, Rng& rng) {
+  TriggerInstruction ti;
+  ti.functional_block = FunctionalBlockId{0};
+  for (const Kernel& k : lib.kernels()) {
+    if (rng.bernoulli(0.2)) continue;
+    // Executions from "barely worth a CG load" to "amortizes every FG load".
+    const double e = rng.bernoulli(0.1)
+                         ? 0.0
+                         : static_cast<double>(rng.uniform_int(5, 200'000));
+    ti.entries.push_back({k.id, e,
+                          static_cast<Cycles>(rng.uniform_int(0, 400'000)),
+                          static_cast<Cycles>(rng.uniform_int(0, 2'000))});
+  }
+  return ti;
+}
+
+/// A planner snapshot on a fabric that already holds instances and has
+/// loads in flight: 0-3 earlier selections installed at rising cycles, the
+/// snapshot taken while the last one may still be loading, and sometimes a
+/// budget clamped below the fabric (a tenant's share).
+ReconfigPlanner random_snapshot(const IseLibrary& lib, Rng& rng,
+                                FabricManager& fabric) {
+  HeuristicSelector warm(lib);
+  Cycles now = 0;
+  const auto installs = rng.uniform_int(0, 3);
+  for (std::int64_t i = 0; i < installs; ++i) {
+    ReconfigPlanner planner(lib.data_paths(), fabric, now);
+    const SelectionResult sel = warm.select(random_trigger(lib, rng), planner);
+    std::vector<IsePlacementRequest> requests;
+    for (const SelectedIse& s : sel.selected) {
+      requests.push_back({s.ise, s.kernel, lib.ise(s.ise).data_paths});
+    }
+    fabric.install(requests, now);
+    now += static_cast<Cycles>(rng.uniform_int(0, 600'000));
+  }
+  ReconfigPlanner planner(lib.data_paths(), fabric, now);
+  if (rng.bernoulli(0.25)) {
+    planner.clamp_budget(static_cast<unsigned>(rng.uniform_int(0, 4)),
+                         static_cast<unsigned>(rng.uniform_int(0, 3)));
+  }
+  return planner;
+}
+
+TEST(OptimalSelectorFuzz, MatchesUnprunedEnumeration) {
+  Rng rng(0x0b7a1);
+  unsigned nonempty = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const IseLibrary lib = random_library(rng);
+    FabricManager fabric(static_cast<unsigned>(rng.uniform_int(0, 3)),
+                         static_cast<unsigned>(rng.uniform_int(0, 6)),
+                         &lib.data_paths());
+    const ReconfigPlanner planner = random_snapshot(lib, rng, fabric);
+    const TriggerInstruction ti = random_trigger(lib, rng);
+    const SelectionResult want = enumerate_all(lib, ti, planner);
+    if (!want.selected.empty()) ++nonempty;
+    for (const SelectorTuning tuning :
+         {SelectorTuning{}, SelectorTuning::baseline()}) {
+      OptimalSelector optimal(lib);
+      optimal.set_tuning(tuning);
+      EXPECT_TRUE(same_picks(optimal.select(ti, planner), want))
+          << "trial " << trial << " incremental "
+          << tuning.incremental_planner;
+    }
+  }
+  EXPECT_GT(nonempty, 150u) << "the fuzz must mostly exercise real picks";
+}
+
+TEST(OptimalSelectorFuzz, NodeBudgetFallsBackToTheDive) {
+  Rng rng(0xb0d6e7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const IseLibrary lib = random_library(rng);
+    FabricManager fabric(static_cast<unsigned>(rng.uniform_int(0, 3)),
+                         static_cast<unsigned>(rng.uniform_int(0, 6)),
+                         &lib.data_paths());
+    const ReconfigPlanner planner = random_snapshot(lib, rng, fabric);
+    const TriggerInstruction ti = random_trigger(lib, rng);
+    const SelectionResult dive = greedy_dive(lib, ti, planner);
+    const SelectionResult full = enumerate_all(lib, ti, planner);
+
+    // Budget 0 stops at the root's first child: exactly the dive.
+    OptimalSelector stopped(lib, /*node_budget=*/0);
+    EXPECT_TRUE(same_picks(stopped.select(ti, planner), dive))
+        << "trial " << trial;
+
+    // A few nodes: a real combination, never worse than the dive.
+    const auto budget = static_cast<std::uint64_t>(rng.uniform_int(1, 12));
+    OptimalSelector tiny(lib, budget);
+    const SelectionResult got = tiny.select(ti, planner);
+    EXPECT_GE(got.total_profit, dive.total_profit) << "trial " << trial;
+    EXPECT_LE(got.total_profit, full.total_profit) << "trial " << trial;
+    ReconfigPlanner replay = planner;
+    double sum = 0.0;
+    for (const SelectedIse& s : got.selected) {
+      const TriggerEntry* entry = nullptr;
+      for (const TriggerEntry& e : ti.entries) {
+        if (e.kernel == s.kernel) entry = &e;
+      }
+      ASSERT_NE(entry, nullptr);
+      EXPECT_EQ(s.profit, evaluate_candidate(lib, s.ise, *entry, replay).profit);
+      EXPECT_EQ(s.instance_ready, replay.commit(lib.ise(s.ise).data_paths));
+      sum += s.profit;
+    }
+    EXPECT_EQ(got.total_profit, std::max(0.0, sum)) << "trial " << trial;
+  }
 }
 
 }  // namespace

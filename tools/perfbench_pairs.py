@@ -1,0 +1,191 @@
+#!/usr/bin/env python3
+"""Runs interleaved perfbench pairs of a parent and a change checkout and
+appends one ledger row per workload to BENCH_perfbench.json.
+
+    python3 tools/perfbench_pairs.py --parent DIR --change DIR \\
+        --workload fig_grid --pairs 10 --first-seed 300 \\
+        [--parent-label L] [--change-label L] [--out FILE]
+
+Both checkouts must be full source trees with perfbench/run.py. Each side
+is built and smoke-run for 1 s first (not recorded). Pair i then runs
+`perfbench/run.py --workload W --seed <first-seed + i> --seconds S
+--trace 0` in both checkouts, parent first on even i and change first on
+odd i, so host drift falls on both sides alike; S is BENCHMARK.json's
+run_seconds (read from the change checkout, like its end-to-end metrics).
+Every run must report "correct": true and "failed": 0, or the script
+exits 1 and writes nothing.
+
+For each end-to-end metric the row records each side's q1/median/q3 over
+the pairs and the number of pairs in which the change is strictly better.
+Quartiles are statistics.quantiles(..., n=4, method="inclusive").
+
+A side's label is its `git rev-parse --short HEAD` when the checkout
+matches HEAD. Otherwise (tracked files edited, or untracked files git does
+not ignore) it is `<HEAD>+<tree>`, <tree> being the first 12 hex digits
+of the id `git add -A && git write-tree` would print there: the tree of
+any commit of exactly the measured files (`git log --format='%h %t'`).
+A checkout without git needs an explicit label.
+"""
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCHEMA = "mrts-perfbench-ledger-v1"
+
+
+def fail(message):
+    print("perfbench_pairs: " + message, file=sys.stderr)
+    sys.exit(1)
+
+
+def git_label(checkout):
+    def git(*args, env=None):
+        return subprocess.run(["git", "-C", checkout, *args],
+                              capture_output=True, text=True, env=env)
+    # A plain copy nested in another repository must not take its label.
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode != 0 or (os.path.realpath(top.stdout.strip()) !=
+                               os.path.realpath(checkout)):
+        return None
+    head = git("rev-parse", "--short", "HEAD")
+    if head.returncode != 0:
+        return None
+    # Stage the whole checkout into a scratch index that starts from HEAD
+    # (so tracked files stay tracked even where .gitignore matches them),
+    # leaving the real index alone, and name the tree it would commit.
+    with tempfile.TemporaryDirectory() as scratch:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(scratch, "index"))
+        staged = git("read-tree", "HEAD", env=env)
+        if staged.returncode == 0:
+            staged = git("add", "-A", env=env)
+        tree = git("write-tree", env=env)
+    if staged.returncode != 0 or tree.returncode != 0:
+        fail("%s: cannot hash the checkout: %s" %
+             (checkout, (staged.stderr + tree.stderr).strip()))
+    tree = tree.stdout.strip()
+    if tree == git("rev-parse", "HEAD^{tree}").stdout.strip():
+        return head.stdout.strip()
+    return head.stdout.strip() + "+" + tree[:12]
+
+
+def run_once(checkout, workload, seed, seconds):
+    cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=checkout)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr[-4000:])
+        fail("%s: run.py exited with code %d" % (checkout, proc.returncode))
+    result = json.loads(lines[-1])
+    if result.get("correct") is not True or result.get("failed") != 0:
+        fail("%s seed %d: correct=%s failed=%s" %
+             (checkout, seed, result.get("correct"), result.get("failed")))
+    return result["metrics"]
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--parent-label")
+    parser.add_argument("--change-label")
+    parser.add_argument("--out", default=os.path.join(ROOT,
+                                                      "BENCH_perfbench.json"))
+    args = parser.parse_args()
+    if args.pairs < 1 or args.first_seed < 0:
+        fail("--pairs must be >= 1 and --first-seed >= 0")
+
+    sides = {}
+    for side in ("parent", "change"):
+        checkout = os.path.abspath(getattr(args, side))
+        label = getattr(args, side + "_label") or git_label(checkout)
+        if label is None:
+            fail("%s is not a git checkout: pass --%s-label" % (checkout, side))
+        sides[side] = {"checkout": checkout, "label": label, "runs": []}
+
+    with open(os.path.join(sides["change"]["checkout"],
+                           "BENCHMARK.json")) as f:
+        benchmark = json.load(f)
+    end_to_end = benchmark["end_to_end"]
+    seconds = benchmark["run_seconds"]
+
+    for side in sides.values():  # build, and check the workload runs
+        run_once(side["checkout"], args.workload, args.first_seed, 1)
+
+    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            metrics = run_once(sides[side]["checkout"], args.workload, seed,
+                               seconds)
+            sides[side]["runs"].append(metrics)
+        print("pair %d/%d (seed %d) done" % (i + 1, args.pairs, seed),
+              file=sys.stderr)
+
+    row_metrics = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        parent = [m[name]["value"] for m in sides["parent"]["runs"]]
+        change = [m[name]["value"] for m in sides["change"]["runs"]]
+        lower = metric["better"] == "lower"
+        wins = sum(1 for p, c in zip(parent, change)
+                   if (c < p if lower else c > p))
+        row_metrics[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "parent": quartiles(parent),
+            "change": quartiles(change),
+            "change_wins": wins,
+        }
+
+    row = {
+        "date": datetime.datetime.now(datetime.timezone.utc)
+                .strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "workload": args.workload,
+        "parent": sides["parent"]["label"],
+        "change": sides["change"]["label"],
+        "pairs": args.pairs,
+        "seconds": seconds,
+        "seeds": seeds,
+        "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
+                 "python": platform.python_version()},
+        "metrics": row_metrics,
+    }
+    ledger = {"schema": SCHEMA, "rows": []}
+    if os.path.exists(args.out):
+        with open(args.out) as f:
+            ledger = json.load(f)
+        if ledger.get("schema") != SCHEMA:
+            fail("%s: unknown schema %r" % (args.out, ledger.get("schema")))
+    ledger["rows"].append(row)
+    with open(args.out, "w") as f:
+        json.dump(ledger, f, indent=2)
+        f.write("\n")
+    for name, m in row_metrics.items():
+        print("%-22s parent %12.6g  change %12.6g  wins %d/%d" %
+              (name, m["parent"]["median"], m["change"]["median"],
+               m["change_wins"], args.pairs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
