@@ -3,24 +3,25 @@
 // one measures *seconds*, not simulated cycles: it times raw
 // HeuristicSelector::select() and OptimalSelector::select() calls over the
 // fig8/fig9 fabric grid (PRCs 0..6 x CG 0..3, RISC-only corner excluded).
-// Each selector is timed with one SelectorTuning switch off and on, the two
-// interleaved in the same process on byte-identical inputs:
+// Each selector is timed with SelectorTuning's one switch,
+// incremental_planner, off and on, the two interleaved in the same process
+// on byte-identical inputs:
 //
-//   heuristic  memoize_profits      memo off vs on, incremental planner on
-//   optimal    incremental_planner  planner copied per search node vs
-//                                   commit/rollback on one planner
+//   heuristic  allocating per-candidate evaluation vs scratch buffers
+//   optimal    planner copied per search node vs commit/rollback on one
+//              planner (and scratch buffers)
 //
 // Per grid point the fabric is warmed realistically: the H.264 trigger
 // sequence is replayed with select()+install() between snapshots, so the
 // timed planners carry genuine port backlogs and reusable instances. Every
 // snapshot first cross-checks that both settings return identical
-// SelectionResults — the switches must never change a selection — and then
+// SelectionResults — the switch must never change a selection — and then
 // contributes interleaved timing samples.
 //
 // Output: BENCH_selector.json (median ns per select() per setting, speedup,
-// the heuristic's profit-cache hit rate, operator-new allocations per
-// select). Timings are machine-dependent by nature; the JSON is a
-// perf-tracking artifact, not a determinism-checked figure.
+// operator-new allocations per select). Timings are machine-dependent by
+// nature; the JSON is a perf-tracking artifact, not a determinism-checked
+// figure.
 
 #include <benchmark/benchmark.h>
 
@@ -34,19 +35,42 @@
 
 // Allocation probe: counts every global operator new in this binary. The
 // bench is strictly single-threaded (timing would be meaningless otherwise),
-// so a plain counter suffices.
+// so a plain counter suffices. Every plain, array and nothrow form is
+// replaced, so no allocation reaches a delete of another allocator (a
+// sanitizer runtime supplies the forms a program leaves out).
 namespace {
 std::uint64_t g_alloc_count = 0;
+
+void* counted_malloc(std::size_t size) noexcept {
+  ++g_alloc_count;
+  return std::malloc(size != 0 ? size : 1);
+}
+
+// Kept out of line: inlined into a caller's delete expression, GCC would
+// see free() take a pointer from operator new (-Wmismatched-new-delete),
+// although in this binary operator new is malloc.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc();
 }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  release(p);
+}
 
 namespace {
 
@@ -129,22 +153,13 @@ double median(std::vector<double> v) {
   return v[mid];
 }
 
-/// One selector's A/B: the named SelectorTuning switch off and on.
+/// One selector's A/B: SelectorTuning::incremental_planner off and on.
 struct HotpathReport {
-  const char* toggled = "";
   VariantStats off, on;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
 
   double speedup() const {
     const double t = median(on.ns);
     return t > 0.0 ? median(off.ns) / t : 0.0;
-  }
-  double hit_rate() const {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total != 0 ? static_cast<double>(cache_hits) /
-                            static_cast<double>(total)
-                      : 0.0;
   }
   double allocs_per_select(const VariantStats& v) const {
     return v.counted_calls != 0 ? static_cast<double>(v.allocs) /
@@ -157,7 +172,7 @@ struct HotpathReport {
 /// interleaving the two on every repetition so clock drift and cache warmth
 /// affect both sides equally.
 template <typename Selector>
-void measure_pair(const Selector& off, const Selector& on,
+void measure_pair(const char* name, const Selector& off, const Selector& on,
                   const std::vector<Snapshot>& snapshots, unsigned reps,
                   HotpathReport& report) {
   for (const Snapshot& snap : snapshots) {
@@ -172,10 +187,9 @@ void measure_pair(const Selector& off, const Selector& on,
     ++report.on.counted_calls;
     if (!same_selection(expect, got)) {
       std::fprintf(stderr,
-                   "FATAL: %s on diverged from %s off (PRC budget %u, CG %u, "
-                   "cycle %llu)\n",
-                   report.toggled, report.toggled, snap.planner.free_prcs(),
-                   snap.planner.free_cg(),
+                   "FATAL: %s diverged from its baseline tuning (PRC budget "
+                   "%u, CG %u, cycle %llu)\n",
+                   name, snap.planner.free_prcs(), snap.planner.free_cg(),
                    static_cast<unsigned long long>(snap.planner.now()));
       std::exit(1);
     }
@@ -201,30 +215,20 @@ HotpathReport g_optimal;
 
 void run_grid(unsigned reps, std::size_t max_snapshots) {
   const IseLibrary& lib = context().app.library;
-
-  // Heuristic: the memo off and on, the incremental planner on in both.
   HeuristicSelector h_off(lib);
-  h_off.set_tuning({/*memoize_profits=*/false, /*incremental_planner=*/true});
+  h_off.set_tuning(SelectorTuning::baseline());
   HeuristicSelector h_on(lib);
-  ProfitCache h_cache;
-  h_on.attach_profit_cache(&h_cache);
-  g_heuristic.toggled = "memoize_profits";
-
-  // Optimal: a planner copy per search node against commit/rollback.
   OptimalSelector o_off(lib);
   o_off.set_tuning(SelectorTuning::baseline());
   OptimalSelector o_on(lib);
-  g_optimal.toggled = "incremental_planner";
 
   for (const FabricCombination& combo : fabric_sweep(6, 3)) {
     if (combo.risc_only()) continue;  // nothing to select
     const std::vector<Snapshot> snapshots =
         collect_snapshots(combo.prcs, combo.cg, max_snapshots);
-    measure_pair(h_off, h_on, snapshots, reps, g_heuristic);
-    measure_pair(o_off, o_on, snapshots, reps, g_optimal);
+    measure_pair("heuristic", h_off, h_on, snapshots, reps, g_heuristic);
+    measure_pair("optimal", o_off, o_on, snapshots, reps, g_optimal);
   }
-  g_heuristic.cache_hits = h_cache.total_hits();
-  g_heuristic.cache_misses = h_cache.total_misses();
 }
 
 void write_json(unsigned frames, unsigned reps) {
@@ -233,65 +237,50 @@ void write_json(unsigned frames, unsigned reps) {
     std::fprintf(stderr, "warning: cannot write BENCH_selector.json\n");
     return;
   }
-  // The memo fields only for the selector that has a memo.
-  const auto variant = [f](const char* name, const HotpathReport& r,
-                           bool memo) {
+  const auto variant = [f](const char* name, const HotpathReport& r) {
     std::fprintf(f,
                  "  \"%s\": {\n"
-                 "    \"switch\": \"%s\",\n"
                  "    \"off_ns_median\": %.1f,\n"
                  "    \"on_ns_median\": %.1f,\n"
-                 "    \"speedup\": %.2f,\n",
-                 name, r.toggled, median(r.off.ns), median(r.on.ns),
-                 r.speedup());
-    if (memo) {
-      std::fprintf(f,
-                   "    \"cache_hit_rate\": %.4f,\n"
-                   "    \"cache_hits\": %llu,\n"
-                   "    \"cache_misses\": %llu,\n",
-                   r.hit_rate(), static_cast<unsigned long long>(r.cache_hits),
-                   static_cast<unsigned long long>(r.cache_misses));
-    }
-    std::fprintf(f,
+                 "    \"speedup\": %.2f,\n"
                  "    \"allocs_per_select_off\": %.1f,\n"
                  "    \"allocs_per_select_on\": %.1f,\n"
                  "    \"samples\": %zu\n"
                  "  }",
+                 name, median(r.off.ns), median(r.on.ns), r.speedup(),
                  r.allocs_per_select(r.off), r.allocs_per_select(r.on),
                  r.on.ns.size());
   };
   std::fprintf(f,
                "{\n"
-               "  \"schema\": \"mrts-selector-hotpath-v2\",\n"
+               "  \"schema\": \"mrts-selector-hotpath-v3\",\n"
                "  \"grid\": \"PRC 0..6 x CG 0..3, RISC-only corner "
                "excluded\",\n"
+               "  \"switch\": \"incremental_planner\",\n"
                "  \"frames\": %u,\n"
                "  \"reps\": %u,\n",
                frames, reps);
-  variant("optimal", g_optimal, false);
+  variant("optimal", g_optimal);
   std::fprintf(f, ",\n");
-  variant("heuristic", g_heuristic, true);
+  variant("heuristic", g_heuristic);
   std::fprintf(f, "\n}\n");
   std::fclose(f);
 }
 
 void print_report() {
-  TextTable table({"selector", "switch", "off ns", "on ns", "speedup",
-                   "hit rate", "allocs off", "allocs on"});
-  const auto row = [&table](const char* name, const HotpathReport& r,
-                            bool memo) {
-    table.add_values(name, r.toggled, format_double(median(r.off.ns), 0),
+  TextTable table({"selector", "off ns", "on ns", "speedup", "allocs off",
+                   "allocs on"});
+  const auto row = [&table](const char* name, const HotpathReport& r) {
+    table.add_values(name, format_double(median(r.off.ns), 0),
                      format_double(median(r.on.ns), 0),
                      format_double(r.speedup(), 2) + "x",
-                     memo ? format_double(100.0 * r.hit_rate(), 1) + "%"
-                          : std::string("-"),
                      format_double(r.allocs_per_select(r.off), 1),
                      format_double(r.allocs_per_select(r.on), 1));
   };
-  row("optimal", g_optimal, false);
-  row("heuristic", g_heuristic, true);
+  row("optimal", g_optimal);
+  row("heuristic", g_heuristic);
   std::printf("\nSelector hot path — median wall-clock per select() over the "
-              "fig9 grid, one tuning switch off vs on, interleaved "
+              "fig9 grid, incremental_planner off vs on, interleaved "
               "(written to BENCH_selector.json)\n%s",
               table.render().c_str());
 }

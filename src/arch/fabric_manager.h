@@ -208,10 +208,10 @@ class FabricManager {
   /// prefetch, monoCG acquisition, context switches, scrubbing that did
   /// work, quarantines, reset, fault-model attachment). Two planner
   /// snapshots taken at the same epoch *and* the same cycle observe an
-  /// identical fabric, which is what makes the selector's profit
-  /// memoization (rts/profit_cache.h) exact. Over-counting is harmless
-  /// (only costs cache hits); under-counting would be a correctness bug, so
-  /// every mutator bumps unconditionally.
+  /// identical fabric, which is what makes the ECU's per-kernel decision
+  /// memo (rts/ecu.h) exact. Over-counting is harmless (only costs memo
+  /// hits); under-counting would be a correctness bug, so every mutator
+  /// bumps unconditionally.
   std::uint64_t state_epoch() const { return state_epoch_; }
 
   /// Earliest cycle >= now at which the FG reconfiguration port is idle.

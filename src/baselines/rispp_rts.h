@@ -55,7 +55,7 @@ class RisppRts final : public RuntimeSystem {
   void attach_observability(TraceRecorder* trace,
                             CounterRegistry* counters) override {
     mpu_.attach_observability(trace, counters);
-    selector_.attach_observability(trace, counters);
+    selector_.attach_trace(trace);
     ecu_.attach_observability(trace, counters);
     fabric_.attach_observability(trace, counters);
   }

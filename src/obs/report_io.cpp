@@ -2,31 +2,23 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <string_view>
 #include <type_traits>
 
+#include "util/number_text.h"
+
 namespace mrts::obs {
 namespace {
 
-/// Same contract as the JSONL trace writer: integral doubles (exact up to
-/// 2^53) emit every digit, the rest keeps %.10g — deterministic bytes for
-/// deterministic values.
-std::string fmt(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0 /* 2^53 */) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.10g", v);
-  }
-  return buf;
-}
+/// Doubles print by util/number_text.h's rule, like the JSONL trace writer;
+/// JSON has no inf/nan literals, so those print as 0.
+NumberText fmt(double v) { return NumberText(std::isfinite(v) ? v : 0.0); }
 
 /// Append-only text buffer with stream-style insertion: text verbatim,
-/// integers through std::to_chars (the same digits an ostream prints).
+/// integers through std::to_chars (the same digits an ostream prints),
+/// doubles as fmt() printed them.
 /// The JSON writer renders a whole report into one of these.
 class TextOut {
  public:
@@ -34,6 +26,10 @@ class TextOut {
 
   TextOut& operator<<(std::string_view text) {
     text_.append(text);
+    return *this;
+  }
+  TextOut& operator<<(const NumberText& number) {
+    text_.append(number.view());
     return *this;
   }
   template <typename T>

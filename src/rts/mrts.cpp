@@ -34,7 +34,6 @@ MRts::MRts(const IseLibrary& lib, unsigned num_cg_fabrics, unsigned num_prcs,
       ecu_(lib, *fabric_, config.ecu) {
   heuristic_.set_tuning(config_.selector_tuning);
   optimal_.set_tuning(config_.selector_tuning);
-  heuristic_.attach_profit_cache(&profit_cache_);
   defrag_ = DefragPolicy(config_.defrag);
   if (config_.fault.any_faults()) {
     fault_model_ = std::make_unique<FaultModel>(config_.fault);
@@ -54,7 +53,6 @@ MRts::MRts(const IseLibrary& lib, FabricManager& shared_fabric,
       ecu_(lib, *fabric_, config.ecu) {
   heuristic_.set_tuning(config_.selector_tuning);
   optimal_.set_tuning(config_.selector_tuning);
-  heuristic_.attach_profit_cache(&profit_cache_);
   defrag_ = DefragPolicy(config_.defrag);
   if (config_.fault.any_faults()) {
     fault_model_ = std::make_unique<FaultModel>(config_.fault);
@@ -82,7 +80,7 @@ void MRts::attach_observability(TraceRecorder* trace,
   }
   mpu_.attach_observability(trace, counters);
   ecu_.attach_observability(trace, counters);
-  heuristic_.attach_observability(trace, counters);
+  heuristic_.attach_trace(trace);
   optimal_.attach_trace(trace);
   const bool attaching = trace != nullptr || counters != nullptr;
   if (owned_fabric_ != nullptr || fabric_observer_) {

@@ -16,7 +16,6 @@
 #include "rts/ecu.h"
 #include "rts/migration.h"
 #include "rts/mpu.h"
-#include "rts/profit_cache.h"
 #include "rts/rts_interface.h"
 #include "rts/selector_heuristic.h"
 #include "rts/selector_optimal.h"
@@ -52,11 +51,10 @@ struct MRtsConfig {
   /// transient upsets and permanent container quarantines then exercise the
   /// ECU degradation ladder.
   FaultModelConfig fault;
-  /// Selector hot-path switches (rts/profit_cache.h): the heuristic's profit
-  /// memoization and the incremental (commit/rollback) planner. Pure
-  /// optimizations — every selection and output byte is identical at any
-  /// setting; baseline() reproduces the pre-optimization implementation for
-  /// A/B timing.
+  /// Selector hot-path switch (rts/selector_heuristic.h): the incremental
+  /// (commit/rollback) planner. A pure optimization — every selection and
+  /// output byte is identical at either setting; baseline() reproduces the
+  /// pre-optimization implementation for A/B timing.
   SelectorTuning selector_tuning;
   /// Migration-based self-healing (rts/migration.h): after a scrub that
   /// quarantined additional containers, compact the surviving FG
@@ -190,9 +188,6 @@ class MRts final : public RuntimeSystem {
   Mpu mpu_;
   HeuristicSelector heuristic_;
   OptimalSelector optimal_;
-  /// Profit memo of the heuristic selector (each select() clears it; see
-  /// rts/profit_cache.h for the exactness argument).
-  ProfitCache profit_cache_;
   Ecu ecu_;
   MRtsRunStats stats_;
   /// Self-healing policy + the quarantine count it last acted on (recovery

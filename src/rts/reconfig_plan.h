@@ -105,10 +105,10 @@ class ReconfigPlanner {
 
   Cycles now() const { return now_; }
 
-  /// Plan-relevant state exposed for the profit cache key (rts/profit_cache.h):
-  /// plan()'s output for a data-path list is a pure function of (the fabric
-  /// snapshot = fabric_epoch+now, the port cursors, the per-dp claim counts,
-  /// the uniform-reconfig override and the immutable table).
+  /// Plan-relevant state: plan()'s output for a data-path list is a pure
+  /// function of (the fabric snapshot = fabric_epoch+now, the port cursors,
+  /// the per-dp claim counts, the uniform-reconfig override and the
+  /// immutable table).
   Cycles fg_cursor() const { return fg_cursor_; }
   Cycles cg_cursor() const { return cg_cursor_; }
   Cycles uniform_reconfig_cycles() const { return uniform_reconfig_; }

@@ -34,19 +34,9 @@ ProfitResult evaluate_candidate(const IseLibrary& lib, IseId ise_id,
 double evaluate_candidate_profit(const IseLibrary& lib, IseId ise_id,
                                  const TriggerEntry& entry,
                                  const ReconfigPlanner& planner,
-                                 const ProfitModel& model, ProfitCache* cache,
+                                 const ProfitModel& model,
                                  EvalScratch& scratch) {
   const IseVariant& ise = lib.ise(ise_id);
-  ProfitCache::Key key;
-  const bool cacheable =
-      cache != nullptr &&
-      ProfitCache::make_key(key, ise_id, ise, entry, planner, model);
-  if (cacheable) {
-    if (const double* hit = cache->lookup(key)) return *hit;
-  } else if (cache != nullptr) {
-    cache->note_uncacheable();
-  }
-
   planner.plan_into(ise.data_paths, scratch.ready_abs);
   ProfitInputs& in = scratch.inputs;
   in.ise = &ise;
@@ -59,9 +49,7 @@ double evaluate_candidate_profit(const IseLibrary& lib, IseId ise_id,
   for (Cycles t : scratch.ready_abs) {
     in.ready_rel.push_back(t > planner.now() ? t - planner.now() : 0);
   }
-  const double profit = compute_profit_value(in);
-  if (cacheable) cache->insert(key, profit);
-  return profit;
+  return compute_profit_value(in);
 }
 
 SelectionResult HeuristicSelector::select(const TriggerInstruction& ti,
@@ -80,13 +68,10 @@ SelectionResult HeuristicSelector::select_impl(const TriggerInstruction& ti,
                                                std::string* trace) const {
   SelectionResult result;
   unsigned round = 0;
-  ProfitCache* cache = tuning_.memoize_profits ? cache_ : nullptr;
-  if (cache != nullptr) cache->begin_select();
   // Baseline tuning (the bench's A/B reference) keeps the historical
-  // allocate-per-candidate evaluation; any enabled optimization switches to
-  // the scratch-buffer fast path. The profits are bit-identical either way.
-  const bool fast_eval =
-      cache != nullptr || tuning_.incremental_planner;
+  // allocate-per-candidate evaluation; the default switches to the
+  // scratch-buffer fast path. The profits are bit-identical either way.
+  const bool fast_eval = tuning_.incremental_planner;
   EvalScratch scratch;
   // The log lambda is only ever invoked behind `if (trace != nullptr)` —
   // the guard must sit at the call site so the argument's string
@@ -156,7 +141,7 @@ SelectionResult HeuristicSelector::select_impl(const TriggerInstruction& ti,
           fast_eval
               ? evaluate_candidate_profit(*lib_, candidates[i].ise,
                                           *candidates[i].entry, planner,
-                                          profit_model_, cache, scratch)
+                                          profit_model_, scratch)
               : evaluate_candidate(*lib_, candidates[i].ise,
                                    *candidates[i].entry, planner,
                                    profit_model_)
@@ -232,7 +217,6 @@ SelectionResult HeuristicSelector::select_impl(const TriggerInstruction& ti,
     first_round = false;
   }
 
-  if (cache != nullptr) cache->flush(counters_, trace_, planner.now());
   result.overhead_cycles =
       cost_.cost(result.profit_evaluations, result.candidates_scanned);
   return result;

@@ -24,14 +24,23 @@
 #include "isa/ise_library.h"
 #include "isa/trigger.h"
 #include "rts/profit.h"
-#include "rts/profit_cache.h"
 #include "rts/reconfig_plan.h"
 #include "util/types.h"
 
 namespace mrts {
 
 class TraceRecorder;
-class CounterRegistry;
+
+/// Hot-path switch of the selectors. The default is the optimized
+/// configuration; baseline() reproduces the pre-optimization implementation
+/// (a planner copied per branch-and-bound node, per-candidate allocations)
+/// so the wall-clock bench can measure an honest interleaved A/B in one
+/// binary. It is a pure optimization: selections, counters and CSV outputs
+/// are identical either way.
+struct SelectorTuning {
+  bool incremental_planner = true;  ///< commit/rollback instead of copying
+  static SelectorTuning baseline() { return {false}; }
+};
 
 /// One selected ISE with its predicted installation schedule.
 struct SelectedIse {
@@ -120,19 +129,6 @@ class HeuristicSelector {
   /// is recorded as a timestamped event (null detaches; default off).
   void attach_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  /// Attaches recorder + counter registry in one call; the registry receives
-  /// the selector.cache.{hit,miss} deltas of every select() (needs an
-  /// attached ProfitCache to have anything to report).
-  void attach_observability(TraceRecorder* trace, CounterRegistry* counters) {
-    trace_ = trace;
-    counters_ = counters;
-  }
-
-  /// Attaches the profit memo (null detaches; default off). The cache must
-  /// outlive the selector and follows the same no-sharing-across-threads
-  /// rule; it is only consulted while tuning().memoize_profits is set.
-  void attach_profit_cache(ProfitCache* cache) { cache_ = cache; }
-
   void set_tuning(SelectorTuning tuning) { tuning_ = tuning; }
   SelectorTuning tuning() const { return tuning_; }
 
@@ -147,8 +143,6 @@ class HeuristicSelector {
   ProfitModel profit_model_;
   SelectorTuning tuning_;
   TraceRecorder* trace_ = nullptr;
-  CounterRegistry* counters_ = nullptr;
-  ProfitCache* cache_ = nullptr;
 };
 
 /// Computes the profit of \p ise under trigger entry \p entry with the
@@ -158,14 +152,20 @@ ProfitResult evaluate_candidate(const IseLibrary& lib, IseId ise,
                                 const ReconfigPlanner& planner,
                                 const ProfitModel& model = {});
 
-/// Hot-path variant of evaluate_candidate: returns only the profit value,
-/// serves it from \p cache when possible (nullable = always compute) and
+/// Scratch buffers for the allocation-free candidate evaluation; create one
+/// per select() call and pass it through the inner loop.
+struct EvalScratch {
+  std::vector<Cycles> ready_abs;
+  ProfitInputs inputs;
+};
+
+/// Hot-path variant of evaluate_candidate: returns only the profit value and
 /// reuses \p scratch instead of allocating. Bit-identical to
 /// evaluate_candidate(...).profit by construction.
 double evaluate_candidate_profit(const IseLibrary& lib, IseId ise,
                                  const TriggerEntry& entry,
                                  const ReconfigPlanner& planner,
-                                 const ProfitModel& model, ProfitCache* cache,
+                                 const ProfitModel& model,
                                  EvalScratch& scratch);
 
 }  // namespace mrts

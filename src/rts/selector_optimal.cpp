@@ -35,7 +35,7 @@ struct SearchState {
 
   std::vector<SelectedIse> current;
 
-  /// Hot-path tuning (see rts/profit_cache.h). The search order, the bound
+  /// Hot-path tuning (SelectorTuning). The search order, the bound
   /// tests and every committed schedule are identical in both modes; only
   /// the work per node differs.
   bool incremental = false;
@@ -51,7 +51,7 @@ struct SearchState {
     ++profit_evals;
     return incremental
                ? evaluate_candidate_profit(*lib, ise, entry, planner,
-                                           ProfitModel{}, nullptr, scratch)
+                                           ProfitModel{}, scratch)
                : evaluate_candidate(*lib, ise, entry, planner).profit;
   }
 };

@@ -64,9 +64,8 @@ class OptimalSelector {
   /// select() call are recorded (the search itself is too fine-grained).
   void attach_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  /// Only tuning().incremental_planner matters here: commit/rollback on one
-  /// planner, or a planner copy per search node. The profit memo is the
-  /// heuristic's alone (rts/profit_cache.h).
+  /// tuning().incremental_planner: commit/rollback on one planner, or a
+  /// planner copy per search node.
   void set_tuning(SelectorTuning tuning) { tuning_ = tuning; }
   SelectorTuning tuning() const { return tuning_; }
 

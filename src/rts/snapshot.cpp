@@ -13,7 +13,9 @@ namespace mrts {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'R', 'T', 'S', 'S', 'N', 'A', 'P'};
-constexpr std::uint32_t kFormatVersion = 1;
+/// Version 2: the trace kinds after kScrubRepair moved down by one when the
+/// selector.cache kind was removed (events store their kind as one byte).
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 4;
 
 void save_meta(SnapshotWriter& w, const CheckpointMeta& meta) {

@@ -1,7 +1,7 @@
 #pragma once
 /// \file snapshot.h
 /// Whole-runtime checkpoint/restore for crash-resilient runs (format
-/// `mrts.snapshot.v1`). A snapshot captures everything that determines the
+/// `mrts.snapshot.v2`). A snapshot captures everything that determines the
 /// remainder of an mRTS application run: the run's identity (workload,
 /// fabric shape, fault config — the meta header), the application progress
 /// (next block, cycle cursor, partial aggregates), the complete MRts state
@@ -14,7 +14,8 @@
 ///
 /// File layout (all little-endian):
 ///   [0..8)   magic "MRTSSNAP"
-///   [8..12)  u32 format version (1)
+///   [8..12)  u32 format version (2; version 1 images, written before the
+///            selector.cache trace kind was removed, are rejected)
 ///   [12..20) u64 payload size in bytes
 ///   [20..24) u32 CRC-32 (IEEE) of the payload
 ///   [24.. )  payload: meta, progress, MRts state, observability streams
@@ -62,7 +63,7 @@ struct CheckpointMeta {
   std::uint64_t sequence = 0;   ///< ordinal of this snapshot within the run
 };
 
-/// Serializes the complete runtime into an `mrts.snapshot.v1` byte image.
+/// Serializes the complete runtime into an `mrts.snapshot.v2` byte image.
 /// \p recorder / \p counters may be null for unobserved runs (their absence
 /// is recorded; apply_snapshot then requires null streams too).
 std::vector<std::uint8_t> build_snapshot(const CheckpointMeta& meta,

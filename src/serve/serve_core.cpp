@@ -478,8 +478,8 @@ ReplayResult replay_job_log(std::istream& in) {
   std::size_t line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
-    if (line.empty()) continue;
     const std::vector<std::string> tok = split_ws(line);
+    if (tok.empty()) continue;  // blank, whatever its whitespace
     if (tok[0] == "submit") {
       if (tok.size() != 11) return fail(line_no, "submit needs 10 fields");
       SubmitFrame spec;

@@ -68,22 +68,14 @@ Cycles run_events_legacy(RuntimeSystem& rts,
 Cycles run_events_batched(RuntimeSystem& rts,
                           const FunctionalBlockInstance& instance, Cycles start,
                           Cycles cursor, FbRunResult& result) {
-  const std::vector<ExecRun>* runs = &instance.runs;
   thread_local std::vector<ExecRun> scratch_runs;
-  const bool runs_valid =
-      !instance.runs.empty() &&
-      static_cast<std::size_t>(instance.runs.back().first_event) +
-              instance.runs.back().count ==
-          instance.events.size();
-  if (!runs_valid) {
-    // Hand-built instance that was never finalized: decode into scratch.
-    decode_runs(instance.events, scratch_runs);
-    runs = &scratch_runs;
-  }
-  // Without summaries of exactly these runs the ECU commits run by run.
+  const std::vector<ExecRun>& runs = instance_runs(instance, scratch_runs);
+  // Without summaries of exactly the instance's own runs the ECU commits run
+  // by run.
   const RunChunks* chunks =
-      runs_valid && instance.chunks.covers(runs->size()) ? &instance.chunks
-                                                         : nullptr;
+      &runs == &instance.runs && instance.chunks.covers(runs.size())
+          ? &instance.chunks
+          : nullptr;
 
   thread_local std::vector<ObservationSink::Acc> acc;  // by raw kernel id
   thread_local std::vector<std::uint32_t> touched;
@@ -92,8 +84,8 @@ Cycles run_events_batched(RuntimeSystem& rts,
   // the sink's inline note_run fuses the per-kernel accumulation into the
   // execution loop itself.
   ObservationSink sink(start, acc, touched, chunks);
-  cursor = rts.execute_events(instance.events.data(), runs->data(),
-                              runs->size(), cursor,
+  cursor = rts.execute_events(instance.events.data(), runs.data(),
+                              runs.size(), cursor,
                               result.impl_executions.data(),
                               result.impl_cycles.data(), sink);
   sink.emit(result.observed.kernels);

@@ -1,7 +1,6 @@
 #include "sim/schedule.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 namespace mrts {
@@ -84,6 +83,18 @@ void finalize_instance_runs(FunctionalBlockInstance& instance) {
   summarize_chunks(instance.runs, instance.chunks);
 }
 
+const std::vector<ExecRun>& instance_runs(
+    const FunctionalBlockInstance& instance, std::vector<ExecRun>& scratch) {
+  const std::vector<ExecRun>& runs = instance.runs;
+  if (!runs.empty() && static_cast<std::size_t>(runs.back().first_event) +
+                               runs.back().count ==
+                           instance.events.size()) {
+    return runs;
+  }
+  decode_runs(instance.events, scratch);
+  return scratch;
+}
+
 TriggerInstruction derive_trigger(
     const FunctionalBlockInstance& instance,
     const std::vector<Cycles>& risc_latency_by_kernel) {
@@ -94,30 +105,35 @@ TriggerInstruction derive_trigger(
     Cycles gap_sum = 0;  // idle cycles between consecutive executions
     bool seen = false;
   };
-  std::map<std::uint32_t, Acc> acc;  // ordered: deterministic entry order
+  std::vector<Acc> acc(risc_latency_by_kernel.size());  // by raw kernel id
+  std::vector<ExecRun> scratch;
 
   Cycles cursor = 0;
-  for (const auto& ev : instance.events) {
-    cursor += ev.gap_before;
-    const auto kid = raw(ev.kernel);
-    if (kid >= risc_latency_by_kernel.size()) {
+  for (const ExecRun& run : instance_runs(instance, scratch)) {
+    const auto kid = raw(run.kernel);
+    if (kid >= acc.size()) {
       throw std::invalid_argument("derive_trigger: kernel without latency");
     }
     Acc& a = acc[kid];
+    cursor += run.first_gap;
     if (!a.seen) {
       a.first_start = cursor;
       a.seen = true;
     } else {
       a.gap_sum += cursor - a.last_end;
     }
-    a.executions += 1.0;
-    cursor += risc_latency_by_kernel[kid];
+    const Cycles inner_gaps = run.gap_total - run.first_gap;
+    a.gap_sum += inner_gaps;
+    a.executions += static_cast<double>(run.count);
+    cursor += inner_gaps + run.count * risc_latency_by_kernel[kid];
     a.last_end = cursor;
   }
 
   TriggerInstruction ti;
   ti.functional_block = instance.functional_block;
-  for (const auto& [kid, a] : acc) {
+  for (std::uint32_t kid = 0; kid < acc.size(); ++kid) {
+    const Acc& a = acc[kid];
+    if (!a.seen) continue;
     TriggerEntry entry;
     entry.kernel = KernelId{kid};
     entry.expected_executions = a.executions;

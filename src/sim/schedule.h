@@ -121,6 +121,12 @@ struct ApplicationTrace {
 void decode_runs(const std::vector<ExecEvent>& events,
                  std::vector<ExecRun>& runs);
 
+/// The runs of \p instance: its own when they cover exactly its events,
+/// else \p scratch with the events decoded into it (tests hand-build
+/// instances that were never finalized).
+const std::vector<ExecRun>& instance_runs(
+    const FunctionalBlockInstance& instance, std::vector<ExecRun>& scratch);
+
 /// Decodes the instance's event list into its run-compressed form and that
 /// form's chunk summaries (stored in instance.runs / instance.chunks).
 /// Workload builders call this once per instance so the shared, read-only
@@ -132,6 +138,9 @@ void finalize_instance_runs(FunctionalBlockInstance& instance);
 /// offline profiling run would measure): e = execution count, tf = cycles
 /// from block start to the first execution start, tb = average gap between
 /// the end of one execution and the start of the next of the same kernel.
+/// Entries come in ascending kernel id. Walks the instance's runs: a run
+/// adds its first gap before its first execution and the rest between its
+/// executions, so every sum equals a walk over the single events.
 TriggerInstruction derive_trigger(
     const FunctionalBlockInstance& instance,
     const std::vector<Cycles>& risc_latency_by_kernel);

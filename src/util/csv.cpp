@@ -1,8 +1,8 @@
 #include "util/csv.h"
 
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "util/number_text.h"
 
 namespace mrts {
 
@@ -37,18 +37,7 @@ std::string CsvWriter::escape(const std::string& cell) {
 }
 
 std::string CsvWriter::to_cell(double v) {
-  char buf[64];
-  // Bare %.10g silently rounds integral cycle counts above ~2^33 (it keeps
-  // only 10 significant digits). Integral doubles are exact up to 2^53 —
-  // emit every digit for those; everything else keeps the historical %.10g
-  // (committed CSV bytes depend on its rounding).
-  if (std::isfinite(v) && v == std::floor(v) &&
-      std::fabs(v) < 9007199254740992.0 /* 2^53 */) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-  }
-  return buf;
+  return std::string(NumberText(v).view());
 }
 
 void CsvWriter::emit(const std::vector<std::string>& cells) {

@@ -1,7 +1,7 @@
 #pragma once
 /// \file snapshot_io.h
 /// Little-endian binary reader/writer pair for whole-runtime snapshots
-/// (rts/snapshot.h, format `mrts.snapshot.v1`). Deliberately tiny and
+/// (rts/snapshot.h, format `mrts.snapshot.v2`). Deliberately tiny and
 /// dependency-free so every layer (util RNG / arch fabrics / rts units) can
 /// expose `save_state` / `load_state` hooks without pulling rts headers.
 ///

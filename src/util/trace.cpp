@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "isa/ise_library.h"
+#include "util/number_text.h"
 
 namespace mrts {
 namespace {
@@ -27,7 +28,7 @@ constexpr std::array<const char*, kNumTraceEventKinds> kKindNames = {
     // Fault-injection kinds use the dotted counter-style names so the
     // trace-summary table matches the counter names one-to-one.
     "fault.inject",    "reconfig.retry",    "prc.quarantined",
-    "scrub.repair",    "selector.cache",
+    "scrub.repair",
     // Multi-tenant arbitration kinds (dotted, matching their counters).
     "tenant.eviction", "tenant.quota_hit",
     // Scheduler admission/completion timestamps (dotted, matching their
@@ -77,18 +78,10 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string format_double(double v) {
-  if (!std::isfinite(v)) return "0";  // JSON has no inf/nan literals
-  char buf[64];
-  // Same contract as CsvWriter::to_cell: integral doubles (exact up to
-  // 2^53) emit every digit so large cycle counts survive a JSON round
-  // trip; the rest keeps %.10g.
-  if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0 /* 2^53 */) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.10g", v);
-  }
-  return buf;
+/// Doubles print by util/number_text.h's rule; JSON has no inf/nan
+/// literals, so those print as 0.
+NumberText format_double(double v) {
+  return NumberText(std::isfinite(v) ? v : 0.0);
 }
 
 std::string kernel_name(const IseLibrary* lib, std::uint32_t k) {
@@ -146,8 +139,6 @@ std::string event_label(const TraceEvent& e, const IseLibrary* lib) {
              std::to_string(e.arg0) + " quarantined";
     case TraceEventKind::kScrubRepair:
       return dp_name(lib, e.arg0) + ": scrub repair";
-    case TraceEventKind::kSelectorCacheStats:
-      return "profit cache hits/misses";
     case TraceEventKind::kTenantEviction:
       return "tenant " + std::to_string(static_cast<std::uint64_t>(e.v0)) +
              " evicted tenant " + std::to_string(e.arg0);
@@ -254,7 +245,7 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events,
 
   for (const auto& e : events) {
     const std::string label = json_escape(event_label(e, lib));
-    const std::string ts = format_double(trace_cycles_to_us(e.at));
+    const NumberText ts = format_double(trace_cycles_to_us(e.at));
     os << ",\n";
     if (e.kind == TraceEventKind::kOccupancy) {
       // Counter track: Perfetto renders it as a stacked area chart.

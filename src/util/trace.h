@@ -67,8 +67,6 @@ enum class TraceEventKind : std::uint8_t {
                      ///< index, arg1 = grain, track = container)
   kScrubRepair,      ///< scrubbing re-enqueued a repair load (arg0 = dp,
                      ///< arg1 = grain, v0 = repaired ready cycle)
-  kSelectorCacheStats, ///< profit-cache tally of one select() call
-                       ///< (v0 = hits, v1 = misses)
   kTenantEviction,     ///< a placement destroyed another tenant's data path
                        ///< (arg0 = victim owner, arg1 = grain, v0 = evicting
                        ///< tenant, track = container)
@@ -109,7 +107,7 @@ enum class TraceEventKind : std::uint8_t {
                        ///< than one hop out, so single-core / zero-extra-hop
                        ///< traces stay byte-identical to run_multi_tenant.
 };
-inline constexpr std::size_t kNumTraceEventKinds = 28;
+inline constexpr std::size_t kNumTraceEventKinds = 27;
 
 const char* to_string(TraceEventKind kind);
 std::optional<TraceEventKind> trace_kind_from_string(std::string_view name);

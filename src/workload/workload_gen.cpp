@@ -1,5 +1,6 @@
 #include "workload/workload_gen.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -17,6 +18,17 @@ FunctionalBlockInstance make_block_instance(
   FunctionalBlockInstance instance;
   instance.functional_block = fb;
   instance.tail_gap = tail_gap;
+
+  // Size the event list once: kernel w's running remainder yields
+  // floor(macroblocks * repetitions_per_mb) executions, give or take the
+  // rounding of the running sum, which the +1 covers.
+  std::size_t max_events = 0;
+  for (const KernelWork& kw : work) {
+    max_events += static_cast<std::size_t>(
+                      std::max(0.0, kw.repetitions_per_mb) * macroblocks) +
+                  1;
+  }
+  instance.events.reserve(max_events);
 
   std::vector<double> remainder(work.size(), 0.0);
   bool first_event = true;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "arch/fabric_manager.h"
+#include "rts/reconfig_plan.h"
+#include "workload/h264_app.h"
 
 namespace mrts {
 namespace {
@@ -188,6 +190,47 @@ TEST_F(FabricManagerTest, InstanceReadyTimesMergedAcrossFabrics) {
   EXPECT_EQ(fm.instance_ready_times(cg1_).size(), 1u);
   EXPECT_EQ(fm.instance_ready_times(fg1_).size(), 1u);
   EXPECT_TRUE(fm.instance_ready_times(fg2_).empty());
+}
+
+// The ECU's per-kernel decision memo (rts/ecu.h) is exact only if every
+// fabric mutation bumps state_epoch() and no pure read does.
+TEST(FabricEpoch, BumpsOnEveryFabricMutation) {
+  H264AppParams params;
+  params.frames = 1;
+  const H264Application app = build_h264_application(params);
+  const IseLibrary& lib = app.library;
+  FabricManager fabric(2, 4, &lib.data_paths());
+
+  std::uint64_t last = fabric.state_epoch();
+  const auto bumped = [&last, &fabric](const char* what) {
+    const std::uint64_t now_epoch = fabric.state_epoch();
+    EXPECT_GT(now_epoch, last) << what;
+    last = now_epoch;
+  };
+
+  const IseVariant& v = lib.ises().front();
+  fabric.install({{IseId{0}, v.kernel, v.data_paths}}, 0);
+  bumped("install");
+  fabric.quarantine_prc(1, 10);
+  bumped("quarantine_prc");
+  fabric.quarantine_cg(1, 10);
+  bumped("quarantine_cg");
+  fabric.reset();
+  bumped("reset");
+
+  // Pure reads must not bump: a planner snapshot is side-effect free.
+  const std::uint64_t before_reads = fabric.state_epoch();
+  (void)fabric.usage();
+  ReconfigPlanner planner(lib.data_paths(), fabric, 0);
+  (void)planner.plan(v.data_paths);
+  EXPECT_EQ(fabric.state_epoch(), before_reads);
+  EXPECT_EQ(planner.fabric_epoch(), before_reads);
+
+  // Out-of-range quarantines are ignored and must not bump either (the
+  // early-return guard precedes the epoch increment).
+  fabric.quarantine_prc(1000, 0);
+  fabric.quarantine_cg(1000, 0);
+  EXPECT_EQ(fabric.state_epoch(), before_reads);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // Unit tests for the ReconfigPlanner: hypothetical install schedules shared
-// by the selectors and the profit function.
+// by the selectors and the profit function, and the mark/rollback
+// checkpoints the branch & bound search commits on.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arch/fabric_manager.h"
+#include "isa/ise_builder.h"
 #include "rts/reconfig_plan.h"
 
 namespace mrts {
@@ -116,6 +120,92 @@ TEST_F(PlannerTest, CopySemanticsForBranchAndBound) {
   copy.commit({fg1_});
   EXPECT_EQ(planner.free_prcs(), 2u);  // original untouched
   EXPECT_EQ(copy.free_prcs(), 1u);
+}
+
+/// Library with a HOT and a COLD kernel (same shape as test_selector.cpp).
+IseLibrary two_kernel_library() {
+  IseLibrary lib;
+  IseBuildSpec hot;
+  hot.kernel_name = "HOT";
+  hot.sw_latency = 1000;
+  hot.control_fraction = 0.2;
+  hot.fg_data_path_names = {"hot_fg1", "hot_fg2"};
+  hot.cg_data_path_names = {"hot_cg1", "hot_cg2"};
+  build_kernel_ises(lib, hot);
+
+  IseBuildSpec cold;
+  cold.kernel_name = "COLD";
+  cold.sw_latency = 800;
+  cold.control_fraction = 0.8;
+  cold.fg_data_path_names = {"cold_fg1", "cold_fg2"};
+  cold.cg_data_path_names = {"cold_cg1"};
+  build_kernel_ises(lib, cold);
+  return lib;
+}
+
+TEST(PlannerCheckpoint, RollbackRestoresExactState) {
+  const IseLibrary lib = two_kernel_library();
+  const std::vector<DataPathId>& dps = lib.ises().front().data_paths;
+  const std::vector<DataPathId>& other = lib.ises().back().data_paths;
+
+  FabricManager fabric(2, 4, &lib.data_paths());
+  fabric.install({{IseId{0}, lib.ises().front().kernel, dps}}, 0);
+  ReconfigPlanner planner(lib.data_paths(), fabric, 10);
+  planner.commit(other);  // pre-checkpoint commits must survive rollback
+
+  const ReconfigPlanner pristine = planner;  // reference copy
+  const ReconfigPlanner::Checkpoint cp = planner.mark();
+  std::vector<Cycles> scratch;
+  planner.commit_into(dps, scratch);
+  planner.commit_into(dps, scratch);  // second instance: fresh loads
+  EXPECT_NE(planner.free_prcs(), pristine.free_prcs());
+  planner.rollback(cp);
+
+  EXPECT_EQ(planner.free_prcs(), pristine.free_prcs());
+  EXPECT_EQ(planner.free_cg(), pristine.free_cg());
+  EXPECT_EQ(planner.fg_cursor(), pristine.fg_cursor());
+  EXPECT_EQ(planner.cg_cursor(), pristine.cg_cursor());
+  EXPECT_EQ(planner.committed_paths(), pristine.committed_paths());
+  for (const DataPathId dp : dps) {
+    EXPECT_EQ(planner.claimed_count(dp), pristine.claimed_count(dp));
+  }
+  // The observable behaviour matches too: plan() and a fresh commit() return
+  // exactly what the untouched copy returns.
+  EXPECT_EQ(planner.plan(dps), pristine.plan(dps));
+  ReconfigPlanner replay = pristine;
+  EXPECT_EQ(planner.commit(dps), replay.commit(dps));
+}
+
+TEST(PlannerCheckpoint, CheckpointsNestLifo) {
+  const IseLibrary lib = two_kernel_library();
+  const std::vector<DataPathId>& dps = lib.ises().front().data_paths;
+  ReconfigPlanner planner(lib.data_paths(), 6, 3, 0);
+
+  const ReconfigPlanner::Checkpoint outer = planner.mark();
+  planner.commit(dps);
+  const ReconfigPlanner::Checkpoint inner = planner.mark();
+  planner.commit(dps);
+  planner.rollback(inner);
+  EXPECT_TRUE(planner.covered_by_committed(dps));  // outer commit intact
+  planner.rollback(outer);
+  EXPECT_FALSE(planner.covered_by_committed(dps));
+  EXPECT_EQ(planner.free_prcs(), 6u);
+  EXPECT_EQ(planner.free_cg(), 3u);
+}
+
+TEST(PlannerCheckpoint, CommitIntoMatchesCommit) {
+  const IseLibrary lib = two_kernel_library();
+  ReconfigPlanner a(lib.data_paths(), 6, 3, 0);
+  ReconfigPlanner b = a;
+  std::vector<Cycles> scratch{99, 99};  // must be cleared by the callee
+  for (const IseVariant& v : lib.ises()) {
+    const std::vector<Cycles> expect = a.commit(v.data_paths);
+    b.commit_into(v.data_paths, scratch);
+    EXPECT_EQ(scratch, expect);
+  }
+  EXPECT_EQ(a.free_prcs(), b.free_prcs());
+  EXPECT_EQ(a.fg_cursor(), b.fg_cursor());
+  EXPECT_EQ(a.cg_cursor(), b.cg_cursor());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the ISE selectors: the Fig. 6 greedy heuristic and the
-// branch & bound optimal algorithm, plus the property optimal >= heuristic
-// and a seeded fuzz of the branch & bound against an unpruned enumeration.
+// branch & bound optimal algorithm, plus the property optimal >= heuristic,
+// a seeded fuzz of the branch & bound against an unpruned enumeration and
+// the equivalence of both SelectorTuning settings.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <limits>
 
 #include "arch/fabric_manager.h"
+#include "arch/fault_model.h"
 #include "isa/ise_builder.h"
 #include "rts/mrts.h"
 #include "rts/selector_heuristic.h"
@@ -644,6 +646,126 @@ TEST(OptimalSelectorFuzz, NodeBudgetFallsBackToTheDive) {
     }
     EXPECT_EQ(got.total_profit, std::max(0.0, sum)) << "trial " << trial;
   }
+}
+
+// The selector hot-path switch (SelectorTuning) is a pure optimization:
+// every SelectionResult stays identical to SelectorTuning::baseline(), which
+// keeps the pre-optimization implementation alive for this comparison.
+
+bool same_selection(const SelectionResult& a, const SelectionResult& b) {
+  if (a.selected.size() != b.selected.size()) return false;
+  for (std::size_t i = 0; i < a.selected.size(); ++i) {
+    const SelectedIse& x = a.selected[i];
+    const SelectedIse& y = b.selected[i];
+    if (x.kernel != y.kernel || x.ise != y.ise || x.profit != y.profit ||
+        x.instance_ready != y.instance_ready) {
+      return false;
+    }
+  }
+  return a.covered == b.covered &&
+         a.profit_evaluations == b.profit_evaluations &&
+         a.candidates_scanned == b.candidates_scanned &&
+         a.first_round_evaluations == b.first_round_evaluations &&
+         a.first_round_scans == b.first_round_scans &&
+         a.overhead_cycles == b.overhead_cycles &&
+         a.total_profit == b.total_profit;
+}
+
+/// Replays the H.264 trigger sequence on a fabric of the given size and, at
+/// every decision point, compares both selectors at their default tuning
+/// (the incremental planner and the scratch-buffer evaluation) against
+/// SelectorTuning::baseline() on identical planner snapshots. Returns the
+/// number of decision points checked.
+std::size_t check_grid_point(const H264Application& app, unsigned prcs,
+                             unsigned cg, FabricManager* faulted = nullptr) {
+  const IseLibrary& lib = app.library;
+  FabricManager own(cg, prcs, &lib.data_paths());
+  FabricManager& fabric = faulted != nullptr ? *faulted : own;
+
+  HeuristicSelector h_base(lib);
+  h_base.set_tuning(SelectorTuning::baseline());
+  HeuristicSelector h_tuned(lib);
+
+  OptimalSelector o_base(lib);
+  o_base.set_tuning(SelectorTuning::baseline());
+  OptimalSelector o_tuned(lib);
+
+  std::size_t checked = 0;
+  Cycles now = 0;
+  for (const FunctionalBlockInstance& block : app.trace.blocks) {
+    ReconfigPlanner planner(lib.data_paths(), fabric, now);
+    const SelectionResult hb = h_base.select(block.programmed, planner);
+    const SelectionResult ht = h_tuned.select(block.programmed, planner);
+    EXPECT_TRUE(same_selection(hb, ht))
+        << "heuristic diverged at PRC=" << prcs << " CG=" << cg
+        << " cycle=" << now;
+    const SelectionResult ob = o_base.select(block.programmed, planner);
+    const SelectionResult ot = o_tuned.select(block.programmed, planner);
+    EXPECT_TRUE(same_selection(ob, ot))
+        << "optimal diverged at PRC=" << prcs << " CG=" << cg
+        << " cycle=" << now;
+    ++checked;
+    // Evolve the fabric with the agreed selection so later snapshots carry
+    // real port backlogs and reusable instances.
+    std::vector<IsePlacementRequest> requests;
+    requests.reserve(hb.selected.size());
+    for (const auto& s : hb.selected) {
+      requests.push_back({s.ise, s.kernel, lib.ise(s.ise).data_paths});
+    }
+    fabric.install(requests, now);
+    now += 150'000;
+  }
+  return checked;
+}
+
+TEST(SelectorTuningEquivalence, FullFabricGridHeuristicAndOptimal) {
+  // The fig8/fig9 grid: every PRC x CG combination, including the RISC-only
+  // corner (both selectors must return an empty selection there either way).
+  H264AppParams params;
+  params.frames = 2;  // 6 decision points per grid point keeps this fast
+  const H264Application app = build_h264_application(params);
+  std::size_t checked = 0;
+  for (unsigned prcs = 0; prcs <= 6; ++prcs) {
+    for (unsigned cg = 0; cg <= 3; ++cg) {
+      checked += check_grid_point(app, prcs, cg);
+    }
+  }
+  EXPECT_EQ(checked, 7u * 4u * app.trace.blocks.size());
+}
+
+TEST(SelectorTuningEquivalence, HoldsAfterFaultInducedQuarantines) {
+  // Quarantines (and the scrub passes that diagnose them) change the fabric
+  // under the planner; selections on the degraded fabric must stay
+  // identical at either tuning. The fault model is deterministic from its
+  // seed.
+  H264AppParams params;
+  params.frames = 2;
+  const H264Application app = build_h264_application(params);
+  const IseLibrary& lib = app.library;
+
+  FaultModelConfig fc;
+  fc.seed = 0xDEAD;
+  fc.fg_load_failure_prob = 0.2;
+  fc.transient_upset_prob = 0.05;
+  fc.permanent_fault_prob = 0.5;
+  fc.scrub_interval_cycles = 100'000;
+  FaultModel fault(fc);
+
+  FabricManager fabric(/*num_cg_fabrics=*/3, /*num_prcs=*/6,
+                       &lib.data_paths());
+  fabric.attach_fault_model(&fault);
+  const std::uint64_t epoch_before = fabric.state_epoch();
+
+  // Force a degraded fabric regardless of the stochastic diagnosis path.
+  fabric.quarantine_prc(0, 0);
+  fabric.quarantine_cg(0, 0);
+  EXPECT_GT(fabric.state_epoch(), epoch_before);
+
+  const std::uint64_t epoch_quarantined = fabric.state_epoch();
+  check_grid_point(app, 6, 3, &fabric);
+  // The replay installs and scrubs under an aggressive fault model; the
+  // epoch must keep moving so no memo keyed on it can go stale.
+  EXPECT_GT(fabric.state_epoch(), epoch_quarantined);
 }
 
 }  // namespace

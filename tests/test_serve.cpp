@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -385,6 +388,174 @@ TEST(ServeCore, ReplayRejectsValuesWiderThanTheirField) {
   ASSERT_TRUE(ok.ok) << ok.error;
   ASSERT_EQ(ok.jobs.size(), 1u);
   EXPECT_EQ(ok.jobs[0].state, JobState::kQueued);
+}
+
+// ---------------------------------------------------------------------------
+// Fuzz: job-log replay of seeded damage to the committed golden log (the
+// seeded pattern of tests/test_wire.cpp). Every replay either succeeds or
+// fails with a "joblog line N: " error naming a line of its input.
+// ---------------------------------------------------------------------------
+
+std::string golden_joblog() {
+  std::ifstream in(MRTS_GOLDEN_DIR "/serve_mix.joblog", std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text.append(line).push_back('\n');
+  return text;
+}
+
+/// Replays \p text; returns the error (empty on success) after checking it
+/// has the "joblog line N: " form with N a line of \p text.
+std::string replay_error_of(const std::string& text) {
+  std::istringstream in(text);
+  const ReplayResult result = replay_job_log(in);
+  if (result.ok) return {};
+  const std::string prefix = "joblog line ";
+  EXPECT_EQ(result.error.compare(0, prefix.size(), prefix), 0)
+      << result.error;
+  std::size_t at = prefix.size();
+  std::size_t line = 0;
+  while (at < result.error.size() &&
+         std::isdigit(static_cast<unsigned char>(result.error[at]))) {
+    line = line * 10 + static_cast<std::size_t>(result.error[at++] - '0');
+  }
+  EXPECT_EQ(result.error.compare(at, 2, ": "), 0) << result.error;
+  const std::size_t lines =
+      std::max<std::size_t>(1, split_lines(text).size());
+  EXPECT_GE(line, 1u) << result.error;
+  EXPECT_LE(line, lines) << result.error;
+  return result.error;
+}
+
+TEST(JobLogFuzz, EveryLinePrefixReplays) {
+  const std::vector<std::string> lines = split_lines(golden_joblog());
+  ASSERT_GT(lines.size(), 40u);
+  EXPECT_EQ(replay_error_of(""), "joblog line 1: empty log");
+  // A prefix of a valid log is a valid log.
+  for (std::size_t n = 1; n <= lines.size(); ++n) {
+    const std::vector<std::string> prefix(lines.begin(), lines.begin() + n);
+    EXPECT_EQ(replay_error_of(join_lines(prefix)), "") << n << " lines";
+  }
+}
+
+TEST(JobLogFuzz, SingleByteCorruptionFailsCleanlyOrReplays) {
+  const std::string log = golden_joblog();
+  ASSERT_FALSE(log.empty());
+  Rng rng(20261019);
+  std::size_t failed = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::string copy = log;
+    const std::size_t pos = rng.next_below(copy.size());
+    copy[pos] = static_cast<char>(copy[pos] ^ (1 + rng.next_below(255)));
+    if (!replay_error_of(copy).empty()) ++failed;
+  }
+  // Most corruptions break a keyword, a field count or a job id.
+  EXPECT_GT(failed, 150u);
+}
+
+TEST(JobLogFuzz, OversizedValueInEveryFieldIsRejected) {
+  const std::vector<std::string> lines = split_lines(golden_joblog());
+  ASSERT_GT(lines.size(), 3u);
+  // One more than each field's widest value.
+  const std::string u8 = "255", u32 = "4294967295";
+  const std::string u64 = "18446744073709551615";
+  const std::string wider_u8 = "256", wider_u32 = "4294967296";
+  const std::string wider_u64 = "18446744073709551616";
+  const auto tokens_of = [](const std::string& line) {
+    std::istringstream in(line);
+    std::vector<std::string> tokens;
+    for (std::string tok; in >> tok;) tokens.push_back(tok);
+    return tokens;
+  };
+  const auto joined = [](const std::vector<std::string>& tokens) {
+    std::string line;
+    for (const std::string& tok : tokens) {
+      line.append(line.empty() ? "" : " ").append(tok);
+    }
+    return line;
+  };
+
+  // Every header field (line 1): key=value tokens after the magic.
+  const std::vector<std::string> header = tokens_of(lines[0]);
+  ASSERT_EQ(header.size(), 8u);  // magic + 7 fields
+  for (std::size_t i = 1; i < header.size(); ++i) {
+    const std::string key = header[i].substr(0, header[i].find('='));
+    const bool wide = key == "max_queue" || key == "retain_jobs";
+    std::vector<std::string> tokens = header;
+    tokens[i] = key + "=" + (wide ? wider_u64 : wider_u32);
+    std::vector<std::string> damaged = lines;
+    damaged[0] = joined(tokens);
+    EXPECT_EQ(replay_error_of(join_lines(damaged)),
+              "joblog line 1: header field " + key + " '" +
+                  (wide ? wider_u64 : wider_u32) +
+                  "' is not an integer in [0, " + (wide ? u64 : u32) + "]");
+  }
+
+  // Every numeric field of the first submit (line 2).
+  const struct {
+    std::size_t column;
+    const char* name;
+    const std::string& wider;
+    const std::string& max;
+  } submit_fields[] = {
+      {1, "id", wider_u64, u64},          {3, "share", wider_u8, u8},
+      {4, "weight", wider_u32, u32},      {5, "reserved_prcs", wider_u32, u32},
+      {6, "reserved_cg", wider_u32, u32}, {7, "priority", wider_u32, u32},
+      {8, "job_class", wider_u32, u32},   {9, "blocks", wider_u32, u32},
+      {10, "seed", wider_u64, u64},
+  };
+  const std::vector<std::string> submit = tokens_of(lines[1]);
+  ASSERT_EQ(submit.size(), 11u);
+  ASSERT_EQ(submit[0], "submit");
+  for (const auto& field : submit_fields) {
+    std::vector<std::string> tokens = submit;
+    tokens[field.column] = field.wider;
+    std::vector<std::string> damaged = lines;
+    damaged[1] = joined(tokens);
+    EXPECT_EQ(replay_error_of(join_lines(damaged)),
+              std::string("joblog line 2: submit ") + field.name + " '" +
+                  field.wider + "' is not an integer in [0, " + field.max +
+                  "]");
+  }
+
+  // The id of the first run and the first cancel line.
+  for (const char* op : {"run", "cancel"}) {
+    const auto it = std::find_if(lines.begin(), lines.end(),
+                                 [op](const std::string& line) {
+                                   return line.rfind(std::string(op) + " ",
+                                                     0) == 0;
+                                 });
+    ASSERT_NE(it, lines.end()) << op;
+    std::vector<std::string> damaged = lines;
+    const auto index = static_cast<std::size_t>(it - lines.begin());
+    damaged[index] = std::string(op) + " " + wider_u64;
+    EXPECT_EQ(replay_error_of(join_lines(damaged)),
+              "joblog line " + std::to_string(index + 1) + ": bad " + op +
+                  " line");
+  }
+}
+
+TEST(JobLogFuzz, BlankLinesAreSkippedWhateverTheirWhitespace) {
+  const std::vector<std::string> lines = split_lines(golden_joblog());
+  ASSERT_GT(lines.size(), 2u);
+  for (const char* blank : {"", " ", "\t", "\r", " \t\r"}) {
+    std::vector<std::string> with_blank = lines;
+    with_blank.insert(with_blank.begin() + 1, blank);
+    EXPECT_EQ(replay_error_of(join_lines(with_blank)), "");
+  }
 }
 
 // ---------------------------------------------------------------------------

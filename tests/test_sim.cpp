@@ -1,8 +1,10 @@
-// Unit tests for the simulator layer: trigger derivation, block simulation
-// (cycle conservation, observation correctness) and application profiling.
+// Unit tests for the simulator layer: trigger derivation (with a
+// differential check against the per-event walk), block simulation (cycle
+// conservation, observation correctness) and application profiling.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -13,6 +15,8 @@
 #include "sim/metrics.h"
 #include "sim/schedule.h"
 #include "util/fastpath.h"
+#include "util/rng.h"
+#include "workload/workload_gen.h"
 
 namespace mrts {
 namespace {
@@ -187,6 +191,201 @@ TEST(DeriveTrigger, ThrowsOnUnknownKernel) {
   FunctionalBlockInstance inst;
   inst.events = {{KernelId{99}, 0}};
   EXPECT_THROW(derive_trigger(inst, {10, 20}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Differential checks: derive_trigger walks runs; the per-event walk it
+// replaced is kept here as the reference.
+// ---------------------------------------------------------------------------
+
+/// The per-event derivation: one std::map lookup per event, entries in
+/// ascending kernel id.
+TriggerInstruction reference_derive_trigger(
+    const FunctionalBlockInstance& instance,
+    const std::vector<Cycles>& risc_latency_by_kernel) {
+  struct Acc {
+    double executions = 0.0;
+    Cycles first_start = 0;
+    Cycles last_end = 0;
+    Cycles gap_sum = 0;
+    bool seen = false;
+  };
+  std::map<std::uint32_t, Acc> acc;
+
+  Cycles cursor = 0;
+  for (const auto& ev : instance.events) {
+    cursor += ev.gap_before;
+    const auto kid = raw(ev.kernel);
+    if (kid >= risc_latency_by_kernel.size()) {
+      throw std::invalid_argument("derive_trigger: kernel without latency");
+    }
+    Acc& a = acc[kid];
+    if (!a.seen) {
+      a.first_start = cursor;
+      a.seen = true;
+    } else {
+      a.gap_sum += cursor - a.last_end;
+    }
+    a.executions += 1.0;
+    cursor += risc_latency_by_kernel[kid];
+    a.last_end = cursor;
+  }
+
+  TriggerInstruction ti;
+  ti.functional_block = instance.functional_block;
+  for (const auto& [kid, a] : acc) {
+    TriggerEntry entry;
+    entry.kernel = KernelId{kid};
+    entry.expected_executions = a.executions;
+    entry.time_to_first = a.first_start;
+    entry.time_between =
+        a.executions > 1.0
+            ? static_cast<Cycles>(static_cast<double>(a.gap_sum) /
+                                  (a.executions - 1.0))
+            : Cycles{0};
+    ti.entries.push_back(entry);
+  }
+  return ti;
+}
+
+/// A gap from one of three regimes: zero, small, or large enough that the
+/// block's cycle sums run far past 2^32.
+Cycles random_gap(Rng& rng) {
+  switch (rng.next_below(3)) {
+    case 0:
+      return 0;
+    case 1:
+      return rng.next_below(200);
+    default:
+      return rng.next_below(Cycles{1} << 40);
+  }
+}
+
+std::vector<Cycles> random_latencies(Rng& rng, std::uint32_t num_kernels) {
+  std::vector<Cycles> latency(num_kernels);
+  for (Cycles& l : latency) {
+    l = rng.bernoulli(0.5) ? rng.next_below(1000)
+                           : rng.next_below(Cycles{1} << 36);
+  }
+  return latency;
+}
+
+/// A hand-built block (no runs) interleaving 1-12 kernel ids below
+/// \p num_kernels in up to \p max_runs stretches of 1-8 executions; a
+/// stretch may repeat the previous kernel, so maximal runs grow longer.
+FunctionalBlockInstance random_block(Rng& rng, std::uint32_t num_kernels,
+                                     std::size_t max_runs) {
+  FunctionalBlockInstance inst;
+  inst.functional_block =
+      FunctionalBlockId{static_cast<std::uint32_t>(rng.next_below(4))};
+  std::vector<KernelId> kernels(1 + rng.next_below(12));
+  for (KernelId& k : kernels) {
+    k = KernelId{static_cast<std::uint32_t>(rng.next_below(num_kernels))};
+  }
+  const std::size_t stretches = rng.next_below(max_runs + 1);
+  for (std::size_t r = 0; r < stretches; ++r) {
+    const KernelId k = kernels[rng.next_below(kernels.size())];
+    const std::size_t count = 1 + rng.next_below(8);
+    for (std::size_t i = 0; i < count; ++i) {
+      inst.events.push_back({k, random_gap(rng)});
+    }
+  }
+  return inst;
+}
+
+TEST(DeriveTriggerDiff, RunWalkMatchesPerEventReference) {
+  Rng rng(20261019);
+  std::size_t interleaved = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto num_kernels = static_cast<std::uint32_t>(1 + rng.next_below(16));
+    const std::vector<Cycles> latency = random_latencies(rng, num_kernels);
+    FunctionalBlockInstance inst = random_block(rng, num_kernels, 60);
+    // The same kind of events in three shapes: hand-built (no runs),
+    // finalized, and with runs left stale by a later append.
+    const int shape = trial % 3;
+    if (shape >= 1) finalize_instance_runs(inst);
+    if (shape == 2) inst.events.push_back({KernelId{0}, random_gap(rng)});
+    const TriggerInstruction expect = reference_derive_trigger(inst, latency);
+    const TriggerInstruction got = derive_trigger(inst, latency);
+    EXPECT_EQ(got.functional_block, expect.functional_block);
+    ASSERT_EQ(got.entries, expect.entries) << "trial " << trial;
+    if (expect.entries.size() > 1) ++interleaved;
+  }
+  EXPECT_GT(interleaved, 400u);
+}
+
+TEST(DeriveTriggerDiff, UnknownKernelThrowsAndTheNextCallIsExact) {
+  Rng rng(77);
+  const std::vector<Cycles> latency = random_latencies(rng, 8);
+  FunctionalBlockInstance good = random_block(rng, 8, 40);
+  good.events.push_back({KernelId{3}, 12});
+  good.events.push_back({KernelId{5}, 0});
+  FunctionalBlockInstance bad = good;
+  // The first id past the latency table, in the middle of the block.
+  bad.events.insert(bad.events.begin() + bad.events.size() / 2,
+                    {KernelId{8}, 9});
+  for (const bool finalized : {false, true}) {
+    if (finalized) {
+      finalize_instance_runs(good);
+      finalize_instance_runs(bad);
+    }
+    EXPECT_THROW(reference_derive_trigger(bad, latency),
+                 std::invalid_argument);
+    EXPECT_THROW(derive_trigger(bad, latency), std::invalid_argument);
+    EXPECT_EQ(derive_trigger(good, latency).entries,
+              reference_derive_trigger(good, latency).entries);
+  }
+}
+
+TEST(MakeBlockInstance, RunsAndChunksMatchAFreshDecodeOfItsEvents) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<KernelWork> work(1 + rng.next_below(12));
+    for (KernelWork& kw : work) {
+      kw.kernel = KernelId{static_cast<std::uint32_t>(rng.next_below(16))};
+      kw.repetitions_per_mb =
+          rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 12.0);
+      kw.gap_cycles = rng.bernoulli(0.5) ? 0 : rng.next_below(5000);
+      kw.gap_jitter = rng.uniform(0.0, 0.5);
+    }
+    const auto macroblocks = static_cast<unsigned>(1 + rng.next_below(120));
+    Rng draw(static_cast<std::uint64_t>(trial));
+    const FunctionalBlockInstance inst =
+        make_block_instance(FunctionalBlockId{1}, macroblocks, work,
+                            rng.next_below(500), 7, draw);
+    // Sized once: the reservation's slack is about one event per kernel.
+    EXPECT_LE(inst.events.capacity(), inst.events.size() + 2 * work.size());
+
+    std::vector<ExecRun> runs;
+    decode_runs(inst.events, runs);
+    ASSERT_EQ(inst.runs.size(), runs.size()) << "trial " << trial;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      EXPECT_EQ(inst.runs[r].kernel, runs[r].kernel);
+      EXPECT_EQ(inst.runs[r].first_event, runs[r].first_event);
+      EXPECT_EQ(inst.runs[r].count, runs[r].count);
+      EXPECT_EQ(inst.runs[r].gap_total, runs[r].gap_total);
+      EXPECT_EQ(inst.runs[r].first_gap, runs[r].first_gap);
+    }
+    FunctionalBlockInstance fresh;
+    fresh.events = inst.events;
+    finalize_instance_runs(fresh);
+    const RunChunks& a = inst.chunks;
+    const RunChunks& b = fresh.chunks;
+    ASSERT_EQ(a.chunks.size(), b.chunks.size());
+    for (std::size_t c = 0; c < a.chunks.size(); ++c) {
+      EXPECT_EQ(a.chunks[c].gap_total, b.chunks[c].gap_total);
+      EXPECT_EQ(a.chunks[c].first_kernel, b.chunks[c].first_kernel);
+      EXPECT_EQ(a.chunks[c].num_kernels, b.chunks[c].num_kernels);
+      EXPECT_EQ(a.chunks[c].last_kernel, b.chunks[c].last_kernel);
+      EXPECT_EQ(a.chunks[c].holds_endpoint, b.chunks[c].holds_endpoint);
+    }
+    ASSERT_EQ(a.kernels.size(), b.kernels.size());
+    for (std::size_t k = 0; k < a.kernels.size(); ++k) {
+      EXPECT_EQ(a.kernels[k].kernel, b.kernels[k].kernel);
+      EXPECT_EQ(a.kernels[k].runs, b.kernels[k].runs);
+      EXPECT_EQ(a.kernels[k].executions, b.kernels[k].executions);
+    }
+  }
 }
 
 }  // namespace

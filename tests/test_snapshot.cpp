@@ -1,4 +1,4 @@
-// Whole-runtime checkpoint/restore (rts/snapshot.h, format mrts.snapshot.v1):
+// Whole-runtime checkpoint/restore (rts/snapshot.h, format mrts.snapshot.v2):
 // a restored run must be bit-identical to the uninterrupted one — cycles,
 // trace events, counters and fault statistics — and malformed bytes must
 // never crash or partially mutate a live runtime.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -401,6 +402,26 @@ TEST(TraceIntegration, TrackNamesAreStable) {
   EXPECT_EQ(track_name(kTrackApp), "application");
   EXPECT_EQ(track_name(kTrackFgBase + 2), "PRC 2");
   EXPECT_EQ(track_name(kTrackCgBase), "CG fabric 0");
+}
+
+TEST(CounterRegistry, TableOrderIsAlphabetical) {
+  // trace-summary and the counter table sort rows by name; pin the property
+  // the renderers rely on (snapshot iteration is lexicographic) and the
+  // relative order of two counters that share a prefix.
+  CounterRegistry counters;
+  counters.add("fabric.reused_instances", 3);
+  counters.add("zz.last");
+  counters.add("fabric.installs", 7);
+  counters.add("aa.first");
+
+  std::vector<std::string> names;
+  for (const auto& [name, value] : counters.counters()) {
+    names.push_back(name);
+  }
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  const std::vector<std::string> expect = {
+      "aa.first", "fabric.installs", "fabric.reused_instances", "zz.last"};
+  EXPECT_EQ(names, expect);
 }
 
 }  // namespace

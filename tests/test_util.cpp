@@ -1,17 +1,25 @@
-// Unit tests for src/util: RNG, statistics, CSV/table writers and the
-// cycle-conversion helpers in types.h.
+// Unit tests for src/util: RNG, statistics, the number formatter, CSV/table
+// writers and the cycle-conversion helpers in types.h.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/logging.h"
+#include "util/number_text.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/trace.h"
 #include "util/types.h"
 
 namespace mrts {
@@ -230,6 +238,70 @@ TEST(Csv, IntegralDoublesKeepEveryDigit) {
   // figure CSVs depend on its rounding (e.g. fig11's fairness column).
   EXPECT_EQ(CsvWriter::to_cell(2.5), "2.5");
   EXPECT_EQ(CsvWriter::to_cell(3.0596940034), "3.059694003");
+}
+
+/// The snprintf rule NumberText replaced in the report, trace and CSV
+/// writers: every digit of an integral value below 2^53, "%.10g" otherwise.
+std::string reference_number_text(double v) {
+  char buf[64];
+  if (std::isfinite(v) && v == std::floor(v) &&
+      std::fabs(v) < 9007199254740992.0 /* 2^53 */) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.10g", v);
+  }
+  return buf;
+}
+
+TEST(NumberText, MatchesTheSnprintfReference) {
+  const double two53 = 9007199254740992.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.1, 1.0 / 3.0, 2.5, 1e10, 1e-10,
+      two53 - 1, two53, two53 + 2, -(two53 - 1), -two53, -(two53 + 2),
+      two53 / 2 + 0.5, -(two53 / 2 + 0.5), 3.0596940034, 123456789.125,
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), inf, -inf, nan, -nan};
+  Rng rng(53);
+  for (int i = 0; i < 25000; ++i) {
+    const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
+    // Integral below 2^53, of every bit length.
+    values.push_back(sign * static_cast<double>(rng.next_below(
+                                std::uint64_t{1} << (1 + rng.next_below(53)))));
+    // Integral at or above 2^53.
+    values.push_back(sign * std::ldexp(static_cast<double>(
+                                           1 + rng.next_below(1u << 20)),
+                                       53 + static_cast<int>(
+                                                rng.next_below(960))));
+    // Fractional, across magnitudes.
+    values.push_back(sign * rng.uniform01() *
+                     std::pow(10.0, static_cast<double>(
+                                        rng.uniform_int(-30, 30))));
+    // Any bit pattern: subnormals, infinities and NaNs included.
+    values.push_back(std::bit_cast<double>(rng.next_u64()));
+  }
+  for (const double v : values) {
+    const std::string expect = reference_number_text(v);
+    ASSERT_EQ(NumberText(v).view(), expect) << "bits " << std::hex
+                                            << std::bit_cast<std::uint64_t>(v);
+    ASSERT_EQ(CsvWriter::to_cell(v), expect);
+  }
+}
+
+TEST(NumberText, JsonWritersPrintNonFiniteAsZero) {
+  for (const double v : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    TraceEvent e;
+    e.v0 = v;
+    e.v1 = 0.25;
+    std::ostringstream os;
+    write_trace_jsonl(os, {e});
+    EXPECT_NE(os.str().find("\"v0\":0,\"v1\":0.25,"), std::string::npos)
+        << os.str();
+  }
 }
 
 TEST(TextTable, RendersAlignedColumns) {

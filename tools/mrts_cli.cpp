@@ -800,9 +800,9 @@ int cmd_trace_summary(const CliArgs& args) {
         format_double(h.max(), 0).c_str());
   }
   // Rows sort by kind *name*, not enum order: the table then matches the
-  // (alphabetical) counter table — e.g. the selector.cache row lands next to
-  // the selector.cache.{hit,miss} counters — and stays stable when new enum
-  // values are appended. Pinned by tests/test_profit_cache.cpp.
+  // (alphabetical) counter table — e.g. the reconfig.retry row lands next to
+  // the reconfig.retry counter — and stays stable when new enum values are
+  // appended. The counter order is pinned by tests/test_trace.cpp.
   std::map<std::string, std::size_t> rows;
   for (std::size_t i = 0; i < kNumTraceEventKinds; ++i) {
     if (summary.per_kind[i] == 0) continue;
