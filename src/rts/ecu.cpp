@@ -255,13 +255,15 @@ Cycles Ecu::execute_run(KernelId k, Cycles cursor, const ExecEvent* events,
     impl_cycles[static_cast<std::size_t>(out.impl)] += out.latency;
     cursor += out.latency;
     ++i;
-    if (i >= n) break;
 
-    // Steady-state probe. last_executed_ == k now, so subsequent executions
-    // in this run never pay the context-switch penalty.
-    if (!derive_steady(k, kernel, state_[raw(k)], cursor - out.latency)) {
-      continue;
-    }
+    // Steady-state probe, also after the run's last execution: the memo it
+    // leaves lets the kernel's later runs commit without the exact path.
+    // last_executed_ == k now, so subsequent executions in this run never
+    // pay the context-switch penalty.
+    const bool steady =
+        derive_steady(k, kernel, state_[raw(k)], cursor - out.latency);
+    if (i == n) break;
+    if (!steady) continue;
     const SteadyMemo& memo = memo_[raw(k)];
 
     // No better implementation (nor a pending monoCG flip) may arrive
@@ -379,68 +381,97 @@ std::size_t Ecu::commit_steady(const ExecRun* runs, std::size_t num_runs,
   const SteadyMemo* memo = memo_.data();
   const std::size_t num_memos = memo_.size();
   const RunChunks* chunks = obs.chunks();
+  const std::size_t width = chunks != nullptr ? chunks->kernels.size() : 0;
   std::array<std::uint64_t, kNumImplKinds> executions{};
   std::array<Cycles, kNumImplKinds> cycles{};
   Cycles switch_cycles = 0;
   Cycles saved = 0;
   KernelId last = last_executed_;
+
+  // Whether the whole chunks [c, e) commit at once: every kernel with runs
+  // in them has a memo at this epoch, the cursor after them lies within the
+  // smallest of those kernels' horizons (so no execution of the stretch
+  // starts beyond any of them) and, with counters, the latency histogram's
+  // sum stays exact when the stretch's latencies are added kernel by kernel
+  // rather than in execution order. Growing e only adds kernels, cycles and
+  // latencies, so the test turns from true to false at most once.
+  const auto fits = [&](std::size_t c, std::size_t e, const Histogram* h) {
+    const RunCount* from = &chunks->counts[c * width];
+    const RunCount* to = &chunks->counts[e * width];
+    Cycles exec_cycles = 0;
+    Cycles horizon = kNeverCycles;
+    for (std::size_t j = 0; j < width; ++j) {
+      const std::uint32_t n_runs = to[j].runs - from[j].runs;
+      if (n_runs == 0) continue;
+      const std::size_t kid = raw(chunks->kernels[j]);
+      if (kid >= num_memos || memo[kid].stamp != stamp) return false;
+      const SteadyMemo& m = memo[kid];
+      exec_cycles += (to[j].executions - from[j].executions) * m.latency +
+                     n_runs * m.switch_cost;
+      horizon = std::min(horizon, m.until);
+    }
+    if (kCounting && (h == nullptr || !h->sum_stays_exact(
+                                          static_cast<double>(exec_cycles)))) {
+      return false;
+    }
+    const Cycles gaps =
+        chunks->chunks[e].gaps_before - chunks->chunks[c].gaps_before;
+    return cursor + gaps + exec_cycles <= horizon;
+  };
+
   while (r < num_runs) {
     if (chunks != nullptr && r % kChunkRuns == 0) {
-      // Whole-chunk commit: each of the chunk's runs would pass the per-run
-      // commit below (no execution starts after the cursor past the chunk),
-      // and what that commit adds up are integer sums in any order. Runs
-      // are maximal, so each follows a run of another kernel and pays its
-      // kernel's switch cost (the instance's first run sits in a chunk that
-      // holds an endpoint).
-      const RunChunk& chunk = chunks->chunks[r / kChunkRuns];
-      const ChunkKernel* entries = chunks->kernels.data() + chunk.first_kernel;
-      bool steady = !chunk.holds_endpoint;
-      Cycles span = chunk.gap_total;
-      Cycles horizon = kNeverCycles;
-      for (std::uint32_t e = 0; steady && e < chunk.num_kernels; ++e) {
-        const std::size_t kid = raw(entries[e].kernel);
-        steady = kid < num_memos && memo[kid].stamp == stamp;
-        if (steady) {
-          const SteadyMemo& m = memo[kid];
-          span += entries[e].executions * m.latency +
-                  entries[e].runs * m.switch_cost;
-          horizon = std::min(horizon, m.until);
+      // Stretch commit: the longest stretch of whole chunks [c, e) that
+      // fits, e at most the next endpoint chunk. Each of its runs would pass
+      // the per-run commit below, and what that commit adds up are integer
+      // sums in any order. Runs are maximal, so each follows a run of
+      // another kernel and pays its kernel's switch cost (the instance's
+      // first run sits in an endpoint chunk).
+      const std::size_t c = r / kChunkRuns;
+      const Histogram* h =
+          kCounting ? counters_->histogram(kLatencyHistogram) : nullptr;
+      std::size_t e = chunks->chunks[c].next_endpoint;
+      if (e > c && !fits(c, e, h)) {
+        std::size_t lo = c;  // [c, lo) fits, [c, hi) does not
+        std::size_t hi = e;
+        while (hi - lo > 1) {
+          const std::size_t mid = lo + (hi - lo) / 2;
+          (fits(c, mid, h) ? lo : hi) = mid;
         }
+        e = lo;
       }
-      // The chunk's latency observations are added kernel by kernel, not in
-      // execution order. Integer sums below 2^53 are exact in any order, so
-      // the histogram sum must stay in that range (it is never near it in
-      // practice; outside it the runs commit one by one, in order).
-      if (kCounting && steady) {
-        const Histogram* h = counters_->histogram(kLatencyHistogram);
-        const auto chunk_cycles = static_cast<double>(span - chunk.gap_total);
-        steady = h != nullptr && h->sum_stays_exact(chunk_cycles);
-      }
-      if (steady && cursor + span <= horizon) {
-        for (std::uint32_t e = 0; e < chunk.num_kernels; ++e) {
-          const ChunkKernel& entry = entries[e];
-          const SteadyMemo& m = memo[raw(entry.kernel)];
+      if (e > c) {
+        const RunCount* from = &chunks->counts[c * width];
+        const RunCount* to = &chunks->counts[e * width];
+        Cycles span =
+            chunks->chunks[e].gaps_before - chunks->chunks[c].gaps_before;
+        for (std::size_t j = 0; j < width; ++j) {
+          const std::uint32_t n_runs = to[j].runs - from[j].runs;
+          if (n_runs == 0) continue;
+          const std::uint32_t n_execs = to[j].executions - from[j].executions;
+          const KernelId k = chunks->kernels[j];
+          const SteadyMemo& m = memo[raw(k)];
           const auto ki = static_cast<std::size_t>(m.kind);
-          const Cycles switched = entry.runs * m.switch_cost;
-          const Cycles total = entry.executions * m.latency + switched;
-          executions[ki] += entry.executions;
+          const Cycles switched = n_runs * m.switch_cost;
+          const Cycles total = n_execs * m.latency + switched;
+          executions[ki] += n_execs;
           cycles[ki] += total;
           switch_cycles += switched;
-          saved += (entry.executions - entry.runs) * m.saved +
-                   entry.runs * m.saved_switched;
-          obs.note_chunk_kernel(entry.kernel, entry.executions, total);
+          saved += (n_execs - n_runs) * m.saved + n_runs * m.saved_switched;
+          span += total;
+          obs.note_stretch_kernel(k, n_execs, total);
           if (kCounting) {
             counters_->observe(kLatencyHistogram,
                                static_cast<double>(m.latency + m.switch_cost),
-                               entry.runs);
+                               n_runs);
             counters_->observe(kLatencyHistogram,
                                static_cast<double>(m.latency),
-                               entry.executions - entry.runs);
+                               n_execs - n_runs);
           }
         }
         cursor += span;
-        last = chunk.last_kernel;
-        r += kChunkRuns;
+        last = chunks->chunks[e - 1].last_kernel;
+        r = e * kChunkRuns;
         continue;
       }
     }

@@ -23,8 +23,8 @@
 /// kernel's decision is a monotone timeline of (time, latency) improvements.
 /// begin_block() precomputes that timeline once; execute() is then O(1)
 /// amortized, and execute_events() commits steady stretches of a block in
-/// O(1) per run or per 32-run chunk — perfbench's fig_grid simulates about
-/// 6.5e8 kernel executions per host second on one Xeon core. The one
+/// O(1) per run or O(kernels) per stretch of whole chunks (perfbench's
+/// fig_grid `kexec_per_s` in BENCH_perfbench.json says how fast). The one
 /// approximation: a monoCG context load that evicts a stale leftover context
 /// mid-block is not reflected in already-built timelines of *other* kernels
 /// (the stale context would almost never be their best option anyway).
@@ -102,18 +102,20 @@ class Ecu {
 
   /// Whole-block batched execution (contract of
   /// RuntimeSystem::execute_events): one non-virtual loop over the block's
-  /// runs. Each kernel's first run derives a *steady-decision memo*
-  /// ((kind, latency, uses_cg) plus the cycle horizon it provably holds to
-  /// and the fabric state epoch it was taken at); later runs that fit the
-  /// horizon at an unchanged epoch commit in O(1) — including the
-  /// context-switch penalty of their first execution — without touching
-  /// the timeline or the fabric. When \p obs carries chunk summaries
-  /// (sim/schedule.h RunChunk), a whole 32-run chunk commits in O(kernels
-  /// in the chunk) once every kernel in it has a memo at the current epoch,
-  /// the cursor after the chunk is within the smallest of their horizons
-  /// and the chunk holds no kernel's first or last run of the block. Any
-  /// epoch bump or horizon crossing falls back to the exact per-event path.
-  /// Observed runs commit the same way (see execute_run).
+  /// runs. Every execution on the exact path (execute_run) derives a
+  /// *steady-decision memo* ((kind, latency, uses_cg) plus the cycle horizon
+  /// it provably holds to and the fabric state epoch it was taken at), also
+  /// the last one of a run; later runs that fit the horizon at an unchanged
+  /// epoch commit in O(1) — including the context-switch penalty of their
+  /// first execution — without touching the timeline or the fabric. When
+  /// \p obs carries chunk summaries (sim/schedule.h RunChunks), each chunk
+  /// boundary commits the longest stretch of whole chunks, up to the next
+  /// chunk that holds some kernel's first or last run of the block, in which
+  /// every kernel has a memo at the current epoch and the cursor after the
+  /// stretch is within the smallest of their horizons: O(kernels in the
+  /// block) per binary-search step. Any epoch bump or horizon crossing falls
+  /// back to the exact per-event path. Observed runs commit the same way
+  /// (see execute_run).
   Cycles execute_events(const ExecEvent* events, const ExecRun* runs,
                         std::size_t num_runs, Cycles cursor,
                         std::uint64_t* impl_executions, Cycles* impl_cycles,
@@ -198,9 +200,9 @@ class Ecu {
   /// pending beyond \p now with no usable horizon).
   bool derive_steady(KernelId k, const Kernel& kernel, const KernelState& st,
                      Cycles now);
-  /// Commits runs from \p r on through the steady memos — a whole chunk at
-  /// each chunk boundary where execute_events allows it, else run by run —
-  /// until a run needs the exact path, and returns that run's index
+  /// Commits runs from \p r on through the steady memos — the longest
+  /// stretch of whole chunks that fits at each chunk boundary, else run by
+  /// run — until a run needs the exact path, and returns that run's index
   /// (\p num_runs when none does). Advances \p cursor. \p kCounting is
   /// counters_ != nullptr, fixed per call so the loop without counters
   /// carries no counter code.

@@ -4,14 +4,15 @@
 /// path. RuntimeSystem::execute_events reports every run through
 /// ObservationSink::note_run — a concrete inline call, so the ECU folds the
 /// accumulation into its single pass over the runs — and every kernel's
-/// share of a chunk it commits whole through note_chunk_kernel. The sink
-/// also carries the block's chunk summaries to the ECU (chunks()).
+/// share of a stretch of whole chunks it commits at once through
+/// note_stretch_kernel. The sink also carries the block's chunk summaries
+/// to the ECU (chunks()).
 ///
 /// The sink adds up each kernel's executed cycles, not its gaps. The gaps
 /// between a kernel's executions telescope: last_end - first_start is the
 /// sum of its execution latencies plus the sum of those gaps, so
 ///   gap_sum = last_end - first_start - exec_cycles
-/// exactly, in unsigned 64-bit. That identity lets a chunk commit add counts
+/// exactly, in unsigned 64-bit. That identity lets a stretch commit add counts
 /// alone, leaving first_start / last_end to the runs that set them, and it
 /// reproduces the legacy per-event loop's observations bit for bit.
 /// Executions are integer counts in a double (exact far beyond any block
@@ -76,12 +77,12 @@ class ObservationSink {
     a.last_end = end_cursor - start_;
   }
 
-  /// Accounts kernel \p k's share of a chunk committed whole. The chunk
-  /// holds neither the kernel's first nor its last run (RunChunk::
-  /// holds_endpoint), so the kernel is already seen and its last end is set
-  /// by a later note_run.
-  void note_chunk_kernel(KernelId k, std::uint32_t executions,
-                         Cycles exec_cycles) {
+  /// Accounts kernel \p k's share of a stretch of whole chunks committed at
+  /// once. The stretch holds neither the kernel's first nor its last run
+  /// (RunChunk::next_endpoint), so the kernel is already seen and its last
+  /// end is set by a later note_run.
+  void note_stretch_kernel(KernelId k, std::uint32_t executions,
+                           Cycles exec_cycles) {
     Acc& a = (*acc_)[raw(k)];
     a.exec_cycles += exec_cycles;
     a.executions += static_cast<double>(executions);

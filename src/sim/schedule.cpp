@@ -8,54 +8,65 @@ namespace mrts {
 namespace {
 
 /// Summarizes \p runs (maximal, as decode_runs makes them) into \p chunks
-/// (cleared first), in one pass over the runs.
+/// (cleared first): a scan of the run kernels finds the distinct kernels and
+/// each one's first and last run, then one pass over the runs writes the
+/// prefix sums at every chunk boundary.
 void summarize_chunks(const std::vector<ExecRun>& runs, RunChunks& chunks) {
-  chunks.chunks.clear();
   chunks.kernels.clear();
-  chunks.chunks.reserve((runs.size() + kChunkRuns - 1) / kChunkRuns);
-  // The instance's distinct kernels with the last chunk each appears in. A
-  // block interleaves few kernels, so linear scans (once per new chunk
-  // entry, and over the chunk's own entries per run) beat any map.
-  struct Span {
-    KernelId kernel;
-    std::size_t last_chunk;
-  };
-  std::vector<Span> spans;
-  for (std::size_t begin = 0; begin < runs.size(); begin += kChunkRuns) {
-    const std::size_t end = std::min(runs.size(), begin + kChunkRuns);
-    const std::size_t c = chunks.chunks.size();
-    RunChunk chunk;
-    chunk.first_kernel = static_cast<std::uint32_t>(chunks.kernels.size());
-    for (std::size_t r = begin; r < end; ++r) {
-      const ExecRun& run = runs[r];
-      chunk.gap_total += run.gap_total;
-      std::size_t e = chunk.first_kernel;
-      while (e < chunks.kernels.size() &&
-             chunks.kernels[e].kernel != run.kernel) {
-        ++e;
-      }
-      if (e == chunks.kernels.size()) {
-        chunks.kernels.push_back({run.kernel, 0, 0});
-        auto span = std::find_if(
-            spans.begin(), spans.end(),
-            [&](const Span& s) { return s.kernel == run.kernel; });
-        if (span == spans.end()) {
-          spans.push_back({run.kernel, c});
-          chunk.holds_endpoint = true;  // the kernel's first run
-        } else {
-          span->last_chunk = c;
-        }
-      }
-      chunks.kernels[e].runs += 1;
-      chunks.kernels[e].executions += run.count;
+  chunks.chunks.clear();
+  chunks.counts.clear();
+  if (runs.size() <= kChunkRuns) return;  // one chunk holds every endpoint
+  const std::size_t num_chunks = (runs.size() + kChunkRuns - 1) / kChunkRuns;
+
+  // A block interleaves few kernels, so sorted inserts and linear scans
+  // beat any map. first_run / last_run run parallel to chunks.kernels.
+  std::vector<KernelId>& kernels = chunks.kernels;
+  std::vector<std::size_t> first_run;
+  std::vector<std::size_t> last_run;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const auto it = std::lower_bound(kernels.begin(), kernels.end(),
+                                     runs[r].kernel);
+    const auto j = static_cast<std::size_t>(it - kernels.begin());
+    if (it == kernels.end() || *it != runs[r].kernel) {
+      kernels.insert(it, runs[r].kernel);
+      first_run.insert(first_run.begin() + j, r);
+      last_run.insert(last_run.begin() + j, r);
     }
-    chunk.num_kernels =
-        static_cast<std::uint32_t>(chunks.kernels.size()) - chunk.first_kernel;
-    chunk.last_kernel = runs[end - 1].kernel;
-    chunks.chunks.push_back(chunk);
+    last_run[j] = r;
   }
-  for (const Span& span : spans) {
-    chunks.chunks[span.last_chunk].holds_endpoint = true;  // its last run
+
+  const std::size_t width = kernels.size();
+  chunks.chunks.resize(num_chunks);
+  chunks.counts.resize(num_chunks * width);
+  std::vector<RunCount> before(width);  // totals before the current run
+  Cycles gaps = 0;
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    RunChunk& chunk = chunks.chunks[c];
+    chunk.gaps_before = gaps;
+    std::copy(before.begin(), before.end(), &chunks.counts[c * width]);
+    const std::size_t end = std::min(runs.size(), (c + 1) * kChunkRuns);
+    for (std::size_t r = c * kChunkRuns; r < end; ++r) {
+      const ExecRun& run = runs[r];
+      gaps += run.gap_total;
+      std::size_t j = 0;
+      while (kernels[j] != run.kernel) ++j;
+      before[j].runs += 1;
+      before[j].executions += run.count;
+    }
+    chunk.last_kernel = runs[end - 1].kernel;
+  }
+
+  // The last chunk holds the instance's last run, which is its kernel's
+  // last, so every chunk has an endpoint chunk at or after it.
+  std::vector<bool> endpoint(num_chunks, false);
+  for (std::size_t j = 0; j < width; ++j) {
+    endpoint[first_run[j] / kChunkRuns] = true;
+    endpoint[last_run[j] / kChunkRuns] = true;
+  }
+  auto next = static_cast<std::uint32_t>(num_chunks - 1);
+  for (std::size_t c = num_chunks; c-- > 0;) {
+    if (endpoint[c]) next = static_cast<std::uint32_t>(c);
+    chunks.chunks[c].next_endpoint = next;
   }
 }
 
@@ -63,7 +74,14 @@ void summarize_chunks(const std::vector<ExecRun>& runs, RunChunks& chunks) {
 
 void decode_runs(const std::vector<ExecEvent>& events,
                  std::vector<ExecRun>& runs) {
+  // Count the runs first, so an instance's runs (kept for the trace's
+  // lifetime) take no more memory than they hold.
+  std::size_t num_runs = events.empty() ? 0 : 1;
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    num_runs += events[i].kernel != events[i - 1].kernel ? 1 : 0;
+  }
   runs.clear();
+  runs.reserve(num_runs);
   for (std::size_t i = 0; i < events.size();) {
     ExecRun run;
     run.kernel = events[i].kernel;

@@ -37,38 +37,42 @@ struct ExecRun {
   Cycles first_gap = 0;
 };
 
-/// Runs per RunChunk. A constant: 32 keeps a chunk's kernel table short (a
-/// CIF block interleaves a handful of kernels) while a 16-frame CIF block
-/// still spans about 50 chunks.
-inline constexpr std::size_t kChunkRuns = 32;
+/// Runs per RunChunk. A constant: a stretch commit spans any number of
+/// chunks at O(kernels) per binary-search step, so more boundaries cost
+/// little, while small chunks keep short the run-by-run commits in a
+/// block's first and last chunks and in the chunk around every break.
+inline constexpr std::size_t kChunkRuns = 8;
 
-/// One kernel's share of a RunChunk.
-struct ChunkKernel {
-  KernelId kernel = kInvalidKernel;
-  std::uint32_t runs = 0;        ///< runs of the kernel in the chunk
-  std::uint32_t executions = 0;  ///< executions those runs hold
-};
-
-/// Summary of kChunkRuns consecutive runs of one instance (the instance's
-/// last chunk may hold fewer). It carries what the ECU needs to commit the
-/// whole chunk in O(kernels in the chunk) when every kernel's decision is
-/// steady across it (see Ecu::execute_events).
+/// One chunk of kChunkRuns consecutive runs of an instance (the instance's
+/// last chunk may hold fewer).
 struct RunChunk {
-  Cycles gap_total = 0;               ///< sum of gap_total over the runs
-  std::uint32_t first_kernel = 0;     ///< index into RunChunks::kernels
-  std::uint32_t num_kernels = 0;      ///< distinct kernels of the chunk
+  Cycles gaps_before = 0;  ///< sum of gap_total over every run before it
   KernelId last_kernel = kInvalidKernel;  ///< kernel of the chunk's last run
-  /// The chunk holds some kernel's first or last run of the instance. Only
-  /// those runs move a kernel's observed first start or last end, so a
-  /// chunk without them can be observed by adding up counts alone.
-  bool holds_endpoint = false;
+  /// The first chunk at or after this one that holds some kernel's first or
+  /// last run of the instance (an *endpoint chunk*). Only those runs move a
+  /// kernel's observed first start or last end, so whole chunks before it
+  /// can be observed by adding up counts alone.
+  std::uint32_t next_endpoint = 0;
 };
 
-/// The chunk summaries of an instance's runs: chunk c covers runs
-/// [c * kChunkRuns, (c + 1) * kChunkRuns).
+/// One kernel's runs and the executions they hold.
+struct RunCount {
+  std::uint32_t runs = 0;
+  std::uint32_t executions = 0;
+};
+
+/// Prefix sums of an instance's runs at every chunk boundary: chunk c covers
+/// runs [c * kChunkRuns, (c + 1) * kChunkRuns), and boundary c is its start.
+/// The ECU commits any stretch of whole chunks [c, e) in O(kernels) from the
+/// differences at boundaries c and e (see Ecu::execute_events). An instance
+/// whose runs fit in one chunk gets empty tables: that chunk holds every
+/// endpoint, so no stretch could use them.
 struct RunChunks {
+  std::vector<KernelId> kernels;  ///< the instance's kernels, ascending id
   std::vector<RunChunk> chunks;
-  std::vector<ChunkKernel> kernels;  ///< every chunk's entries, in order
+  /// Boundary c's counts of kernels[j] (runs before the boundary) at
+  /// index c * kernels.size() + j.
+  std::vector<RunCount> counts;
 
   /// True when this table summarizes exactly \p num_runs runs.
   bool covers(std::size_t num_runs) const {

@@ -1,6 +1,8 @@
 #include "util/trace.h"
 
+#include <algorithm>
 #include <array>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -8,10 +10,13 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "isa/ise_library.h"
 #include "util/number_text.h"
@@ -302,27 +307,60 @@ bool write_trace_jsonl_file(const std::string& path,
 
 namespace {
 
-/// Extracts the raw token following `"key":` in a flat one-line JSON object;
+/// The raw value after `"key":` in a flat one-line JSON object, blanks
+/// around it trimmed: a string keeps its quotes (an unterminated one runs to
+/// the end of the line), anything else runs to the next ',' or '}'.
 /// nullopt when the key is absent.
-std::optional<std::string> json_token(const std::string& line,
-                                      const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  std::size_t begin = pos + needle.size();
-  std::size_t end = begin;
-  if (begin < line.size() && line[begin] == '"') {
-    ++begin;
-    end = begin;
-    while (end < line.size() && line[end] != '"') {
-      if (line[end] == '\\') ++end;  // skip escaped char
-      ++end;
+std::optional<std::string_view> json_value(std::string_view line,
+                                           std::string_view key) {
+  for (std::size_t pos = line.find(key); pos != std::string_view::npos;
+       pos = line.find(key, pos + 1)) {
+    const std::size_t after = pos + key.size();
+    if (pos == 0 || line[pos - 1] != '"' ||
+        line.compare(after, 2, "\":") != 0) {
+      continue;
     }
-    if (end >= line.size()) return std::nullopt;  // unterminated string
-  } else {
-    while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
+    const std::size_t begin = after + 2;
+    std::size_t end = begin;
+    if (begin < line.size() && line[begin] == '"') {
+      for (++end; end < line.size() && line[end] != '"'; ++end) {
+        if (line[end] == '\\') ++end;  // skip the escaped char
+      }
+      end = std::min(end + 1, line.size());  // past the closing quote
+    } else {
+      while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
+    }
+    std::string_view value = line.substr(begin, end - begin);
+    const std::size_t first = value.find_first_not_of(" \t");
+    if (first == std::string_view::npos) return std::string_view();
+    value = value.substr(first);
+    return value.substr(0, value.find_last_not_of(" \t") + 1);
   }
-  return line.substr(begin, end - begin);
+  return std::nullopt;
+}
+
+/// Parses \p value into \p out: for an integer type, decimal digits (a
+/// minus sign only when the type is signed) of a value the type holds; for
+/// double, a finite number. Nothing may follow the number.
+template <typename T>
+bool parse_number(std::string_view value, T& out) {
+  const char* const end = value.data() + value.size();
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(parsed)) return false;
+  }
+  out = parsed;
+  return true;
+}
+
+/// Reads field \p key of \p line into \p out when present; false when it is
+/// present but not a number that parse_number accepts.
+template <typename T>
+bool read_field(std::string_view line, std::string_view key, T& out) {
+  const std::optional<std::string_view> value = json_value(line, key);
+  return !value || parse_number(*value, out);
 }
 
 }  // namespace
@@ -334,38 +372,29 @@ std::optional<TraceEvent> parse_trace_jsonl_line(const std::string& line) {
   if (first == std::string::npos || line[first] != '{') return std::nullopt;
   const auto last = line.find_last_not_of(" \t\r");
   if (line[last] != '}') return std::nullopt;
-  const auto kind_token = json_token(line, "kind");
-  const auto at_token = json_token(line, "at");
-  if (!kind_token || !at_token) return std::nullopt;
-  const auto kind = trace_kind_from_string(*kind_token);
-  if (!kind) return std::nullopt;
+  const std::optional<std::string_view> kind_value = json_value(line, "kind");
+  if (!kind_value || kind_value->size() < 2 || kind_value->front() != '"' ||
+      kind_value->back() != '"') {
+    return std::nullopt;
+  }
+  const auto kind =
+      trace_kind_from_string(kind_value->substr(1, kind_value->size() - 2));
+  const std::optional<std::string_view> at_value = json_value(line, "at");
+  if (!kind || !at_value) return std::nullopt;
 
   TraceEvent e;
   e.kind = *kind;
-  char* end = nullptr;
-  e.at = std::strtoull(at_token->c_str(), &end, 10);
-  if (end == at_token->c_str()) return std::nullopt;
-  if (const auto t = json_token(line, "dur")) {
-    e.duration = std::strtoull(t->c_str(), nullptr, 10);
+  // Every other field is optional ("tenant" so traces written before it
+  // existed still parse), but one that is present must fit its type.
+  if (!parse_number(*at_value, e.at) || !read_field(line, "dur", e.duration) ||
+      !read_field(line, "track", e.track) ||
+      !read_field(line, "arg0", e.arg0) || !read_field(line, "arg1", e.arg1) ||
+      !read_field(line, "tenant", e.tenant) || !read_field(line, "v0", e.v0) ||
+      !read_field(line, "v1", e.v1)) {
+    return std::nullopt;
   }
-  if (const auto t = json_token(line, "track")) {
-    e.track = static_cast<std::int32_t>(std::strtol(t->c_str(), nullptr, 10));
-  }
-  if (const auto t = json_token(line, "arg0")) {
-    e.arg0 = static_cast<std::uint32_t>(std::strtoul(t->c_str(), nullptr, 10));
-  }
-  if (const auto t = json_token(line, "arg1")) {
-    e.arg1 = static_cast<std::uint32_t>(std::strtoul(t->c_str(), nullptr, 10));
-  }
-  if (const auto t = json_token(line, "tenant")) {
-    // Optional so traces written before the tenant field existed still parse.
-    e.tenant = static_cast<std::uint32_t>(std::strtoul(t->c_str(), nullptr, 10));
-  }
-  if (const auto t = json_token(line, "v0")) {
-    e.v0 = std::strtod(t->c_str(), nullptr);
-  }
-  if (const auto t = json_token(line, "v1")) {
-    e.v1 = std::strtod(t->c_str(), nullptr);
+  if (e.duration > std::numeric_limits<Cycles>::max() - e.at) {
+    return std::nullopt;  // the event would end past the last cycle
   }
   return e;
 }

@@ -196,7 +196,12 @@ bool write_trace_jsonl_file(const std::string& path,
                             const IseLibrary* lib = nullptr);
 
 /// Parses one JSONL line produced by write_trace_jsonl (labels are ignored;
-/// they are derived data). nullopt on malformed input.
+/// they are derived data). nullopt on malformed input: a line that is not
+/// one brace-closed object, an unknown or unquoted kind, a missing "at", a
+/// numeric field that holds no plain decimal number (or, for v0/v1, no
+/// finite one), a minus sign on an unsigned field, a value wider than its
+/// field, or an event whose at + dur overflows 64 bits. Fields other than
+/// kind and at may be absent ("tenant" is, in traces written before it).
 std::optional<TraceEvent> parse_trace_jsonl_line(const std::string& line);
 
 /// A whole JSONL trace read into memory — the reusable event stream behind

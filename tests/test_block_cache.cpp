@@ -15,6 +15,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -727,7 +728,8 @@ std::vector<BlockOutcome> run_blocks(
 
 /// Compares the fast path with the per-event oracle block by block: cycles,
 /// per-implementation tallies and every observed kernel statistic, then the
-/// ECU's totals. With \p oracle_seen non-null both runs are observed: the
+/// ECU's totals. With \p oracle_seen non-null both runs are observed,
+/// their counter registries starting from what \p oracle_seen holds: the
 /// oracle's observation lands there and the fast run's must equal it.
 /// Returns the oracle's outcomes so a test can check its scenario happened.
 std::vector<BlockOutcome> expect_fast_matches_oracle(
@@ -735,7 +737,8 @@ std::vector<BlockOutcome> expect_fast_matches_oracle(
     Observation* oracle_seen = nullptr) {
   EcuStats oracle_ecu;
   EcuStats fast_ecu;
-  Observation fast_seen;
+  Observation fast_seen;  // its registry starts as the oracle's does
+  if (oracle_seen != nullptr) fast_seen.counters = oracle_seen->counters;
   const std::vector<BlockOutcome> oracle =
       run_blocks(make, blocks, false, oracle_ecu, oracle_seen);
   const std::vector<BlockOutcome> fast =
@@ -818,19 +821,20 @@ class EcuChunkCommit : public ::testing::Test {
   }
 
   /// A finalized block of \p runs maximal runs of the functional block
-  /// \p fb: run i executes kernel_of(i) min_count to min_count + 5 times,
-  /// each after a seeded gap around \p gap cycles. Its programmed trigger is
-  /// stamped from its own schedule, like a workload-built block's.
+  /// \p fb: run i executes kernel_of(i) min_count to min_count + spread - 1
+  /// times, each after a seeded gap around \p gap cycles. Its programmed
+  /// trigger is stamped from its own schedule, like a workload-built block's.
   static FunctionalBlockInstance make_block(
       FunctionalBlockId fb, std::size_t runs,
       const std::function<KernelId(std::size_t)>& kernel_of, Cycles gap,
-      std::uint64_t seed, std::uint64_t min_count = 1) {
+      std::uint64_t seed, std::uint64_t min_count = 1,
+      std::uint64_t spread = 6) {
     Rng rng(seed);
     FunctionalBlockInstance block;
     block.functional_block = fb;
     block.tail_gap = gap;
     for (std::size_t i = 0; i < runs; ++i) {
-      const std::uint64_t count = min_count + rng.next_below(6);
+      const std::uint64_t count = min_count + rng.next_below(spread);
       for (std::uint64_t e = 0; e < count; ++e) {
         block.events.push_back({kernel_of(i), gap / 2 + rng.next_below(gap)});
       }
@@ -841,22 +845,46 @@ class EcuChunkCommit : public ::testing::Test {
   }
 
   /// A 400-run block in which two kernels outside the programmed trigger
-  /// take turns over the last five runs of chunk 6 (runs 219-223). Their
+  /// take turns over runs 219-223, the last five runs before run 224. Their
   /// monoCG acquisitions bump the fabric epoch and, on a single CG fabric,
-  /// evict the first kernel's monoCG context, so chunk 7 opens with that
-  /// kernel's memo void while the newcomers' memos are fresh. (A kernel's
-  /// memo is derived within a run, so every run executes at least twice.)
-  static FunctionalBlockInstance mono_cg_mid_block() {
+  /// evict the first kernel's monoCG context, so the chunk from run 224
+  /// opens with that kernel's memo void while the newcomers' memos are
+  /// fresh. Every run executes 2 to 7 times, or with \p single once.
+  static FunctionalBlockInstance mono_cg_mid_block(bool single = false) {
     const auto kernel_of = [](std::size_t i) {
       if (i < 219) return ee_cycle(i, 3);
       if (i < 224) return i % 2 == 1 ? app_->k_idct : app_->k_cavlc;
       return ee_cycle(i + 1, 5);
     };
-    FunctionalBlockInstance block =
-        make_block(app_->fb_ee, 400, kernel_of, 400, 13, 2);
-    block.programmed =
-        make_block(app_->fb_ee, 219, kernel_of, 400, 13, 2).programmed;
+    const std::uint64_t min_count = single ? 1 : 2;
+    const std::uint64_t spread = single ? 1 : 6;
+    FunctionalBlockInstance block = make_block(app_->fb_ee, 400, kernel_of,
+                                               400, 13, min_count, spread);
+    block.programmed = make_block(app_->fb_ee, 219, kernel_of, 400, 13,
+                                  min_count, spread)
+                           .programmed;
     return block;
+  }
+
+  /// Blocks of single-execution runs: two kernels alternating (A B A B ...)
+  /// and a three-kernel cycle, 400 runs each.
+  static std::vector<FunctionalBlockInstance> alternating_blocks() {
+    return {make_block(
+                app_->fb_ee, 400, [](std::size_t i) { return ee_cycle(i, 2); },
+                400, 21, 1, 1),
+            make_block(
+                app_->fb_ee, 400, [](std::size_t i) { return ee_cycle(i, 3); },
+                400, 22, 1, 1)};
+  }
+
+  /// A 320-run block of single-execution runs whose fourth kernel runs for
+  /// the last time at run \p last_run; a three-kernel cycle follows.
+  static FunctionalBlockInstance last_run_at(std::size_t last_run) {
+    const std::size_t shift = 7 - last_run % 4;  // run last_run: kernel 3
+    const auto kernel_of = [last_run, shift](std::size_t i) {
+      return i <= last_run ? ee_cycle(i + shift, 4) : ee_cycle(i, 3);
+    };
+    return make_block(app_->fb_ee, 320, kernel_of, 400, last_run, 1, 1);
   }
 
   /// mRTS on 2 PRCs + 2 CG fabrics whose loads fail at \p rate with one
@@ -885,14 +913,14 @@ H264Application* EcuChunkCommit::app_ = nullptr;
 std::vector<BlockProfile>* EcuChunkCommit::profile_ = nullptr;
 
 TEST_F(EcuChunkCommit, FigGridKindsMatchOracleOnFullCifBlocks) {
-  // A CIF frame's loop-filter block spans 25 chunks, its motion-estimation
-  // and encoding blocks about 50 and 75.
+  // A CIF frame's loop-filter block spans 99 chunks, its motion-estimation
+  // and encoding blocks about 190 and 297.
   std::size_t chunks = 0;
   for (const FunctionalBlockInstance& block : app_->trace.blocks) {
-    ASSERT_GE(block.chunks.chunks.size(), 25u);
+    ASSERT_GE(block.chunks.chunks.size(), 99u);
     chunks += block.chunks.chunks.size();
   }
-  EXPECT_GE(chunks, 40 * app_->trace.blocks.size());
+  EXPECT_GE(chunks, 190 * app_->trace.blocks.size());
   for (const auto& [prcs, cg] : {std::pair{0u, 1u}, std::pair{2u, 0u},
                                  std::pair{2u, 2u}, std::pair{6u, 3u}}) {
     for (const auto& [name, make] : fig_grid_kinds(prcs, cg)) {
@@ -904,17 +932,19 @@ TEST_F(EcuChunkCommit, FigGridKindsMatchOracleOnFullCifBlocks) {
 }
 
 TEST_F(EcuChunkCommit, BlocksAroundTheChunkSizeMatchOracle) {
-  // 31 and 32 runs fill one chunk, 33 starts a second, 64 fills two; the
-  // last chunk always holds the final runs, so none of these may commit a
-  // chunk — they pin the boundary arithmetic.
+  // kChunkRuns - 1 and kChunkRuns runs fit in one chunk, which gets no
+  // table; kChunkRuns + 1 starts a second chunk and 2 * kChunkRuns fills
+  // it. The last chunk always holds the final runs, so none of these may
+  // commit a stretch — they pin the boundary arithmetic.
   std::vector<FunctionalBlockInstance> blocks;
-  for (const std::size_t runs : {31u, 32u, 33u, 64u}) {
+  for (const std::size_t runs :
+       {kChunkRuns - 1, kChunkRuns, kChunkRuns + 1, 2 * kChunkRuns}) {
     blocks.push_back(make_block(app_->fb_ee, runs,
                                 [](std::size_t i) { return ee_cycle(i); }, 400,
                                 runs));
     ASSERT_EQ(blocks.back().runs.size(), runs);
     ASSERT_EQ(blocks.back().chunks.chunks.size(),
-              (runs + kChunkRuns - 1) / kChunkRuns);
+              runs > kChunkRuns ? (runs + kChunkRuns - 1) / kChunkRuns : 0);
   }
   for (const auto& [name, make] : fig_grid_kinds(2, 2)) {
     SCOPED_TRACE(name);
@@ -935,8 +965,8 @@ TEST_F(EcuChunkCommit, KernelWhoseLastRunFallsMidBlock) {
       make_block(app_->fb_ee, 320, kernel_of, 400, 7);
   const std::size_t mid = (100 + kChunkRuns - 1) / kChunkRuns;
   ASSERT_LT(mid + 2, block.chunks.chunks.size());
-  EXPECT_TRUE(block.chunks.chunks[mid - 1].holds_endpoint);
-  EXPECT_FALSE(block.chunks.chunks[mid + 1].holds_endpoint);
+  EXPECT_EQ(block.chunks.chunks[mid - 1].next_endpoint, mid - 1);
+  EXPECT_GT(block.chunks.chunks[mid + 1].next_endpoint, mid + 1);
   for (const auto& [name, make] : fig_grid_kinds(2, 2)) {
     SCOPED_TRACE(name);
     expect_fast_matches_oracle(make, {block, block});
@@ -963,18 +993,82 @@ TEST_F(EcuChunkCommit, MemoHorizonInsideAChunk) {
 }
 
 TEST_F(EcuChunkCommit, MonoCgAcquisitionMidBlock) {
-  // Chunk 7 opens with a void memo beside fresh ones (mono_cg_mid_block):
-  // it must not commit whole.
-  const FunctionalBlockInstance block = mono_cg_mid_block();
-  ASSERT_EQ(block.runs.size(), 400u);
-  ASSERT_FALSE(block.chunks.chunks[7].holds_endpoint);
-  const RtsFactory make = [] {
-    return std::make_unique<MRts>(app_->library, 1, 0);
-  };
-  const std::vector<BlockOutcome> oracle =
+  // The chunk from run 224 opens with a void memo beside fresh ones
+  // (mono_cg_mid_block): it must not open a stretch. With single-execution
+  // runs every memo stays void until the kernel's next exact execution.
+  for (const bool single : {false, true}) {
+    SCOPED_TRACE(single ? "single-execution runs" : "runs of 2 to 7");
+    const FunctionalBlockInstance block = mono_cg_mid_block(single);
+    ASSERT_EQ(block.runs.size(), 400u);
+    const std::size_t c = 224 / kChunkRuns;
+    ASSERT_NE(block.chunks.chunks[c].next_endpoint, c);
+    const RtsFactory make = [] {
+      return std::make_unique<MRts>(app_->library, 1, 0);
+    };
+    const std::vector<BlockOutcome> oracle =
+        expect_fast_matches_oracle(make, {block, block});
+    ASSERT_FALSE(oracle.empty());
+    EXPECT_GT(executions(oracle[0], ImplKind::kMonoCg), 0u);
+  }
+}
+
+TEST_F(EcuChunkCommit, AlternatingSingleExecutionRuns) {
+  // Each run is one execution, so a kernel's memo comes from the execution
+  // that ends its first run; stretches then span the block.
+  const std::vector<FunctionalBlockInstance> blocks = alternating_blocks();
+  for (const FunctionalBlockInstance& block : blocks) {
+    ASSERT_EQ(block.runs.size(), 400u);
+    ASSERT_EQ(block.events.size(), 400u);
+  }
+  for (const auto& [prcs, cg] : {std::pair{0u, 1u}, std::pair{2u, 2u}}) {
+    for (const auto& [name, make] : fig_grid_kinds(prcs, cg)) {
+      SCOPED_TRACE(name + " on " + std::to_string(prcs) + " PRC + " +
+                   std::to_string(cg) + " CG");
+      expect_fast_matches_oracle(make, blocks);
+    }
+  }
+}
+
+TEST_F(EcuChunkCommit, StretchEndsAtAMemoHorizonManyChunksIn) {
+  // Without a CG fabric a block runs in RISC mode until its first FG data
+  // path has loaded, dozens of chunks in: each stretch before that must
+  // stop short of the chunk in which the first upgrade lands.
+  const FunctionalBlockInstance block = make_block(
+      app_->fb_ee, 800, [](std::size_t i) { return ee_cycle(i); }, 2000, 31,
+      1, 1);
+  // Kinds with a block that upgrades (not every execution runs in RISC
+  // mode) only after many chunks of RISC-mode runs: all but Morpheus, which
+  // loads nothing here.
+  std::size_t upgrade_late = 0;
+  for (const auto& [name, make] : fig_grid_kinds(2, 0)) {
+    SCOPED_TRACE(name);
+    const std::vector<BlockOutcome> oracle =
+        expect_fast_matches_oracle(make, {block, block});
+    bool late = false;
+    for (const BlockOutcome& b : oracle) {
+      const std::uint64_t risc = executions(b, ImplKind::kRisc);
+      late = late || (risc > 4 * kChunkRuns && risc < 800);
+    }
+    upgrade_late += late ? 1 : 0;
+  }
+  EXPECT_EQ(upgrade_late, 4u);
+}
+
+TEST_F(EcuChunkCommit, StretchEndsJustBeforeAMidBlockLastRunChunk) {
+  // The fourth kernel's last run opens chunk 12 or closes it: the stretch
+  // from chunk 1 must stop there, and the chunk goes run by run.
+  for (const std::size_t last : {12 * kChunkRuns, 13 * kChunkRuns - 1}) {
+    SCOPED_TRACE("last run " + std::to_string(last));
+    const FunctionalBlockInstance block = last_run_at(last);
+    ASSERT_EQ(block.runs.size(), 320u);
+    const std::vector<RunChunk>& chunks = block.chunks.chunks;
+    EXPECT_EQ(chunks[1].next_endpoint, 12u);
+    EXPECT_EQ(chunks[13].next_endpoint, chunks.size() - 1);
+    for (const auto& [name, make] : fig_grid_kinds(2, 2)) {
+      SCOPED_TRACE(name);
       expect_fast_matches_oracle(make, {block, block});
-  ASSERT_FALSE(oracle.empty());
-  EXPECT_GT(executions(oracle[0], ImplKind::kMonoCg), 0u);
+    }
+  }
 }
 
 TEST_F(EcuChunkCommit, FaultInducedQuarantine) {
@@ -1095,6 +1189,46 @@ TEST_F(EcuObservedCommit, FaultInducedQuarantine) {
     EXPECT_GT(oracle.counters.counter("prc.quarantined") +
                   oracle.counters.counter("cg.quarantined"),
               0u);
+  }
+}
+
+TEST_F(EcuObservedCommit, SingleExecutionRunsAndMidBlockEndpoints) {
+  std::vector<FunctionalBlockInstance> blocks = alternating_blocks();
+  blocks.push_back(last_run_at(12 * kChunkRuns));
+  blocks.push_back(last_run_at(13 * kChunkRuns - 1));
+  blocks.push_back(mono_cg_mid_block(true));
+  for (const auto& [prcs, cg] : {std::pair{0u, 1u}, std::pair{2u, 2u}}) {
+    for (const auto& [name, make] : fig_grid_kinds(prcs, cg)) {
+      SCOPED_TRACE(name + " on " + std::to_string(prcs) + " PRC + " +
+                   std::to_string(cg) + " CG");
+      Observation oracle;
+      expect_fast_matches_oracle(make, blocks, &oracle);
+      expect_latency_count_matches(oracle);
+    }
+  }
+}
+
+TEST_F(EcuObservedCommit, LatencySumNearTwoToThe53CommitsRunByRun) {
+  // The latency histogram's sum starts half a block's latencies below 2^53.
+  // Stretches add their latencies kernel by kernel, so they must stop
+  // where the sum would leave the exact range; from there the runs commit
+  // one by one, in execution order, rounding as the oracle's additions do.
+  constexpr double kTwoTo53 = 9007199254740992.0;
+  const std::vector<FunctionalBlockInstance> blocks = {app_->trace.blocks[1]};
+  ASSERT_GT(blocks[0].chunks.chunks.size(), 100u);
+  for (const auto& [name, make] : fig_grid_kinds(2, 2)) {
+    SCOPED_TRACE(name);
+    Observation empty;
+    expect_fast_matches_oracle(make, blocks, &empty);
+    const Histogram* latency =
+        empty.counters.histogram("ecu.exec_latency_cycles");
+    ASSERT_NE(latency, nullptr);
+    Observation oracle;
+    oracle.counters.observe("ecu.exec_latency_cycles",
+                            kTwoTo53 - std::floor(latency->sum() / 2));
+    expect_fast_matches_oracle(make, blocks, &oracle);
+    EXPECT_GT(oracle.counters.histogram("ecu.exec_latency_cycles")->sum(),
+              kTwoTo53);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -337,8 +338,47 @@ TEST(DeriveTriggerDiff, UnknownKernelThrowsAndTheNextCallIsExact) {
   }
 }
 
+/// The chunk tables of \p runs from their definition: each chunk's runs
+/// recounted and added to the boundary before it, and each endpoint chunk
+/// found from every kernel's first and last run.
+RunChunks reference_chunks(const std::vector<ExecRun>& runs) {
+  RunChunks ref;
+  if (runs.size() <= kChunkRuns) return ref;
+  std::map<KernelId, std::pair<std::size_t, std::size_t>> first_last;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    first_last.try_emplace(runs[r].kernel, r, r).first->second.second = r;
+  }
+  for (const auto& [k, ends] : first_last) ref.kernels.push_back(k);
+  const std::size_t num_chunks = (runs.size() + kChunkRuns - 1) / kChunkRuns;
+  std::vector<bool> endpoint(num_chunks, false);
+  for (const auto& [k, ends] : first_last) {
+    endpoint[ends.first / kChunkRuns] = true;
+    endpoint[ends.second / kChunkRuns] = true;
+  }
+  RunChunk chunk;
+  std::vector<RunCount> before(ref.kernels.size());
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    chunk.next_endpoint = static_cast<std::uint32_t>(c);
+    while (!endpoint[chunk.next_endpoint]) ++chunk.next_endpoint;
+    const std::size_t end = std::min(runs.size(), (c + 1) * kChunkRuns);
+    chunk.last_kernel = runs[end - 1].kernel;
+    ref.chunks.push_back(chunk);
+    ref.counts.insert(ref.counts.end(), before.begin(), before.end());
+    for (std::size_t r = c * kChunkRuns; r < end; ++r) {
+      chunk.gaps_before += runs[r].gap_total;
+      for (std::size_t j = 0; j < ref.kernels.size(); ++j) {
+        if (ref.kernels[j] != runs[r].kernel) continue;
+        before[j].runs += 1;
+        before[j].executions += runs[r].count;
+      }
+    }
+  }
+  return ref;
+}
+
 TEST(MakeBlockInstance, RunsAndChunksMatchAFreshDecodeOfItsEvents) {
   Rng rng(4242);
+  std::size_t tables = 0;
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<KernelWork> work(1 + rng.next_below(12));
     for (KernelWork& kw : work) {
@@ -366,26 +406,31 @@ TEST(MakeBlockInstance, RunsAndChunksMatchAFreshDecodeOfItsEvents) {
       EXPECT_EQ(inst.runs[r].gap_total, runs[r].gap_total);
       EXPECT_EQ(inst.runs[r].first_gap, runs[r].first_gap);
     }
-    FunctionalBlockInstance fresh;
-    fresh.events = inst.events;
-    finalize_instance_runs(fresh);
+    // Sized exactly: the runs live as long as the trace.
+    EXPECT_EQ(inst.runs.capacity(), inst.runs.size());
+
     const RunChunks& a = inst.chunks;
-    const RunChunks& b = fresh.chunks;
+    const RunChunks b = reference_chunks(runs);
+    EXPECT_EQ(a.kernels, b.kernels);
     ASSERT_EQ(a.chunks.size(), b.chunks.size());
     for (std::size_t c = 0; c < a.chunks.size(); ++c) {
-      EXPECT_EQ(a.chunks[c].gap_total, b.chunks[c].gap_total);
-      EXPECT_EQ(a.chunks[c].first_kernel, b.chunks[c].first_kernel);
-      EXPECT_EQ(a.chunks[c].num_kernels, b.chunks[c].num_kernels);
+      EXPECT_EQ(a.chunks[c].gaps_before, b.chunks[c].gaps_before);
       EXPECT_EQ(a.chunks[c].last_kernel, b.chunks[c].last_kernel);
-      EXPECT_EQ(a.chunks[c].holds_endpoint, b.chunks[c].holds_endpoint);
+      EXPECT_EQ(a.chunks[c].next_endpoint, b.chunks[c].next_endpoint);
     }
-    ASSERT_EQ(a.kernels.size(), b.kernels.size());
-    for (std::size_t k = 0; k < a.kernels.size(); ++k) {
-      EXPECT_EQ(a.kernels[k].kernel, b.kernels[k].kernel);
-      EXPECT_EQ(a.kernels[k].runs, b.kernels[k].runs);
-      EXPECT_EQ(a.kernels[k].executions, b.kernels[k].executions);
+    ASSERT_EQ(a.counts.size(), b.counts.size());
+    for (std::size_t i = 0; i < a.counts.size(); ++i) {
+      EXPECT_EQ(a.counts[i].runs, b.counts[i].runs);
+      EXPECT_EQ(a.counts[i].executions, b.counts[i].executions);
     }
+    // Runs that fit in one chunk get no table, so run_block passes none.
+    if (!runs.empty()) {
+      EXPECT_EQ(a.covers(runs.size()), runs.size() > kChunkRuns);
+    }
+    tables += a.chunks.empty() ? 0 : 1;
   }
+  EXPECT_GT(tables, 100u);
+  EXPECT_LT(tables, 200u);
 }
 
 }  // namespace

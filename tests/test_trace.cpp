@@ -19,6 +19,7 @@
 #include "sim/app_simulator.h"
 #include "sim/sweep_runner.h"
 #include "util/counters.h"
+#include "util/rng.h"
 #include "util/trace.h"
 #include "workload/h264_app.h"
 
@@ -422,6 +423,152 @@ TEST(CounterRegistry, TableOrderIsAlphabetical) {
   const std::vector<std::string> expect = {
       "aa.first", "fabric.installs", "fabric.reused_instances", "zz.last"};
   EXPECT_EQ(names, expect);
+}
+
+// --- JSONL parser fuzz: the lines of a traced 2-frame run ------------------
+
+/// The JSONL lines of a traced 2-frame (20-macroblock) mRTS run.
+std::vector<std::string> traced_jsonl_lines() {
+  H264AppParams params;
+  params.frames = 2;
+  params.macroblocks = 20;
+  const H264Application app = build_h264_application(params);
+  MRts rts(app.library, 2, 2);
+  TraceRecorder recorder;
+  CounterRegistry counters;
+  rts.attach_observability(&recorder, &counters);
+  run_application(rts, app.trace, &recorder);
+  std::ostringstream os;
+  write_trace_jsonl(os, recorder.events(), &app.library);
+  std::vector<std::string> lines;
+  std::istringstream is(os.str());
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+/// \p line with the value of field \p key (up to the next ',' or '}')
+/// replaced by \p value.
+std::string with_field(const std::string& line, const std::string& key,
+                       const std::string& value) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t begin = line.find(needle) + needle.size();
+  const std::size_t end = line.find_first_of(",}", begin);
+  return line.substr(0, begin) + value + line.substr(end);
+}
+
+TEST(TraceJsonlFuzz, EveryLineParsesAndEveryProperPrefixIsRejected) {
+  const std::vector<std::string> lines = traced_jsonl_lines();
+  ASSERT_GT(lines.size(), 100u);
+  for (const std::string& line : lines) {
+    // One closing brace, at the end: no proper prefix is a whole object.
+    ASSERT_EQ(std::count(line.begin(), line.end(), '}'), 1) << line;
+    ASSERT_TRUE(parse_trace_jsonl_line(line).has_value()) << line;
+    for (std::size_t n = 0; n < line.size(); ++n) {
+      EXPECT_FALSE(parse_trace_jsonl_line(line.substr(0, n)).has_value())
+          << line.substr(0, n);
+    }
+  }
+}
+
+TEST(TraceJsonlFuzz, SingleByteCorruptionParsesOrIsRejected) {
+  const std::vector<std::string> lines = traced_jsonl_lines();
+  ASSERT_FALSE(lines.empty());
+  Rng rng(20261019);
+  std::size_t rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string line = lines[rng.next_below(lines.size())];
+    const std::size_t pos = rng.next_below(line.size());
+    line[pos] = static_cast<char>(line[pos] ^ (1 + rng.next_below(255)));
+    if (!parse_trace_jsonl_line(line).has_value()) ++rejected;
+  }
+  // Most corruptions break a brace, a key, a kind name or a number; the
+  // rest land in a label or turn a digit into another.
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_LT(rejected, 3000u);
+}
+
+TEST(TraceJsonlFuzz, OutOfRangeOrNonNumericValueInEveryFieldIsRejected) {
+  const std::vector<std::string> lines = traced_jsonl_lines();
+  ASSERT_FALSE(lines.empty());
+  const std::string& line = lines.front();
+  const std::vector<std::string> junk = {"", "abc", "\"7\"", "1x", "0x10",
+                                         "+1", "1 2"};
+  const struct {
+    const char* key;
+    std::vector<std::string> bad;
+    std::vector<std::string> good;
+  } fields[] = {
+      {"at",
+       {"-5", "18446744073709551616", "99999999999999999999999", "1.5"},
+       {"0", "18446744073709551615"}},
+      {"dur", {"-1", "18446744073709551616", "2e3"}, {"0", "123"}},
+      {"track",
+       {"2147483648", "-2147483649", "99999999999", "1.0"},
+       {"-2147483648", "2147483647"}},
+      {"arg0", {"4294967296", "-1", "-0", "1e3"}, {"0", "4294967295"}},
+      {"arg1", {"4294967296", "-1", "-0", "1e3"}, {"0", "4294967295"}},
+      {"tenant", {"4294967296", "-1", "-0", "1e3"}, {"0", "4294967295"}},
+      {"v0", {"1e999", "-1e999", "nan", "inf", "--1", "1e"},
+       {"-2.25", "5e-324", "1.7976931348623157e308"}},
+      {"v1", {"1e999", "-1e999", "nan", "inf", "--1", "1e"},
+       {"-2.25", "5e-324", "1.7976931348623157e308"}},
+  };
+  for (const auto& field : fields) {
+    for (const std::string& value : field.bad) {
+      EXPECT_FALSE(parse_trace_jsonl_line(with_field(line, field.key, value))
+                       .has_value())
+          << field.key << " = " << value;
+    }
+    for (const std::string& value : junk) {
+      EXPECT_FALSE(parse_trace_jsonl_line(with_field(line, field.key, value))
+                       .has_value())
+          << field.key << " = '" << value << "'";
+    }
+    for (const std::string& value : field.good) {
+      const std::string changed =
+          with_field(with_field(line, "dur", "0"), field.key, value);
+      EXPECT_TRUE(parse_trace_jsonl_line(changed).has_value()) << changed;
+    }
+  }
+
+  // The event must end within 64 bits; so may it exactly.
+  const std::string late = with_field(line, "at", "18446744073709551610");
+  EXPECT_FALSE(parse_trace_jsonl_line(with_field(late, "dur", "6")));
+  const auto last = parse_trace_jsonl_line(with_field(late, "dur", "5"));
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->at + last->duration, ~Cycles{0});
+
+  // A kind that is not a quoted known name, and a missing one, are
+  // rejected too.
+  EXPECT_FALSE(parse_trace_jsonl_line(with_field(line, "kind", "5")));
+  EXPECT_FALSE(
+      parse_trace_jsonl_line(with_field(line, "kind", "'block_begin'")));
+  EXPECT_FALSE(
+      parse_trace_jsonl_line(with_field(line, "kind", "\"no_such_kind\"")));
+  EXPECT_FALSE(parse_trace_jsonl_line("{\"at\":5}"));
+}
+
+TEST(TraceJsonlFuzz, ParseTraceNamesTheFirstBadLine) {
+  const std::vector<std::string> lines = traced_jsonl_lines();
+  ASSERT_GT(lines.size(), 10u);
+  Rng rng(7);
+  for (int round = 0; round < 20; ++round) {
+    const std::size_t bad = rng.next_below(lines.size());
+    std::string text;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      text += i == bad ? with_field(lines[i], "arg0", "4294967296") : lines[i];
+      text += '\n';
+    }
+    std::istringstream parse_in(text);
+    const ParsedTrace parsed = parse_trace_jsonl(parse_in);
+    EXPECT_EQ(parsed.bad_line, bad + 1);
+    EXPECT_EQ(parsed.events.size(), bad);
+    std::istringstream summary_in(text);
+    const TraceSummary summary = summarize_trace_jsonl(summary_in);
+    EXPECT_EQ(summary.first_bad_line, bad + 1);
+    EXPECT_EQ(summary.parse_errors, 1u);
+    EXPECT_EQ(summary.total_events, lines.size() - 1);
+  }
 }
 
 }  // namespace

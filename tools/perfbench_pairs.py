@@ -16,8 +16,9 @@ Every run must report "correct": true and "failed": 0, or the script
 exits 1 and writes nothing.
 
 For each end-to-end metric the row records each side's q1/median/q3 over
-the pairs and the number of pairs in which the change is strictly better.
-Quartiles are statistics.quantiles(..., n=4, method="inclusive").
+the pairs, the number of pairs in which the change is strictly better and
+the number in which both values are exactly equal. Quartiles are
+statistics.quantiles(..., n=4, method="inclusive").
 
 A side's label is its `git rev-parse --short HEAD` when the checkout
 matches HEAD. Otherwise (tracked files edited, or untracked files git does
@@ -149,12 +150,14 @@ def main():
         lower = metric["better"] == "lower"
         wins = sum(1 for p, c in zip(parent, change)
                    if (c < p if lower else c > p))
+        ties = sum(1 for p, c in zip(parent, change) if c == p)
         row_metrics[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "parent": quartiles(parent),
             "change": quartiles(change),
             "change_wins": wins,
+            "change_ties": ties,
         }
 
     row = {
@@ -181,9 +184,9 @@ def main():
         json.dump(ledger, f, indent=2)
         f.write("\n")
     for name, m in row_metrics.items():
-        print("%-22s parent %12.6g  change %12.6g  wins %d/%d" %
+        print("%-22s parent %12.6g  change %12.6g  wins %d ties %d /%d" %
               (name, m["parent"]["median"], m["change"]["median"],
-               m["change_wins"], args.pairs))
+               m["change_wins"], m["change_ties"], args.pairs))
     return 0
 
 
