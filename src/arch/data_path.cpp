@@ -4,12 +4,20 @@
 
 namespace mrts {
 
-Cycles DataPathDesc::reconfig_cycles() const {
-  if (grain == Grain::kFine) {
-    return fg_reconfig_cycles_for_bytes(bitstream_bytes) * units;
+namespace {
+
+Cycles per_unit_reconfig_cycles(const DataPathDesc& desc) {
+  if (desc.grain == Grain::kFine) {
+    return fg_reconfig_cycles_for_bytes(desc.bitstream_bytes);
   }
-  return static_cast<Cycles>(context_instructions) *
-         kCgCyclesPerContextInstruction * units;
+  return static_cast<Cycles>(desc.context_instructions) *
+         kCgCyclesPerContextInstruction;
+}
+
+}  // namespace
+
+Cycles DataPathDesc::reconfig_cycles() const {
+  return per_unit_reconfig_cycles(*this) * units;
 }
 
 DataPathId DataPathTable::add(DataPathDesc desc) {
@@ -30,7 +38,18 @@ DataPathId DataPathTable::add(DataPathDesc desc) {
         "DataPathTable::add: CG context program exceeds context memory for " +
         desc.name);
   }
+  // One instance must load in fewer than kNeverCycles cycles. An FG
+  // bitstream of 2^64 cycles or more is rejected before its conversion,
+  // which would be undefined.
+  if ((desc.grain == Grain::kFine &&
+       !(fg_reconfig_cycles_rounded(desc.bitstream_bytes) < 0x1p64)) ||
+      per_unit_reconfig_cycles(desc) > (kNeverCycles - 1) / desc.units) {
+    throw std::invalid_argument(
+        "DataPathTable::add: reconfiguration time out of range for " +
+        desc.name);
+  }
   desc.id = DataPathId{static_cast<std::uint32_t>(paths_.size())};
+  reconfig_.push_back(desc.reconfig_cycles());
   paths_.push_back(std::move(desc));
   return paths_.back().id;
 }

@@ -53,13 +53,25 @@ struct DataPathDesc {
 
 /// Flat registry of all data path types of an ISE library. DataPathId is an
 /// index into this table.
+///
+/// add() also caches each data path's reconfig_cycles(): the table is
+/// immutable once built, so the cache is exact, and the reconfiguration
+/// planner reads it on every profit evaluation instead of redoing the
+/// bitstream division.
 class DataPathTable {
  public:
   /// Registers a data path; assigns and returns its id. Name must be unique
-  /// within the table (checked).
+  /// within the table, and one instance must reconfigure in fewer than
+  /// kNeverCycles cycles (both checked).
   DataPathId add(DataPathDesc desc);
 
   const DataPathDesc& operator[](DataPathId id) const;
+
+  /// The next two skip the range check: they are for ids already validated
+  /// against this table (an ISE's data paths are, by IseLibrary::add_ise).
+  const DataPathDesc& unchecked(DataPathId id) const { return paths_[raw(id)]; }
+  /// The cached DataPathDesc::reconfig_cycles() of \p id.
+  Cycles reconfig_cycles(DataPathId id) const { return reconfig_[raw(id)]; }
   std::size_t size() const { return paths_.size(); }
   bool contains(DataPathId id) const { return raw(id) < paths_.size(); }
 
@@ -71,6 +83,7 @@ class DataPathTable {
 
  private:
   std::vector<DataPathDesc> paths_;
+  std::vector<Cycles> reconfig_;  ///< reconfig_cycles() per path, by id
 };
 
 }  // namespace mrts

@@ -1,5 +1,7 @@
 #include "baselines/offline_optimal_rts.h"
 
+#include <utility>
+
 #include "rts/reconfig_plan.h"
 
 namespace mrts {
@@ -21,7 +23,8 @@ OfflineOptimalRts::OfflineOptimalRts(const IseLibrary& lib,
   for (const auto& block : profile) {
     ReconfigPlanner planner(lib.data_paths(), num_prcs, num_cg_fabrics,
                             /*now=*/0);
-    const SelectionResult result = optimal.select(block.average, planner);
+    const SelectionResult result =
+        optimal.select(block.average, std::move(planner));
     std::vector<IsePlacementRequest> requests;
     requests.reserve(result.selected.size());
     for (const auto& sel : result.selected) {

@@ -1,5 +1,7 @@
 #include "baselines/rispp_rts.h"
 
+#include <utility>
+
 #include "rts/reconfig_plan.h"
 
 namespace mrts {
@@ -26,7 +28,7 @@ SelectionOutcome RisppRts::on_trigger(const TriggerInstruction& programmed,
   // only the decision model is skewed.)
   ReconfigPlanner planner(lib_->data_paths(), fabric_, now);
   planner.set_uniform_reconfig_cycles(config_.assumed_reconfig_cycles);
-  SelectionResult selection = selector_.select(refined, planner);
+  SelectionResult selection = selector_.select(refined, std::move(planner));
 
   std::vector<IsePlacementRequest> requests;
   requests.reserve(selection.selected.size());

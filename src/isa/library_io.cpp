@@ -1,8 +1,10 @@
 #include "isa/library_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace mrts {
 namespace {
@@ -54,12 +56,18 @@ bool key_value(const std::string& tok, const std::string& key,
   return true;
 }
 
-std::uint64_t parse_u64(const std::string& text, unsigned line) {
-  try {
-    return std::stoull(text);
-  } catch (const std::exception&) {
-    fail(line, "bad number '" + text + "'");
+/// Parses a decimal number into its field's type: digits only (no sign, no
+/// space, nothing after them) and no value wider than the field.
+template <typename T>
+T parse_number(const std::string& text, unsigned line) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    fail(line, "number '" + text + "' out of range");
   }
+  if (ec != std::errc{} || ptr != end) fail(line, "bad number '" + text + "'");
+  return value;
 }
 
 }  // namespace
@@ -128,12 +136,11 @@ IseLibrary parse_library(const std::string& text) {
       for (std::size_t i = 3; i < toks.size(); ++i) {
         std::string value;
         if (key_value(toks[i], "units", &value)) {
-          dp.units = static_cast<unsigned>(parse_u64(value, line_no));
+          dp.units = parse_number<unsigned>(value, line_no);
         } else if (key_value(toks[i], "bitstream", &value)) {
-          dp.bitstream_bytes = parse_u64(value, line_no);
+          dp.bitstream_bytes = parse_number<std::uint64_t>(value, line_no);
         } else if (key_value(toks[i], "ctx", &value)) {
-          dp.context_instructions =
-              static_cast<unsigned>(parse_u64(value, line_no));
+          dp.context_instructions = parse_number<unsigned>(value, line_no);
         } else {
           fail(line_no, "unknown datapath attribute '" + toks[i] + "'");
         }
@@ -149,8 +156,9 @@ IseLibrary parse_library(const std::string& text) {
       if (!key_value(toks[2], "sw", &value)) {
         fail(line_no, "kernel needs sw=<cycles>");
       }
+      const Cycles sw_latency = parse_number<Cycles>(value, line_no);
       try {
-        lib.add_kernel(toks[1], parse_u64(value, line_no));
+        lib.add_kernel(toks[1], sw_latency);
       } catch (const std::invalid_argument& e) {
         fail(line_no, e.what());
       }
@@ -177,7 +185,7 @@ IseLibrary parse_library(const std::string& text) {
           }
         } else if (key_value(toks[i], "lat", &value)) {
           for (const std::string& lat : split(value, ',')) {
-            ise.latency_after.push_back(parse_u64(lat, line_no));
+            ise.latency_after.push_back(parse_number<Cycles>(lat, line_no));
           }
         } else {
           fail(line_no, "unknown ise attribute '" + toks[i] + "'");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/snapshot_io.h"
@@ -136,9 +137,10 @@ SelectionOutcome MRts::on_trigger(const TriggerInstruction& programmed,
   if (const FabricArbitration* arb = fabric_->arbitration()) {
     planner.clamp_budget(arb->visible_prcs(tenant_), arb->visible_cg(tenant_));
   }
-  SelectionResult selection = config_.use_optimal_selector
-                                  ? optimal_.select(refined, planner)
-                                  : heuristic_.select(refined, planner);
+  SelectionResult selection =
+      config_.use_optimal_selector
+          ? optimal_.select(refined, std::move(planner))
+          : heuristic_.select(refined, std::move(planner));
 
   // Install the selected set; the reconfiguration controller manages the
   // actual loading process.
@@ -196,7 +198,7 @@ SelectionOutcome MRts::on_trigger(const TriggerInstruction& programmed,
               vis_cg > usage.reserved_cg ? vis_cg - usage.reserved_cg : 0);
         }
         const SelectionResult speculative =
-            heuristic_.select(next_refined, leftover);
+            heuristic_.select(next_refined, std::move(leftover));
         std::vector<IsePlacementRequest> future;
         future.reserve(speculative.selected.size());
         for (const auto& sel : speculative.selected) {

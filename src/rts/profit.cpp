@@ -20,31 +20,32 @@ void check_inputs(const ProfitInputs& in, std::size_t n) {
   }
 }
 
-/// Shared Eqs. 2-4 evaluation. recT(i) (completion of the i-th intermediate
-/// ISE) is the prefix maximum of the instance ready times, computed as a
-/// running value — the selector hot loop calls this thousands of times per
-/// trigger, so it must not allocate. \p out may be null (profit-value-only
-/// fast path); the arithmetic and its order are identical either way, which
-/// keeps the returned double bit-identical between the two entry points.
-double profit_impl(const ProfitInputs& in, ProfitResult* out) {
-  const IseVariant& ise = *in.ise;
+}  // namespace
+
+/// recT(i) (completion of the i-th intermediate ISE) is the prefix maximum
+/// of the instance ready times, computed as a running value — the selector
+/// hot loop calls this thousands of times per trigger, so it must not
+/// allocate when \p out is null.
+double profit_impl(const IseVariant& ise, const Cycles* ready_rel,
+                   double expected_executions, Cycles time_to_first,
+                   Cycles time_between, const ProfitModel& model,
+                   ProfitResult* out) {
   const std::size_t n = ise.num_data_paths();
 
-  const double e = std::max(0.0, in.expected_executions);
+  const double e = std::max(0.0, expected_executions);
   const double latency_rm = static_cast<double>(ise.risc_latency());
-  const double tf = static_cast<double>(in.time_to_first);
-  const double tb =
-      in.model.include_tb ? static_cast<double>(in.time_between) : 0.0;
+  const double tf = static_cast<double>(time_to_first);
+  const double tb = model.include_tb ? static_cast<double>(time_between) : 0.0;
 
   double profit = 0.0;
   double remaining = e;
-  Cycles rec_prev = in.ready_rel[0];  // recT(1) so far
+  Cycles rec_prev = ready_rel[0];  // recT(1) so far
 
   // NoE_RM (Fig. 5): executions in RISC mode before the first data path is
   // ready. Eq. 4 as printed omits this term, but without it a slow-loading
   // ISE would be credited for executions that in fact happen unaccelerated;
   // the authors' own Fig. 1 amortization clearly accounts for it.
-  if (in.model.account_risc_window) {
+  if (model.account_risc_window) {
     const double rec_1 = static_cast<double>(rec_prev);
     double noe_rm = 0.0;
     if (rec_1 > tf) noe_rm = (rec_1 - tf) / (latency_rm + tb);
@@ -55,7 +56,7 @@ double profit_impl(const ProfitInputs& in, ProfitResult* out) {
 
   // Intermediate ISEs i = 1..n-1 live in the window [recT(i), recT(i+1)).
   for (std::size_t i = 1; i < n; ++i) {
-    const Cycles rec_cur = std::max(rec_prev, in.ready_rel[i]);
+    const Cycles rec_cur = std::max(rec_prev, ready_rel[i]);
     const double rec_i = static_cast<double>(rec_prev);
     const double rec_next = static_cast<double>(rec_cur);
     const double latency_i = static_cast<double>(ise.latency_after[i]);
@@ -84,19 +85,14 @@ double profit_impl(const ProfitInputs& in, ProfitResult* out) {
   return profit;
 }
 
-}  // namespace
-
 ProfitResult compute_profit(const ProfitInputs& in) {
   check_inputs(in, in.ise != nullptr ? in.ise->num_data_paths() : 0);
   ProfitResult out;
   out.noe.reserve(in.ise->num_data_paths() - 1);
-  out.profit = profit_impl(in, &out);
+  out.profit = profit_impl(*in.ise, in.ready_rel.data(),
+                           in.expected_executions, in.time_to_first,
+                           in.time_between, in.model, &out);
   return out;
-}
-
-double compute_profit_value(const ProfitInputs& in) {
-  check_inputs(in, in.ise != nullptr ? in.ise->num_data_paths() : 0);
-  return profit_impl(in, nullptr);
 }
 
 double performance_improvement_factor(Cycles sw_time, Cycles hw_time,

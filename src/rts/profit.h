@@ -25,6 +25,12 @@
 ///   executions before the first data path is ready; Eq. 4 as printed omits
 ///   it, which would credit slow-loading ISEs for executions that happen
 ///   without them (see the note in profit.cpp).
+///
+/// Eqs. 2-4 live in one function, profit_impl. compute_profit checks a
+/// ProfitInputs and calls it for the full breakdown; the selectors' fused
+/// profit pass (evaluate_candidate_profit in selector_heuristic.h) plans
+/// the ready times into a stack buffer, with the reconfiguration times
+/// cached by DataPathTable::add, and calls it for the value alone.
 
 #include <vector>
 
@@ -66,13 +72,19 @@ struct ProfitResult {
   double full_executions = 0.0;  ///< executions with the complete ISE
 };
 
-/// Evaluates Eqs. 2-4 for one candidate ISE.
+/// Evaluates Eqs. 2-4 for one candidate ISE (checks its inputs, then calls
+/// profit_impl with the NoE breakdown).
 ProfitResult compute_profit(const ProfitInputs& in);
 
-/// Profit-only fast path for the selector inner loop: same arithmetic in the
-/// same order as compute_profit (bit-identical result), but skips the NoE
-/// breakdown so nothing is allocated.
-double compute_profit_value(const ProfitInputs& in);
+/// The one implementation of Eqs. 2-4, on the ise.num_data_paths() ready
+/// times relative to the trigger in \p ready_rel (at least one; not
+/// checked). With \p out null it allocates nothing, as the fused pass
+/// needs; the arithmetic and its order do not depend on \p out, so both
+/// entry points return the same bits.
+double profit_impl(const IseVariant& ise, const Cycles* ready_rel,
+                   double expected_executions, Cycles time_to_first,
+                   Cycles time_between, const ProfitModel& model,
+                   ProfitResult* out);
 
 /// Eq. 1: performance improvement factor.
 double performance_improvement_factor(Cycles sw_time, Cycles hw_time,

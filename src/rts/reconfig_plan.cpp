@@ -1,6 +1,7 @@
 #include "rts/reconfig_plan.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace mrts {
 namespace {
@@ -52,15 +53,13 @@ ReconfigPlanner::ReconfigPlanner(const DataPathTable& table,
       claimed_(table.size(), 0),
       committed_(table.size(), 0) {}
 
-void ReconfigPlanner::plan_into(const std::vector<DataPathId>& dps,
-                                std::vector<Cycles>& ready) const {
-  ready.clear();
-  ready.reserve(dps.size());
+template <typename Emit>
+void ReconfigPlanner::plan_each(const std::vector<DataPathId>& dps,
+                                Emit&& emit) const {
   Cycles fg = fg_cursor_;
   Cycles cg = cg_cursor_;
   for (std::size_t i = 0; i < dps.size(); ++i) {
     const DataPathId dp = dps[i];
-    const auto& desc = (*table_)[dp];
     // Try to reuse an existing, unclaimed instance. Reuses form a prefix of
     // a data path's occurrences (once the existing instances run out no
     // later occurrence can reuse), so "claims so far" within this
@@ -69,37 +68,57 @@ void ReconfigPlanner::plan_into(const std::vector<DataPathId>& dps,
     if (!ex.empty()) {
       const unsigned used = claimed_count(dp) + earlier_occurrences(dps, i);
       if (used < ex.size()) {
-        ready.push_back(ex[used]);
+        emit(i, ex[used]);
         continue;
       }
     }
     // Schedule a fresh load.
-    Cycles duration = desc.reconfig_cycles();
-    if (uniform_reconfig_ != 0) duration = uniform_reconfig_ * desc.units;
+    const DataPathDesc& desc = table_->unchecked(dp);
+    const Cycles duration = uniform_reconfig_ != 0
+                                ? uniform_reconfig_ * desc.units
+                                : table_->reconfig_cycles(dp);
     if (desc.grain == Grain::kFine) {
       fg = std::max(fg, now_) + duration;
-      ready.push_back(fg);
+      emit(i, fg);
     } else {
       cg = std::max(cg, now_) + duration;
-      ready.push_back(cg);
+      emit(i, cg);
+    }
+  }
+}
+
+void ReconfigPlanner::check_ids(const std::vector<DataPathId>& dps) const {
+  for (DataPathId dp : dps) {
+    if (!table_->contains(dp)) {
+      throw std::out_of_range("ReconfigPlanner: invalid data path id");
     }
   }
 }
 
 std::vector<Cycles> ReconfigPlanner::plan(
     const std::vector<DataPathId>& dps) const {
-  std::vector<Cycles> ready;
-  plan_into(dps, ready);
+  check_ids(dps);
+  std::vector<Cycles> ready(dps.size());
+  plan_each(dps, [&ready](std::size_t i, Cycles t) { ready[i] = t; });
   return ready;
+}
+
+void ReconfigPlanner::plan_relative(const std::vector<DataPathId>& dps,
+                                    Cycles* ready_rel) const {
+  const Cycles now = now_;
+  plan_each(dps, [ready_rel, now](std::size_t i, Cycles t) {
+    ready_rel[i] = t > now ? t - now : 0;
+  });
 }
 
 void ReconfigPlanner::commit_into(const std::vector<DataPathId>& dps,
                                   std::vector<Cycles>& ready) {
+  check_ids(dps);
   ready.clear();
   ready.reserve(dps.size());
   undo_log_.reserve(undo_log_.size() + dps.size());
   for (DataPathId dp : dps) {
-    const auto& desc = (*table_)[dp];
+    const DataPathDesc& desc = table_->unchecked(dp);
     const std::vector<Cycles>& ex = existing_[raw(dp)];
     bool reused = false;
     if (!ex.empty()) {
@@ -111,8 +130,9 @@ void ReconfigPlanner::commit_into(const std::vector<DataPathId>& dps,
       }
     }
     if (!reused) {
-      Cycles duration = desc.reconfig_cycles();
-      if (uniform_reconfig_ != 0) duration = uniform_reconfig_ * desc.units;
+      const Cycles duration = uniform_reconfig_ != 0
+                                  ? uniform_reconfig_ * desc.units
+                                  : table_->reconfig_cycles(dp);
       if (desc.grain == Grain::kFine) {
         fg_cursor_ = std::max(fg_cursor_, now_) + duration;
         ready.push_back(fg_cursor_);

@@ -16,6 +16,11 @@
 /// no longer copies it per search node: commit() records an undo log, and
 /// mark()/rollback() restore any earlier state in O(#commits undone) without
 /// touching the (potentially large) existing-instance snapshot.
+///
+/// New loads are priced with the reconfiguration time DataPathTable::add
+/// cached per data path. plan_relative() is the selectors' fused profit
+/// pass: one loop, no range check, no heap, straight into the buffer that
+/// profit_impl reads.
 
 #include <algorithm>
 #include <cstdint>
@@ -43,16 +48,18 @@ class ReconfigPlanner {
   /// the ISE were committed now, without changing the planner state.
   std::vector<Cycles> plan(const std::vector<DataPathId>& dps) const;
 
-  /// Allocation-free plan(): fills \p ready (cleared first) so the selector
-  /// inner loop can reuse one scratch buffer across candidates.
-  void plan_into(const std::vector<DataPathId>& dps,
-                 std::vector<Cycles>& ready) const;
+  /// plan() relative to now() (an instance ready before now() reads 0),
+  /// written to \p ready_rel[0 .. dps.size()). Unchecked: \p dps must hold
+  /// ids of the planner's table, as an ISE's data paths do.
+  void plan_relative(const std::vector<DataPathId>& dps,
+                     Cycles* ready_rel) const;
 
   /// Like plan() but consumes reused instances, advances the port cursors
   /// and deducts the fabric budget.
   std::vector<Cycles> commit(const std::vector<DataPathId>& dps);
 
-  /// Allocation-free commit() (same scratch-buffer contract as plan_into).
+  /// commit() into a caller-owned buffer (\p ready is cleared first), so a
+  /// search can reuse one buffer across nodes.
   void commit_into(const std::vector<DataPathId>& dps,
                    std::vector<Cycles>& ready);
 
@@ -84,8 +91,7 @@ class ReconfigPlanner {
   /// (FabricArbitration::visible_prcs/visible_cg). Call right after
   /// construction, before any commit(): the tenant-bound selector then
   /// never plans a selection its arbiter would make install() degrade.
-  /// plan()'s *output* does not depend on the budget, so the profit-cache
-  /// key (which omits it) stays exact.
+  /// plan()'s *output* does not depend on the budget.
   void clamp_budget(unsigned max_prcs, unsigned max_cg) {
     free_prcs_ = std::min(free_prcs_, max_prcs);
     free_cg_ = std::min(free_cg_, max_cg);
@@ -126,6 +132,13 @@ class ReconfigPlanner {
   void set_uniform_reconfig_cycles(Cycles cycles) { uniform_reconfig_ = cycles; }
 
  private:
+  /// The shared loop of plan() and plan_relative(): calls \p emit(i, t)
+  /// with the absolute ready time t of dps[i], in order.
+  template <typename Emit>
+  void plan_each(const std::vector<DataPathId>& dps, Emit&& emit) const;
+  /// Throws std::out_of_range unless every id of \p dps is in the table.
+  void check_ids(const std::vector<DataPathId>& dps) const;
+
   const DataPathTable* table_;
   Cycles now_;
   Cycles fg_cursor_;  ///< FG port free-at cycle (absolute)

@@ -34,22 +34,19 @@ ProfitResult evaluate_candidate(const IseLibrary& lib, IseId ise_id,
 double evaluate_candidate_profit(const IseLibrary& lib, IseId ise_id,
                                  const TriggerEntry& entry,
                                  const ReconfigPlanner& planner,
-                                 const ProfitModel& model,
-                                 EvalScratch& scratch) {
-  const IseVariant& ise = lib.ise(ise_id);
-  planner.plan_into(ise.data_paths, scratch.ready_abs);
-  ProfitInputs& in = scratch.inputs;
-  in.ise = &ise;
-  in.model = model;
-  in.expected_executions = entry.expected_executions;
-  in.time_to_first = entry.time_to_first;
-  in.time_between = entry.time_between;
-  in.ready_rel.clear();
-  in.ready_rel.reserve(scratch.ready_abs.size());
-  for (Cycles t : scratch.ready_abs) {
-    in.ready_rel.push_back(t > planner.now() ? t - planner.now() : 0);
+                                 const ProfitModel& model) {
+  const IseVariant& ise = lib.ises()[raw(ise_id)];
+  constexpr std::size_t kInline = 16;
+  Cycles inline_ready[kInline];
+  std::vector<Cycles> heap_ready;
+  Cycles* ready_rel = inline_ready;
+  if (ise.num_data_paths() > kInline) {
+    heap_ready.resize(ise.num_data_paths());
+    ready_rel = heap_ready.data();
   }
-  return compute_profit_value(in);
+  planner.plan_relative(ise.data_paths, ready_rel);
+  return profit_impl(ise, ready_rel, entry.expected_executions,
+                     entry.time_to_first, entry.time_between, model, nullptr);
 }
 
 SelectionResult HeuristicSelector::select(const TriggerInstruction& ti,
@@ -69,10 +66,11 @@ SelectionResult HeuristicSelector::select_impl(const TriggerInstruction& ti,
   SelectionResult result;
   unsigned round = 0;
   // Baseline tuning (the bench's A/B reference) keeps the historical
-  // allocate-per-candidate evaluation; the default switches to the
-  // scratch-buffer fast path. The profits are bit-identical either way.
+  // allocate-per-candidate evaluation; the default switches to the fused
+  // profit pass. The profits are bit-identical either way.
   const bool fast_eval = tuning_.incremental_planner;
-  EvalScratch scratch;
+  // Candidate ids come from the library's own kernels: no range check.
+  const std::vector<IseVariant>& ises = lib_->ises();
   // The log lambda is only ever invoked behind `if (trace != nullptr)` —
   // the guard must sit at the call site so the argument's string
   // concatenation is never evaluated on the (hot) untraced path.
@@ -110,7 +108,7 @@ SelectionResult HeuristicSelector::select_impl(const TriggerInstruction& ti,
     for (const auto& c : candidates) {
       ++result.candidates_scanned;
       if (first_round) ++result.first_round_scans;
-      const IseVariant& v = lib_->ise(c.ise);
+      const IseVariant& v = ises[raw(c.ise)];
       // (b) before (a): an ISE fully covered by already-selected data paths
       // needs no fabric of its own, so it is free regardless of the budget.
       if (planner.covered_by_committed(v.data_paths)) {
@@ -141,7 +139,7 @@ SelectionResult HeuristicSelector::select_impl(const TriggerInstruction& ti,
           fast_eval
               ? evaluate_candidate_profit(*lib_, candidates[i].ise,
                                           *candidates[i].entry, planner,
-                                          profit_model_, scratch)
+                                          profit_model_)
               : evaluate_candidate(*lib_, candidates[i].ise,
                                    *candidates[i].entry, planner,
                                    profit_model_)
@@ -154,8 +152,8 @@ SelectionResult HeuristicSelector::select_impl(const TriggerInstruction& ti,
                         raw(candidates[i].ise), profit,
                         static_cast<double>(round)});
       }
-      const IseVariant& v = lib_->ise(candidates[i].ise);
-      const IseVariant& b = lib_->ise(candidates[best].ise);
+      const IseVariant& v = ises[raw(candidates[i].ise)];
+      const IseVariant& b = ises[raw(candidates[best].ise)];
       double key = profit;
       if (policy_ == SelectionPolicy::kMaxProfitDensity) {
         key = profit / static_cast<double>(v.fg_units + v.cg_units);
@@ -191,7 +189,7 @@ SelectionResult HeuristicSelector::select_impl(const TriggerInstruction& ti,
 
     // Step-4: commit the winner, drop all other ISEs of that kernel.
     const Candidate chosen = candidates[best];
-    const IseVariant& v = lib_->ise(chosen.ise);
+    const IseVariant& v = ises[raw(chosen.ise)];
     SelectedIse sel;
     sel.kernel = chosen.kernel;
     sel.ise = chosen.ise;

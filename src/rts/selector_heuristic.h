@@ -15,6 +15,12 @@
 ///   Step-4: add it to the output set, deduct its fabric demand, advance the
 ///           predicted reconfiguration-port backlog and drop all other ISEs
 ///           of the same kernel. Repeat from Step-2.
+///
+/// Step-3 runs the fused profit pass (evaluate_candidate_profit below), as
+/// every evaluation of the branch-and-bound selector does: the candidate's
+/// ready times relative to the trigger are planned in one loop, with each
+/// data path's reconfiguration time cached by DataPathTable::add, into a
+/// stack buffer that Eqs. 2-4 (profit_impl) read directly.
 
 #include <cstdint>
 #include <string>
@@ -32,11 +38,12 @@ namespace mrts {
 class TraceRecorder;
 
 /// Hot-path switch of the selectors. The default is the optimized
-/// configuration; baseline() reproduces the pre-optimization implementation
-/// (a planner copied per branch-and-bound node, per-candidate allocations)
-/// so the wall-clock bench can measure an honest interleaved A/B in one
-/// binary. It is a pure optimization: selections, counters and CSV outputs
-/// are identical either way.
+/// configuration (commit/rollback on one planner, the fused profit pass);
+/// baseline() reproduces the pre-optimization implementation (a planner
+/// copied per expanded branch-and-bound node, the allocating
+/// evaluate_candidate) so the wall-clock bench can measure an honest
+/// interleaved A/B in one binary. It is a pure optimization: selections,
+/// counters and CSV outputs are identical either way.
 struct SelectorTuning {
   bool incremental_planner = true;  ///< commit/rollback instead of copying
   static SelectorTuning baseline() { return {false}; }
@@ -146,26 +153,20 @@ class HeuristicSelector {
 };
 
 /// Computes the profit of \p ise under trigger entry \p entry with the
-/// hypothetical schedule from \p planner. Shared by both selectors.
+/// hypothetical schedule from \p planner, with the NoE breakdown. The
+/// selectors' baseline tuning evaluates through it.
 ProfitResult evaluate_candidate(const IseLibrary& lib, IseId ise,
                                 const TriggerEntry& entry,
                                 const ReconfigPlanner& planner,
                                 const ProfitModel& model = {});
 
-/// Scratch buffers for the allocation-free candidate evaluation; create one
-/// per select() call and pass it through the inner loop.
-struct EvalScratch {
-  std::vector<Cycles> ready_abs;
-  ProfitInputs inputs;
-};
-
-/// Hot-path variant of evaluate_candidate: returns only the profit value and
-/// reuses \p scratch instead of allocating. Bit-identical to
-/// evaluate_candidate(...).profit by construction.
+/// The fused profit pass (see the file comment) of both selectors' default
+/// tuning: evaluate_candidate(...).profit bit for bit — the same integers
+/// reach the same profit_impl — without range checks (\p ise must be an id
+/// of \p lib), inputs struct or heap (for ISEs of up to 16 data paths).
 double evaluate_candidate_profit(const IseLibrary& lib, IseId ise,
                                  const TriggerEntry& entry,
                                  const ReconfigPlanner& planner,
-                                 const ProfitModel& model,
-                                 EvalScratch& scratch);
+                                 const ProfitModel& model);
 
 }  // namespace mrts

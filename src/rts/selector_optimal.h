@@ -38,6 +38,21 @@
 ///
 /// Budget fallback: a search stopped by the node budget returns the dive's
 /// selection unless it had already recorded a leaf at least as good.
+///
+/// Entry test before the commit: a node's parent evaluates each fitting
+/// child and runs the child's entry test first — count it as a node against
+/// the budget, record it if it is a leaf, test the bound with its slack —
+/// and commits the pick on the planner (mark/commit/rollback) only for a
+/// child that must be expanded. Leaves and pruned children cost one profit
+/// evaluation and no commit; nodes, profit evaluations and combinations
+/// count exactly as if every child were committed and tested on entry.
+///
+/// Incumbent replay: the search keeps its path as one (ISE or "no ISE",
+/// profit) step per depth, and an improving leaf copies only that. After
+/// the search, the incumbent's schedules (SelectedIse::instance_ready) are
+/// rebuilt by committing its picks in path order on the root planner: the
+/// same commits on the same planner states as on the way to the leaf, so
+/// the same ready times.
 
 #include <cstdint>
 

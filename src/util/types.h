@@ -49,13 +49,18 @@ constexpr double cycles_to_ms(Cycles c) {
   return static_cast<double>(c) / kCoreClockHz * 1.0e3;
 }
 
+/// fg_reconfig_cycles_for_bytes() before its conversion to Cycles: the
+/// conversion is undefined unless this is below 2^64.
+constexpr double fg_reconfig_cycles_rounded(std::uint64_t bytes) {
+  return static_cast<double>(bytes) / kFgReconfigBandwidthBytesPerSec *
+             kCoreClockHz +
+         0.5;
+}
+
 /// Number of core cycles needed to stream \p bytes over the FG
 /// reconfiguration port.
 constexpr Cycles fg_reconfig_cycles_for_bytes(std::uint64_t bytes) {
-  return static_cast<Cycles>(static_cast<double>(bytes) /
-                                 kFgReconfigBandwidthBytesPerSec *
-                                 kCoreClockHz +
-                             0.5);
+  return static_cast<Cycles>(fg_reconfig_cycles_rounded(bytes));
 }
 
 /// Strongly-typed identifiers. They are plain integers with distinct types so

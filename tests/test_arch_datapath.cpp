@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "arch/data_path.h"
 #include "util/types.h"
 
@@ -88,6 +90,30 @@ TEST(DataPathTable, RejectsDuplicatesAndBadInput) {
   big_ctx.grain = Grain::kCoarse;
   big_ctx.context_instructions = kCgContextMemoryInstructions + 1;
   EXPECT_THROW(table.add(big_ctx), std::invalid_argument);
+}
+
+TEST(DataPathTable, RejectsReconfigurationTimesOutOfRange) {
+  DataPathTable table;
+  // A bitstream of 2^64 - 1 bytes streams for about 1.07e20 cycles: past
+  // what a Cycles can hold, so its conversion would be undefined.
+  DataPathDesc huge;
+  huge.name = "huge";
+  huge.bitstream_bytes = ~std::uint64_t{0};
+  EXPECT_THROW(table.add(huge), std::invalid_argument);
+
+  // 3e18 bytes is about 1.73e19 cycles: one unit fits below kNeverCycles,
+  // two do not.
+  DataPathDesc large;
+  large.name = "large";
+  large.bitstream_bytes = 3'000'000'000'000'000'000;
+  DataPathDesc doubled = large;
+  doubled.name = "doubled";
+  doubled.units = 2;
+  EXPECT_THROW(table.add(doubled), std::invalid_argument);
+  const DataPathId id = table.add(large);
+  EXPECT_LT(table.reconfig_cycles(id), kNeverCycles);
+  EXPECT_EQ(table.reconfig_cycles(id), large.reconfig_cycles());
+  EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(DataPathTable, OutOfRangeAccessThrows) {

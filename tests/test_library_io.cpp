@@ -1,12 +1,15 @@
-// Tests for the ISE-library text format: round-trip fidelity, diagnostics
-// and validation on load.
+// Tests for the ISE-library text format: round-trip fidelity, diagnostics,
+// validation on load, and a fuzz of the parser.
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
+#include <string>
 
 #include "isa/ise_builder.h"
 #include "isa/library_io.h"
+#include "util/rng.h"
 #include "workload/h264_app.h"
 
 namespace mrts {
@@ -111,6 +114,136 @@ TEST(LibraryIo, SaveAndLoadFile) {
 
 TEST(LibraryIo, LoadMissingFileThrows) {
   EXPECT_THROW(load_library("/nonexistent/dir/lib.txt"), std::runtime_error);
+}
+
+// Fuzz of the parser over the serialized H.264 library: whatever the damage,
+// parse_library either returns a library or throws std::invalid_argument
+// whose message names a line of its input — never another exception, a
+// crash, or a number silently narrowed or misread.
+
+std::string h264_library_text() {
+  return serialize_library(build_h264_application({}).library);
+}
+
+/// Lines std::getline reads from \p text.
+std::size_t lines_in(const std::string& text) {
+  std::size_t lines = 0;
+  for (char c : text) lines += c == '\n' ? 1 : 0;
+  return lines + (!text.empty() && text.back() != '\n' ? 1 : 0);
+}
+
+/// Parses \p text; returns the error (empty when it parses) after checking
+/// it has the "library_io, line N: " form with N a line of \p text.
+std::string parse_error_of(const std::string& text) {
+  try {
+    parse_library(text);
+    return {};
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    const std::string prefix = "library_io, line ";
+    EXPECT_EQ(what.compare(0, prefix.size(), prefix), 0) << what;
+    std::size_t at = prefix.size();
+    std::size_t line = 0;
+    while (at < what.size() &&
+           std::isdigit(static_cast<unsigned char>(what[at]))) {
+      line = line * 10 + static_cast<std::size_t>(what[at++] - '0');
+    }
+    EXPECT_EQ(what.compare(at, 2, ": "), 0) << what;
+    EXPECT_GE(line, 1u) << what;
+    EXPECT_LE(line, lines_in(text)) << what;
+    return what;
+  }
+}
+
+TEST(LibraryIoFuzz, EveryBytePrefixParsesOrNamesALine) {
+  const std::string text = h264_library_text();
+  ASSERT_GT(text.size(), 1000u);
+  std::size_t parsed = 0;
+  for (std::size_t n = 0; n <= text.size(); ++n) {
+    if (parse_error_of(text.substr(0, n)).empty()) ++parsed;
+  }
+  // Every prefix that ends on a line break is a valid library; so are those
+  // that cut a number or a list short (they still make sense).
+  EXPECT_GT(parsed, lines_in(text));
+  EXPECT_EQ(parse_error_of(text), "");
+}
+
+TEST(LibraryIoFuzz, SingleByteCorruptionFailsCleanlyOrParses) {
+  const std::string text = h264_library_text();
+  Rng rng(20261019);
+  std::size_t failed = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::string copy = text;
+    const std::size_t pos = rng.next_below(copy.size());
+    copy[pos] = static_cast<char>(copy[pos] ^ (1 + rng.next_below(255)));
+    if (!parse_error_of(copy).empty()) ++failed;
+  }
+  // Most corruptions break a keyword, a name reference or a number.
+  EXPECT_GT(failed, 150u);
+}
+
+TEST(LibraryIoFuzz, OutOfRangeSignedOrSuffixedNumbersAreRejected) {
+  const std::string text = h264_library_text();
+  // The first occurrence of each numeric field; lat= is a list, whose first
+  // element is replaced.
+  const struct {
+    const char* key;
+    const char* wider;  ///< one past the field's widest value
+  } fields[] = {
+      {" units=", "4294967296"},
+      {" bitstream=", "18446744073709551616"},
+      {" ctx=", "4294967296"},
+      {" sw=", "18446744073709551616"},
+      {" lat=", "18446744073709551616"},
+  };
+  for (const auto& field : fields) {
+    const std::size_t at = text.find(field.key);
+    ASSERT_NE(at, std::string::npos) << field.key;
+    const std::size_t begin = at + std::string(field.key).size();
+    const std::size_t end = text.find_first_of(" ,\n", begin);
+    const std::string line =
+        std::to_string(lines_in(text.substr(0, begin)));
+    const std::string value = text.substr(begin, end - begin);
+    const auto with = [&](const std::string& replacement) {
+      return text.substr(0, begin) + replacement + text.substr(end);
+    };
+    EXPECT_EQ(parse_error_of(with(field.wider)),
+              "library_io, line " + line + ": number '" + field.wider +
+                  "' out of range")
+        << field.key;
+    for (const std::string& bad :
+         {"-" + value, "+" + value, value + "abc", "0x" + value,
+          std::string("1e3")}) {
+      EXPECT_EQ(parse_error_of(with(bad)),
+                "library_io, line " + line + ": bad number '" + bad + "'")
+          << field.key;
+    }
+  }
+}
+
+TEST(LibraryIoFuzz, NarrowedOrMisreadValuesAreRejected) {
+  const std::string tail = "kernel K sw=100\nise I kernel=K dps=d lat=100,50\n";
+  // A parser that reads a 64-bit number up to its first non-digit and casts
+  // it to the field would load units=4294967297 as 1, units=-1 as
+  // 4294967295, ctx=4294967328 as 32 (past the context-memory check),
+  // 12abc as 12 and +5 as 5.
+  for (const char* attrs :
+       {"FG units=4294967297", "FG units=-1", "CG ctx=4294967328",
+        "FG bitstream=12abc", "FG bitstream=+5"}) {
+    EXPECT_NE(parse_error_of(std::string("datapath d ") + attrs + "\n" + tail),
+              "")
+        << attrs;
+  }
+  // A bitstream of 2^64 - 1 bytes fits its field but not the cycle count of
+  // its load (about 1.07e20 cycles), which DataPathTable::add rejects.
+  EXPECT_EQ(parse_error_of("datapath d FG bitstream=18446744073709551615\n" +
+                           tail),
+            "library_io, line 1: DataPathTable::add: reconfiguration time "
+            "out of range for d");
+  // The widest values that do fit still load.
+  const IseLibrary lib = parse_library(
+      "datapath d FG units=4294967295 bitstream=1000\n" + tail);
+  EXPECT_EQ(lib.data_paths()[DataPathId{0}].units, 4294967295u);
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 // Unit tests for the ISE selectors: the Fig. 6 greedy heuristic and the
 // branch & bound optimal algorithm, plus the property optimal >= heuristic,
 // a seeded fuzz of the branch & bound against an unpruned enumeration and
-// the equivalence of both SelectorTuning settings.
+// against a commit-every-child reference search, the equivalence of both
+// SelectorTuning settings, and the fused profit pass pinned bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <set>
+#include <string>
 
 #include "arch/fabric_manager.h"
 #include "arch/fault_model.h"
@@ -648,6 +653,121 @@ TEST(OptimalSelectorFuzz, NodeBudgetFallsBackToTheDive) {
   }
 }
 
+// The commit-every-child search, kept as a reference: the documented
+// branch-and-bound without the entry test before the commit. It commits
+// every evaluated child that fits, tests the budget, the leaf and the bound
+// on entering the child, and copies the whole path of SelectedIse
+// (schedules included) at every improving leaf. The selector must return
+// exactly its SelectionResult, counters and last_combinations() included.
+
+/// OptimalSelector's default node budget.
+constexpr std::uint64_t kDefaultNodeBudget = 200'000'000;
+
+struct ReferenceSearch {
+  const IseLibrary* lib = nullptr;
+  const std::vector<OrderedKernel>* kernels = nullptr;
+  std::uint64_t node_budget = 0;
+  std::uint64_t nodes = 0;
+  std::uint64_t combinations = 0;
+  std::uint64_t profit_evals = 0;
+  double best_profit = 0.0;
+  std::vector<SelectedIse> best_selection;
+  std::vector<double> ub_suffix;
+  std::vector<SelectedIse> current;
+
+  double evaluate(IseId ise, const TriggerEntry& entry,
+                  const ReconfigPlanner& planner) {
+    ++profit_evals;
+    return evaluate_candidate(*lib, ise, entry, planner).profit;
+  }
+
+  static double slack(double value) {
+    return 1e-9 * std::max(1.0, std::abs(value));
+  }
+
+  double dive(ReconfigPlanner planner, std::vector<SelectedIse>& picks) {
+    double value = 0.0;
+    for (const OrderedKernel& opt : *kernels) {
+      IseId pick = kInvalidIse;
+      double pick_profit = 0.0;
+      for (IseId ise_id : opt.ises) {
+        const IseVariant& v = lib->ise(ise_id);
+        if (!planner.fits(v.fg_units, v.cg_units)) continue;
+        const double profit = evaluate(ise_id, *opt.entry, planner);
+        if (profit > pick_profit) {
+          pick = ise_id;
+          pick_profit = profit;
+        }
+      }
+      if (pick == kInvalidIse) continue;
+      picks.push_back({opt.entry->kernel, pick, pick_profit,
+                       planner.commit(lib->ise(pick).data_paths)});
+      value += pick_profit;
+    }
+    return value;
+  }
+
+  void dfs(std::size_t depth, const ReconfigPlanner& planner, double sum) {
+    if (nodes++ > node_budget) return;
+    if (depth == kernels->size()) {
+      ++combinations;
+      if (sum > best_profit) {
+        best_profit = sum;
+        best_selection = current;
+      }
+      return;
+    }
+    if (sum + ub_suffix[depth] + slack(best_profit) <= best_profit) return;
+    const OrderedKernel& opt = (*kernels)[depth];
+    dfs(depth + 1, planner, sum);  // "no ISE"
+    for (IseId ise_id : opt.ises) {
+      const IseVariant& v = lib->ise(ise_id);
+      if (!planner.fits(v.fg_units, v.cg_units)) continue;
+      const double profit = evaluate(ise_id, *opt.entry, planner);
+      ReconfigPlanner child = planner;
+      current.push_back(
+          {opt.entry->kernel, ise_id, profit, child.commit(v.data_paths)});
+      dfs(depth + 1, child, sum + profit);
+      current.pop_back();
+    }
+  }
+};
+
+/// The reference's OptimalSelector::select, with its last_combinations()
+/// in \p combinations.
+SelectionResult reference_select(const IseLibrary& lib,
+                                 const TriggerInstruction& ti,
+                                 const ReconfigPlanner& planner,
+                                 std::uint64_t node_budget,
+                                 std::uint64_t* combinations) {
+  ReferenceSearch st;
+  st.lib = &lib;
+  st.node_budget = node_budget;
+  // The root upper bounds are profit evaluations too.
+  std::vector<OrderedKernel> kernels = search_order(lib, ti, planner);
+  for (const OrderedKernel& k : kernels) st.profit_evals += k.ises.size();
+  st.kernels = &kernels;
+  st.ub_suffix.assign(kernels.size() + 1, 0.0);
+  for (std::size_t i = kernels.size(); i > 0; --i) {
+    st.ub_suffix[i - 1] = st.ub_suffix[i] + kernels[i - 1].upper_bound;
+  }
+  std::vector<SelectedIse> dive_picks;
+  const double dive_profit = st.dive(planner, dive_picks);
+  st.best_profit = dive_profit - ReferenceSearch::slack(dive_profit);
+  st.dfs(0, planner, 0.0);
+  *combinations = st.combinations;
+  if (st.best_profit < dive_profit) {
+    st.best_selection = std::move(dive_picks);
+    st.best_profit = dive_profit;
+  }
+  SelectionResult result;
+  result.selected = std::move(st.best_selection);
+  result.total_profit = std::max(0.0, st.best_profit);
+  result.profit_evaluations = st.profit_evals;
+  result.candidates_scanned = st.nodes;
+  return result;
+}
+
 // The selector hot-path switch (SelectorTuning) is a pure optimization:
 // every SelectionResult stays identical to SelectorTuning::baseline(), which
 // keeps the pre-optimization implementation alive for this comparison.
@@ -673,9 +793,10 @@ bool same_selection(const SelectionResult& a, const SelectionResult& b) {
 
 /// Replays the H.264 trigger sequence on a fabric of the given size and, at
 /// every decision point, compares both selectors at their default tuning
-/// (the incremental planner and the scratch-buffer evaluation) against
-/// SelectorTuning::baseline() on identical planner snapshots. Returns the
-/// number of decision points checked.
+/// (the incremental planner and the fused profit pass) against
+/// SelectorTuning::baseline() on identical planner snapshots, and the
+/// optimal selector against the reference search. Returns the number of
+/// decision points checked.
 std::size_t check_grid_point(const H264Application& app, unsigned prcs,
                              unsigned cg, FabricManager* faulted = nullptr) {
   const IseLibrary& lib = app.library;
@@ -704,6 +825,14 @@ std::size_t check_grid_point(const H264Application& app, unsigned prcs,
     EXPECT_TRUE(same_selection(ob, ot))
         << "optimal diverged at PRC=" << prcs << " CG=" << cg
         << " cycle=" << now;
+    std::uint64_t combinations = 0;
+    const SelectionResult oref = reference_select(
+        lib, block.programmed, planner, kDefaultNodeBudget, &combinations);
+    EXPECT_TRUE(same_selection(ot, oref))
+        << "optimal left the reference search at PRC=" << prcs
+        << " CG=" << cg << " cycle=" << now;
+    EXPECT_EQ(o_tuned.last_combinations(), combinations);
+    EXPECT_EQ(o_base.last_combinations(), combinations);
     ++checked;
     // Evolve the fabric with the agreed selection so later snapshots carry
     // real port backlogs and reusable instances.
@@ -766,6 +895,229 @@ TEST(SelectorTuningEquivalence, HoldsAfterFaultInducedQuarantines) {
   // The replay installs and scrubs under an aggressive fault model; the
   // epoch must keep moving so no memo keyed on it can go stale.
   EXPECT_GT(fabric.state_epoch(), epoch_quarantined);
+}
+
+
+/// Both tunings of OptimalSelector(lib, budget) against the reference
+/// search: every SelectionResult field and last_combinations().
+::testing::AssertionResult matches_reference(const IseLibrary& lib,
+                                             const TriggerInstruction& ti,
+                                             const ReconfigPlanner& planner,
+                                             std::uint64_t budget) {
+  std::uint64_t combinations = 0;
+  const SelectionResult want =
+      reference_select(lib, ti, planner, budget, &combinations);
+  for (const SelectorTuning tuning :
+       {SelectorTuning{}, SelectorTuning::baseline()}) {
+    OptimalSelector optimal(lib, budget);
+    optimal.set_tuning(tuning);
+    const SelectionResult got = optimal.select(ti, planner);
+    if (!same_selection(got, want)) {
+      return ::testing::AssertionFailure()
+             << "budget " << budget << " incremental "
+             << tuning.incremental_planner << ": " << got.selected.size()
+             << " picks, " << got.candidates_scanned << " nodes, "
+             << got.profit_evaluations << " evaluations, total "
+             << got.total_profit << " vs " << want.selected.size()
+             << " picks, " << want.candidates_scanned << " nodes, "
+             << want.profit_evaluations << " evaluations, total "
+             << want.total_profit;
+    }
+    if (optimal.last_combinations() != combinations) {
+      return ::testing::AssertionFailure()
+             << "budget " << budget << " incremental "
+             << tuning.incremental_planner << ": "
+             << optimal.last_combinations() << " combinations vs "
+             << combinations;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(OptimalSelectorReference, FuzzTrialsMatchTheReferenceSearch) {
+  Rng rng(0x0b7a1);  // the trials of OptimalSelectorFuzz
+  for (int trial = 0; trial < 300; ++trial) {
+    const IseLibrary lib = random_library(rng);
+    FabricManager fabric(static_cast<unsigned>(rng.uniform_int(0, 3)),
+                         static_cast<unsigned>(rng.uniform_int(0, 6)),
+                         &lib.data_paths());
+    const ReconfigPlanner planner = random_snapshot(lib, rng, fabric);
+    const TriggerInstruction ti = random_trigger(lib, rng);
+    EXPECT_TRUE(matches_reference(lib, ti, planner, kDefaultNodeBudget))
+        << "trial " << trial;
+  }
+}
+
+TEST(OptimalSelectorReference, NodeBudgetStopsMatchTheReferenceSearch) {
+  // Budgets 0-12 stop at the first nodes; half the full search's node count
+  // stops it mid-search, and one and two below that count stop it on its
+  // last node or let it finish.
+  Rng rng(0xb0d6e7);
+  const auto check = [](const IseLibrary& lib, const TriggerInstruction& ti,
+                        const ReconfigPlanner& planner,
+                        const std::string& where) {
+    for (std::uint64_t budget = 0; budget <= 12; ++budget) {
+      EXPECT_TRUE(matches_reference(lib, ti, planner, budget)) << where;
+    }
+    std::uint64_t combinations = 0;
+    const std::uint64_t nodes =
+        reference_select(lib, ti, planner, kDefaultNodeBudget, &combinations)
+            .candidates_scanned;
+    for (const std::uint64_t budget : {nodes / 2, nodes - 2, nodes - 1}) {
+      EXPECT_TRUE(matches_reference(lib, ti, planner, budget)) << where;
+    }
+  };
+  for (int trial = 0; trial < 100; ++trial) {
+    const IseLibrary lib = random_library(rng);
+    FabricManager fabric(static_cast<unsigned>(rng.uniform_int(0, 3)),
+                         static_cast<unsigned>(rng.uniform_int(0, 6)),
+                         &lib.data_paths());
+    const ReconfigPlanner planner = random_snapshot(lib, rng, fabric);
+    check(lib, random_trigger(lib, rng), planner,
+          "trial " + std::to_string(trial));
+  }
+  // The H.264 triggers search trees of hundreds of nodes.
+  H264AppParams params;
+  params.frames = 1;
+  const H264Application app = build_h264_application(params);
+  FabricManager fabric(/*num_cg_fabrics=*/2, /*num_prcs=*/4,
+                       &app.library.data_paths());
+  const ReconfigPlanner planner(app.library.data_paths(), fabric, 0);
+  for (const FunctionalBlockInstance& block : app.trace.blocks) {
+    check(app.library, block.programmed, planner,
+          "H.264 block " + std::to_string(raw(block.programmed.functional_block)));
+  }
+}
+
+// The fused profit pass (evaluate_candidate_profit: plan_relative into a
+// stack buffer, then profit_impl) must return the very bits of
+// evaluate_candidate(...).profit and of compute_profit on the same ready
+// times.
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+/// Checks the fused pass for \p ise under \p entry with every ProfitModel
+/// switch; returns the relative ready times it was checked on.
+std::vector<Cycles> check_fused(const IseLibrary& lib, IseId ise,
+                                const TriggerEntry& entry,
+                                const ReconfigPlanner& planner) {
+  ProfitInputs in;
+  in.ise = &lib.ise(ise);
+  in.expected_executions = entry.expected_executions;
+  in.time_to_first = entry.time_to_first;
+  in.time_between = entry.time_between;
+  for (Cycles t : planner.plan(in.ise->data_paths)) {
+    in.ready_rel.push_back(t > planner.now() ? t - planner.now() : 0);
+  }
+  for (const bool risc_window : {true, false}) {
+    for (const bool include_tb : {true, false}) {
+      in.model.account_risc_window = risc_window;
+      in.model.include_tb = include_tb;
+      const double fused =
+          evaluate_candidate_profit(lib, ise, entry, planner, in.model);
+      EXPECT_EQ(bits_of(fused),
+                bits_of(evaluate_candidate(lib, ise, entry, planner, in.model)
+                            .profit))
+          << in.ise->name;
+      EXPECT_EQ(bits_of(fused), bits_of(compute_profit(in).profit))
+          << in.ise->name;
+    }
+  }
+  return in.ready_rel;
+}
+
+TEST(FusedProfitPass, MatchesEvaluateCandidateAndComputeProfitBitForBit) {
+  Rng rng(0xf05ed);
+  std::size_t single = 0, repeats = 0, uniform = 0, before_tf = 0,
+              after_tf = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const IseLibrary lib = random_library(rng);
+    FabricManager fabric(static_cast<unsigned>(rng.uniform_int(0, 3)),
+                         static_cast<unsigned>(rng.uniform_int(0, 6)),
+                         &lib.data_paths());
+    ReconfigPlanner planner = random_snapshot(lib, rng, fabric);
+    // RISPP's planner prices every new load at one FG-scale cost.
+    const bool rispp = rng.bernoulli(0.3);
+    if (rispp) {
+      planner.set_uniform_reconfig_cycles(
+          static_cast<Cycles>(rng.uniform_int(1, 600'000)));
+    }
+    const TriggerInstruction ti = random_trigger(lib, rng);
+    for (const TriggerEntry& entry : ti.entries) {
+      for (IseId ise : lib.kernel(entry.kernel).ises) {
+        const std::vector<Cycles> ready = check_fused(lib, ise, entry, planner);
+        const std::vector<DataPathId>& dps = lib.ise(ise).data_paths;
+        single += dps.size() == 1 ? 1 : 0;
+        repeats += std::set<DataPathId>(dps.begin(), dps.end()).size() <
+                           dps.size()
+                       ? 1
+                       : 0;
+        uniform += rispp ? 1 : 0;
+        for (Cycles t : ready) {
+          (t <= entry.time_to_first ? before_tf : after_tf) += 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(single, 100u);
+  EXPECT_GT(repeats, 100u);
+  EXPECT_GT(uniform, 100u);
+  EXPECT_GT(before_tf, 1000u);
+  EXPECT_GT(after_tf, 1000u);
+}
+
+TEST(FusedProfitPass, IsesPastTheStackBufferStayExact) {
+  // 20 instances alternating one FG and one CG data path: more than the
+  // pass's 16-entry stack buffer, so it plans into the heap.
+  IseLibrary lib;
+  DataPathDesc fg;
+  fg.name = "fg";
+  DataPathDesc cg;
+  cg.name = "cg";
+  cg.grain = Grain::kCoarse;
+  const DataPathId f = lib.data_paths().add(fg);
+  const DataPathId c = lib.data_paths().add(cg);
+  const KernelId k = lib.add_kernel("K", 4000);
+  IseVariant long_ise;
+  long_ise.name = "K.LONG";
+  long_ise.kernel = k;
+  long_ise.latency_after.push_back(4000);
+  for (unsigned i = 0; i < 20; ++i) {
+    long_ise.data_paths.push_back(i % 2 == 0 ? f : c);
+    long_ise.latency_after.push_back(4000 - 150 * (i + 1));
+  }
+  const IseId id = lib.add_ise(long_ise);
+  FabricManager fabric(/*num_cg_fabrics=*/4, /*num_prcs=*/4,
+                       &lib.data_paths());
+  HeuristicSelector warm(lib);
+  TriggerInstruction ti;
+  ti.functional_block = FunctionalBlockId{0};
+  for (const Cycles tf : {Cycles{0}, Cycles{700'000}, Cycles{9'000'000}}) {
+    ti.entries = {{k, 50'000.0, tf, 300}};
+    ReconfigPlanner planner(lib.data_paths(), fabric, 1000);
+    check_fused(lib, id, ti.entries[0], planner);
+    planner.set_uniform_reconfig_cycles(480'000);
+    check_fused(lib, id, ti.entries[0], planner);
+  }
+}
+
+TEST(FusedProfitPass, CachedReconfigurationTimesEqualTheDescriptions) {
+  Rng rng(0xcac4e);
+  std::vector<IseLibrary> libs;
+  libs.push_back(build_h264_application({}).library);
+  for (int i = 0; i < 50; ++i) libs.push_back(random_library(rng));
+  for (const IseLibrary& lib : libs) {
+    const DataPathTable& table = lib.data_paths();
+    for (const DataPathDesc& desc : table) {
+      EXPECT_EQ(table.reconfig_cycles(desc.id), desc.reconfig_cycles())
+          << desc.name;
+      EXPECT_EQ(&table.unchecked(desc.id), &table[desc.id]) << desc.name;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@ appends one ledger row per workload to BENCH_perfbench.json.
 
     python3 tools/perfbench_pairs.py --parent DIR --change DIR \\
         --workload fig_grid --pairs 10 --first-seed 300 \\
+        [--per-layer NAME[,NAME...]] \\
         [--parent-label L] [--change-label L] [--out FILE]
 
 Both checkouts must be full source trees with perfbench/run.py. Each side
@@ -19,6 +20,14 @@ For each end-to-end metric the row records each side's q1/median/q3 over
 the pairs, the number of pairs in which the change is strictly better and
 the number in which both values are exactly equal. Quartiles are
 statistics.quantiles(..., n=4, method="inclusive").
+
+--per-layer names metrics of BENCHMARK.json's per_layer list. After the
+untraced pairs the script then runs as many traced pairs (`--trace 1`,
+TRACED_SECONDS long, same seeds, same alternation) and records the same
+statistics for each named metric under the row's "per_layer" key, with
+the traced run length in "per_layer_seconds". One traced run per side
+cannot show a per-layer shift: the spread between runs of the same tree is
+as wide as the shifts these metrics are read for.
 
 A side's label is its `git rev-parse --short HEAD` when the checkout
 matches HEAD. Otherwise (tracked files edited, or untracked files git does
@@ -40,6 +49,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA = "mrts-perfbench-ledger-v1"
+TRACED_SECONDS = 12
 
 
 def fail(message):
@@ -77,10 +87,10 @@ def git_label(checkout):
     return head.stdout.strip() + "+" + tree[:12]
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=checkout)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -100,6 +110,47 @@ def quartiles(values):
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def run_pairs(sides, workload, seeds, seconds, trace):
+    """Runs one interleaved pair per seed; returns each side's metrics."""
+    runs = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(sides[side]["checkout"], workload,
+                                       seed, seconds, trace))
+        print("%s pair %d/%d (seed %d) done" %
+              ("traced" if trace else "untraced", i + 1, len(seeds), seed),
+              file=sys.stderr)
+    return runs
+
+
+def compare(metrics, runs):
+    """Quartiles, wins and ties of each metric over the pairs."""
+    out = {}
+    for metric in metrics:
+        name = metric["name"]
+        parent = [m[name]["value"] for m in runs["parent"]]
+        change = [m[name]["value"] for m in runs["change"]]
+        lower = metric["better"] == "lower"
+        out[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "parent": quartiles(parent),
+            "change": quartiles(change),
+            "change_wins": sum(1 for p, c in zip(parent, change)
+                               if (c < p if lower else c > p)),
+            "change_ties": sum(1 for p, c in zip(parent, change) if c == p),
+        }
+    return out
+
+
+def print_rows(rows, pairs):
+    for name, m in rows.items():
+        print("%-30s parent %12.6g  change %12.6g  wins %d ties %d /%d" %
+              (name, m["parent"]["median"], m["change"]["median"],
+               m["change_wins"], m["change_ties"], pairs))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True)
@@ -107,6 +158,8 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--per-layer", default="",
+                        metavar="NAME[,NAME...]")
     parser.add_argument("--parent-label")
     parser.add_argument("--change-label")
     parser.add_argument("--out", default=os.path.join(ROOT,
@@ -121,44 +174,32 @@ def main():
         label = getattr(args, side + "_label") or git_label(checkout)
         if label is None:
             fail("%s is not a git checkout: pass --%s-label" % (checkout, side))
-        sides[side] = {"checkout": checkout, "label": label, "runs": []}
+        sides[side] = {"checkout": checkout, "label": label}
 
     with open(os.path.join(sides["change"]["checkout"],
                            "BENCHMARK.json")) as f:
         benchmark = json.load(f)
     end_to_end = benchmark["end_to_end"]
     seconds = benchmark["run_seconds"]
+    known = {m["name"]: m for m in benchmark.get("per_layer", [])}
+    per_layer = []
+    for name in filter(None, args.per_layer.split(",")):
+        if name not in known:
+            fail("--per-layer: %s is not in BENCHMARK.json's per_layer list"
+                 % name)
+        per_layer.append(known[name])
 
     for side in sides.values():  # build, and check the workload runs
         run_once(side["checkout"], args.workload, args.first_seed, 1)
 
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-    for i, seed in enumerate(seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            metrics = run_once(sides[side]["checkout"], args.workload, seed,
-                               seconds)
-            sides[side]["runs"].append(metrics)
-        print("pair %d/%d (seed %d) done" % (i + 1, args.pairs, seed),
-              file=sys.stderr)
-
-    row_metrics = {}
-    for metric in end_to_end:
-        name = metric["name"]
-        parent = [m[name]["value"] for m in sides["parent"]["runs"]]
-        change = [m[name]["value"] for m in sides["change"]["runs"]]
-        lower = metric["better"] == "lower"
-        wins = sum(1 for p, c in zip(parent, change)
-                   if (c < p if lower else c > p))
-        ties = sum(1 for p, c in zip(parent, change) if c == p)
-        row_metrics[name] = {
-            "unit": metric["unit"],
-            "better": metric["better"],
-            "parent": quartiles(parent),
-            "change": quartiles(change),
-            "change_wins": wins,
-            "change_ties": ties,
-        }
+    row_metrics = compare(end_to_end,
+                          run_pairs(sides, args.workload, seeds, seconds, 0))
+    layer_metrics = None
+    if per_layer:
+        layer_metrics = compare(per_layer,
+                                run_pairs(sides, args.workload, seeds,
+                                          TRACED_SECONDS, 1))
 
     row = {
         "date": datetime.datetime.now(datetime.timezone.utc)
@@ -173,6 +214,9 @@ def main():
                  "python": platform.python_version()},
         "metrics": row_metrics,
     }
+    if layer_metrics is not None:
+        row["per_layer_seconds"] = TRACED_SECONDS
+        row["per_layer"] = layer_metrics
     ledger = {"schema": SCHEMA, "rows": []}
     if os.path.exists(args.out):
         with open(args.out) as f:
@@ -183,10 +227,9 @@ def main():
     with open(args.out, "w") as f:
         json.dump(ledger, f, indent=2)
         f.write("\n")
-    for name, m in row_metrics.items():
-        print("%-22s parent %12.6g  change %12.6g  wins %d ties %d /%d" %
-              (name, m["parent"]["median"], m["change"]["median"],
-               m["change_wins"], m["change_ties"], args.pairs))
+    print_rows(row_metrics, args.pairs)
+    if layer_metrics is not None:
+        print_rows(layer_metrics, args.pairs)
     return 0
 
 
