@@ -156,7 +156,7 @@ inline void parse_bench_args(int* argc, char** argv,
   }
   verb.flags.push_back(cli_switch(
       "--no-bb-cache",
-      "run the plain-interpreter oracle instead of the simulator fast paths "
+      "run the per-event frame loop instead of the batched fast path "
       "(outputs stay bit-identical)"));
 
   std::vector<std::string> tokens;

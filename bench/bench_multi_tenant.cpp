@@ -5,7 +5,7 @@
 // 2 to 16 on a fixed 4 PRC + 2 CG fabric under three arbitration scenarios:
 //
 //  * equal  — every tenant weighted with weight 1: the degenerate case that
-//    reproduces the legacy run_time_sliced free-for-all bit-exactly;
+//    reproduces the unarbitrated run_multi_tenant free-for-all bit-exactly;
 //  * skewed — weights cycle 1,2,3,4: soft quotas bias evictions onto
 //    over-quota tenants, trading aggregate throughput for entitlement;
 //  * mixed  — tenant 0 holds a reserved 1+1 partition at priority 2, odd

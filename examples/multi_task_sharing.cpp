@@ -115,7 +115,7 @@ int main() {
   FabricManager shared(2, 2, &library.data_paths());
   MRts rts_video(library, shared);
   MRts rts_crypto(library, shared);
-  const TimeSlicedResult shared_run = run_time_sliced(
+  const MultiTenantResult shared_run = run_multi_tenant(
       {{"video", &rts_video, &video}, {"crypto", &rts_crypto, &crypto}});
 
   TextTable table({"task", "RISC [Mcyc]", "alone [Mcyc]", "alone speedup",
@@ -123,13 +123,13 @@ int main() {
   table.add_values("video", format_mcycles(video_risc),
                    format_mcycles(video_alone),
                    speedup(video_risc, video_alone),
-                   format_mcycles(shared_run.tasks[0].active_cycles),
-                   speedup(video_risc, shared_run.tasks[0].active_cycles));
+                   format_mcycles(shared_run.tasks[0].run.active_cycles),
+                   speedup(video_risc, shared_run.tasks[0].run.active_cycles));
   table.add_values("crypto", format_mcycles(crypto_risc),
                    format_mcycles(crypto_alone),
                    speedup(crypto_risc, crypto_alone),
-                   format_mcycles(shared_run.tasks[1].active_cycles),
-                   speedup(crypto_risc, shared_run.tasks[1].active_cycles));
+                   format_mcycles(shared_run.tasks[1].run.active_cycles),
+                   speedup(crypto_risc, shared_run.tasks[1].run.active_cycles));
   std::printf("Two tasks on one 2 PRC + 2 CG reconfigurable processor "
               "(round-robin per functional block):\n%s",
               table.render().c_str());

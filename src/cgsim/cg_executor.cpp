@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/fastpath.h"
-
 namespace mrts::cgsim {
 namespace {
 
@@ -32,127 +30,6 @@ void CgExecutor::reset_registers() {
 
 CgRunResult CgExecutor::run(const CgContextProgram& program,
                             std::uint64_t max_steps) {
-  if (mrts::fastpath_enabled()) return run_cached(program, max_steps);
-  return run_interpreted(program, max_steps);
-}
-
-CgRunResult CgExecutor::run_cached(const CgContextProgram& program,
-                                   std::uint64_t max_steps) {
-  if (cache_key_ != program.code) {
-    program.validate();
-    cache_ops_.clear();
-    cache_ops_.reserve(program.code.size());
-    for (const CgInstr& in : program.code) {
-      CachedCgOp c;
-      c.op = in.op;
-      c.rd = in.rd;
-      c.rs1 = in.rs1;
-      c.rs2 = in.rs2;
-      c.imm = in.imm;
-      c.aux = in.aux;
-      c.cost = cg_base_cycles(in.op, params_);
-      cache_ops_.push_back(c);
-    }
-    cache_key_ = program.code;
-  }
-
-  CgRunResult result;
-
-  struct LoopFrame {
-    std::size_t body_start;
-    std::size_t body_end;  // one past the last body instruction
-    std::int32_t remaining;
-  };
-  LoopFrame loops[2];  // hardware loop stack is 2 deep
-  std::size_t depth = 0;
-
-  const CachedCgOp* code = cache_ops_.data();
-  const std::size_t size = cache_ops_.size();
-  std::size_t pc = 0;
-  while (result.instructions < max_steps) {
-    if (pc >= size) {
-      result.halted = true;  // implicit halt: fixed-length context
-      return result;
-    }
-    const CachedCgOp& in = code[pc];
-    ++result.instructions;
-    result.cycles += in.cost;
-
-    std::size_t next_pc = pc + 1;
-    switch (in.op) {
-      case CgOp::kNop: break;
-      case CgOp::kHalt:
-        result.halted = true;
-        return result;
-      case CgOp::kAdd: regs_[in.rd] = regs_[in.rs1] + regs_[in.rs2]; break;
-      case CgOp::kSub: regs_[in.rd] = regs_[in.rs1] - regs_[in.rs2]; break;
-      case CgOp::kAnd: regs_[in.rd] = regs_[in.rs1] & regs_[in.rs2]; break;
-      case CgOp::kOr: regs_[in.rd] = regs_[in.rs1] | regs_[in.rs2]; break;
-      case CgOp::kXor: regs_[in.rd] = regs_[in.rs1] ^ regs_[in.rs2]; break;
-      case CgOp::kShl:
-        regs_[in.rd] = regs_[in.rs1] << (regs_[in.rs2] & 31);
-        break;
-      case CgOp::kShr:
-        regs_[in.rd] = regs_[in.rs1] >> (regs_[in.rs2] & 31);
-        break;
-      case CgOp::kMul: regs_[in.rd] = regs_[in.rs1] * regs_[in.rs2]; break;
-      case CgOp::kDiv:
-        if (regs_[in.rs2] == 0) {
-          throw std::runtime_error("cgsim: division by zero");
-        }
-        regs_[in.rd] = u(s(regs_[in.rs1]) / s(regs_[in.rs2]));
-        break;
-      case CgOp::kMac: regs_[in.rd] += regs_[in.rs1] * regs_[in.rs2]; break;
-      case CgOp::kMin:
-        regs_[in.rd] =
-            s(regs_[in.rs1]) < s(regs_[in.rs2]) ? regs_[in.rs1] : regs_[in.rs2];
-        break;
-      case CgOp::kMax:
-        regs_[in.rd] =
-            s(regs_[in.rs1]) > s(regs_[in.rs2]) ? regs_[in.rs1] : regs_[in.rs2];
-        break;
-      case CgOp::kAbs:
-        regs_[in.rd] =
-            s(regs_[in.rs1]) < 0 ? u(-s(regs_[in.rs1])) : regs_[in.rs1];
-        break;
-      case CgOp::kAddi: regs_[in.rd] = regs_[in.rs1] + u(in.imm); break;
-      case CgOp::kShli: regs_[in.rd] = regs_[in.rs1] << (in.imm & 31); break;
-      case CgOp::kShri: regs_[in.rd] = regs_[in.rs1] >> (in.imm & 31); break;
-      case CgOp::kMovi: regs_[in.rd] = u(in.imm); break;
-      case CgOp::kLd:
-        regs_[in.rd] = mem_.read32(regs_[in.rs1] + u(in.imm));
-        break;
-      case CgOp::kSt:
-        mem_.write32(regs_[in.rs1] + u(in.imm), regs_[in.rs2]);
-        break;
-      case CgOp::kLoop:
-        if (depth >= 2) {
-          throw std::runtime_error("cgsim: hardware loop stack is 2 deep");
-        }
-        if (in.imm == 0) {
-          next_pc = pc + 1 + in.aux;  // zero-trip loop: skip the body
-        } else {
-          loops[depth++] = {pc + 1, pc + 1 + in.aux, in.imm};
-        }
-        break;
-    }
-
-    // Zero-overhead loop back-edge (see run_interpreted).
-    while (depth > 0 && next_pc == loops[depth - 1].body_end) {
-      LoopFrame& frame = loops[depth - 1];
-      if (--frame.remaining > 0) {
-        next_pc = frame.body_start;
-        break;
-      }
-      --depth;
-    }
-    pc = next_pc;
-  }
-  return result;
-}
-
-CgRunResult CgExecutor::run_interpreted(const CgContextProgram& program,
-                                        std::uint64_t max_steps) {
   program.validate();
   CgRunResult result;
 

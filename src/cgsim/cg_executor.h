@@ -3,7 +3,8 @@
 /// Cycle-counting interpreter for CG context programs. Timing follows the
 /// Section 5.1 parameters (1-cycle ALU, 2-cycle multiply, 10-cycle divide,
 /// zero-overhead loops); memory operations go through the fabric's 32-bit
-/// load/store unit into its scratch pad.
+/// load/store unit into its scratch pad. Built into the `mrts_iss` library,
+/// which only tests and examples link.
 
 #include <cstdint>
 
@@ -36,47 +37,13 @@ class CgExecutor {
   /// Runs \p program until halt/end of context or \p max_steps dynamic
   /// instructions. Throws std::runtime_error on division by zero or a loop
   /// stack deeper than two (hardware limit).
-  ///
-  /// The executor keeps a one-entry decoded cache (context programs are at
-  /// most 32 instructions): per-instruction cycle costs are resolved once
-  /// and re-validated by element-wise comparison of the code vector on the
-  /// next run. Results are identical to the plain interpreter, which stays
-  /// reachable via util/fastpath.h as the oracle.
   CgRunResult run(const CgContextProgram& program,
                   std::uint64_t max_steps = 10'000'000);
 
-  /// Drops the decoded-program cache (never required for correctness — the
-  /// cache re-keys on the full code vector — but keeps A/B tests honest).
-  void invalidate_program_cache() {
-    cache_key_.clear();
-    cache_ops_.clear();
-  }
-
  private:
-  /// One decoded instruction with its pre-resolved cycle cost.
-  struct CachedCgOp {
-    CgOp op = CgOp::kNop;
-    std::uint8_t rd = 0;
-    std::uint8_t rs1 = 0;
-    std::uint8_t rs2 = 0;
-    std::int32_t imm = 0;
-    std::uint16_t aux = 0;
-    Cycles cost = 0;
-  };
-
-  CgRunResult run_interpreted(const CgContextProgram& program,
-                              std::uint64_t max_steps);
-  CgRunResult run_cached(const CgContextProgram& program,
-                         std::uint64_t max_steps);
-
   CgFabricParams params_;
   Scratchpad mem_;
   std::uint32_t regs_[kNumCgRegisters] = {};
-  /// One-entry decoded cache: cache_key_ is a copy of the cached program's
-  /// code (CgInstr comparison is element-wise — the struct has padding, so
-  /// no memcmp), cache_ops_ the decoded form. Empty key = cold.
-  std::vector<CgInstr> cache_key_;
-  std::vector<CachedCgOp> cache_ops_;
 };
 
 }  // namespace mrts::cgsim

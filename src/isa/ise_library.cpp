@@ -1,5 +1,7 @@
 #include "isa/ise_library.h"
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace mrts {
@@ -30,16 +32,25 @@ IseId IseLibrary::add_ise(IseVariant variant) {
                                 variant.name);
   }
   // Fill the resource-demand cache before validation so fits() is usable.
-  variant.fg_units = 0;
-  variant.cg_units = 0;
+  // Summed in 64 bits: a demand that wrapped in `unsigned` would make an
+  // ISE needing 2^32 + 1 PRCs fit on one.
+  std::uint64_t fg_units = 0;
+  std::uint64_t cg_units = 0;
   for (DataPathId dp : variant.data_paths) {
     const auto& desc = table_[dp];
     if (desc.grain == Grain::kFine) {
-      variant.fg_units += desc.units;
+      fg_units += desc.units;
     } else {
-      variant.cg_units += desc.units;
+      cg_units += desc.units;
     }
   }
+  constexpr std::uint64_t kMaxUnits = std::numeric_limits<unsigned>::max();
+  if (fg_units > kMaxUnits || cg_units > kMaxUnits) {
+    throw std::invalid_argument("IseLibrary::add_ise: resource demand of " +
+                                variant.name + " out of range");
+  }
+  variant.fg_units = static_cast<unsigned>(fg_units);
+  variant.cg_units = static_cast<unsigned>(cg_units);
   variant.validate(table_);
   Kernel& k = kernels_[raw(variant.kernel)];
   if (variant.latency_after.front() != k.sw_latency) {

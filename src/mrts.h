@@ -2,7 +2,10 @@
 /// \file mrts.h
 /// Umbrella header: the whole public API of the mRTS library.
 /// Fine-grained includes (e.g. "rts/mrts.h") keep compile times lower; this
-/// header is for quick starts and example code.
+/// header is for quick starts and example code. The instruction-set
+/// simulators (riscsim, cgsim, sim/iss_bridge.h, isa/ise_identify.h) live in
+/// the separate `mrts_iss` library (CMake target `mrts::iss`) and are
+/// included one header at a time.
 
 // Architecture model
 #include "arch/cg_fabric.h"
@@ -14,18 +17,9 @@
 #include "arch/scratchpad.h"
 #include "arch/tenant.h"
 
-// Instruction-set simulators
-#include "cgsim/cg_assembler.h"
-#include "cgsim/cg_executor.h"
-#include "cgsim/cg_kernel_programs.h"
-#include "riscsim/assembler.h"
-#include "riscsim/cpu.h"
-#include "riscsim/kernel_programs.h"
-
 // ISE model
 #include "isa/ise.h"
 #include "isa/ise_builder.h"
-#include "isa/ise_identify.h"
 #include "isa/ise_library.h"
 #include "isa/kernel.h"
 #include "isa/library_io.h"
@@ -55,7 +49,6 @@
 #include "sim/fb_simulator.h"
 #include "sim/machine.h"
 #include "sim/metrics.h"
-#include "sim/iss_bridge.h"
 #include "sim/multi_app.h"
 #include "sim/schedule.h"
 #include "workload/content_model.h"

@@ -1,17 +1,11 @@
 #include "riscsim/assembler.h"
 
-#include <atomic>
 #include <cctype>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
 namespace mrts::riscsim {
-
-std::uint64_t next_program_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 namespace {
 
@@ -255,7 +249,6 @@ Program assemble(const std::string& source) {
     if (it == labels.end()) fail(p.line, "unknown label '" + p.label + "'");
     program.code[p.instr_index].target = it->second;
   }
-  program.id = next_program_id();
   return program;
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 /// \file assembler.h
-/// Two-pass text assembler for the core-processor model. Syntax (one
-/// instruction per line, ';' or '#' starts a comment):
+/// Two-pass text assembler for the core-processor model (part of the
+/// `mrts_iss` library). Syntax (one instruction per line, ';' or '#' starts
+/// a comment):
 ///
 ///   label:
 ///     movi  r1, 16          ; rd, imm
@@ -25,16 +26,7 @@ struct Program {
   std::vector<Instr> code;
   /// Source line of each instruction (diagnostics).
   std::vector<unsigned> lines;
-  /// Process-unique identity of an *immutable* program (0 = none). The CPU's
-  /// decoded basic-block cache (riscsim/cpu.h) keys on it: a nonzero id
-  /// promises the code vector never changes afterwards. assemble() and the
-  /// ISS bridge stamp it; hand-built programs keep 0 and bypass the cache
-  /// (or stamp one via next_program_id() once construction is done).
-  std::uint64_t id = 0;
 };
-
-/// Returns a fresh process-unique Program::id (atomic counter, starts at 1).
-std::uint64_t next_program_id();
 
 /// Assembles \p source; throws std::invalid_argument with line information
 /// on any syntax error or unknown label.

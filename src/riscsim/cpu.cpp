@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/fastpath.h"
-
 namespace mrts::riscsim {
 namespace {
 
@@ -30,14 +28,6 @@ void Cpu::set_reg(unsigned index, std::uint32_t value) {
 }
 
 RunResult Cpu::run(const Program& program, std::uint64_t max_steps) {
-  if (program.id != 0 && fastpath_enabled()) {
-    return run_cached(program, max_steps);
-  }
-  return run_interpreted(program, max_steps);
-}
-
-RunResult Cpu::run_interpreted(const Program& program,
-                               std::uint64_t max_steps) {
   RunResult result;
   std::uint32_t pc = 0;
   regs_[0] = 0;
@@ -173,209 +163,6 @@ RunResult Cpu::run_interpreted(const Program& program,
     pc = next_pc;
   }
   return result;
-}
-
-Cpu::ProgramCache& Cpu::cache_for(const Program& program) {
-  for (auto& cache : caches_) {
-    if (cache.program_id == program.id) return cache;
-  }
-  // Unbounded growth guard: a Cpu normally runs a handful of programs.
-  if (caches_.size() >= 64) caches_.clear();
-  caches_.emplace_back();
-  ProgramCache& cache = caches_.back();
-  cache.program_id = program.id;
-  cache.block_by_pc.assign(program.code.size(), -1);
-  return cache;
-}
-
-const Cpu::CachedBlock& Cpu::block_at(ProgramCache& cache,
-                                      const Program& program,
-                                      std::uint32_t entry) const {
-  const std::int32_t known = cache.block_by_pc[entry];
-  if (known >= 0) return cache.blocks[static_cast<std::size_t>(known)];
-
-  CachedBlock block;
-  std::uint32_t pc = entry;
-  while (pc < program.code.size()) {
-    const Instr& in = program.code[pc];
-    if (is_branch(in.op) || in.op == Op::kHalt) {
-      block.term = in;
-      block.term_cost = base_cycles(in.op);
-      block.term_pc = pc;
-      block.has_term = true;
-      break;
-    }
-    CachedOp c;
-    c.op = in.op;
-    c.rd = in.rd;
-    c.rs1 = in.rs1;
-    c.rs2 = in.rs2;
-    c.imm = in.imm;
-    c.target = in.target;
-    c.cost = base_cycles(in.op);
-    switch (in.op) {
-      case Op::kLdw:
-      case Op::kStw:
-        c.cost += mem_.access_cycles(4);
-        break;
-      case Op::kLdb:
-      case Op::kStb:
-        c.cost += mem_.access_cycles(1);
-        break;
-      case Op::kWait:
-        c.cost += static_cast<Cycles>(static_cast<std::uint32_t>(in.imm));
-        break;
-      default:
-        break;
-    }
-    block.body.push_back(c);
-    ++pc;
-  }
-  cache.block_by_pc[entry] = static_cast<std::int32_t>(cache.blocks.size());
-  cache.blocks.push_back(std::move(block));
-  return cache.blocks.back();
-}
-
-RunResult Cpu::run_cached(const Program& program, std::uint64_t max_steps) {
-  RunResult result;
-  std::uint32_t pc = 0;
-  regs_[0] = 0;
-  ProgramCache& cache = cache_for(program);
-
-  while (true) {
-    if (result.instructions >= max_steps) return result;
-    if (pc >= program.code.size()) {
-      throw std::runtime_error("riscsim: pc out of range");
-    }
-    const CachedBlock& block = block_at(cache, program, pc);
-
-    for (const CachedOp& c : block.body) {
-      if (result.instructions >= max_steps) return result;
-      ++result.instructions;
-      ++result.op_counts[static_cast<std::size_t>(c.op)];
-      result.cycles += c.cost;
-      switch (c.op) {
-        case Op::kNop: break;
-        case Op::kAdd: regs_[c.rd] = regs_[c.rs1] + regs_[c.rs2]; break;
-        case Op::kSub: regs_[c.rd] = regs_[c.rs1] - regs_[c.rs2]; break;
-        case Op::kAnd: regs_[c.rd] = regs_[c.rs1] & regs_[c.rs2]; break;
-        case Op::kOr: regs_[c.rd] = regs_[c.rs1] | regs_[c.rs2]; break;
-        case Op::kXor: regs_[c.rd] = regs_[c.rs1] ^ regs_[c.rs2]; break;
-        case Op::kSll:
-          regs_[c.rd] = regs_[c.rs1] << (regs_[c.rs2] & 31);
-          break;
-        case Op::kSrl:
-          regs_[c.rd] = regs_[c.rs1] >> (regs_[c.rs2] & 31);
-          break;
-        case Op::kSra:
-          regs_[c.rd] = u(s(regs_[c.rs1]) >> (regs_[c.rs2] & 31));
-          break;
-        case Op::kMul: regs_[c.rd] = regs_[c.rs1] * regs_[c.rs2]; break;
-        case Op::kDiv:
-          if (regs_[c.rs2] == 0) {
-            throw std::runtime_error("riscsim: division by zero");
-          }
-          regs_[c.rd] = u(s(regs_[c.rs1]) / s(regs_[c.rs2]));
-          break;
-        case Op::kCmpLt:
-          regs_[c.rd] = s(regs_[c.rs1]) < s(regs_[c.rs2]) ? 1 : 0;
-          break;
-        case Op::kCmpEq:
-          regs_[c.rd] = regs_[c.rs1] == regs_[c.rs2] ? 1 : 0;
-          break;
-        case Op::kMin:
-          regs_[c.rd] = s(regs_[c.rs1]) < s(regs_[c.rs2]) ? regs_[c.rs1]
-                                                          : regs_[c.rs2];
-          break;
-        case Op::kMax:
-          regs_[c.rd] = s(regs_[c.rs1]) > s(regs_[c.rs2]) ? regs_[c.rs1]
-                                                          : regs_[c.rs2];
-          break;
-        case Op::kAbs:
-          regs_[c.rd] =
-              s(regs_[c.rs1]) < 0 ? u(-s(regs_[c.rs1])) : regs_[c.rs1];
-          break;
-        case Op::kAddi: regs_[c.rd] = regs_[c.rs1] + u(c.imm); break;
-        case Op::kSubi: regs_[c.rd] = regs_[c.rs1] - u(c.imm); break;
-        case Op::kAndi: regs_[c.rd] = regs_[c.rs1] & u(c.imm); break;
-        case Op::kOri: regs_[c.rd] = regs_[c.rs1] | u(c.imm); break;
-        case Op::kSlli: regs_[c.rd] = regs_[c.rs1] << (c.imm & 31); break;
-        case Op::kSrli: regs_[c.rd] = regs_[c.rs1] >> (c.imm & 31); break;
-        case Op::kMovi: regs_[c.rd] = u(c.imm); break;
-        case Op::kLdw:
-          regs_[c.rd] = mem_.read32(regs_[c.rs1] + u(c.imm));
-          break;
-        case Op::kStw:
-          mem_.write32(regs_[c.rs1] + u(c.imm), regs_[c.rs2]);
-          break;
-        case Op::kLdb:
-          regs_[c.rd] = mem_.read8(regs_[c.rs1] + u(c.imm));
-          break;
-        case Op::kStb:
-          mem_.write8(regs_[c.rs1] + u(c.imm),
-                      static_cast<std::uint8_t>(regs_[c.rs2]));
-          break;
-        case Op::kWait: break;  // delay folded into c.cost at decode
-        case Op::kTrig: {
-          if (coprocessor_ == nullptr) {
-            throw std::runtime_error("riscsim: trig without a coprocessor");
-          }
-          const auto addr =
-              static_cast<std::size_t>(static_cast<std::uint32_t>(c.imm));
-          std::vector<std::uint8_t> bytes;
-          bytes.reserve(c.target);
-          for (std::uint32_t b = 0; b < c.target; ++b) {
-            bytes.push_back(mem_.read8(addr + b));
-          }
-          result.cycles += coprocessor_->trigger(bytes, result.cycles);
-          break;
-        }
-        case Op::kKexec:
-          if (coprocessor_ == nullptr) {
-            throw std::runtime_error("riscsim: kexec without a coprocessor");
-          }
-          result.cycles += coprocessor_->kernel(
-              static_cast<std::uint32_t>(c.imm), result.cycles);
-          break;
-        default: break;  // terminators never appear in a block body
-      }
-      regs_[0] = 0;
-    }
-
-    if (!block.has_term) {
-      // Ran off the end of the code: the out-of-range check at the top of
-      // the loop raises the interpreter's exact error (unless max_steps
-      // strikes first, exactly as in the interpreter's fetch loop).
-      pc = static_cast<std::uint32_t>(program.code.size());
-      continue;
-    }
-
-    if (result.instructions >= max_steps) return result;
-    const Instr& in = block.term;
-    ++result.instructions;
-    ++result.op_counts[static_cast<std::size_t>(in.op)];
-    result.cycles += block.term_cost;
-    if (in.op == Op::kHalt) {
-      result.halted = true;
-      return result;
-    }
-    std::uint32_t next_pc = block.term_pc + 1;
-    bool taken = false;
-    switch (in.op) {
-      case Op::kBeq: taken = regs_[in.rs1] == regs_[in.rs2]; break;
-      case Op::kBne: taken = regs_[in.rs1] != regs_[in.rs2]; break;
-      case Op::kBlt: taken = s(regs_[in.rs1]) < s(regs_[in.rs2]); break;
-      case Op::kBge: taken = s(regs_[in.rs1]) >= s(regs_[in.rs2]); break;
-      case Op::kJmp: taken = true; break;
-      default: break;
-    }
-    if (taken) {
-      next_pc = in.target;
-      result.cycles += kBranchPenalty;
-    }
-    regs_[0] = 0;
-    pc = next_pc;
-  }
 }
 
 }  // namespace mrts::riscsim

@@ -4,7 +4,8 @@
 /// simple single-issue in-order pipeline: every instruction pays its base
 /// cost, memory operations add the scratch-pad port time, and taken branches
 /// pay a one-cycle redirect penalty (LEON-style delay-slot effect folded into
-/// the taken path).
+/// the taken path). Built into the `mrts_iss` library, which only tests and
+/// examples link; no figure bench, tool or served job runs it.
 
 #include <array>
 #include <cstdint>
@@ -69,68 +70,15 @@ class Cpu {
 
   /// Executes \p program from instruction 0 until halt or \p max_steps.
   /// Throws std::runtime_error on division by zero or pc out of range.
-  ///
-  /// Programs with a nonzero id (assembled / ISS-bridge binaries, which are
-  /// immutable by contract) run through a decoded basic-block cache:
-  /// straight-line regions are decoded once into dense micro-op arrays with
-  /// pre-resolved cycle costs and replayed in a tight loop. Cycle counts,
-  /// op_counts, architectural state and thrown exceptions are identical to
-  /// the plain interpreter (kept as the oracle; util/fastpath.h toggles).
   RunResult run(const Program& program, std::uint64_t max_steps = 10'000'000);
-
-  /// Drops every decoded block. Needed only if code behind an already-run
-  /// nonzero Program::id is mutated (which breaks the immutability contract;
-  /// prefer re-stamping the program with next_program_id()).
-  void invalidate_block_cache() { caches_.clear(); }
 
   /// Taken-branch penalty in cycles.
   static constexpr Cycles kBranchPenalty = 1;
 
  private:
-  /// One decoded straight-line micro-op: a flat copy of the instruction plus
-  /// its fully resolved cycle cost (base + scratch-pad port time for memory
-  /// ops + the imm delay of `wait`). trig/kexec stay in-line with cost =
-  /// base cycles; their dynamic coprocessor latency is added at replay.
-  struct CachedOp {
-    Op op = Op::kNop;
-    std::uint8_t rd = 0;
-    std::uint8_t rs1 = 0;
-    std::uint8_t rs2 = 0;
-    std::int32_t imm = 0;
-    std::uint32_t target = 0;  ///< trig blob length (unused otherwise)
-    Cycles cost = 0;
-  };
-
-  /// A decoded region: the straight-line body plus the control-flow
-  /// terminator (branch/jmp/halt). has_term == false means the code runs off
-  /// the end of the program (replay then raises the same pc-out-of-range
-  /// error the interpreter would).
-  struct CachedBlock {
-    std::vector<CachedOp> body;
-    Instr term{};
-    Cycles term_cost = 0;
-    std::uint32_t term_pc = 0;
-    bool has_term = false;
-  };
-
-  /// Per-program block cache: blocks are discovered lazily at entry pcs
-  /// (block starts = program entry, branch targets, fall-throughs).
-  struct ProgramCache {
-    std::uint64_t program_id = 0;
-    std::vector<std::int32_t> block_by_pc;  ///< -1 = not decoded yet
-    std::vector<CachedBlock> blocks;
-  };
-
-  RunResult run_interpreted(const Program& program, std::uint64_t max_steps);
-  RunResult run_cached(const Program& program, std::uint64_t max_steps);
-  ProgramCache& cache_for(const Program& program);
-  const CachedBlock& block_at(ProgramCache& cache, const Program& program,
-                              std::uint32_t entry) const;
-
   Scratchpad mem_;
   std::uint32_t regs_[kNumRegisters] = {};
   Coprocessor* coprocessor_ = nullptr;
-  std::vector<ProgramCache> caches_;
 };
 
 }  // namespace mrts::riscsim

@@ -1,10 +1,9 @@
 #pragma once
 /// \file isa.h
 /// Instruction set of the core-processor model: a SPARC-V8-flavoured 32-bit
-/// RISC subset (the paper's core is a LEON). The simulator is used to derive
-/// RISC-mode kernel latencies from real micro-programs instead of inventing
-/// them, and serves as the "cycle-accurate instruction-set simulator"
-/// substrate of Section 5.1.
+/// RISC subset (the paper's core is a LEON). The simulator measures the
+/// kernel micro-programs that examples/iss_calibration prints beside the
+/// workload model's hand-set RISC latencies; it does not feed them.
 
 #include <cstdint>
 #include <string>

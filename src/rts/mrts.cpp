@@ -33,8 +33,6 @@ MRts::MRts(const IseLibrary& lib, unsigned num_cg_fabrics, unsigned num_prcs,
                  config.profit_model),
       optimal_(lib),
       ecu_(lib, *fabric_, config.ecu) {
-  heuristic_.set_tuning(config_.selector_tuning);
-  optimal_.set_tuning(config_.selector_tuning);
   defrag_ = DefragPolicy(config_.defrag);
   if (config_.fault.any_faults()) {
     fault_model_ = std::make_unique<FaultModel>(config_.fault);
@@ -52,8 +50,6 @@ MRts::MRts(const IseLibrary& lib, FabricManager& shared_fabric,
                  config.profit_model),
       optimal_(lib),
       ecu_(lib, *fabric_, config.ecu) {
-  heuristic_.set_tuning(config_.selector_tuning);
-  optimal_.set_tuning(config_.selector_tuning);
   defrag_ = DefragPolicy(config_.defrag);
   if (config_.fault.any_faults()) {
     fault_model_ = std::make_unique<FaultModel>(config_.fault);

@@ -51,11 +51,6 @@ struct MRtsConfig {
   /// transient upsets and permanent container quarantines then exercise the
   /// ECU degradation ladder.
   FaultModelConfig fault;
-  /// Selector hot-path switch (rts/selector_heuristic.h): the incremental
-  /// (commit/rollback) planner. A pure optimization — every selection and
-  /// output byte is identical at either setting; baseline() reproduces the
-  /// pre-optimization implementation for A/B timing.
-  SelectorTuning selector_tuning;
   /// Migration-based self-healing (rts/migration.h): after a scrub that
   /// quarantined additional containers, compact the surviving FG
   /// configurations so the free space stays contiguous. Default-off keeps

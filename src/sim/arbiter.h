@@ -13,8 +13,9 @@
 ///    over-quota tenants' coldest containers; best-effort tenants are
 ///    preferred victims for entitled tenants. With all-equal weights and no
 ///    reservations the arbiter reports no preference at all, so the fabric's
-///    native policy applies and the legacy `run_time_sliced` free-for-all is
-///    reproduced bit-exactly (the equality gate in tests/test_arbiter.cpp);
+///    native policy applies and the unarbitrated `run_multi_tenant`
+///    free-for-all is reproduced bit-exactly (the equality gate in
+///    tests/test_arbiter.cpp);
 ///  * admission control: a reserved tenant whose partition no longer fits
 ///    the usable (post-quarantine) capacity is bounced — admitted() is
 ///    re-validated live, so quarantines after registration revoke admission.

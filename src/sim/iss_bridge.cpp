@@ -46,7 +46,6 @@ IssApplication compile_trace_to_binary(const ApplicationTrace& trace,
   halt.op = riscsim::Op::kHalt;
   app.program.code.push_back(halt);
   app.program.lines.assign(app.program.code.size(), 0);
-  app.program.id = riscsim::next_program_id();  // immutable from here on
   app.memory_bytes = cursor;
   return app;
 }

@@ -14,7 +14,8 @@
 ///   * kPrivate: each add_rts() is `MRts(lib, cg, prcs, config)`, a private
 ///     fabric per instance (the single-app benches and `mrts_cli run`);
 ///   * kShared: one machine-owned FabricManager, each add_rts() is
-///     `MRts(lib, fabric, config)` (the unmanaged run_time_sliced mode);
+///     `MRts(lib, fabric, config)` (unmanaged sharing: run_multi_tenant
+///     without an arbiter);
 ///   * kArbitrated: machine-owned FabricManager + FabricArbiter; tenants
 ///     register through the machine and each add_rts(tenant) is
 ///     `MRts(lib, arbiter.binding(tenant), config)` (run-multi, fig12,

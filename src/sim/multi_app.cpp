@@ -171,24 +171,4 @@ MultiTenantResult run_multi_tenant(const std::vector<Task>& tasks,
   return stream.take_result();
 }
 
-TimeSlicedResult run_time_sliced(const std::vector<Task>& tasks,
-                                 Cycles start) {
-  for (const Task& t : tasks) {
-    if (t.rts == nullptr || t.trace == nullptr) {
-      throw std::invalid_argument("run_time_sliced: null task member");
-    }
-    if (t.slice_blocks == 0) {
-      throw std::invalid_argument("run_time_sliced: zero slice weight");
-    }
-  }
-  MultiTenantResult mt = run_multi_tenant(tasks, nullptr, start);
-  TimeSlicedResult result;
-  result.total_cycles = mt.total_cycles;
-  result.tasks.reserve(mt.tasks.size());
-  for (MultiTenantTaskResult& tr : mt.tasks) {
-    result.tasks.push_back(std::move(tr.run));
-  }
-  return result;
-}
-
 }  // namespace mrts

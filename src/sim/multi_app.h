@@ -6,14 +6,12 @@
 /// task's installation may evict another task's data paths, and each task's
 /// RTS must re-select under whatever it finds when its turn comes.
 ///
-/// Two entry points:
-///  * run_time_sliced — the legacy weighted round-robin free-for-all
-///    (unmanaged sharing via MRts's shared-fabric constructor);
-///  * run_multi_tenant — the event-driven generalization: priorities,
-///    releases, per-task deadlines and (optionally) a FabricArbiter doing
-///    admission control and tenant-aware placement. With default task fields
-///    and no arbiter it reproduces run_time_sliced exactly — run_time_sliced
-///    is in fact a wrapper over it.
+/// run_multi_tenant is an event-driven weighted round-robin: priorities,
+/// releases, per-task deadlines and (optionally) a FabricArbiter doing
+/// admission control and tenant-aware placement. With default task fields
+/// and no arbiter it is the unmanaged free-for-all (MRts's shared-fabric
+/// constructor). TaskStream is its resumable form, which the CMP scheduler
+/// (sim/cmp.h) drives one turn per core.
 
 #include <array>
 #include <string>
@@ -41,11 +39,11 @@ struct Task {
   /// Optional flight recorder for this task's block begin/end events (not
   /// owned). Typically the same recorder attached to the task's RTS.
   TraceRecorder* recorder = nullptr;
-  /// Scheduling priority (run_multi_tenant only): higher runs first among
-  /// released tasks. 0 (the default) keeps plain round-robin order.
+  /// Scheduling priority: higher runs first among released tasks. 0 (the
+  /// default) keeps plain round-robin order.
   unsigned priority = 0;
   /// Absolute cycle before which the task may not run (0 = released at
-  /// start). run_multi_tenant only.
+  /// start).
   Cycles release = 0;
   /// Absolute completion deadline, reported (not enforced) in the result;
   /// 0 = none. Among equal priorities the earliest deadline runs first.
@@ -64,11 +62,6 @@ struct TaskRunResult {
   Cycles finished_at = 0;
   std::vector<Cycles> block_cycles;
   std::array<std::uint64_t, kNumImplKinds> impl_executions{};
-};
-
-struct TimeSlicedResult {
-  Cycles total_cycles = 0;  ///< end of the last block of any task
-  std::vector<TaskRunResult> tasks;
 };
 
 /// Per-task outcome of run_multi_tenant.
@@ -148,22 +141,15 @@ class TaskStream {
   bool done_ = false;
 };
 
-/// Runs all tasks to completion, weighted round-robin (slice_blocks
-/// functional blocks per turn) on the single core. Tasks are NOT reset
-/// (callers decide whether learned state carries over); the shared fabric
-/// keeps whatever the interleaved installations left behind. Throws
-/// std::invalid_argument on null task members or zero slice weights.
-/// Equivalent to run_multi_tenant with default priority/release/deadline/
-/// tenant fields and no arbiter (it is implemented as exactly that).
-TimeSlicedResult run_time_sliced(const std::vector<Task>& tasks,
-                                 Cycles start = 0);
-
-/// Event-driven multi-tenant scheduler. Each turn, among the unfinished
-/// tasks whose release has passed, it picks the highest priority, breaking
-/// ties by earliest deadline (none = latest) and then by cyclic order after
-/// the previously scheduled task — which, with all-default fields, is the
-/// legacy round-robin. When no unfinished task is released the clock jumps
-/// to the earliest release. With an \p arbiter, tasks whose tenant is not
+/// Runs all tasks to completion on the single core. Each turn, among the
+/// unfinished tasks whose release has passed, it picks the highest priority,
+/// breaking ties by earliest deadline (none = latest) and then by cyclic
+/// order after the previously scheduled task — which, with all-default
+/// fields, is plain weighted round-robin (slice_blocks functional blocks per
+/// turn). When no unfinished task is released the clock jumps to the
+/// earliest release. Tasks are NOT reset (callers decide whether learned
+/// state carries over); a shared fabric keeps whatever the interleaved
+/// installations left behind. With an \p arbiter, tasks whose tenant is not
 /// (or no longer) admitted are bounced up front: they run zero blocks and
 /// carry the arbiter's admission_reason.
 ///

@@ -1,17 +1,16 @@
 #pragma once
 /// \file fastpath.h
-/// Process-wide toggle for the simulator fast paths: the decoded
-/// basic-block caches of the riscsim/cgsim interpreters and the batched
-/// (run-compressed) frame-execution path of sim/fb_simulator. Both paths
-/// are pure optimizations — every cycle total, architectural state and
-/// output byte is identical at any setting — so the toggle exists to keep
-/// the plain interpreter / per-event loop alive as the oracle for A/B
-/// tests (`--no-bb-cache` on the benches, MRTS_NO_BB_CACHE=1 in the
-/// environment, or set_fastpath_enabled(false) from tests).
+/// Process-wide toggle for the simulator fast path: the batched
+/// (run-compressed) frame-execution path of sim/fb_simulator. It is a pure
+/// optimization — every cycle total and output byte is identical at either
+/// setting — so the toggle exists to keep the per-event frame loop alive as
+/// the oracle for A/B tests (`--no-bb-cache` on the benches and mrts_cli,
+/// MRTS_NO_BB_CACHE=1 in the environment, or set_fastpath_enabled(false)
+/// from tests and perfbench's fig_grid check).
 
 namespace mrts {
 
-/// True when the fast paths are active. Defaults to true unless the
+/// True when the fast path is active. Defaults to true unless the
 /// MRTS_NO_BB_CACHE environment variable is set to anything but "0"
 /// (checked once, at first use).
 bool fastpath_enabled();

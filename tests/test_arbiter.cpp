@@ -3,7 +3,7 @@
 // registration and admission control, hard partitions, the strict attach
 // contracts of the unified RuntimeSystem lifecycle API, and the equality
 // gate proving the arbitrated equal-weight configuration reproduces the
-// legacy run_time_sliced free-for-all bit-exactly.
+// unarbitrated run_multi_tenant free-for-all bit-exactly.
 
 #include <gtest/gtest.h>
 
@@ -341,7 +341,7 @@ TEST(Arbiter, EqualWeightsNoReservationsReproduceTimeSlicedBitExactly) {
   FabricManager legacy_fabric(1, 2, &app.library.data_paths());
   MRts legacy_a(app.library, legacy_fabric);
   MRts legacy_b(app.library, legacy_fabric);
-  const TimeSlicedResult legacy = run_time_sliced(
+  const MultiTenantResult legacy = run_multi_tenant(
       {{"A", &legacy_a, &app.traces[0]}, {"B", &legacy_b, &app.traces[1]}});
 
   MultiTenantApp app2 = make_apps(2, 6);
@@ -366,13 +366,13 @@ TEST(Arbiter, EqualWeightsNoReservationsReproduceTimeSlicedBitExactly) {
   ASSERT_EQ(arbitrated.tasks.size(), legacy.tasks.size());
   for (std::size_t i = 0; i < legacy.tasks.size(); ++i) {
     EXPECT_EQ(arbitrated.tasks[i].run.active_cycles,
-              legacy.tasks[i].active_cycles);
+              legacy.tasks[i].run.active_cycles);
     EXPECT_EQ(arbitrated.tasks[i].run.finished_at,
-              legacy.tasks[i].finished_at);
+              legacy.tasks[i].run.finished_at);
     EXPECT_EQ(arbitrated.tasks[i].run.block_cycles,
-              legacy.tasks[i].block_cycles);
+              legacy.tasks[i].run.block_cycles);
     EXPECT_EQ(arbitrated.tasks[i].run.impl_executions,
-              legacy.tasks[i].impl_executions);
+              legacy.tasks[i].run.impl_executions);
   }
 }
 

@@ -1,15 +1,12 @@
-// Differential tests for the decoded basic-block caches (riscsim/cpu.h,
-// cgsim/cg_executor.h) and the batched frame-execution fast path they feed:
-// seeded random programs — self-branching loops, forward branches, memory
-// traffic, coprocessor calls — must produce bit-identical cycle counts,
-// instruction counts, op profiles, register files, memory images and thrown
-// exceptions with the cache on and off. The plain interpreter is the oracle
-// (util/fastpath.h), including under fault-induced re-execution and across
-// sweep worker counts. The ECU's chunk and per-run memo commits are checked
-// block by block against the per-event loop on full-size CIF blocks and on
-// hand-made block shapes around the chunk boundaries, and again with a
-// flight recorder and counter registry attached, where the trace, counters
-// and histograms must match the per-event loop's too.
+// Differential tests for the batched frame-execution fast path
+// (sim/fb_simulator, util/fastpath.h): the per-event frame loop is the
+// oracle. Sweeps must render bit-identical CSVs with the fast path on and
+// off, also under fault-induced re-execution and across sweep worker
+// counts. The ECU's chunk and per-run memo commits are checked block by
+// block against the per-event loop on full-size CIF blocks and on hand-made
+// block shapes around the chunk boundaries, and again with a flight
+// recorder and counter registry attached, where the trace, counters and
+// histograms must match the per-event loop's too.
 
 #include <gtest/gtest.h>
 
@@ -26,10 +23,6 @@
 #include "baselines/morpheus4s_rts.h"
 #include "baselines/offline_optimal_rts.h"
 #include "baselines/rispp_rts.h"
-#include "cgsim/cg_executor.h"
-#include "cgsim/cg_isa.h"
-#include "riscsim/assembler.h"
-#include "riscsim/cpu.h"
 #include "rts/mrts.h"
 #include "serve/serve_core.h"
 #include "sim/app_simulator.h"
@@ -61,497 +54,6 @@ class FastpathGuard {
  private:
   bool previous_;
 };
-
-// --- riscsim: interpreter vs block cache -----------------------------------
-
-/// Everything observable about one CPU run: the result (or the exception it
-/// ended in), the full register file and the low memory image.
-struct RiscOutcome {
-  riscsim::RunResult result{};
-  bool threw = false;
-  std::string error;
-  std::array<std::uint32_t, riscsim::kNumRegisters> regs{};
-  std::vector<std::uint32_t> mem;
-
-  friend bool operator==(const RiscOutcome& a, const RiscOutcome& b) {
-    return a.threw == b.threw && a.error == b.error &&
-           a.result.cycles == b.result.cycles &&
-           a.result.instructions == b.result.instructions &&
-           a.result.halted == b.result.halted &&
-           a.result.op_counts == b.result.op_counts && a.regs == b.regs &&
-           a.mem == b.mem;
-  }
-};
-
-RiscOutcome run_risc(const riscsim::Program& program, bool fast,
-                     const std::function<void(riscsim::Cpu&)>& setup = {},
-                     riscsim::Coprocessor* cop = nullptr,
-                     std::uint64_t max_steps = 1'000'000) {
-  FastpathGuard guard(fast);
-  riscsim::Cpu cpu;
-  if (cop != nullptr) cpu.attach_coprocessor(cop);
-  if (setup) setup(cpu);
-  RiscOutcome out;
-  try {
-    out.result = cpu.run(program, max_steps);
-  } catch (const std::exception& e) {
-    out.threw = true;
-    out.error = e.what();
-  }
-  for (unsigned r = 0; r < riscsim::kNumRegisters; ++r) {
-    out.regs[r] = cpu.reg(r);
-  }
-  for (std::size_t addr = 0; addr < 512; addr += 4) {
-    out.mem.push_back(cpu.memory().read32(addr));
-  }
-  return out;
-}
-
-/// Asserts interpreter and block-cache runs are observably identical.
-void expect_risc_identical(const riscsim::Program& program,
-                           const std::function<void(riscsim::Cpu&)>& setup = {},
-                           std::uint64_t max_steps = 1'000'000) {
-  const RiscOutcome slow = run_risc(program, false, setup, nullptr, max_steps);
-  const RiscOutcome fast = run_risc(program, true, setup, nullptr, max_steps);
-  EXPECT_EQ(slow.threw, fast.threw);
-  EXPECT_EQ(slow.error, fast.error);
-  EXPECT_EQ(slow.result.cycles, fast.result.cycles);
-  EXPECT_EQ(slow.result.instructions, fast.result.instructions);
-  EXPECT_EQ(slow.result.halted, fast.result.halted);
-  EXPECT_EQ(slow.result.op_counts, fast.result.op_counts);
-  EXPECT_EQ(slow.regs, fast.regs);
-  EXPECT_EQ(slow.mem, fast.mem);
-}
-
-/// Generates a random but well-formed program: a counted self-branching
-/// loop whose body mixes ALU, memory and wait instructions plus
-/// data-dependent forward branches, followed by a straight-line tail.
-/// r1 is the loop counter, r4 the (never-clobbered) memory base.
-std::string random_risc_program(Rng& rng) {
-  static const char* const kRr[] = {"add", "sub",   "and",   "or",  "xor",
-                                    "sll", "srl",   "sra",   "mul", "cmplt",
-                                    "min", "max"};
-  static const char* const kRi[] = {"addi", "subi", "andi",
-                                    "ori",  "slli", "srli"};
-  static const char* const kBr[] = {"beq", "bne", "blt", "bge"};
-  const int kRd[] = {2, 3, 5, 6, 7, 8};
-  auto rd = [&] { return kRd[rng.next_below(6)]; };
-  auto rs = [&] { return rng.next_below(10); };  // r0..r9 as sources
-
-  std::string s;
-  s += "movi r1, " + std::to_string(rng.uniform_int(1, 6)) + "\n";
-  s += "movi r2, " + std::to_string(rng.uniform_int(-100, 100)) + "\n";
-  s += "movi r3, " + std::to_string(rng.uniform_int(0, 255)) + "\n";
-  s += "movi r4, 128\n";  // memory base; loop body never writes r4
-  s += "loop:\n";
-  unsigned fwd = 0;
-  const int body = static_cast<int>(rng.uniform_int(4, 10));
-  for (int i = 0; i < body; ++i) {
-    switch (rng.next_below(6)) {
-      case 0:
-        s += std::string(kRr[rng.next_below(12)]) + " r" +
-             std::to_string(rd()) + ", r" + std::to_string(rs()) + ", r" +
-             std::to_string(rs()) + "\n";
-        break;
-      case 1:
-        s += std::string(kRi[rng.next_below(6)]) + " r" +
-             std::to_string(rd()) + ", r" + std::to_string(rs()) + ", " +
-             std::to_string(rng.uniform_int(0, 15)) + "\n";
-        break;
-      case 2:
-        s += "ldw r" + std::to_string(rd()) + ", [r4+" +
-             std::to_string(4 * rng.next_below(32)) + "]\n";
-        break;
-      case 3:
-        s += "stw [r4+" + std::to_string(4 * rng.next_below(32)) + "], r" +
-             std::to_string(rs()) + "\n";
-        break;
-      case 4:
-        s += "wait " + std::to_string(rng.uniform_int(0, 20)) + "\n";
-        break;
-      case 5: {
-        // Data-dependent forward branch over one instruction: block entry
-        // points at both the taken and the fall-through pc.
-        const std::string label = "fwd" + std::to_string(fwd++);
-        s += std::string(kBr[rng.next_below(4)]) + " r" +
-             std::to_string(rs()) + ", r" + std::to_string(rs()) + ", " +
-             label + "\n";
-        s += "addi r" + std::to_string(rd()) + ", r" +
-             std::to_string(rs()) + ", 1\n";
-        s += label + ":\n";
-        break;
-      }
-    }
-  }
-  s += "subi r1, r1, 1\n";
-  s += "bne r1, r0, loop\n";
-  const int tail = static_cast<int>(rng.uniform_int(0, 3));
-  for (int i = 0; i < tail; ++i) {
-    s += "abs r" + std::to_string(rd()) + ", r" + std::to_string(rs()) +
-         "\n";
-  }
-  s += "halt\n";
-  return s;
-}
-
-TEST(BlockCacheRisc, RandomProgramsMatchInterpreter) {
-  Rng rng(0xB10CCACE);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::string text = random_risc_program(rng);
-    SCOPED_TRACE("trial " + std::to_string(trial) + "\n" + text);
-    expect_risc_identical(riscsim::assemble(text));
-  }
-}
-
-TEST(BlockCacheRisc, DivisionByZeroThrowsIdenticallyMidRun) {
-  // The fault fires on the third loop iteration, after the block has been
-  // decoded and replayed — the partial architectural state at the throw
-  // must match the interpreter exactly.
-  const riscsim::Program program = riscsim::assemble(R"(
-    movi r1, 5
-    movi r2, 3
-    loop:
-      addi r3, r3, 7
-      subi r2, r2, 1
-      div  r4, r3, r2
-      subi r1, r1, 1
-      bne  r1, r0, loop
-    halt
-  )");
-  expect_risc_identical(program);
-  const RiscOutcome out = run_risc(program, true);
-  EXPECT_TRUE(out.threw);
-  EXPECT_NE(out.error.find("division by zero"), std::string::npos)
-      << out.error;
-}
-
-TEST(BlockCacheRisc, RunningOffTheEndThrowsIdentically) {
-  // No terminator: the decoded block has has_term == false and must raise
-  // the interpreter's pc-out-of-range error after executing the body.
-  const riscsim::Program program = riscsim::assemble(R"(
-    movi r2, 11
-    addi r2, r2, 1
-  )");
-  expect_risc_identical(program);
-  const RiscOutcome out = run_risc(program, true);
-  EXPECT_TRUE(out.threw);
-  EXPECT_EQ(out.regs[2], 12u);  // the body still ran to completion
-}
-
-TEST(BlockCacheRisc, MaxStepsCutoffIsCycleExact) {
-  const riscsim::Program program = riscsim::assemble(R"(
-    loop:
-      addi r2, r2, 1
-      stw  [r4+16], r2
-      jmp  loop
-  )");
-  // Odd limits land the cutoff in the middle of the decoded block.
-  for (std::uint64_t max_steps : {0u, 1u, 2u, 3u, 7u, 100u, 101u}) {
-    SCOPED_TRACE("max_steps " + std::to_string(max_steps));
-    expect_risc_identical(program, {}, max_steps);
-    const RiscOutcome out = run_risc(program, true, {}, nullptr, max_steps);
-    EXPECT_FALSE(out.threw);
-    EXPECT_FALSE(out.result.halted);
-    EXPECT_EQ(out.result.instructions, max_steps);
-  }
-}
-
-TEST(BlockCacheRisc, HandBuiltProgramsBypassTheCache) {
-  // Id 0 promises nothing about immutability, so the cache must stay out
-  // of the way: mutating the code between runs takes effect immediately.
-  riscsim::Program program;
-  riscsim::Instr movi;
-  movi.op = riscsim::Op::kMovi;
-  movi.rd = 2;
-  movi.imm = 10;
-  riscsim::Instr halt;
-  halt.op = riscsim::Op::kHalt;
-  program.code = {movi, halt};
-  ASSERT_EQ(program.id, 0u);
-
-  FastpathGuard guard(true);
-  riscsim::Cpu cpu;
-  EXPECT_EQ(cpu.run(program).cycles, run_risc(program, false).result.cycles);
-  EXPECT_EQ(cpu.reg(2), 10u);
-  program.code[0].imm = 99;  // legal: id == 0 means "not cacheable"
-  cpu.run(program);
-  EXPECT_EQ(cpu.reg(2), 99u);
-}
-
-/// Coprocessor stub whose latencies depend on call order and whose log pins
-/// the absolute issue cycle of every trig/kexec — replay must interleave
-/// the dynamic latencies into the pre-resolved block costs exactly.
-class RecordingCoprocessor : public riscsim::Coprocessor {
- public:
-  Cycles trigger(const std::vector<std::uint8_t>& bytes, Cycles now) override {
-    triggers.emplace_back(bytes, now);
-    return 40 + static_cast<Cycles>(bytes.size()) +
-           static_cast<Cycles>(triggers.size() % 3);
-  }
-  Cycles kernel(std::uint32_t kernel_id, Cycles now) override {
-    kernels.emplace_back(kernel_id, now);
-    return 100 + kernel_id * 7 + static_cast<Cycles>(kernels.size() % 5);
-  }
-  std::vector<std::pair<std::vector<std::uint8_t>, Cycles>> triggers;
-  std::vector<std::pair<std::uint32_t, Cycles>> kernels;
-};
-
-TEST(BlockCacheRisc, CoprocessorCallsKeepExactIssueCycles) {
-  const riscsim::Program program = riscsim::assemble(R"(
-    movi r3, 3
-    loop:
-      trig  16, 4
-      wait  7
-      kexec 2
-      subi  r3, r3, 1
-      bne   r3, r0, loop
-    halt
-  )");
-  const auto setup = [](riscsim::Cpu& cpu) {
-    for (std::size_t b = 0; b < 4; ++b) {
-      cpu.memory().write8(16 + b, static_cast<std::uint8_t>(0xA0 + b));
-    }
-  };
-  RecordingCoprocessor slow_cop;
-  RecordingCoprocessor fast_cop;
-  const RiscOutcome slow = run_risc(program, false, setup, &slow_cop);
-  const RiscOutcome fast = run_risc(program, true, setup, &fast_cop);
-  EXPECT_TRUE(slow == fast);
-  EXPECT_TRUE(slow.result.halted);
-  EXPECT_EQ(slow_cop.triggers, fast_cop.triggers);
-  EXPECT_EQ(slow_cop.kernels, fast_cop.kernels);
-  ASSERT_EQ(fast_cop.triggers.size(), 3u);
-  EXPECT_EQ(fast_cop.triggers[0].first,
-            (std::vector<std::uint8_t>{0xA0, 0xA1, 0xA2, 0xA3}));
-}
-
-TEST(BlockCacheRisc, ManyProgramsSurviveTheCacheGrowthGuard) {
-  // One CPU, more programs than the cache retains (it drops everything past
-  // 64 entries): every run must stay correct through eviction + re-decode.
-  FastpathGuard guard(true);
-  riscsim::Cpu cpu;
-  std::vector<riscsim::Program> programs;
-  for (int i = 0; i < 70; ++i) {
-    programs.push_back(riscsim::assemble(
-        "movi r2, " + std::to_string(i) + "\naddi r2, r2, " +
-        std::to_string(i + 1) + "\nhalt\n"));
-  }
-  for (int round = 0; round < 2; ++round) {
-    for (int i = 0; i < 70; ++i) {
-      cpu.run(programs[static_cast<std::size_t>(i)]);
-      EXPECT_EQ(cpu.reg(2), static_cast<std::uint32_t>(2 * i + 1))
-          << "round " << round << " program " << i;
-    }
-  }
-  cpu.invalidate_block_cache();
-  cpu.run(programs[0]);
-  EXPECT_EQ(cpu.reg(2), 1u);
-}
-
-// --- cgsim: interpreter vs decoded cache -----------------------------------
-
-struct CgOutcome {
-  cgsim::CgRunResult result{};
-  bool threw = false;
-  std::string error;
-  std::array<std::uint32_t, cgsim::kNumCgRegisters> regs{};
-  std::vector<std::uint32_t> mem;
-};
-
-CgOutcome run_cg(const cgsim::CgContextProgram& program, bool fast,
-                 const std::function<void(cgsim::CgExecutor&)>& setup = {},
-                 std::uint64_t max_steps = 1'000'000) {
-  FastpathGuard guard(fast);
-  cgsim::CgExecutor exec;
-  if (setup) setup(exec);
-  CgOutcome out;
-  try {
-    out.result = exec.run(program, max_steps);
-  } catch (const std::exception& e) {
-    out.threw = true;
-    out.error = e.what();
-  }
-  for (unsigned r = 0; r < cgsim::kNumCgRegisters; ++r) {
-    out.regs[r] = exec.reg(r);
-  }
-  for (std::size_t addr = 0; addr < 1024; addr += 4) {
-    out.mem.push_back(exec.memory().read32(addr));
-  }
-  return out;
-}
-
-void expect_cg_identical(const cgsim::CgContextProgram& program,
-                         const std::function<void(cgsim::CgExecutor&)>& setup =
-                             {},
-                         std::uint64_t max_steps = 1'000'000) {
-  const CgOutcome slow = run_cg(program, false, setup, max_steps);
-  const CgOutcome fast = run_cg(program, true, setup, max_steps);
-  EXPECT_EQ(slow.threw, fast.threw);
-  EXPECT_EQ(slow.error, fast.error);
-  EXPECT_EQ(slow.result.cycles, fast.result.cycles);
-  EXPECT_EQ(slow.result.instructions, fast.result.instructions);
-  EXPECT_EQ(slow.result.halted, fast.result.halted);
-  EXPECT_EQ(slow.regs, fast.regs);
-  EXPECT_EQ(slow.mem, fast.mem);
-}
-
-cgsim::CgInstr cg(cgsim::CgOp op, unsigned rd = 0, unsigned rs1 = 0,
-                  unsigned rs2 = 0, std::int32_t imm = 0, unsigned aux = 0) {
-  cgsim::CgInstr in;
-  in.op = op;
-  in.rd = static_cast<std::uint8_t>(rd);
-  in.rs1 = static_cast<std::uint8_t>(rs1);
-  in.rs2 = static_cast<std::uint8_t>(rs2);
-  in.imm = imm;
-  in.aux = static_cast<std::uint16_t>(aux);
-  return in;
-}
-
-/// Random straight-line CG program with a flat zero-overhead loop. Register
-/// 60 is the memory base (never written by the random body; setup seeds it).
-cgsim::CgContextProgram random_cg_program(Rng& rng) {
-  using cgsim::CgOp;
-  static const CgOp kRr[] = {CgOp::kAdd, CgOp::kSub, CgOp::kAnd, CgOp::kOr,
-                             CgOp::kXor, CgOp::kShl, CgOp::kShr, CgOp::kMul,
-                             CgOp::kMac, CgOp::kMin, CgOp::kMax};
-  auto rd = [&] { return static_cast<unsigned>(rng.next_below(16)); };
-  cgsim::CgContextProgram p;
-  p.name = "fuzz";
-  auto emit_random = [&] {
-    switch (rng.next_below(5)) {
-      case 0:
-        p.code.push_back(cg(kRr[rng.next_below(11)], rd(), rd(), rd()));
-        break;
-      case 1:
-        p.code.push_back(cg(CgOp::kMovi, rd(), 0, 0,
-                            static_cast<std::int32_t>(
-                                rng.uniform_int(-1000, 1000))));
-        break;
-      case 2:
-        p.code.push_back(cg(CgOp::kAddi, rd(), rd(), 0,
-                            static_cast<std::int32_t>(
-                                rng.uniform_int(0, 63))));
-        break;
-      case 3:
-        p.code.push_back(cg(CgOp::kLd, rd(), 60, 0,
-                            static_cast<std::int32_t>(
-                                4 * rng.next_below(64))));
-        break;
-      case 4:
-        p.code.push_back(cg(CgOp::kSt, 0, 60, rd(),
-                            static_cast<std::int32_t>(
-                                4 * rng.next_below(64))));
-        break;
-    }
-  };
-  const int prelude = static_cast<int>(rng.uniform_int(1, 4));
-  for (int i = 0; i < prelude; ++i) emit_random();
-  const unsigned body = static_cast<unsigned>(rng.uniform_int(1, 3));
-  const auto trips =
-      static_cast<std::int32_t>(rng.uniform_int(0, 4));  // 0 = zero-trip
-  p.code.push_back(cg(CgOp::kLoop, 0, 0, 0, trips, body));
-  for (unsigned i = 0; i < body; ++i) emit_random();
-  const int tail = static_cast<int>(rng.uniform_int(0, 3));
-  for (int i = 0; i < tail; ++i) emit_random();
-  if (rng.next_below(2) == 0) p.code.push_back(cg(cgsim::CgOp::kHalt));
-  // else: fall off the end — the implicit-halt path must match too.
-  return p;
-}
-
-TEST(BlockCacheCg, RandomProgramsMatchInterpreter) {
-  Rng rng(0xC6CACE);
-  const auto setup = [](cgsim::CgExecutor& exec) {
-    exec.set_reg(60, 512);
-    for (unsigned r = 0; r < 16; ++r) exec.set_reg(r, 3 * r + 1);
-  };
-  for (int trial = 0; trial < 40; ++trial) {
-    const cgsim::CgContextProgram program = random_cg_program(rng);
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    expect_cg_identical(program, setup);
-  }
-}
-
-TEST(BlockCacheCg, NestedLoopsTwoDeepMatch) {
-  using cgsim::CgOp;
-  cgsim::CgContextProgram p;
-  p.name = "nested";
-  p.code = {
-      cg(CgOp::kMovi, 1, 0, 0, 0),
-      cg(CgOp::kLoop, 0, 0, 0, 3, 4),   // outer: next 4 instrs, 3 times
-      cg(CgOp::kAddi, 1, 1, 0, 100),
-      cg(CgOp::kLoop, 0, 0, 0, 2, 2),   // inner: next 2 instrs, 2 times
-      cg(CgOp::kAddi, 1, 1, 0, 1),
-      cg(CgOp::kMul, 2, 1, 1),
-      cg(CgOp::kHalt),
-  };
-  expect_cg_identical(p);
-  const CgOutcome out = run_cg(p, true);
-  EXPECT_TRUE(out.result.halted);
-  EXPECT_EQ(out.regs[1], 306u);  // 3 * (100 + 2)
-}
-
-TEST(BlockCacheCg, LoopDepthThreeThrowsIdentically) {
-  using cgsim::CgOp;
-  cgsim::CgContextProgram p;
-  p.name = "deep";
-  p.code = {
-      cg(CgOp::kLoop, 0, 0, 0, 2, 5),
-      cg(CgOp::kLoop, 0, 0, 0, 2, 3),
-      cg(CgOp::kLoop, 0, 0, 0, 2, 1),
-      cg(CgOp::kNop),
-      cg(CgOp::kNop),
-      cg(CgOp::kNop),
-      cg(CgOp::kHalt),
-  };
-  expect_cg_identical(p);
-  const CgOutcome out = run_cg(p, true);
-  EXPECT_TRUE(out.threw);
-}
-
-TEST(BlockCacheCg, DivisionByZeroThrowsIdentically) {
-  using cgsim::CgOp;
-  cgsim::CgContextProgram p;
-  p.name = "div0";
-  p.code = {
-      cg(CgOp::kMovi, 1, 0, 0, 84),
-      cg(CgOp::kMovi, 2, 0, 0, 2),
-      cg(CgOp::kDiv, 3, 1, 2),   // fine: 84 / 2
-      cg(CgOp::kDiv, 4, 1, 5),   // r5 == 0
-      cg(CgOp::kHalt),
-  };
-  expect_cg_identical(p);
-  const CgOutcome out = run_cg(p, true);
-  EXPECT_TRUE(out.threw);
-  EXPECT_EQ(out.regs[3], 42u);  // the good divide landed before the throw
-}
-
-TEST(BlockCacheCg, CacheRekeysAcrossAlternatingPrograms) {
-  // One executor, two programs run alternately: the one-entry cache must
-  // re-key (and re-validate) on every switch without drifting from the
-  // interpreter.
-  using cgsim::CgOp;
-  cgsim::CgContextProgram a;
-  a.name = "a";
-  a.code = {cg(CgOp::kMovi, 1, 0, 0, 7), cg(CgOp::kShli, 1, 1, 0, 2),
-            cg(CgOp::kHalt)};
-  cgsim::CgContextProgram b;
-  b.name = "b";
-  b.code = {cg(CgOp::kMovi, 1, 0, 0, 5), cg(CgOp::kLoop, 0, 0, 0, 3, 1),
-            cg(CgOp::kAddi, 1, 1, 0, 10), cg(CgOp::kHalt)};
-
-  const Cycles a_cycles = run_cg(a, false).result.cycles;
-  const Cycles b_cycles = run_cg(b, false).result.cycles;
-  FastpathGuard guard(true);
-  cgsim::CgExecutor exec;
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(exec.run(a).cycles, a_cycles) << "round " << i;
-    EXPECT_EQ(exec.reg(1), 28u);
-    EXPECT_EQ(exec.run(b).cycles, b_cycles) << "round " << i;
-    EXPECT_EQ(exec.reg(1), 35u);
-  }
-  exec.invalidate_program_cache();
-  EXPECT_EQ(exec.run(a).cycles, a_cycles);
-}
 
 // --- Whole-stack differentials: sweeps and fault-induced re-execution ------
 
@@ -607,11 +109,11 @@ TEST_F(BlockCacheSweep, SweepIdenticalCacheOnOffAtEveryWorkerCount) {
   ASSERT_FALSE(oracle.empty());
   {
     FastpathGuard guard(false);
-    EXPECT_EQ(render_csv(4), oracle) << "interpreter, jobs=4";
+    EXPECT_EQ(render_csv(4), oracle) << "per-event loop, jobs=4";
   }
   FastpathGuard guard(true);
   for (unsigned jobs : {1u, 2u, 4u, 8u}) {
-    EXPECT_EQ(render_csv(jobs), oracle) << "cache on, jobs=" << jobs;
+    EXPECT_EQ(render_csv(jobs), oracle) << "fast path on, jobs=" << jobs;
   }
 }
 

@@ -246,5 +246,31 @@ TEST(LibraryIoFuzz, NarrowedOrMisreadValuesAreRejected) {
   EXPECT_EQ(lib.data_paths()[DataPathId{0}].units, 4294967295u);
 }
 
+TEST(LibraryIo, IseResourceDemandMustFitUnsigned) {
+  // 4294967295 + 2 PRCs wrapped to a demand of 1 in `unsigned`, and the
+  // ISE loaded with fits(1, 0) == true; the parser now names its line.
+  for (const char* grain : {"FG", "CG"}) {
+    EXPECT_EQ(parse_error_of(std::string("datapath d ") + grain +
+                             " units=4294967295\n"
+                             "datapath e " + grain + " units=2\n"
+                             "kernel K sw=100\n"
+                             "ise I kernel=K dps=d,e lat=100,60,50\n"),
+              "library_io, line 4: IseLibrary::add_ise: resource demand of "
+              "I out of range")
+        << grain;
+  }
+  // A demand of exactly UINT_MAX still loads.
+  const IseLibrary lib = parse_library(
+      "datapath d FG units=4294967294\n"
+      "datapath e FG units=1\n"
+      "kernel K sw=100\n"
+      "ise I kernel=K dps=d,e lat=100,60,50\n");
+  const IseVariant& ise = lib.ise(lib.find_ise("I"));
+  EXPECT_EQ(ise.fg_units, 4294967295u);
+  EXPECT_EQ(ise.cg_units, 0u);
+  EXPECT_FALSE(ise.fits(4294967294u, 0));
+  EXPECT_TRUE(ise.fits(4294967295u, 0));
+}
+
 }  // namespace
 }  // namespace mrts

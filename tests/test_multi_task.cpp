@@ -76,15 +76,16 @@ TEST(MultiTask, RoundRobinInterleavesBlocks) {
   SmallApp b = make_app("B", 2, 2);
   RiscOnlyRts rts_a(a.library);
   RiscOnlyRts rts_b(b.library);
-  const TimeSlicedResult r = run_time_sliced(
+  const MultiTenantResult r = run_multi_tenant(
       {{"A", &rts_a, &a.trace}, {"B", &rts_b, &b.trace}});
   ASSERT_EQ(r.tasks.size(), 2u);
-  EXPECT_EQ(r.tasks[0].block_cycles.size(), 3u);
-  EXPECT_EQ(r.tasks[1].block_cycles.size(), 2u);
+  EXPECT_EQ(r.tasks[0].run.block_cycles.size(), 3u);
+  EXPECT_EQ(r.tasks[1].run.block_cycles.size(), 2u);
   // The timeline is exactly the sum of all block times.
-  EXPECT_EQ(r.total_cycles, r.tasks[0].active_cycles + r.tasks[1].active_cycles);
+  EXPECT_EQ(r.total_cycles,
+            r.tasks[0].run.active_cycles + r.tasks[1].run.active_cycles);
   // A has one more block than B, so A finishes last.
-  EXPECT_GT(r.tasks[0].finished_at, r.tasks[1].finished_at);
+  EXPECT_GT(r.tasks[0].run.finished_at, r.tasks[1].run.finished_at);
 }
 
 TEST(MultiTask, SharedFabricContentionSlowsTasksButBeatsRisc) {
@@ -138,10 +139,10 @@ TEST(MultiTask, SharedFabricContentionSlowsTasksButBeatsRisc) {
   FabricManager shared(1, 1, &combined.data_paths());
   MRts rts_a(combined, shared);
   MRts rts_b(combined, shared);
-  const TimeSlicedResult shared_run = run_time_sliced(
+  const MultiTenantResult shared_run = run_multi_tenant(
       {{"A", &rts_a, &trace_a}, {"B", &rts_b, &trace_b}});
 
-  const Cycles shared_a = shared_run.tasks[0].active_cycles;
+  const Cycles shared_a = shared_run.tasks[0].run.active_cycles;
   // Contention cannot make the task faster than running alone...
   EXPECT_GE(shared_a + shared_a / 50, alone_cycles);
   // ...but the RTS still beats RISC mode despite the eviction churn.
@@ -160,30 +161,30 @@ TEST(MultiTask, UnevenTraceLengthsPinInterleaving) {
   RiscOnlyRts rts_b(b.library);
   const std::vector<Task> tasks = {{"A", &rts_a, &a.trace},
                                    {"B", &rts_b, &b.trace}};
-  const TimeSlicedResult r = run_time_sliced(tasks);
+  const MultiTenantResult r = run_multi_tenant(tasks);
 
-  ASSERT_EQ(r.tasks[0].block_cycles.size(), 1u);
-  ASSERT_EQ(r.tasks[1].block_cycles.size(), 3u);
+  ASSERT_EQ(r.tasks[0].run.block_cycles.size(), 1u);
+  ASSERT_EQ(r.tasks[1].run.block_cycles.size(), 3u);
   // A runs first in round 1, so it finishes exactly when its only block
   // ends — before any later block of B.
-  EXPECT_EQ(r.tasks[0].finished_at, r.tasks[0].block_cycles[0]);
+  EXPECT_EQ(r.tasks[0].run.finished_at, r.tasks[0].run.block_cycles[0]);
   // B's last block closes the gap-free timeline.
-  EXPECT_EQ(r.tasks[1].finished_at, r.total_cycles);
+  EXPECT_EQ(r.tasks[1].run.finished_at, r.total_cycles);
   EXPECT_EQ(r.total_cycles,
-            r.tasks[0].active_cycles + r.tasks[1].active_cycles);
+            r.tasks[0].run.active_cycles + r.tasks[1].run.active_cycles);
 }
 
 TEST(MultiTask, TaskVectorIsNotCopied) {
-  // run_time_sliced takes the task list by const reference; the caller's
+  // run_multi_tenant takes the task list by const reference; the caller's
   // vector (including the non-owned pointers) must be left untouched.
   SmallApp a = make_app("A", 2, 1);
   RiscOnlyRts rts(a.library);
   const std::vector<Task> tasks = {{"A", &rts, &a.trace, 2}};
   const Task* before = tasks.data();
-  const TimeSlicedResult r = run_time_sliced(tasks);
+  const MultiTenantResult r = run_multi_tenant(tasks);
   EXPECT_EQ(tasks.data(), before);
   EXPECT_EQ(tasks[0].rts, &rts);
-  EXPECT_EQ(r.tasks[0].block_cycles.size(), 2u);
+  EXPECT_EQ(r.tasks[0].run.block_cycles.size(), 2u);
 }
 
 TEST(MultiTask, WeightedSlicesGiveLargerShare) {
@@ -193,33 +194,33 @@ TEST(MultiTask, WeightedSlicesGiveLargerShare) {
   RiscOnlyRts rts_b(b.library);
   // A gets 3 blocks per turn, B gets 1: A's 6 blocks finish in 2 turns while
   // B has only run 2 blocks.
-  const TimeSlicedResult r = run_time_sliced(
+  const MultiTenantResult r = run_multi_tenant(
       {{"A", &rts_a, &a.trace, 3}, {"B", &rts_b, &b.trace, 1}});
-  EXPECT_EQ(r.tasks[0].block_cycles.size(), 6u);
-  EXPECT_EQ(r.tasks[1].block_cycles.size(), 6u);
+  EXPECT_EQ(r.tasks[0].run.block_cycles.size(), 6u);
+  EXPECT_EQ(r.tasks[1].run.block_cycles.size(), 6u);
   // With weight 3, A's last block ends before B's third block starts:
   // ordering A A A B | A A A B | B B B B -> A finishes during round 2.
-  EXPECT_LT(r.tasks[0].finished_at, r.tasks[1].finished_at);
+  EXPECT_LT(r.tasks[0].run.finished_at, r.tasks[1].run.finished_at);
 }
 
 TEST(MultiTask, ZeroSliceWeightRejected) {
   SmallApp a = make_app("A", 1, 1);
   RiscOnlyRts rts(a.library);
-  EXPECT_THROW(run_time_sliced({{"A", &rts, &a.trace, 0}}),
+  EXPECT_THROW(run_multi_tenant({{"A", &rts, &a.trace, 0}}),
                std::invalid_argument);
 }
 
 TEST(MultiTask, NullTaskRejected) {
   SmallApp a = make_app("A", 1, 1);
   RiscOnlyRts rts(a.library);
-  EXPECT_THROW(run_time_sliced({{"bad", nullptr, &a.trace}}),
+  EXPECT_THROW(run_multi_tenant({{"bad", nullptr, &a.trace}}),
                std::invalid_argument);
-  EXPECT_THROW(run_time_sliced({{"bad", &rts, nullptr}}),
+  EXPECT_THROW(run_multi_tenant({{"bad", &rts, nullptr}}),
                std::invalid_argument);
 }
 
 TEST(MultiTask, EmptyTaskListIsZeroCycles) {
-  const TimeSlicedResult r = run_time_sliced({});
+  const MultiTenantResult r = run_multi_tenant({});
   EXPECT_EQ(r.total_cycles, 0u);
   EXPECT_TRUE(r.tasks.empty());
 }

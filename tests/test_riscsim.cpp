@@ -1,8 +1,14 @@
 // Unit tests for the core-processor instruction-set simulator: assembler
-// syntax/diagnostics, execution semantics, timing model and the H.264 kernel
+// syntax/diagnostics, execution semantics, timing model (step-limit cutoffs
+// and coprocessor issue cycles included) and the H.264 kernel
 // micro-programs.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "riscsim/assembler.h"
 #include "riscsim/cpu.h"
@@ -163,6 +169,102 @@ TEST(Cpu, StepLimitStopsRunaway) {
   const RunResult r = cpu.run(assemble("l: jmp l\n"), /*max_steps=*/100);
   EXPECT_FALSE(r.halted);
   EXPECT_EQ(r.instructions, 100u);
+}
+
+TEST(Cpu, RunningOffTheEndThrowsAfterTheBody) {
+  // No halt: the body runs to completion, then the fetch past the last
+  // instruction raises.
+  Cpu cpu;
+  try {
+    run(cpu, "movi r2, 11\naddi r2, r2, 1\n");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "riscsim: pc out of range");
+  }
+  EXPECT_EQ(cpu.reg(2), 12u);
+}
+
+TEST(Cpu, MaxStepsCutoffIsCycleExact) {
+  // addi (1 cycle), stw (1 + 1 memory), jmp (1 + 1 taken): 5 cycles per
+  // 3-instruction iteration, r2 counts the addis, mem[16] the last store.
+  const Program program = assemble(R"(
+    loop:
+      addi r2, r2, 1
+      stw  [r4+16], r2
+      jmp  loop
+  )");
+  struct Expected {
+    std::uint64_t steps;
+    Cycles cycles;
+    std::uint32_t r2;
+    std::uint32_t stored;
+  };
+  for (const Expected& e : {Expected{0, 0, 0, 0}, Expected{1, 1, 1, 0},
+                            Expected{2, 3, 1, 1}, Expected{3, 5, 1, 1},
+                            Expected{7, 11, 3, 2}, Expected{100, 166, 34, 33},
+                            Expected{101, 168, 34, 34}}) {
+    SCOPED_TRACE("max_steps " + std::to_string(e.steps));
+    Cpu cpu;
+    const RunResult r = cpu.run(program, e.steps);
+    EXPECT_FALSE(r.halted);
+    EXPECT_EQ(r.instructions, e.steps);
+    EXPECT_EQ(r.cycles, e.cycles);
+    EXPECT_EQ(cpu.reg(2), e.r2);
+    EXPECT_EQ(cpu.memory().read32(16), e.stored);
+  }
+}
+
+/// Coprocessor stub whose latencies depend on call order and whose log pins
+/// the absolute issue cycle of every trig/kexec.
+class RecordingCoprocessor : public Coprocessor {
+ public:
+  Cycles trigger(const std::vector<std::uint8_t>& bytes, Cycles now) override {
+    triggers.emplace_back(bytes, now);
+    return 40 + static_cast<Cycles>(bytes.size()) +
+           static_cast<Cycles>(triggers.size() % 3);
+  }
+  Cycles kernel(std::uint32_t kernel_id, Cycles now) override {
+    kernels.emplace_back(kernel_id, now);
+    return 100 + kernel_id * 7 + static_cast<Cycles>(kernels.size() % 5);
+  }
+  std::vector<std::pair<std::vector<std::uint8_t>, Cycles>> triggers;
+  std::vector<std::pair<std::uint32_t, Cycles>> kernels;
+};
+
+TEST(Cpu, CoprocessorCallsIssueAtExactCycles) {
+  Cpu cpu;
+  RecordingCoprocessor cop;
+  cpu.attach_coprocessor(&cop);
+  const std::vector<std::uint8_t> blob = {0xA0, 0xA1, 0xA2, 0xA3};
+  for (std::size_t b = 0; b < blob.size(); ++b) {
+    cpu.memory().write8(16 + b, blob[b]);
+  }
+  const RunResult r = run(cpu, R"(
+    movi r3, 3
+    loop:
+      trig  16, 4
+      wait  7
+      kexec 2
+      subi  r3, r3, 1
+      bne   r3, r0, loop
+    halt
+  )");
+  // trig and kexec cost only their coprocessor latency: trig 44 + n % 3 and
+  // kexec 114 + n % 5 for the n-th call. Iteration 1 issues trig at 1 (after
+  // movi), kexec at 1 + 45 + 7 = 53 and ends at 53 + 115 + 1 + 2 = 171;
+  // iteration 2: trig at 171, kexec at 171 + 46 + 7 = 224, ends at
+  // 224 + 116 + 3 = 343; iteration 3: trig at 343, kexec at 343 + 44 + 7 =
+  // 394, then subi and the untaken bne reach 394 + 117 + 2 = 513; halt ends
+  // the run at 514.
+  using Call = std::pair<std::vector<std::uint8_t>, Cycles>;
+  EXPECT_EQ(cop.triggers,
+            (std::vector<Call>{{blob, 1}, {blob, 171}, {blob, 343}}));
+  EXPECT_EQ(cop.kernels,
+            (std::vector<std::pair<std::uint32_t, Cycles>>{
+                {2, 53}, {2, 224}, {2, 394}}));
+  EXPECT_TRUE(r.halted);
+  EXPECT_EQ(r.instructions, 17u);
+  EXPECT_EQ(r.cycles, 514u);
 }
 
 TEST(KernelPrograms, AllAssembleAndHalt) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerates BENCH_e2e.json: whole-bench wall times for the two heaviest
-figure benches with the simulator fast paths off (--no-bb-cache, the
-plain-interpreter oracle) vs on (the shipping default).
+figure benches with the simulator fast path off (--no-bb-cache, the
+per-event frame loop) vs on (the shipping default).
 
 Run from the repo root with a release build in build/:
 

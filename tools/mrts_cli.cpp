@@ -881,8 +881,8 @@ const CliSpec& cli_spec() {
         cli_count("--fault-seed", "<n>", 0, kCliMaxCount, "42", "fault seed"),
         cli_count("--max-retries", "<n>", 0, 1000, "3", "per-load retries"),
         cli_switch("--no-bb-cache",
-                   "disable the decoded basic-block caches and the batched "
-                   "frame-execution fast path (outputs stay bit-identical)"),
+                   "run the per-event frame loop instead of the batched "
+                   "fast path (outputs stay bit-identical)"),
     };
     const std::vector<CliArg> machine_positionals = {
         cli_count("prcs", "", 1, 1024, "", "PRCs of the shared fabric"),
