@@ -4,9 +4,7 @@
 // back-propagation, and the selection-overhead charging. Each variant runs
 // the full workload on a 2-PRC / 2-CG machine.
 //
-// The variant sweep fans out over a SweepRunner (--jobs N); each variant
-// runs on a private MRts instance and results merge in submission order, so
-// the output is byte-identical to `--jobs 1`.
+// The variants run in order, each on a private MRts instance.
 
 #include <benchmark/benchmark.h>
 
@@ -105,18 +103,10 @@ std::map<std::string, Cycles>& results() {
   return r;
 }
 
-void run_sweep(unsigned jobs) {
-  (void)context();
-  timed_sweep("Ablations", jobs, [](const SweepRunner& runner) {
-    const std::vector<Variant> points = variants();
-    const std::vector<Cycles> cycles =
-        runner.map(points, [](const Variant& v) {
-          return context().run_mrts(2, 2, v.config).total_cycles;
-        });
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      results()[points[i].name] = cycles[i];
-    }
-  });
+void run_sweep() {
+  for (const Variant& v : variants()) {
+    results()[v.name] = context().run_mrts(2, 2, v.config).total_cycles;
+  }
 }
 
 /// Reporting stub over the precomputed sweep results.
@@ -164,9 +154,9 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  parse_bench_args(&argc, argv, {BenchFlag::kJobs});
+  parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(bench_jobs());
+  run_sweep();
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_table();

@@ -5,7 +5,6 @@
 /// the full simulation, prints the figure's rows/series as an ASCII table
 /// and dumps a CSV (<bench>.csv) for external plotting.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +23,6 @@
 #include "sim/app_simulator.h"
 #include "sim/machine.h"
 #include "sim/metrics.h"
-#include "sim/sweep_runner.h"
 #include "util/cli_spec.h"
 #include "util/counters.h"
 #include "util/csv.h"
@@ -74,8 +72,7 @@ struct EvalContext {
   }
 
   /// \p recorder / \p counters (optional) attach a flight recorder to the
-  /// freshly built MRts. Both must be per sweep point — never pass the same
-  /// instances to concurrently running points.
+  /// freshly built MRts; a sweep passes one pair per point.
   AppRunResult run_mrts(unsigned cg, unsigned prcs, MRtsConfig config = {},
                         TraceRecorder* recorder = nullptr,
                         CounterRegistry* counters = nullptr) const {
@@ -110,20 +107,15 @@ struct EvalContext {
 };
 
 /// The flags a bench can honour; every bench also takes --no-bb-cache.
-enum class BenchFlag { kJobs, kTraceDir, kFaultRate, kFaultSeed, kMaxRetries };
+enum class BenchFlag { kTraceDir, kFaultRate, kFaultSeed, kMaxRetries };
 
 /// The running bench's checked command line, looked up by flag name
 /// (`bench_args()["--trace-dir"].text`): written once by parse_bench_args
-/// in main() before any sweep fans out, read-only afterwards. Looking up a
-/// flag the bench does not honour throws.
+/// in main() before the sweep runs, read-only afterwards. Looking up a flag
+/// the bench does not honour throws.
 inline CliArgs& bench_args() {
   static CliArgs args;
   return args;
-}
-
-/// --jobs: sweep workers; 0 = one per hardware thread.
-inline unsigned bench_jobs() {
-  return static_cast<unsigned>(bench_args()["--jobs"].count);
 }
 
 /// The one bench front end: checks MRTS_BENCH_FRAMES, then parses argv
@@ -138,8 +130,6 @@ inline void parse_bench_args(int* argc, char** argv,
                              bool google_benchmark = true) {
   (void)bench_frames();
   const CliArg rows[] = {  // one per BenchFlag, in enum order
-      cli_count("--jobs", "<n>", 0, 1024, "0",
-                "sweep workers; 0 = one per hardware thread, 1 = serial"),
       cli_text("--trace-dir", "<dir>",
                "write one Chrome trace per mRTS sweep point into <dir>"),
       cli_probability("--fault-rate", "<p>", "0", "mRTS fault rate"),
@@ -183,9 +173,8 @@ inline void parse_bench_args(int* argc, char** argv,
 }
 
 /// Writes one sweep point's events as Chrome trace JSON into \p dir
-/// (created on demand). Concurrent sweep points may call this — each point
-/// writes a distinct \p filename, so there is no shared state. Returns the
-/// written path, or an empty string on failure.
+/// (created on demand); each point writes a distinct \p filename. Returns
+/// the written path, or an empty string on failure.
 inline std::string write_point_trace(const std::string& dir,
                                      const std::string& filename,
                                      const std::vector<TraceEvent>& events,
@@ -211,24 +200,8 @@ inline void print_counter_summary(const char* what,
   for (const auto& [name, h] : counters.histograms()) {
     table.add_values(name + " (mean)", format_double(h.mean(), 2));
   }
-  std::printf("\n%s — merged mRTS counters (submission order):\n%s", what,
+  std::printf("\n%s — merged mRTS counters (point order):\n%s", what,
               table.render().c_str());
-}
-
-/// Runs \p run_sweep (which is expected to drive a SweepRunner with \p jobs
-/// workers) and prints the sweep's wall-clock and worker count, so the
-/// --jobs speedup is visible in the harness output.
-template <typename Fn>
-void timed_sweep(const char* what, unsigned jobs, Fn&& run_sweep) {
-  const SweepRunner runner(jobs);
-  const auto t0 = std::chrono::steady_clock::now();
-  run_sweep(runner);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-          .count();
-  std::printf("[sweep] %s: %u worker(s), %.3f s wall-clock\n", what,
-              runner.jobs(), seconds);
 }
 
 }  // namespace mrts::bench

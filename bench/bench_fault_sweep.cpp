@@ -7,11 +7,10 @@
 // scrub repairs and quarantines; at rate 1.0 every container quarantines on
 // first touch and the run converges to RISC-only (speedup 1.0x).
 //
-// The sweep fans out over a SweepRunner (--jobs N); every point builds its
-// own simulator stack (own MRts, own FaultModel seeded from --fault-seed),
-// and results merge in submission order, so the table and CSV are
-// byte-identical to `--jobs 1`. --fault-seed/--max-retries apply to every
-// point; the bench takes no --fault-rate (the rate axis IS the figure).
+// The sweep runs its points in rate order; every point builds its own
+// simulator stack (own MRts, own FaultModel seeded from --fault-seed).
+// --fault-seed/--max-retries apply to every point; the bench takes no
+// --fault-rate (the rate axis IS the figure).
 
 #include <benchmark/benchmark.h>
 
@@ -75,14 +74,8 @@ PointResult run_point(double rate) {
   return result;
 }
 
-void run_sweep(unsigned jobs) {
-  (void)context();  // build the shared workload once, before the fan-out
-  timed_sweep("Fault sweep", jobs, [](const SweepRunner& runner) {
-    const std::vector<PointResult> results = runner.map(rates(), run_point);
-    for (std::size_t i = 0; i < rates().size(); ++i) {
-      points()[rates()[i]] = results[i];
-    }
-  });
+void run_sweep() {
+  for (const double rate : rates()) points()[rate] = run_point(rate);
 }
 
 /// Reporting stub: the heavy work happened in run_sweep(); this publishes
@@ -156,11 +149,10 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  parse_bench_args(
-      &argc, argv,
-      {BenchFlag::kJobs, BenchFlag::kFaultSeed, BenchFlag::kMaxRetries});
+  parse_bench_args(&argc, argv,
+                   {BenchFlag::kFaultSeed, BenchFlag::kMaxRetries});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(bench_jobs());
+  run_sweep();
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

@@ -5,9 +5,8 @@
 // clear winners (paper: >5x) because mRTS starts employing MG-ISEs and the
 // monoCG-Extension; 1 PRC + 1 CG beats 3 PRCs-only and 3 CGs-only.
 //
-// The 16-point sweep fans out over a SweepRunner (--jobs N); each point
-// builds a private MRts instance and results merge in submission order, so
-// the output is byte-identical to `--jobs 1`.
+// The 16-point sweep runs its points in point order; each point builds a
+// private MRts instance.
 
 #include <benchmark/benchmark.h>
 
@@ -54,15 +53,10 @@ Point run_point(const FabricCombination& combo) {
   return point;
 }
 
-void run_sweep(unsigned jobs) {
-  (void)context();
-  timed_sweep("Fig. 10", jobs, [](const SweepRunner& runner) {
-    const auto& combos = sweep_points();
-    const std::vector<Point> results = runner.map(combos, run_point);
-    for (std::size_t i = 0; i < combos.size(); ++i) {
-      points()[combos[i].label()] = results[i];
-    }
-  });
+void run_sweep() {
+  for (const FabricCombination& combo : sweep_points()) {
+    points()[combo.label()] = run_point(combo);
+  }
 }
 
 /// Reporting stub over the precomputed sweep results.
@@ -127,9 +121,9 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  parse_bench_args(&argc, argv, {BenchFlag::kJobs});
+  parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(bench_jobs());
+  run_sweep();
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

@@ -10,9 +10,8 @@
 // Unlike the timing figures this bench always records (the analysis needs
 // the trace), so its cycle numbers are the same as fig8's mRTS column — the
 // recorder changes no simulation outcome, only observes it (pinned by the
-// TracedRunEqualsUntracedRun tests). The sweep fans out over a SweepRunner
-// (--jobs N); per-point recorders are never shared and results merge in
-// submission order, so the table/CSV are byte-identical at any --jobs.
+// TracedRunEqualsUntracedRun tests). The sweep runs its points in point
+// order, each with its own recorder.
 
 #include <benchmark/benchmark.h>
 
@@ -55,8 +54,8 @@ const std::vector<FabricCombination>& sweep_points() {
 }
 
 /// One independent sweep point: a traced mRTS run analyzed in-process. The
-/// recorder and the report are point-local, so concurrent workers share only
-/// the read-only EvalContext.
+/// recorder and the report are point-local; only the read-only EvalContext
+/// is shared.
 Row run_point(const FabricCombination& combo) {
   const EvalContext& ctx = context();
   TraceRecorder recorder;
@@ -78,15 +77,10 @@ Row run_point(const FabricCombination& combo) {
   return row;
 }
 
-void run_sweep(unsigned jobs) {
-  (void)context();  // build the shared workload once, before the fan-out
-  timed_sweep("Fig. 13", jobs, [](const SweepRunner& runner) {
-    const auto& points = sweep_points();
-    const std::vector<Row> results = runner.map(points, run_point);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      rows()[points[i].label()] = results[i];  // submission order
-    }
-  });
+void run_sweep() {
+  for (const FabricCombination& combo : sweep_points()) {
+    rows()[combo.label()] = run_point(combo);
+  }
 }
 
 /// Reporting stub: the heavy work happened in run_sweep(); this publishes
@@ -159,9 +153,9 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  parse_bench_args(&argc, argv, {BenchFlag::kJobs});
+  parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(bench_jobs());
+  run_sweep();
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

@@ -26,9 +26,7 @@
 // Each mode owns its fabric and fault model (seeded identically), so each is
 // deterministic in isolation; the timelines diverge once the first migration
 // copy consumes a fault draw, exactly as two separately-provisioned machines
-// would. The two modes fan out over a SweepRunner (--jobs N) and results
-// merge in submission order, so the table and CSV are byte-identical to
-// `--jobs 1`.
+// would. The two modes run one after the other, baseline first.
 
 #include <benchmark/benchmark.h>
 
@@ -134,8 +132,7 @@ struct ModeResult {
 };
 
 /// One mode's full 16-window simulation. Owns fabric, fault model and
-/// policy; only the immutable Scenario is shared across concurrently
-/// running modes.
+/// policy; only the immutable Scenario is shared between the modes.
 ModeResult run_mode(bool defrag) {
   const Scenario& sc = scenario();
   FabricManager fabric(kCgFabrics, kPrcs, &sc.lib.data_paths());
@@ -233,13 +230,10 @@ std::vector<ModeResult>& results() {
   return r;
 }
 
-void run_sweep(unsigned jobs) {
-  (void)scenario();  // build the shared library once, before the fan-out
-  timed_sweep("Defrag recovery", jobs, [](const SweepRunner& runner) {
-    results() = runner.map(modes(), [](const std::string& mode) {
-      return run_mode(mode == "defrag");
-    });
-  });
+void run_sweep() {
+  for (const std::string& mode : modes()) {
+    results().push_back(run_mode(mode == "defrag"));
+  }
 }
 
 /// Reporting stub publishing each mode's headline numbers.
@@ -341,9 +335,9 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  parse_bench_args(&argc, argv, {BenchFlag::kJobs});
+  parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(bench_jobs());
+  run_sweep();
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

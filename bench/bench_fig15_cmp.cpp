@@ -17,10 +17,8 @@
 // deliberately independent of MRTS_BENCH_FRAMES, so the committed CSV is
 // reproducible under any smoke-test environment.
 //
-// The sweep fans out over a SweepRunner (--jobs N); every point builds its
-// own library, machine and task streams, and results merge in submission
-// order, so the table and fig15_cmp_scaling.csv are byte-identical to
-// `--jobs 1` at any worker count.
+// The sweep runs its points in point order; every point builds its own
+// library, machine and task streams.
 
 #include <benchmark/benchmark.h>
 
@@ -186,10 +184,10 @@ double speedup_for(std::size_t index) {
   return 0.0;
 }
 
-void run_sweep(unsigned jobs) {
-  timed_sweep("CMP scale-out sweep", jobs, [](const SweepRunner& runner) {
-    point_results() = runner.map(point_keys(), run_point);
-  });
+void run_sweep() {
+  for (const PointKey& key : point_keys()) {
+    point_results().push_back(run_point(key));
+  }
 }
 
 /// Reporting stub: the heavy work happened in run_sweep(); this publishes
@@ -250,9 +248,9 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  parse_bench_args(&argc, argv, {BenchFlag::kJobs});
+  parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(bench_jobs());
+  run_sweep();
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

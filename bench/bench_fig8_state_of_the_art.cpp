@@ -6,11 +6,10 @@
 // ~1.78x), vs offline-optimal up to ~2.2x (avg ~1.45x); ties at single-grain
 // corners.
 //
-// The 20-point sweep fans out over a SweepRunner (--jobs N, default: one
-// worker per hardware thread); every point builds its own simulator stack
-// from the shared read-only EvalContext, and results merge in submission
-// order, so the table/CSV below are byte-identical to `--jobs 1`. The
-// registered per-combination benchmarks report the precomputed rows.
+// The 20-point sweep runs its points one after another, in point order;
+// every point builds its own simulator stack from the shared read-only
+// EvalContext. The registered per-combination benchmarks report the
+// precomputed rows.
 
 #include <benchmark/benchmark.h>
 
@@ -38,8 +37,8 @@ struct Row {
 };
 
 /// Row plus the point's mRTS counter snapshot (empty when untraced). The
-/// snapshots merge after the sweep in submission order — see counters.h for
-/// why that fixed order keeps the output deterministic at any --jobs.
+/// snapshots merge in point order — see counters.h for why that fixed order
+/// keeps the printed means deterministic.
 struct PointResult {
   Row row;
   CounterRegistry counters;
@@ -58,8 +57,7 @@ const std::vector<FabricCombination>& sweep_points() {
 /// One independent sweep point: four full-application runs, each on its own
 /// freshly constructed RTS + fabric (EvalContext is shared read-only). With
 /// --trace-dir, the mRTS run records into a per-point recorder/registry
-/// (never shared across workers) and writes fig8_<label>.json — a distinct
-/// file per point, so concurrent workers never collide.
+/// and writes fig8_<label>.json, a distinct file per point.
 PointResult run_point(const FabricCombination& combo) {
   const EvalContext& ctx = context();
   PointResult result;
@@ -93,22 +91,19 @@ PointResult run_point(const FabricCombination& combo) {
   return result;
 }
 
-void run_sweep(unsigned jobs) {
-  (void)context();  // build the shared workload once, before the fan-out
-  timed_sweep("Fig. 8", jobs, [](const SweepRunner& runner) {
-    const auto& points = sweep_points();
-    const std::vector<PointResult> results = runner.map(points, run_point);
-    CounterRegistry merged;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      rows()[points[i].label()] = results[i].row;
-      merged.merge(results[i].counters);  // submission order = deterministic
-    }
-    if (!bench_args()["--trace-dir"].text.empty()) {
-      print_counter_summary("Fig. 8", merged);
-      std::printf("[trace] wrote %zu per-point traces to %s\n",
-                  points.size(), bench_args()["--trace-dir"].text.c_str());
-    }
-  });
+void run_sweep() {
+  CounterRegistry merged;
+  for (const FabricCombination& combo : sweep_points()) {
+    const PointResult result = run_point(combo);
+    rows()[combo.label()] = result.row;
+    merged.merge(result.counters);  // point order = deterministic
+  }
+  const std::string& trace_dir = bench_args()["--trace-dir"].text;
+  if (!trace_dir.empty()) {
+    print_counter_summary("Fig. 8", merged);
+    std::printf("[trace] wrote %zu per-point traces to %s\n",
+                sweep_points().size(), trace_dir.c_str());
+  }
 }
 
 /// Reporting stub: the heavy work happened in run_sweep(); this publishes
@@ -183,11 +178,10 @@ void print_figure() {
 
 int main(int argc, char** argv) {
   parse_bench_args(&argc, argv,
-                   {BenchFlag::kJobs, BenchFlag::kTraceDir,
-                    BenchFlag::kFaultRate, BenchFlag::kFaultSeed,
-                    BenchFlag::kMaxRetries});
+                   {BenchFlag::kTraceDir, BenchFlag::kFaultRate,
+                    BenchFlag::kFaultSeed, BenchFlag::kMaxRetries});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(bench_jobs());
+  run_sweep();
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

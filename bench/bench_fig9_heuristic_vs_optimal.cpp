@@ -5,10 +5,9 @@
 // case (~11%) occurs at PRC-only combinations where the optimal distributes
 // the PRCs over two kernels while the greedy gives most of them to one.
 //
-// The 27-point sweep (the RISC-only corner has nothing to select) fans out
-// over a SweepRunner (--jobs N); each point runs its three simulations on
-// private simulator instances and results merge in submission order, so the
-// output is byte-identical to `--jobs 1`.
+// The 27-point sweep (the RISC-only corner has nothing to select) runs its
+// points in point order; each point runs its three simulations on private
+// simulator instances.
 
 #include <benchmark/benchmark.h>
 
@@ -74,15 +73,10 @@ Diffs run_point(const FabricCombination& combo) {
   return d;
 }
 
-void run_sweep(unsigned jobs) {
-  (void)context();
-  timed_sweep("Fig. 9", jobs, [](const SweepRunner& runner) {
-    const auto& points = sweep_points();
-    const std::vector<Diffs> results = runner.map(points, run_point);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      diffs()[points[i].label()] = results[i];
-    }
-  });
+void run_sweep() {
+  for (const FabricCombination& combo : sweep_points()) {
+    diffs()[combo.label()] = run_point(combo);
+  }
 }
 
 /// Reporting stub over the precomputed sweep results.
@@ -160,9 +154,9 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  parse_bench_args(&argc, argv, {BenchFlag::kJobs});
+  parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(bench_jobs());
+  run_sweep();
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

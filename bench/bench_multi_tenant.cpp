@@ -18,10 +18,8 @@
 // deliberately independent of MRTS_BENCH_FRAMES, so the committed CSV is
 // reproducible under any smoke-test environment.
 //
-// The sweep fans out over a SweepRunner (--jobs N); every point builds its
-// own fabric, arbiter and MRts instances, and results merge in submission
-// order, so the table and fig12_multitenant_fairness.csv are byte-identical
-// to `--jobs 1` at any worker count.
+// The sweep runs its points in point order; every point builds its own
+// fabric, arbiter and MRts instances.
 
 #include <benchmark/benchmark.h>
 
@@ -204,10 +202,10 @@ std::vector<PointResult>& point_results() {
   return r;
 }
 
-void run_sweep(unsigned jobs) {
-  timed_sweep("Multi-tenant sweep", jobs, [](const SweepRunner& runner) {
-    point_results() = runner.map(point_keys(), run_point);
-  });
+void run_sweep() {
+  for (const PointKey& key : point_keys()) {
+    point_results().push_back(run_point(key));
+  }
 }
 
 /// Reporting stub: the heavy work happened in run_sweep(); this publishes
@@ -266,9 +264,9 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  parse_bench_args(&argc, argv, {BenchFlag::kJobs});
+  parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
-  run_sweep(bench_jobs());
+  run_sweep();
   register_benchmarks();
   ::benchmark::RunSpecifiedBenchmarks();
   print_figure();

@@ -5,11 +5,9 @@
 // Also measures the *host* wall-clock cost of a selection, i.e. how fast the
 // library itself is.
 //
-// The Section 4.1 scaling sweep (kernel count x data-path shape) fans out
-// over a SweepRunner (--jobs N): each point builds its own synthetic
-// library, selector and planner, and results merge in submission order, so
-// the table/CSV are byte-identical to `--jobs 1`. The two host wall-clock
-// micro-benchmarks stay serial — they time the calling thread.
+// The Section 4.1 scaling sweep (kernel count x data-path shape) runs its
+// points in order; each point builds its own synthetic library, selector
+// and planner.
 
 #include <benchmark/benchmark.h>
 
@@ -180,21 +178,14 @@ ScalingResult run_scaling_point(const ScalingPoint& p) {
 /// The O(N*M) complexity claim of Section 4.1: selection work (profit
 /// evaluations and the modelled cycle cost) must grow linearly in both the
 /// kernel count N and the per-kernel variant count M.
-void print_scaling_table(unsigned jobs) {
-  const std::vector<ScalingPoint> points = scaling_points();
-  std::vector<ScalingResult> results;
-  timed_sweep("Scaling", jobs, [&](const SweepRunner& runner) {
-    results = runner.map(points, run_scaling_point);
-  });
-
+void print_scaling_table() {
   TextTable table({"kernels N", "variants M", "candidates N*M",
                    "profit evals", "modelled cycles", "cycles/kernel"});
   CsvWriter csv("overhead_scaling.csv");
   csv.write_header({"kernels", "variants", "candidates", "profit_evals",
                     "modelled_cycles"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ScalingPoint& p = points[i];
-    const ScalingResult& r = results[i];
+  for (const ScalingPoint& p : scaling_points()) {
+    const ScalingResult r = run_scaling_point(p);
     table.add_values(p.kernels, r.variants, p.kernels * r.variants,
                      r.profit_evaluations, r.overhead_cycles,
                      format_double(static_cast<double>(r.overhead_cycles) /
@@ -211,10 +202,10 @@ void print_scaling_table(unsigned jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  parse_bench_args(&argc, argv, {BenchFlag::kJobs});
+  parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   print_table();
-  print_scaling_table(bench_jobs());
+  print_scaling_table();
   return 0;
 }

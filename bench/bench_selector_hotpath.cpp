@@ -34,10 +34,10 @@
 #include "bench_common.h"
 
 // Allocation probe: counts every global operator new in this binary. The
-// bench is strictly single-threaded (timing would be meaningless otherwise),
-// so a plain counter suffices. Every plain, array and nothrow form is
-// replaced, so no allocation reaches a delete of another allocator (a
-// sanitizer runtime supplies the forms a program leaves out).
+// bench is single-threaded, like the library, so a plain counter suffices.
+// Every plain, array and nothrow form is replaced, so no allocation reaches
+// a delete of another allocator (a sanitizer runtime supplies the forms a
+// program leaves out).
 namespace {
 std::uint64_t g_alloc_count = 0;
 
@@ -309,8 +309,6 @@ void register_benchmarks() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // No --jobs: this bench is deliberately single-threaded (parallel timing
-  // samples would be noise).
   parse_bench_args(&argc, argv, {});
   ::benchmark::Initialize(&argc, argv);
   const unsigned frames = eval_params().frames;

@@ -6,7 +6,6 @@
 
 #include "arch/fault_model.h"
 #include "util/counters.h"
-#include "util/logging.h"
 #include "util/snapshot_io.h"
 #include "util/trace.h"
 

@@ -227,8 +227,7 @@ class FabricManager {
   void scrub(Cycles now);
 
   /// Attaches the deterministic fault injector (nullptr = fault-free
-  /// machine, the default). The model must outlive this object and — like
-  /// the fabric itself — must not be shared across threads.
+  /// machine, the default). The model must outlive this object.
   ///
   /// Attachment contract (explicit, replacing the old "last attachment
   /// wins"): a fabric has at most one fault model. Attaching a *different*

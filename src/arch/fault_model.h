@@ -21,8 +21,8 @@
 /// a given (seed, rate) pair reproduces the identical fault timeline — the
 /// same determinism contract as the workload models. The model is consumed
 /// in simulator call order by exactly one FabricManager; like every other
-/// mutable simulation object it is per sweep point, never shared across
-/// threads (docs/ARCHITECTURE.md, "Parallel sweep engine").
+/// mutable simulation object it is per sweep point, and the library is
+/// single-threaded (docs/ARCHITECTURE.md, "Threading").
 
 #include <cstdint>
 

@@ -1,7 +1,6 @@
 #include "cgsim/cg_kernel_programs.h"
 
 #include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "cgsim/cg_assembler.h"
@@ -174,11 +173,9 @@ std::vector<std::string> cg_kernel_program_names() {
 }
 
 const CgContextProgram& cg_kernel_program(const std::string& name) {
-  // Guarded: sweep workers may assemble concurrently. References stay valid
-  // because std::map never relocates its nodes.
-  static std::mutex mutex;
+  // Assembled on first use. References stay valid because std::map never
+  // relocates its nodes.
   static std::map<std::string, CgContextProgram> cache;
-  std::lock_guard<std::mutex> lock(mutex);
   auto it = cache.find(name);
   if (it == cache.end()) {
     const auto src = sources().find(name);

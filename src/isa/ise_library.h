@@ -6,12 +6,11 @@
 /// to the output of the proprietary compile-time tool chain the paper refers
 /// to ([18], [19]).
 ///
-/// Concurrency contract (audited for the parallel sweep runner): once
-/// construction is finished, a library — including its DataPathTable — is
-/// never mutated by any run-time system or simulator; all const queries are
-/// pure reads with no internal caching, so one library instance may be
-/// shared read-only by any number of concurrent sweep workers. The
-/// non-const accessors exist for the build phase only.
+/// Once construction is finished, a library — including its DataPathTable —
+/// is never mutated by any run-time system or simulator; all const queries
+/// are pure reads with no internal caching, so one library instance may be
+/// shared read-only by every point of a sweep. The non-const accessors exist
+/// for the build phase only.
 
 #include <string>
 #include <vector>

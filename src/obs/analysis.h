@@ -5,8 +5,7 @@
 /// slices every analysis pass (occupancy, cycle accounting, critical path)
 /// starts from. All outputs of this subsystem are deterministic functions of
 /// the event vector — analyses sort their inputs internally, so the same
-/// trace produces byte-identical reports regardless of how many sweep
-/// workers recorded it.
+/// trace produces byte-identical reports.
 
 #include <cstdint>
 #include <string>

@@ -1,7 +1,6 @@
 #include "riscsim/kernel_programs.h"
 
 #include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -292,11 +291,9 @@ std::vector<std::string> kernel_program_names() {
 }
 
 const Program& kernel_program(const std::string& name) {
-  // Guarded: sweep workers may assemble concurrently. References stay valid
-  // because std::map never relocates its nodes.
-  static std::mutex mutex;
+  // Assembled on first use. References stay valid because std::map never
+  // relocates its nodes.
   static std::map<std::string, Program> cache;
-  std::lock_guard<std::mutex> lock(mutex);
   auto it = cache.find(name);
   if (it == cache.end()) {
     const auto src = sources().find(name);

@@ -121,8 +121,7 @@ class MRts final : public RuntimeSystem {
   /// errors, selector rounds, ECU decisions and the fabric's
   /// reconfiguration/occupancy timeline all land in one event stream.
   /// Either pointer may be null; passing both null detaches. The recorder
-  /// must outlive this object (or be detached first) and — like the MRts
-  /// itself — must not be shared across threads.
+  /// must outlive this object (or be detached first).
   ///
   /// Shared-fabric contract (explicit, replacing the old "last attachment
   /// wins"): the fabric's event stream has exactly one observer. The first

@@ -21,7 +21,7 @@
 ///    re-validated live, so quarantines after registration revoke admission.
 ///
 /// The arbiter attaches itself to the fabric on construction and detaches
-/// in its destructor; like the fabric it must not be shared across threads.
+/// in its destructor.
 
 #include <cstdint>
 #include <map>

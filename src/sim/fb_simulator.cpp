@@ -64,11 +64,11 @@ Cycles run_events_legacy(RuntimeSystem& rts,
 /// chunk summaries) through RuntimeSystem::execute_events and accumulates
 /// observations in flat (structure-of-arrays) scratch indexed by raw kernel
 /// id — no per-kernel map nodes, no per-event virtual dispatch. The scratch
-/// is thread_local so concurrent sweep points (--jobs > 1) never share it.
+/// is static and reused by every block (the library is single-threaded).
 Cycles run_events_batched(RuntimeSystem& rts,
                           const FunctionalBlockInstance& instance, Cycles start,
                           Cycles cursor, FbRunResult& result) {
-  thread_local std::vector<ExecRun> scratch_runs;
+  static std::vector<ExecRun> scratch_runs;
   const std::vector<ExecRun>& runs = instance_runs(instance, scratch_runs);
   // Without summaries of exactly the instance's own runs the ECU commits run
   // by run.
@@ -77,8 +77,8 @@ Cycles run_events_batched(RuntimeSystem& rts,
           ? &instance.chunks
           : nullptr;
 
-  thread_local std::vector<ObservationSink::Acc> acc;  // by raw kernel id
-  thread_local std::vector<std::uint32_t> touched;
+  static std::vector<ObservationSink::Acc> acc;  // by raw kernel id
+  static std::vector<std::uint32_t> touched;
 
   // One virtual call executes the whole block (see Ecu::execute_events);
   // the sink's inline note_run fuses the per-kernel accumulation into the

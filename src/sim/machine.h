@@ -56,8 +56,7 @@ struct MachineConfig {
 };
 
 /// Owns the machine topology and every machine-built RTS instance. Not
-/// copyable; like the objects it owns, a Machine must not be shared across
-/// threads (one Machine per sweep point).
+/// copyable; a sweep builds one Machine per point.
 class Machine {
  public:
   /// \p lib must outlive the machine. Throws std::invalid_argument on a

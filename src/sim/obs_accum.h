@@ -31,7 +31,7 @@ namespace mrts {
 class ObservationSink {
  public:
   /// Per-kernel accumulator state, indexed by raw kernel id in a flat
-  /// thread_local scratch vector (no per-kernel map nodes).
+  /// static scratch vector (no per-kernel map nodes).
   struct Acc {
     double executions = 0.0;
     Cycles first_start = 0;

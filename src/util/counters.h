@@ -6,12 +6,11 @@
 /// zero-overhead-when-off contract as tracing: one branch on a pointer per
 /// site when detached.
 ///
-/// Registries are per simulator instance / sweep point (never shared across
-/// threads). Parallel sweeps keep one registry per point and merge the
-/// snapshots afterwards **in submission order**: counter addition is
-/// commutative, but histogram double-sums are not bitwise
-/// order-independent, so the fixed merge order is what keeps sweep output
-/// byte-identical at any worker count.
+/// Registries are per simulator instance; the library is single-threaded.
+/// A sweep that keeps one registry per point merges them afterwards **in
+/// point order**: counter addition is commutative, but histogram double-sums
+/// are not bitwise order-independent, so a fixed merge order is what keeps
+/// the printed means byte-identical from run to run.
 
 #include <array>
 #include <cstdint>
@@ -110,8 +109,8 @@ class CounterRegistry {
   void clear();
 
   /// Adds \p other's counters and histograms into this registry. Calling
-  /// merge over per-point registries in submission order yields a
-  /// deterministic aggregate independent of which worker ran which point.
+  /// merge over per-point registries in point order yields a deterministic
+  /// aggregate.
   void merge(const CounterRegistry& other);
 
   /// Whole-registry capture/restore (rts/snapshot.h). load_state replaces

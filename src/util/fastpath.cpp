@@ -1,6 +1,5 @@
 #include "util/fastpath.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -13,17 +12,15 @@ bool initial_state() {
   return std::strcmp(env, "0") == 0;  // MRTS_NO_BB_CACHE=0 keeps it on
 }
 
-std::atomic<bool>& flag() {
-  static std::atomic<bool> enabled{initial_state()};
+bool& flag() {
+  static bool enabled = initial_state();
   return enabled;
 }
 
 }  // namespace
 
-bool fastpath_enabled() { return flag().load(std::memory_order_relaxed); }
+bool fastpath_enabled() { return flag(); }
 
-void set_fastpath_enabled(bool enabled) {
-  flag().store(enabled, std::memory_order_relaxed);
-}
+void set_fastpath_enabled(bool enabled) { flag() = enabled; }
 
 }  // namespace mrts

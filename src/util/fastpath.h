@@ -15,9 +15,9 @@ namespace mrts {
 /// (checked once, at first use).
 bool fastpath_enabled();
 
-/// Overrides the fast-path toggle for the whole process. Not synchronized
-/// with concurrently running sweeps — flip it only between runs (tests and
-/// bench flag parsing do this before any simulation starts).
+/// Overrides the fast-path toggle for the whole process. It is a plain
+/// process-wide value (the library is single-threaded); flip it only between
+/// runs, as tests and bench flag parsing do before any simulation starts.
 void set_fastpath_enabled(bool enabled);
 
 }  // namespace mrts

@@ -14,9 +14,8 @@
 /// guarded by a single `if (trace_ != nullptr)` branch on that pointer, so a
 /// simulation without an attached recorder pays one predicted-not-taken
 /// branch per site and allocates nothing. Recorders are per simulator
-/// instance (one per sweep point), never shared across threads — the same
-/// sharing rule as every other mutable simulation object
-/// (docs/ARCHITECTURE.md, "Parallel sweep engine").
+/// instance (one per sweep point); like the rest of the library they are
+/// single-threaded (docs/ARCHITECTURE.md, "Threading").
 
 #include <cstdint>
 #include <iosfwd>
@@ -142,8 +141,8 @@ struct TraceEvent {
   std::uint32_t tenant = 0;
 };
 
-/// Per-simulator event sink. Not thread-safe by design: one recorder per
-/// sweep point / simulator instance (see file header).
+/// Per-simulator event sink: one recorder per sweep point / simulator
+/// instance (see file header).
 class TraceRecorder {
  public:
   /// Appends one event. Deliberately out of line: instrumented hot loops

@@ -1,12 +1,12 @@
 // Differential tests for the batched frame-execution fast path
 // (sim/fb_simulator, util/fastpath.h): the per-event frame loop is the
 // oracle. Sweeps must render bit-identical CSVs with the fast path on and
-// off, also under fault-induced re-execution and across sweep worker
-// counts. The ECU's chunk and per-run memo commits are checked block by
-// block against the per-event loop on full-size CIF blocks and on hand-made
-// block shapes around the chunk boundaries, and again with a flight
-// recorder and counter registry attached, where the trace, counters and
-// histograms must match the per-event loop's too.
+// off, also under fault-induced re-execution. The ECU's chunk and per-run
+// memo commits are checked block by block against the per-event loop on
+// full-size CIF blocks and on hand-made block shapes around the chunk
+// boundaries, and again with a flight recorder and counter registry
+// attached, where the trace, counters and histograms must match the
+// per-event loop's too.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,6 @@
 #include "sim/app_simulator.h"
 #include "sim/fb_simulator.h"
 #include "sim/metrics.h"
-#include "sim/sweep_runner.h"
 #include "util/counters.h"
 #include "util/csv.h"
 #include "util/fastpath.h"
@@ -69,19 +68,14 @@ class BlockCacheSweep : public ::testing::Test {
     app_ = nullptr;
   }
 
-  /// fig-8-style mini sweep rendered to a CSV string at \p jobs workers.
-  static std::string render_csv(unsigned jobs) {
-    const std::vector<FabricCombination> points = fabric_sweep(2, 1);
-    const SweepRunner runner(jobs);
-    const std::vector<Cycles> rows =
-        runner.map(points, [](const FabricCombination& c) {
-          MRts rts(app_->library, c.cg, c.prcs);
-          return run_application(rts, app_->trace).total_cycles;
-        });
+  /// fig-8-style mini sweep rendered to a CSV string.
+  static std::string render_csv() {
     CsvWriter csv;
     csv.write_header({"label", "mrts_cycles"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      csv.write_values(points[i].label(), rows[i]);
+    for (const FabricCombination& c : fabric_sweep(2, 1)) {
+      MRts rts(app_->library, c.cg, c.prcs);
+      csv.write_values(c.label(),
+                       run_application(rts, app_->trace).total_cycles);
     }
     return csv.str();
   }
@@ -100,21 +94,15 @@ class BlockCacheSweep : public ::testing::Test {
 
 H264Application* BlockCacheSweep::app_ = nullptr;
 
-TEST_F(BlockCacheSweep, SweepIdenticalCacheOnOffAtEveryWorkerCount) {
+TEST_F(BlockCacheSweep, SweepIdenticalCacheOnOff) {
   std::string oracle;
   {
     FastpathGuard guard(false);
-    oracle = render_csv(1);
+    oracle = render_csv();
   }
   ASSERT_FALSE(oracle.empty());
-  {
-    FastpathGuard guard(false);
-    EXPECT_EQ(render_csv(4), oracle) << "per-event loop, jobs=4";
-  }
   FastpathGuard guard(true);
-  for (unsigned jobs : {1u, 2u, 4u, 8u}) {
-    EXPECT_EQ(render_csv(jobs), oracle) << "fast path on, jobs=" << jobs;
-  }
+  EXPECT_EQ(render_csv(), oracle);
 }
 
 TEST_F(BlockCacheSweep, FaultInducedReExecutionIdenticalCacheOnOff) {

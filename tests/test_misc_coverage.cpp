@@ -1,6 +1,6 @@
 // Additional coverage: multiset data-path installs, blocking-overhead cycle
-// conservation with a real RTS, CSV file mode, the logging facility and the
-// disassemblers on the shipped kernel programs.
+// conservation with a real RTS, CSV file mode and the disassemblers on the
+// shipped kernel programs.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "rts/mrts.h"
 #include "sim/fb_simulator.h"
 #include "util/csv.h"
-#include "util/logging.h"
 #include "workload/workload_gen.h"
 
 namespace mrts {
@@ -96,18 +95,6 @@ TEST(Csv, FileModeWritesToDisk) {
 
 TEST(Csv, UnwritablePathThrows) {
   EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv"), std::runtime_error);
-}
-
-TEST(Logging, ThresholdFiltersMessages) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kError);
-  // Discarded without side effects (streaming into a dead line is legal).
-  MRTS_INFO("test") << "hidden " << 42;
-  set_log_level(LogLevel::kTrace);
-  MRTS_TRACE("test") << "visible";
-  set_log_level(old);
-  EXPECT_STREQ(to_string(LogLevel::kWarn), "WARN");
-  EXPECT_STREQ(to_string(LogLevel::kOff), "OFF");
 }
 
 TEST(Disassemblers, RoundTripAllShippedKernelPrograms) {

@@ -3,7 +3,7 @@
 // cycle accounting (the buckets-sum-to-span invariant, for handcrafted
 // traces and for every baseline RTS plus the full fig9 grid), reconfig
 // critical paths, per-tenant latency, and the determinism of the serialized
-// RunReport at any sweep worker count.
+// RunReport.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "sim/app_simulator.h"
 #include "sim/metrics.h"
 #include "sim/multi_app.h"
-#include "sim/sweep_runner.h"
 #include "util/counters.h"
 #include "util/trace.h"
 #include "workload/h264_app.h"
@@ -490,32 +489,6 @@ TEST(AnalysisTenantLatency, SchedulerStampsAdmissionAndCompletion) {
 
 // ---------------------------------------------------------------------------
 // Serialized-report determinism (obs/report_io.h)
-
-TEST(AnalysisReportDeterminism, JsonIsByteIdenticalAtAnyJobCount) {
-  const H264Application app = small_app();
-  const std::vector<FabricCombination> points = fabric_sweep(2, 1);
-  const auto run_at = [&](unsigned jobs) {
-    const SweepRunner runner(jobs);
-    return runner.map(points, [&](const FabricCombination& combo) {
-      MRts rts(app.library, combo.cg, combo.prcs);
-      TraceRecorder recorder;
-      rts.attach_observability(&recorder, nullptr);
-      run_application(rts, app.trace, &recorder);
-      AnalysisConfig config;
-      config.num_prcs = combo.prcs;
-      config.num_cg = combo.cg;
-      std::ostringstream os;
-      obs::write_report_json(os, obs::analyze_trace(recorder.events(), config));
-      return os.str();
-    });
-  };
-  const std::vector<std::string> serial = run_at(1);
-  ASSERT_EQ(serial.size(), points.size());
-  for (const std::string& json : serial) EXPECT_FALSE(json.empty());
-  for (const unsigned jobs : {2u, 4u, 8u}) {
-    EXPECT_EQ(run_at(jobs), serial) << "jobs=" << jobs;
-  }
-}
 
 TEST(AnalysisReportDeterminism, AllThreeSerializersAreStableFunctions) {
   const H264Application app = small_app();

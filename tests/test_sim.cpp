@@ -181,6 +181,21 @@ TEST(Metrics, FabricSweepOrderAndLabels) {
   EXPECT_TRUE(sweep[4].multi_grained());
 }
 
+// Regression for the {11,1}/{1,11} label clash.
+TEST(FabricCombinationLabel, SingleDigitKeepsPaperForm) {
+  EXPECT_EQ((FabricCombination{0, 0}.label()), "00");
+  EXPECT_EQ((FabricCombination{2, 3}.label()), "23");
+  EXPECT_EQ((FabricCombination{9, 9}.label()), "99");
+}
+
+TEST(FabricCombinationLabel, MultiDigitIsUnambiguous) {
+  EXPECT_EQ((FabricCombination{11, 1}.label()), "11x1");
+  EXPECT_EQ((FabricCombination{1, 11}.label()), "1x11");
+  EXPECT_NE((FabricCombination{11, 1}.label()),
+            (FabricCombination{1, 11}.label()));
+  EXPECT_EQ((FabricCombination{10, 0}.label()), "10x0");
+}
+
 TEST(Metrics, SpeedupAndPercentDifference) {
   EXPECT_DOUBLE_EQ(speedup(200, 100), 2.0);
   EXPECT_DOUBLE_EQ(speedup(200, 0), 0.0);

@@ -1,8 +1,8 @@
 // Tests for the flight recorder (util/trace.h) and the counter registry
 // (util/counters.h): event recording, both exporters, the JSONL parser and
-// summary, histogram bucketing, deterministic registry merges under the
-// parallel sweep engine, and the end-to-end contract that attaching a
-// recorder never changes simulation results.
+// summary, histogram bucketing, deterministic registry merges in point
+// order, and the end-to-end contract that attaching a recorder never
+// changes simulation results.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "rts/mrts.h"
 #include "rts/rts_interface.h"
 #include "sim/app_simulator.h"
-#include "sim/sweep_runner.h"
 #include "util/counters.h"
 #include "util/rng.h"
 #include "util/trace.h"
@@ -312,36 +311,28 @@ TEST(CounterRegistry, AddObserveLookup) {
   EXPECT_TRUE(reg.empty());
 }
 
-TEST(CounterRegistry, SubmissionOrderMergeIsDeterministicAtAnyJobCount) {
-  // Double sums are not order-independent: 0.1 + 0.2 + 0.3 may differ in the
-  // last bit from 0.3 + 0.2 + 0.1. Per-point registries merged in submission
-  // order therefore give bit-identical aggregates at any worker count.
-  const std::vector<int> points{0, 1, 2, 3, 4, 5, 6, 7};
-  auto run_at = [&](unsigned jobs) {
-    const SweepRunner runner(jobs);
-    const auto regs = runner.map(points, [](int p) {
-      CounterRegistry reg;
-      reg.add("point.visits");
-      // Values chosen to make the sum rounding-sensitive.
-      reg.observe("point.value", 0.1 * static_cast<double>(p + 1));
-      reg.observe("point.value", 1e16);
-      return reg;
-    });
-    CounterRegistry merged;
-    for (const auto& reg : regs) merged.merge(reg);
-    return merged;
-  };
-
-  const CounterRegistry serial = run_at(1);
-  EXPECT_EQ(serial.counter("point.visits"), points.size());
-  const double serial_sum = serial.histogram("point.value")->sum();
-  for (unsigned jobs : {2u, 4u}) {
-    const CounterRegistry parallel = run_at(jobs);
-    EXPECT_EQ(parallel.counter("point.visits"), points.size());
-    // Bit-exact equality, not EXPECT_NEAR: this is the determinism contract.
-    EXPECT_EQ(parallel.histogram("point.value")->sum(), serial_sum)
-        << "jobs=" << jobs;
+TEST(CounterRegistry, MergeAddsByNameInPointOrder) {
+  // Eight per-point registries merged in point order. Counters add by name,
+  // including a name only some points carry. Double sums are not
+  // order-independent: 0.1 + 0.2 + ... + 0.8 folds to 3.6000000000000005
+  // front to back but to 3.6 back to front, so the sum is pinned bit for bit.
+  CounterRegistry merged;
+  for (int p = 0; p < 8; ++p) {
+    CounterRegistry reg;
+    reg.add("point.visits");
+    if (p % 2 == 0) reg.add("point.even", 2);
+    reg.observe("point.value", 0.1 * static_cast<double>(p + 1));
+    merged.merge(reg);
   }
+  EXPECT_EQ(merged.counter("point.visits"), 8u);
+  EXPECT_EQ(merged.counter("point.even"), 8u);
+  const Histogram* h = merged.histogram("point.value");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 8u);
+  // Bit-exact equality, not EXPECT_NEAR: this is the determinism contract.
+  EXPECT_EQ(h->sum(), 3.6000000000000005);
+  EXPECT_EQ(h->min(), 0.1);
+  EXPECT_EQ(h->max(), 0.8);
 }
 
 TEST(TraceIntegration, TracedRunMatchesUntracedAndCapturesTheRun) {

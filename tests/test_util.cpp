@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "util/csv.h"
-#include "util/logging.h"
 #include "util/number_text.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -175,27 +173,6 @@ TEST(Ewma, AlphaAboveOneClampsToOne) {
   EXPECT_DOUBLE_EQ(e.alpha(), 1.0);
   e.observe(20.0);
   EXPECT_DOUBLE_EQ(e.prediction(), 20.0);
-}
-
-TEST(Logging, FormatLogLinePinsLayout) {
-  // 1234567890 s since the epoch = 2009-02-13 23:31:30 UTC. The format is
-  // part of the logger's contract: timestamp (UTC, millisecond), worker
-  // tag, level, component, message.
-  EXPECT_EQ(format_log_line(1234567890123, "w03", LogLevel::kWarn, "ecu",
-                            "impl switched"),
-            "[2009-02-13 23:31:30.123] [w03] [WARN] ecu: impl switched");
-  EXPECT_EQ(format_log_line(45, "w00", LogLevel::kError, "mpu", ""),
-            "[1970-01-01 00:00:00.045] [w00] [ERROR] mpu: ");
-}
-
-TEST(Logging, ThreadTagIsStablePerThread) {
-  const std::string& tag = log_thread_tag();
-  ASSERT_EQ(tag.size(), 3u);
-  EXPECT_EQ(tag[0], 'w');
-  EXPECT_TRUE(std::isdigit(static_cast<unsigned char>(tag[1])));
-  EXPECT_TRUE(std::isdigit(static_cast<unsigned char>(tag[2])));
-  // Same thread -> same tag object, every time.
-  EXPECT_EQ(&tag, &log_thread_tag());
 }
 
 TEST(Means, GeometricAndArithmetic) {

@@ -30,7 +30,6 @@ BENCHES = {
     "fig8_state_of_the_art": "bench_fig8_state_of_the_art",
     "fig9_heuristic_vs_optimal": "bench_fig9_heuristic_vs_optimal",
 }
-JOBS = 1
 FRAMES = 16  # the committed file uses the full-size workload; CI shrinks
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMITTED = "BENCH_e2e.json"
@@ -50,7 +49,7 @@ def committed_cache_on():
         except OSError:
             return {}
     before = json.loads(text)
-    if before.get("jobs") != JOBS or before.get("frames") != FRAMES:
+    if before.get("frames") != FRAMES:
         return {}
     return {name: entry["cache_on_s"]
             for name, entry in before.get("benches", {}).items()}
@@ -58,7 +57,7 @@ def committed_cache_on():
 
 def run_once(binary, workdir, no_bb_cache, frames):
     """Runs one bench in workdir; returns (wall_seconds, csv_paths)."""
-    cmd = [binary, "--jobs", str(JOBS)]
+    cmd = [binary]
     if no_bb_cache:
         cmd.append("--no-bb-cache")
     env = dict(os.environ)
@@ -118,7 +117,6 @@ def main():
     result = {
         "schema": "mrts-e2e-bench-v2",
         "unit": "seconds",
-        "jobs": JOBS,
         "frames": args.frames,
         "samples": args.samples,
         "benches": {},
