@@ -129,4 +129,19 @@ foreach(case
               "${MRTS_SERVE}" --replay "${WORK_DIR}/wide_${field}.joblog")
 endforeach()
 
+# A header value that fits its field but not the server's own flag bound (a
+# 2^32 - 1 macroblock loop) fails on line 1, before the first run could
+# allocate the loop's events.
+string(REPLACE "macroblocks=24" "macroblocks=4294967295" huge_header
+       "${header}")
+file(WRITE "${WORK_DIR}/huge_macroblocks.joblog"
+     "${huge_header}\nsubmit 1 t1 0 1 0 0 0 0 1 7\nrun 1\n")
+execute_process(
+  COMMAND "${MRTS_SERVE}" --replay "${WORK_DIR}/huge_macroblocks.joblog"
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "joblog line 1:")
+  message(FATAL_ERROR "mrts_serve --replay with macroblocks=4294967295: "
+                      "exited ${rc} (${err}), expected 2 with 'joblog line 1:'")
+endif()
+
 message(STATUS "serve smoke OK: zero leaks, replay byte-identical")

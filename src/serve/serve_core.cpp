@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <climits>
 #include <cstdint>
 #include <iterator>
 #include <istream>
@@ -403,14 +402,22 @@ std::vector<std::string> split_ws(const std::string& line) {
   return out;
 }
 
-/// "<what> '<text>' is not an integer in [0, <max>]".
+/// "<what> '<text>' is not an integer in [<lo>, <hi>]".
 std::string out_of_range(const std::string& what, const std::string& text,
-                         std::uint64_t max) {
-  return what + " '" + text + "' is not an integer in [0, " +
-         std::to_string(max) + "]";
+                         std::uint64_t lo, std::uint64_t hi) {
+  return what + " '" + text + "' is not an integer in [" +
+         std::to_string(lo) + ", " + std::to_string(hi) + "]";
 }
 
 }  // namespace
+
+const ServeConfigBound& serve_config_bound(std::string_view key) {
+  for (const ServeConfigBound& bound : kServeConfigBounds) {
+    if (key == bound.key) return bound;
+  }
+  throw std::invalid_argument("no ServeConfig bound for '" +
+                              std::string(key) + "'");
+}
 
 ReplayResult replay_job_log(std::istream& in) {
   ReplayResult result;
@@ -433,16 +440,15 @@ ReplayResult replay_job_log(std::istream& in) {
   std::uint64_t retain_jobs = ServeConfig{}.retain_jobs;
   const struct {
     const char* key;
-    std::uint64_t max;  ///< widest value of the ServeConfig field
     std::uint64_t* value;
   } header_fields[] = {
-      {"prcs", UINT_MAX, &prcs},
-      {"cg", UINT_MAX, &cg},
-      {"job_classes", UINT_MAX, &classes},
-      {"max_blocks", UINT_MAX, &max_blocks},
-      {"macroblocks", UINT_MAX, &macroblocks},
-      {"max_queue", SIZE_MAX, &max_queue},
-      {"retain_jobs", SIZE_MAX, &retain_jobs},
+      {"prcs", &prcs},
+      {"cg", &cg},
+      {"job_classes", &classes},
+      {"max_blocks", &max_blocks},
+      {"macroblocks", &macroblocks},
+      {"max_queue", &max_queue},
+      {"retain_jobs", &retain_jobs},
   };
   for (std::size_t i = 1; i < header.size(); ++i) {
     const std::string& tok = header[i];
@@ -454,16 +460,22 @@ ReplayResult replay_job_log(std::istream& in) {
     if (eq == std::string::npos || field == std::end(header_fields)) {
       return fail(1, "unknown header field '" + tok + "'");
     }
+    // The server's own flag bounds: a header a server could not have run
+    // with (a huge macroblock loop, say) fails here, not in the first job.
+    const ServeConfigBound& bound = serve_config_bound(key);
     const std::string value = tok.substr(eq + 1);
-    if (!parse_uint(value, field->max, field->value)) {
-      return fail(1, out_of_range("header field " + key, value, field->max));
+    if (!parse_uint(value, bound.hi, field->value) ||
+        *field->value < bound.lo) {
+      return fail(1, out_of_range("header field " + key, value, bound.lo,
+                                  bound.hi));
     }
   }
   if (prcs == 0 || cg == 0 || classes == 0 || max_blocks == 0 ||
       macroblocks == 0 || max_queue == 0) {
     return fail(1, "incomplete header");
   }
-  // Every value fits its field (checked above), so the casts are exact.
+  // Every value lies within its bound (checked above), so the casts are
+  // exact.
   ServeConfig config;
   config.prcs = static_cast<unsigned>(prcs);
   config.cg = static_cast<unsigned>(cg);
@@ -505,7 +517,7 @@ ReplayResult replay_job_log(std::istream& in) {
         if (!parse_uint(tok[field.column], field.max, field.value)) {
           return fail(line_no,
                       out_of_range(std::string("submit ") + field.name,
-                                   tok[field.column], field.max));
+                                   tok[field.column], 0, field.max));
         }
       }
       spec.name = tok[2];

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/fabric_manager.h"
@@ -50,6 +51,29 @@ struct ServeConfig {
   /// jobs, and never fires during a job-log replay (replays do not poll).
   std::size_t retain_jobs = 1024;
 };
+
+/// The accepted range of a ServeConfig field, by its job-log header key
+/// (`prcs`; the `mrts_serve` flag is `--prcs`, with `-` for `_`).
+/// replay_job_log checks every header value against it and mrts_serve's
+/// flag rows take their bounds from it, so a replay accepts exactly the
+/// configurations a server can run. ServeCore's constructor checks none of
+/// them: perfbench builds a reference core with zero PRCs.
+struct ServeConfigBound {
+  const char* key;
+  std::uint64_t lo;
+  std::uint64_t hi;
+};
+
+inline constexpr ServeConfigBound kServeConfigBounds[] = {
+    {"prcs", 1, 1024},          {"cg", 1, 1024},
+    {"job_classes", 1, 64},     {"max_blocks", 1, 100000},
+    {"macroblocks", 1, 100000}, {"max_queue", 1, 1000000},
+    {"retain_jobs", 0, 1000000},
+};
+
+/// The row of kServeConfigBounds for \p key; throws std::invalid_argument
+/// for a key the table lacks.
+const ServeConfigBound& serve_config_bound(std::string_view key);
 
 /// Job lifecycle inside the core. v1 runs jobs one at a time, so there is
 /// no resident kRunning state — a job goes kQueued -> kDone atomically from

@@ -277,7 +277,10 @@ class FrameDecoder {
 };
 
 /// CRC over the covered region of an already-assembled frame buffer
-/// (header bytes [4, 12) + payload), fed in place through crc32_update.
+/// (header bytes [4, 12) + payload), fed in place through crc32_update:
+/// the 8 header bytes by its table loop, a payload of 64 bytes or more by
+/// its carry-less-multiply fold where the CPU has one (docs/PROTOCOL.md,
+/// "CRC coverage"); the value is the same either way.
 /// \p frame must hold at least kFrameHeaderSize + length bytes.
 std::uint32_t frame_crc(const std::uint8_t* frame, std::size_t payload_len);
 

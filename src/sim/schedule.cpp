@@ -5,100 +5,86 @@
 
 namespace mrts {
 
-namespace {
+RunWriter::RunWriter(std::vector<ExecRun>& runs, RunChunks* chunks,
+                     RunShape& shape)
+    : runs_(runs) {
+  runs.clear();
+  runs.reserve(shape.runs());  // kept for the trace's lifetime: exact size
+  if (chunks == nullptr) return;
+  chunks->kernels.clear();
+  chunks->chunks.clear();
+  chunks->counts.clear();
+  if (shape.runs() <= kChunkRuns) return;
+  chunks_ = chunks;
+  chunks->kernels = std::move(shape.kernels());
+  const std::size_t num_chunks = (shape.runs() + kChunkRuns - 1) / kChunkRuns;
+  chunks->chunks.reserve(num_chunks);
+  chunks->counts.reserve(num_chunks * chunks->kernels.size());
+  tally_.resize(chunks->kernels.size());
+}
 
-/// Summarizes \p runs (maximal, as decode_runs makes them) into \p chunks
-/// (cleared first): a scan of the run kernels finds the distinct kernels and
-/// each one's first and last run, then one pass over the runs writes the
-/// prefix sums at every chunk boundary.
-void summarize_chunks(const std::vector<ExecRun>& runs, RunChunks& chunks) {
-  chunks.kernels.clear();
-  chunks.chunks.clear();
-  chunks.counts.clear();
-  if (runs.size() <= kChunkRuns) return;  // one chunk holds every endpoint
-  const std::size_t num_chunks = (runs.size() + kChunkRuns - 1) / kChunkRuns;
-
-  // A block interleaves few kernels, so sorted inserts and linear scans
-  // beat any map. first_run / last_run run parallel to chunks.kernels.
-  std::vector<KernelId>& kernels = chunks.kernels;
-  std::vector<std::size_t> first_run;
-  std::vector<std::size_t> last_run;
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    const auto it = std::lower_bound(kernels.begin(), kernels.end(),
-                                     runs[r].kernel);
-    const auto j = static_cast<std::size_t>(it - kernels.begin());
-    if (it == kernels.end() || *it != runs[r].kernel) {
-      kernels.insert(it, runs[r].kernel);
-      first_run.insert(first_run.begin() + j, r);
-      last_run.insert(last_run.begin() + j, r);
-    }
-    last_run[j] = r;
+void RunWriter::close_run() {
+  if (run_.count == 0) return;
+  const auto r = static_cast<std::uint32_t>(runs_.size());
+  runs_.push_back(run_);
+  if (chunks_ == nullptr) return;
+  if (r % kChunkRuns == 0) {  // a chunk starts: the boundary's prefix sums
+    chunks_->chunks.push_back({gaps_, kInvalidKernel, 0});
+    for (const KernelTally& t : tally_) chunks_->counts.push_back(t.closed);
   }
+  chunks_->chunks.back().last_kernel = run_.kernel;
+  gaps_ += run_.gap_total;
+  std::size_t j = 0;
+  while (chunks_->kernels[j] != run_.kernel) ++j;
+  KernelTally& t = tally_[j];
+  if (t.closed.runs == 0) t.first_run = r;
+  t.last_run = r;
+  t.closed.runs += 1;
+  t.closed.executions += run_.count;
+}
 
-  const std::size_t width = kernels.size();
-  chunks.chunks.resize(num_chunks);
-  chunks.counts.resize(num_chunks * width);
-  std::vector<RunCount> before(width);  // totals before the current run
-  Cycles gaps = 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    RunChunk& chunk = chunks.chunks[c];
-    chunk.gaps_before = gaps;
-    std::copy(before.begin(), before.end(), &chunks.counts[c * width]);
-    const std::size_t end = std::min(runs.size(), (c + 1) * kChunkRuns);
-    for (std::size_t r = c * kChunkRuns; r < end; ++r) {
-      const ExecRun& run = runs[r];
-      gaps += run.gap_total;
-      std::size_t j = 0;
-      while (kernels[j] != run.kernel) ++j;
-      before[j].runs += 1;
-      before[j].executions += run.count;
-    }
-    chunk.last_kernel = runs[end - 1].kernel;
-  }
-
+void RunWriter::finish() {
+  close_run();
+  if (chunks_ == nullptr) return;
   // The last chunk holds the instance's last run, which is its kernel's
   // last, so every chunk has an endpoint chunk at or after it.
-  std::vector<bool> endpoint(num_chunks, false);
-  for (std::size_t j = 0; j < width; ++j) {
-    endpoint[first_run[j] / kChunkRuns] = true;
-    endpoint[last_run[j] / kChunkRuns] = true;
+  std::vector<RunChunk>& rows = chunks_->chunks;
+  std::vector<bool> endpoint(rows.size(), false);
+  for (const KernelTally& t : tally_) {
+    endpoint[t.first_run / kChunkRuns] = true;
+    endpoint[t.last_run / kChunkRuns] = true;
   }
-  auto next = static_cast<std::uint32_t>(num_chunks - 1);
-  for (std::size_t c = num_chunks; c-- > 0;) {
+  auto next = static_cast<std::uint32_t>(rows.size() - 1);
+  for (std::size_t c = rows.size(); c-- > 0;) {
     if (endpoint[c]) next = static_cast<std::uint32_t>(c);
-    chunks.chunks[c].next_endpoint = next;
+    rows[c].next_endpoint = next;
   }
+}
+
+namespace {
+
+/// Writes the runs of \p events, and their chunk rows unless \p chunks is
+/// null: a scan for the shape, then every event as a stretch of one.
+void write_runs(const std::vector<ExecEvent>& events,
+                std::vector<ExecRun>& runs, RunChunks* chunks) {
+  RunShape shape;
+  for (const ExecEvent& e : events) shape.add(e.kernel);
+  RunWriter writer(runs, chunks, shape);
+  for (const ExecEvent& e : events) {
+    writer.append(e.kernel, 1, e.gap_before, e.gap_before);
+  }
+  writer.finish();
 }
 
 }  // namespace
 
 void decode_runs(const std::vector<ExecEvent>& events,
                  std::vector<ExecRun>& runs) {
-  // Count the runs first, so an instance's runs (kept for the trace's
-  // lifetime) take no more memory than they hold.
-  std::size_t num_runs = events.empty() ? 0 : 1;
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    num_runs += events[i].kernel != events[i - 1].kernel ? 1 : 0;
-  }
-  runs.clear();
-  runs.reserve(num_runs);
-  for (std::size_t i = 0; i < events.size();) {
-    ExecRun run;
-    run.kernel = events[i].kernel;
-    run.first_event = static_cast<std::uint32_t>(i);
-    run.first_gap = events[i].gap_before;
-    do {
-      run.gap_total += events[i].gap_before;
-      ++i;
-    } while (i < events.size() && events[i].kernel == run.kernel);
-    run.count = static_cast<std::uint32_t>(i) - run.first_event;
-    runs.push_back(run);
-  }
+  write_runs(events, runs, nullptr);
 }
 
 void finalize_instance_runs(FunctionalBlockInstance& instance) {
-  decode_runs(instance.events, instance.runs);
-  summarize_chunks(instance.runs, instance.chunks);
+  write_runs(instance.events, instance.runs, &instance.chunks);
 }
 
 const std::vector<ExecRun>& instance_runs(

@@ -6,6 +6,7 @@
 /// interleaved kernel-execution schedule of that instance (which varies with
 /// the input data — this variation is what the run-time system adapts to).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -117,6 +118,80 @@ struct ApplicationTrace {
     for (const auto& b : blocks) n += b.events.size();
     return n;
   }
+};
+
+/// What a RunWriter must know before its first stretch: the number of
+/// maximal runs the stretches form and their distinct kernels. Feed it the
+/// kernel of every stretch, in program order.
+class RunShape {
+ public:
+  void add(KernelId kernel) {
+    if (runs_ > 0 && kernel == last_) return;  // extends the run before
+    ++runs_;
+    last_ = kernel;
+    // A block interleaves few kernels, so a sorted insert beats any map.
+    const auto it = std::lower_bound(kernels_.begin(), kernels_.end(), kernel);
+    if (it == kernels_.end() || *it != kernel) kernels_.insert(it, kernel);
+  }
+
+  std::size_t runs() const { return runs_; }
+  /// The distinct kernels, ascending id.
+  std::vector<KernelId>& kernels() { return kernels_; }
+
+ private:
+  std::size_t runs_ = 0;
+  KernelId last_ = kInvalidKernel;
+  std::vector<KernelId> kernels_;
+};
+
+/// Writes an instance's runs and their chunk rows as its events arrive in
+/// program order, one same-kernel stretch at a time; a stretch of the
+/// kernel of the run before it extends that run. make_block_instance feeds
+/// it while it draws the events; decode_runs and finalize_instance_runs
+/// feed it an existing event list.
+class RunWriter {
+ public:
+  /// Clears \p runs and sizes it for exactly \p shape's runs; clears
+  /// \p chunks too unless it is null, and writes its rows when the runs
+  /// span more than one chunk (one chunk holds every endpoint, so no
+  /// stretch commit could use a table). \p shape gives up its kernels.
+  RunWriter(std::vector<ExecRun>& runs, RunChunks* chunks, RunShape& shape);
+
+  /// The next \p count (> 0) events: all of \p kernel, the first with gap
+  /// \p first_gap and together \p gap_total.
+  void append(KernelId kernel, std::uint32_t count, Cycles first_gap,
+              Cycles gap_total) {
+    if (run_.count > 0 && kernel == run_.kernel) {
+      run_.count += count;
+      run_.gap_total += gap_total;
+    } else {
+      close_run();
+      run_ = {kernel, events_, count, gap_total, first_gap};
+    }
+    events_ += count;
+  }
+
+  /// Closes the last run and fills in the endpoint chunks. Call once,
+  /// after the last stretch.
+  void finish();
+
+ private:
+  /// Appends the open run, if any, and adds it to its chunk row.
+  void close_run();
+
+  std::vector<ExecRun>& runs_;
+  RunChunks* chunks_ = nullptr;  ///< null when the runs get no table
+  ExecRun run_;                  ///< the open run; count 0 = none yet
+  std::uint32_t events_ = 0;     ///< events appended so far
+  Cycles gaps_ = 0;              ///< gap_total of every closed run
+  /// Per kernel of chunks_->kernels: runs and executions closed so far,
+  /// and the indices of its first and last run.
+  struct KernelTally {
+    RunCount closed;
+    std::uint32_t first_run = 0;
+    std::uint32_t last_run = 0;
+  };
+  std::vector<KernelTally> tally_;
 };
 
 /// Decodes \p events into maximal same-kernel runs, appending to \p runs

@@ -158,7 +158,17 @@ std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size);
 /// seen so far (0 for none), by \p size more bytes. Feeding a buffer in any
 /// split gives the one-shot CRC of the whole:
 /// crc32_update(crc32_update(0, a, n), b, m) == CRC of a||b.
+/// On x86-64 CPUs with PCLMULQDQ (asked once per process) the whole 16-byte
+/// blocks of a buffer of 64 bytes or more are folded by carry-less
+/// multiplication; every other byte goes through crc32_update_portable.
+/// Both give the same value.
 std::uint32_t crc32_update(std::uint32_t crc, const std::uint8_t* data,
                            std::size_t size);
+
+/// crc32_update by the portable slicing-by-8 table loop alone, on every
+/// host: the path of CPUs without the fold, and the tests' oracle for it.
+std::uint32_t crc32_update_portable(std::uint32_t crc,
+                                    const std::uint8_t* data,
+                                    std::size_t size);
 
 }  // namespace mrts

@@ -30,34 +30,57 @@ FunctionalBlockInstance make_block_instance(
   }
   instance.events.reserve(max_events);
 
+  // Which kernel runs how often in each macroblock depends only on the
+  // running remainders, never on the draws. A first pass over them gives
+  // the block's runs and kernels, so the second can write the runs and
+  // their chunk rows as it draws the events: the trace is shared read-only
+  // across sweep points, and every run_block replays the same runs.
   std::vector<double> remainder(work.size(), 0.0);
-  bool first_event = true;
+  auto reps_of = [&](std::size_t w) {
+    remainder[w] += work[w].repetitions_per_mb;
+    const auto reps = static_cast<unsigned>(remainder[w]);
+    remainder[w] -= reps;
+    return reps;
+  };
+  RunShape shape;
   for (unsigned mb = 0; mb < macroblocks; ++mb) {
     for (std::size_t w = 0; w < work.size(); ++w) {
-      const KernelWork& kw = work[w];
-      remainder[w] += kw.repetitions_per_mb;
-      auto reps = static_cast<unsigned>(remainder[w]);
-      remainder[w] -= reps;
-      for (unsigned r = 0; r < reps; ++r) {
-        ExecEvent ev;
-        ev.kernel = kw.kernel;
-        const double jitter =
-            1.0 + kw.gap_jitter * (2.0 * rng.uniform01() - 1.0);
-        ev.gap_before = static_cast<Cycles>(
-            std::max(0.0, static_cast<double>(kw.gap_cycles) * jitter));
-        if (first_event) {
-          ev.gap_before += entry_gap;
-          first_event = false;
-        }
-        instance.events.push_back(ev);
-      }
+      if (reps_of(w) > 0) shape.add(work[w].kernel);
     }
   }
-  // Decode the run-compressed view and its chunk summaries once, at build
-  // time: the trace is shared read-only across sweep points, so every
-  // run_block call replays the same pre-decoded runs instead of re-scanning
-  // the event list.
-  finalize_instance_runs(instance);
+  std::fill(remainder.begin(), remainder.end(), 0.0);
+
+  RunWriter writer(instance.runs, &instance.chunks, shape);
+  // Drawn from a copy, stored back below, so the generator state stays in
+  // registers across the event stores.
+  Rng draw = rng;
+  Cycles entry = entry_gap;  // the block's first event only
+  for (unsigned mb = 0; mb < macroblocks; ++mb) {
+    for (std::size_t w = 0; w < work.size(); ++w) {
+      const unsigned reps = reps_of(w);
+      if (reps == 0) continue;
+      // Copied out of work[w], which the event stores might alias.
+      const KernelId kernel = work[w].kernel;
+      const auto gap_cycles = static_cast<double>(work[w].gap_cycles);
+      const double gap_jitter = work[w].gap_jitter;
+      Cycles first_gap = 0;
+      Cycles gap_total = 0;
+      for (unsigned r = 0; r < reps; ++r) {
+        const double jitter = 1.0 + gap_jitter * (2.0 * draw.uniform01() - 1.0);
+        auto gap = static_cast<Cycles>(std::max(0.0, gap_cycles * jitter));
+        if (r == 0) {
+          gap += entry;
+          entry = 0;
+          first_gap = gap;
+        }
+        instance.events.push_back({kernel, gap});
+        gap_total += gap;
+      }
+      writer.append(kernel, reps, first_gap, gap_total);
+    }
+  }
+  rng = draw;
+  writer.finish();
   return instance;
 }
 

@@ -374,20 +374,58 @@ TEST(ServeCore, ReplayRejectsValuesWiderThanTheirField) {
   EXPECT_EQ(replay_error("mrts.joblog.v1 prcs=4294967302 cg=1 job_classes=2 "
                          "max_blocks=8 macroblocks=4 max_queue=8\n"),
             "joblog line 1: header field prcs '4294967302' is not an integer "
-            "in [0, 4294967295]");
+            "in [1, 1024]");
+  // A header value a server could not have run with is rejected before any
+  // job runs, with the flag's bound: a 2^32 - 1 macroblock loop used to
+  // end the replay in std::bad_alloc at its first run.
+  EXPECT_EQ(replay_error("mrts.joblog.v1 prcs=4 cg=1 job_classes=2 "
+                         "max_blocks=8 macroblocks=4294967295 max_queue=8\n"
+                         "submit 1 t1 0 1 0 0 0 0 1 7\nrun 1\n"),
+            "joblog line 1: header field macroblocks '4294967295' is not an "
+            "integer in [1, 100000]");
+  const struct {
+    const char* field;
+    const char* value;
+    const char* range;
+  } out_of_bounds[] = {
+      {"prcs", "1025", "[1, 1024]"},
+      {"cg", "1025", "[1, 1024]"},
+      {"job_classes", "65", "[1, 64]"},
+      {"max_blocks", "100001", "[1, 100000]"},
+      {"macroblocks", "20000000", "[1, 100000]"},
+      {"max_queue", "1000001", "[1, 1000000]"},
+      {"retain_jobs", "1000001", "[0, 1000000]"},
+      {"prcs", "0", "[1, 1024]"},
+  };
+  for (const auto& c : out_of_bounds) {
+    std::string text =
+        "mrts.joblog.v1 prcs=4 cg=1 job_classes=2 max_blocks=8 "
+        "macroblocks=4 max_queue=8 retain_jobs=16\n";
+    const std::string key = std::string(" ") + c.field + "=";
+    const std::size_t at = text.find(key) + key.size();
+    text.replace(at, text.find_first_of(" \n", at) - at, c.value);
+    EXPECT_EQ(replay_error(text), std::string("joblog line 1: header field ") +
+                                      c.field + " '" + c.value +
+                                      "' is not an integer in " + c.range);
+  }
   // Signs, blanks and stray characters are rejected the same way.
   EXPECT_FALSE(replay_error(header + "submit 1 t1 0 +1 0 0 0 0 1 7\n").empty());
   EXPECT_FALSE(replay_error(header + "submit 1 t1 0 1 0 0 0 0 1 7x\n").empty());
   EXPECT_FALSE(replay_error(header.substr(0, header.size() - 1) +
                             " retain_jobs=\n")
                    .empty());
-  // The widest seed still replays.
-  std::istringstream widest(header +
-                            "submit 1 t1 0 1 0 0 0 0 1 18446744073709551615\n");
-  const ReplayResult ok = replay_job_log(widest);
-  ASSERT_TRUE(ok.ok) << ok.error;
-  ASSERT_EQ(ok.jobs.size(), 1u);
-  EXPECT_EQ(ok.jobs[0].state, JobState::kQueued);
+  // The widest seed still replays, and so does the widest header.
+  for (const std::string& head :
+       {header, std::string("mrts.joblog.v1 prcs=1024 cg=1024 job_classes=64 "
+                            "max_blocks=100000 macroblocks=100000 "
+                            "max_queue=1000000 retain_jobs=1000000\n")}) {
+    std::istringstream widest(
+        head + "submit 1 t1 0 1 0 0 0 0 1 18446744073709551615\n");
+    const ReplayResult ok = replay_job_log(widest);
+    ASSERT_TRUE(ok.ok) << ok.error;
+    ASSERT_EQ(ok.jobs.size(), 1u);
+    EXPECT_EQ(ok.jobs[0].state, JobState::kQueued);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -488,20 +526,26 @@ TEST(JobLogFuzz, OversizedValueInEveryFieldIsRejected) {
     return line;
   };
 
-  // Every header field (line 1): key=value tokens after the magic.
+  // Every header field (line 1): key=value tokens after the magic. Header
+  // values are bounded by the server's flags (kServeConfigBounds), so one
+  // more than the bound fails, and so does a value wider than any field.
   const std::vector<std::string> header = tokens_of(lines[0]);
   ASSERT_EQ(header.size(), 8u);  // magic + 7 fields
   for (std::size_t i = 1; i < header.size(); ++i) {
     const std::string key = header[i].substr(0, header[i].find('='));
-    const bool wide = key == "max_queue" || key == "retain_jobs";
-    std::vector<std::string> tokens = header;
-    tokens[i] = key + "=" + (wide ? wider_u64 : wider_u32);
-    std::vector<std::string> damaged = lines;
-    damaged[0] = joined(tokens);
-    EXPECT_EQ(replay_error_of(join_lines(damaged)),
-              "joblog line 1: header field " + key + " '" +
-                  (wide ? wider_u64 : wider_u32) +
-                  "' is not an integer in [0, " + (wide ? u64 : u32) + "]");
+    const ServeConfigBound& bound = serve_config_bound(key);
+    const std::string range = "[" + std::to_string(bound.lo) + ", " +
+                              std::to_string(bound.hi) + "]";
+    for (const std::string& value :
+         {std::to_string(bound.hi + 1), wider_u64}) {
+      std::vector<std::string> tokens = header;
+      tokens[i] = key + "=" + value;
+      std::vector<std::string> damaged = lines;
+      damaged[0] = joined(tokens);
+      EXPECT_EQ(replay_error_of(join_lines(damaged)),
+                "joblog line 1: header field " + key + " '" + value +
+                    "' is not an integer in " + range);
+    }
   }
 
   // Every numeric field of the first submit (line 2).

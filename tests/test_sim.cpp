@@ -353,6 +353,20 @@ TEST(DeriveTriggerDiff, UnknownKernelThrowsAndTheNextCallIsExact) {
   }
 }
 
+/// The maximal same-kernel runs of \p events, from their definition.
+std::vector<ExecRun> reference_runs(const std::vector<ExecEvent>& events) {
+  std::vector<ExecRun> runs;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (i == 0 || events[i].kernel != events[i - 1].kernel) {
+      runs.push_back({events[i].kernel, static_cast<std::uint32_t>(i), 0, 0,
+                      events[i].gap_before});
+    }
+    runs.back().count += 1;
+    runs.back().gap_total += events[i].gap_before;
+  }
+  return runs;
+}
+
 /// The chunk tables of \p runs from their definition: each chunk's runs
 /// recounted and added to the boundary before it, and each endpoint chunk
 /// found from every kernel's first and last run.
@@ -391,6 +405,41 @@ RunChunks reference_chunks(const std::vector<ExecRun>& runs) {
   return ref;
 }
 
+/// The events of make_block_instance drawn one at a time, in the order the
+/// generator must keep: per macroblock, per work entry in list order, one
+/// uniform01 per execution; only the block's first event adds the entry
+/// gap. Jobs and traces draw all their blocks from one Rng, so a draw too
+/// many or too few would shift every later block.
+std::vector<ExecEvent> reference_events(unsigned macroblocks,
+                                        const std::vector<KernelWork>& work,
+                                        Cycles entry_gap, Rng& rng) {
+  std::vector<ExecEvent> events;
+  std::vector<double> remainder(work.size(), 0.0);
+  bool first_event = true;
+  for (unsigned mb = 0; mb < macroblocks; ++mb) {
+    for (std::size_t w = 0; w < work.size(); ++w) {
+      const KernelWork& kw = work[w];
+      remainder[w] += kw.repetitions_per_mb;
+      auto reps = static_cast<unsigned>(remainder[w]);
+      remainder[w] -= reps;
+      for (unsigned r = 0; r < reps; ++r) {
+        ExecEvent ev;
+        ev.kernel = kw.kernel;
+        const double jitter =
+            1.0 + kw.gap_jitter * (2.0 * rng.uniform01() - 1.0);
+        ev.gap_before = static_cast<Cycles>(
+            std::max(0.0, static_cast<double>(kw.gap_cycles) * jitter));
+        if (first_event) {
+          ev.gap_before += entry_gap;
+          first_event = false;
+        }
+        events.push_back(ev);
+      }
+    }
+  }
+  return events;
+}
+
 TEST(MakeBlockInstance, RunsAndChunksMatchAFreshDecodeOfItsEvents) {
   Rng rng(4242);
   std::size_t tables = 0;
@@ -404,45 +453,71 @@ TEST(MakeBlockInstance, RunsAndChunksMatchAFreshDecodeOfItsEvents) {
       kw.gap_jitter = rng.uniform(0.0, 0.5);
     }
     const auto macroblocks = static_cast<unsigned>(1 + rng.next_below(120));
+    const Cycles entry_gap = rng.next_below(500);
     Rng draw(static_cast<std::uint64_t>(trial));
-    const FunctionalBlockInstance inst =
-        make_block_instance(FunctionalBlockId{1}, macroblocks, work,
-                            rng.next_below(500), 7, draw);
+    const FunctionalBlockInstance inst = make_block_instance(
+        FunctionalBlockId{1}, macroblocks, work, entry_gap, 7, draw);
     // Sized once: the reservation's slack is about one event per kernel.
     EXPECT_LE(inst.events.capacity(), inst.events.size() + 2 * work.size());
 
-    std::vector<ExecRun> runs;
-    decode_runs(inst.events, runs);
-    ASSERT_EQ(inst.runs.size(), runs.size()) << "trial " << trial;
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      EXPECT_EQ(inst.runs[r].kernel, runs[r].kernel);
-      EXPECT_EQ(inst.runs[r].first_event, runs[r].first_event);
-      EXPECT_EQ(inst.runs[r].count, runs[r].count);
-      EXPECT_EQ(inst.runs[r].gap_total, runs[r].gap_total);
-      EXPECT_EQ(inst.runs[r].first_gap, runs[r].first_gap);
+    // The same events from the same draws, and the caller's generator left
+    // where the per-event loop leaves it.
+    Rng reference_draw(static_cast<std::uint64_t>(trial));
+    const std::vector<ExecEvent> events =
+        reference_events(macroblocks, work, entry_gap, reference_draw);
+    ASSERT_EQ(inst.events.size(), events.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      ASSERT_EQ(inst.events[i].kernel, events[i].kernel) << "event " << i;
+      ASSERT_EQ(inst.events[i].gap_before, events[i].gap_before)
+          << "event " << i;
+    }
+    EXPECT_EQ(draw.next_u64(), reference_draw.next_u64()) << "trial " << trial;
+
+    // Runs written while drawing, and decoded from the finished events,
+    // both against the definition.
+    const std::vector<ExecRun> runs = reference_runs(inst.events);
+    std::vector<ExecRun> decoded;
+    decode_runs(inst.events, decoded);
+    const std::vector<ExecRun>* written[] = {&inst.runs, &decoded};
+    for (const std::vector<ExecRun>* got : written) {
+      ASSERT_EQ(got->size(), runs.size()) << "trial " << trial;
+      for (std::size_t r = 0; r < runs.size(); ++r) {
+        EXPECT_EQ((*got)[r].kernel, runs[r].kernel);
+        EXPECT_EQ((*got)[r].first_event, runs[r].first_event);
+        EXPECT_EQ((*got)[r].count, runs[r].count);
+        EXPECT_EQ((*got)[r].gap_total, runs[r].gap_total);
+        EXPECT_EQ((*got)[r].first_gap, runs[r].first_gap);
+      }
     }
     // Sized exactly: the runs live as long as the trace.
     EXPECT_EQ(inst.runs.capacity(), inst.runs.size());
 
-    const RunChunks& a = inst.chunks;
+    // The chunk rows written while drawing, and those a hand-built copy of
+    // the events gets from finalize_instance_runs, against the definition.
+    FunctionalBlockInstance rebuilt;
+    rebuilt.events = inst.events;
+    finalize_instance_runs(rebuilt);
     const RunChunks b = reference_chunks(runs);
-    EXPECT_EQ(a.kernels, b.kernels);
-    ASSERT_EQ(a.chunks.size(), b.chunks.size());
-    for (std::size_t c = 0; c < a.chunks.size(); ++c) {
-      EXPECT_EQ(a.chunks[c].gaps_before, b.chunks[c].gaps_before);
-      EXPECT_EQ(a.chunks[c].last_kernel, b.chunks[c].last_kernel);
-      EXPECT_EQ(a.chunks[c].next_endpoint, b.chunks[c].next_endpoint);
+    const RunChunks* tables_written[] = {&inst.chunks, &rebuilt.chunks};
+    for (const RunChunks* a : tables_written) {
+      EXPECT_EQ(a->kernels, b.kernels);
+      ASSERT_EQ(a->chunks.size(), b.chunks.size());
+      for (std::size_t c = 0; c < a->chunks.size(); ++c) {
+        EXPECT_EQ(a->chunks[c].gaps_before, b.chunks[c].gaps_before);
+        EXPECT_EQ(a->chunks[c].last_kernel, b.chunks[c].last_kernel);
+        EXPECT_EQ(a->chunks[c].next_endpoint, b.chunks[c].next_endpoint);
+      }
+      ASSERT_EQ(a->counts.size(), b.counts.size());
+      for (std::size_t i = 0; i < a->counts.size(); ++i) {
+        EXPECT_EQ(a->counts[i].runs, b.counts[i].runs);
+        EXPECT_EQ(a->counts[i].executions, b.counts[i].executions);
+      }
+      // Runs that fit in one chunk get no table, so run_block passes none.
+      if (!runs.empty()) {
+        EXPECT_EQ(a->covers(runs.size()), runs.size() > kChunkRuns);
+      }
     }
-    ASSERT_EQ(a.counts.size(), b.counts.size());
-    for (std::size_t i = 0; i < a.counts.size(); ++i) {
-      EXPECT_EQ(a.counts[i].runs, b.counts[i].runs);
-      EXPECT_EQ(a.counts[i].executions, b.counts[i].executions);
-    }
-    // Runs that fit in one chunk get no table, so run_block passes none.
-    if (!runs.empty()) {
-      EXPECT_EQ(a.covers(runs.size()), runs.size() > kChunkRuns);
-    }
-    tables += a.chunks.empty() ? 0 : 1;
+    tables += inst.chunks.chunks.empty() ? 0 : 1;
   }
   EXPECT_GT(tables, 100u);
   EXPECT_LT(tables, 200u);

@@ -81,18 +81,24 @@ TEST(WireHeader, CrcCoversVersionTypeFlagsLengthAndPayload) {
 
 // ---------------------------------------------------------------------------
 // CRC-32 pinned by value: known answers, the running form, and a bitwise
-// reference at every length, alignment and on a large buffer.
+// reference at every length, alignment and on a large buffer. Each checks
+// crc32_update, which folds on CPUs with PCLMULQDQ, and the portable table
+// loop beside it, so the oracle stays tested where the fold runs.
 // ---------------------------------------------------------------------------
 
-/// CRC-32 straight from the reflected polynomial, one bit at a time.
+/// One byte into the raw CRC-32 register, straight from the reflected
+/// polynomial, one bit at a time.
+std::uint32_t reference_step(std::uint32_t c, std::uint8_t byte) {
+  c ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c;
+}
+
 std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c ^= data[i];
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-  }
+  for (std::size_t i = 0; i < size; ++i) c = reference_step(c, data[i]);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -105,11 +111,12 @@ std::vector<std::uint8_t> seeded_bytes(std::size_t size, std::uint64_t seed) {
 
 TEST(Crc32, KnownAnswers) {
   const std::string check = "123456789";
-  EXPECT_EQ(snapshot_crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
-                           check.size()),
-            0xCBF43926u);
+  const auto* digits = reinterpret_cast<const std::uint8_t*>(check.data());
+  EXPECT_EQ(snapshot_crc32(digits, check.size()), 0xCBF43926u);
+  EXPECT_EQ(crc32_update_portable(0, digits, check.size()), 0xCBF43926u);
   EXPECT_EQ(snapshot_crc32(nullptr, 0), 0u);
   EXPECT_EQ(crc32_update(0, nullptr, 0), 0u);
+  EXPECT_EQ(crc32_update_portable(0, nullptr, 0), 0u);
 }
 
 TEST(Crc32, HelloWorkedExampleFromProtocolDoc) {
@@ -128,28 +135,45 @@ TEST(Crc32, HelloWorkedExampleFromProtocolDoc) {
 }
 
 TEST(Crc32, RunningFormSplitAtEveryPointEqualsOneShot) {
-  const std::vector<std::uint8_t> bytes = seeded_bytes(100, 1);
-  const std::uint32_t whole = snapshot_crc32(bytes.data(), bytes.size());
+  // 300 bytes: heads under 64 bytes take the table loop, longer ones fold
+  // and leave a tail under 16 bytes, and the rest meets both.
+  const std::vector<std::uint8_t> bytes = seeded_bytes(300, 1);
+  const std::uint32_t whole = reference_crc32(bytes.data(), bytes.size());
   for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::size_t rest = bytes.size() - split;
     const std::uint32_t head = crc32_update(0, bytes.data(), split);
-    EXPECT_EQ(crc32_update(head, bytes.data() + split, bytes.size() - split),
+    EXPECT_EQ(crc32_update(head, bytes.data() + split, rest), whole)
+        << "split at " << split;
+    const std::uint32_t portable_head =
+        crc32_update_portable(0, bytes.data(), split);
+    EXPECT_EQ(portable_head, head) << "split at " << split;
+    EXPECT_EQ(crc32_update_portable(portable_head, bytes.data() + split, rest),
               whole)
         << "split at " << split;
   }
 }
 
 TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
-  const std::vector<std::uint8_t> bytes = seeded_bytes(64 + 8, 2);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 64; ++length) {
-      EXPECT_EQ(snapshot_crc32(bytes.data() + offset, length),
-                reference_crc32(bytes.data() + offset, length))
+  // Every length 0-4096 at offsets 0-15: the reference register runs along
+  // the buffer, so each prefix's CRC costs one byte of reference work.
+  constexpr std::size_t kMaxLength = 4096;
+  const std::vector<std::uint8_t> bytes = seeded_bytes(kMaxLength + 16, 2);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const std::uint8_t* data = bytes.data() + offset;
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      const std::uint32_t expect = c ^ 0xFFFFFFFFu;
+      ASSERT_EQ(snapshot_crc32(data, length), expect)
           << "offset " << offset << " length " << length;
+      ASSERT_EQ(crc32_update_portable(0, data, length), expect)
+          << "offset " << offset << " length " << length;
+      if (length < kMaxLength) c = reference_step(c, data[length]);
     }
   }
   const std::vector<std::uint8_t> big = seeded_bytes(1u << 20, 3);
-  EXPECT_EQ(snapshot_crc32(big.data(), big.size()),
-            reference_crc32(big.data(), big.size()));
+  const std::uint32_t expect = reference_crc32(big.data(), big.size());
+  EXPECT_EQ(snapshot_crc32(big.data(), big.size()), expect);
+  EXPECT_EQ(crc32_update_portable(0, big.data(), big.size()), expect);
 }
 
 // ---------------------------------------------------------------------------

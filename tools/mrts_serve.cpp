@@ -17,6 +17,7 @@
 //
 // Exit code 0 on success, 1 on usage errors, 2 on input/runtime errors.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -64,6 +65,16 @@ int run_replay(const std::string& joblog_path, const std::string& out_path) {
 
 int serve_main(const CliArgs& args);
 
+/// The flag row of ServeConfig field \p key: `--` + key with `-` for `_`,
+/// bounded by the table replay_job_log checks job-log headers against.
+CliArg config_flag(const char* key, std::uint64_t fallback, const char* help) {
+  const ServeConfigBound& bound = serve_config_bound(key);
+  std::string flag = std::string("--").append(key);
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  return cli_count(flag, "<n>", bound.lo, bound.hi, std::to_string(fallback),
+                   help);
+}
+
 const CliSpec& cli_spec() {
   static const CliSpec spec = [] {
     CliSpec s("mrts_serve", "persistent mRTS job-ingestion server "
@@ -74,25 +85,19 @@ const CliSpec& cli_spec() {
         cli_text("--socket", "<path>",
                  "AF_UNIX socket path to serve on (required unless "
                  "--replay)"),
-        cli_count("--prcs", "<n>", 1, 1024, std::to_string(defaults.core.prcs),
-                  "resident fabric: FG containers"),
-        cli_count("--cg", "<n>", 1, 1024, std::to_string(defaults.core.cg),
-                  "resident fabric: CG fabrics"),
-        cli_count("--job-classes", "<n>", 1, 64,
-                  std::to_string(defaults.core.job_classes),
-                  "synthetic kernel classes"),
-        cli_count("--max-blocks", "<n>", 1, 100000,
-                  std::to_string(defaults.core.max_blocks),
-                  "per-job functional-block ceiling"),
-        cli_count("--macroblocks", "<n>", 1, 100000,
-                  std::to_string(defaults.core.macroblocks),
-                  "macroblock-loop length per block"),
-        cli_count("--max-queue", "<n>", 1, 1000000,
-                  std::to_string(defaults.core.max_queue),
-                  "queued-job ceiling"),
-        cli_count("--retain-jobs", "<n>", 0, 1000000,
-                  std::to_string(defaults.core.retain_jobs),
-                  "polled finished-job records kept for late status polls"),
+        config_flag("prcs", defaults.core.prcs,
+                    "resident fabric: FG containers"),
+        config_flag("cg", defaults.core.cg, "resident fabric: CG fabrics"),
+        config_flag("job_classes", defaults.core.job_classes,
+                    "synthetic kernel classes"),
+        config_flag("max_blocks", defaults.core.max_blocks,
+                    "per-job functional-block ceiling"),
+        config_flag("macroblocks", defaults.core.macroblocks,
+                    "macroblock-loop length per block"),
+        config_flag("max_queue", defaults.core.max_queue,
+                    "queued-job ceiling"),
+        config_flag("retain_jobs", defaults.core.retain_jobs,
+                    "polled finished-job records kept for late status polls"),
         cli_count("--exit-after", "<sessions>", 0, 1u << 30,
                   std::to_string(defaults.exit_after_sessions),
                   "exit once this many sessions have closed; 0 = run until "

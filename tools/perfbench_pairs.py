@@ -19,7 +19,14 @@ exits 1 and writes nothing.
 For each end-to-end metric the row records each side's q1/median/q3 over
 the pairs, the number of pairs in which the change is strictly better and
 the number in which both values are exactly equal. Quartiles are
-statistics.quantiles(..., n=4, method="inclusive").
+statistics.quantiles(..., n=4, method="inclusive"). It also records the
+benchmark gate's check: "worse_by", the change median's relative
+worsening against the parent median (negative when better, null when the
+parent median is 0 and the change's is not), the metric's "bound" from
+BENCHMARK.json, and "gate", one of "better", "within bound", "over bound",
+or "unresolved" when the parent's quartile spread, (q3 - q1) / median,
+exceeds the bound. A metric worse by more than half its bound prints a
+warning line.
 
 --per-layer names metrics of BENCHMARK.json's per_layer list. After the
 untraced pairs the script then runs as many traced pairs (`--trace 1`,
@@ -144,11 +151,50 @@ def compare(metrics, runs):
     return out
 
 
+def gate(metric, row):
+    """Adds the gate's check of one end-to-end metric to its row."""
+    parent, change = row["parent"], row["change"]
+    bound = metric["bound"]
+    base = parent["median"]
+    if base == 0:
+        worse_by = 0.0 if change["median"] == 0 else None
+        spread = 0.0 if parent["q3"] == parent["q1"] else float("inf")
+    else:
+        lower = metric["better"] == "lower"
+        worse_by = ((change["median"] - base) if lower else
+                    (base - change["median"])) / abs(base)
+        spread = (parent["q3"] - parent["q1"]) / abs(base)
+    if spread > bound:
+        verdict = "unresolved"
+    elif worse_by is None:
+        verdict = "over bound"
+    elif worse_by < 0:
+        verdict = "better"
+    elif worse_by <= bound:
+        verdict = "within bound"
+    else:
+        verdict = "over bound"
+    row["worse_by"] = worse_by
+    row["bound"] = bound
+    row["gate"] = verdict
+
+
 def print_rows(rows, pairs):
     for name, m in rows.items():
-        print("%-30s parent %12.6g  change %12.6g  wins %d ties %d /%d" %
-              (name, m["parent"]["median"], m["change"]["median"],
-               m["change_wins"], m["change_ties"], pairs))
+        line = ("%-30s parent %12.6g  change %12.6g  wins %d ties %d /%d" %
+                (name, m["parent"]["median"], m["change"]["median"],
+                 m["change_wins"], m["change_ties"], pairs))
+        if "gate" not in m:  # per-layer metrics have no bound
+            print(line)
+            continue
+        worse = m["worse_by"]
+        check = "worse_by %s, bound %g%%: %s" % (
+            "n/a" if worse is None else "%+.1f%%" % (100 * worse),
+            100 * m["bound"], m["gate"])
+        print(line + "  " + check)
+        if worse is None or worse > m["bound"] / 2:
+            print("warning: %s is past half its bound (%s)" % (name, check),
+                  file=sys.stderr)
 
 
 def main():
@@ -195,6 +241,8 @@ def main():
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     row_metrics = compare(end_to_end,
                           run_pairs(sides, args.workload, seeds, seconds, 0))
+    for metric in end_to_end:
+        gate(metric, row_metrics[metric["name"]])
     layer_metrics = None
     if per_layer:
         layer_metrics = compare(per_layer,
