@@ -111,34 +111,27 @@ void CgFabric::append_instance_ready_times(DataPathId dp,
   }
 }
 
-void CgFabric::save_state(SnapshotWriter& w) const {
-  w.u64(contexts_.size());
-  for (const auto& c : contexts_) {
-    w.u32(raw(c.occupant));
-    w.u64(c.ready_at);
+template <typename Io, typename Self>
+void CgFabric::walk(Io& io, Self& self) {
+  io.count(self.contexts_.size(), "CG context count");
+  for (auto& c : self.contexts_) {
+    io.id(c.occupant);
+    io.u64(c.ready_at);
   }
-  w.boolean(active_.has_value());
-  w.u32(active_.value_or(0));
-}
-
-void CgFabric::load_state(SnapshotReader& r) {
-  const std::size_t at = r.pos();
-  const std::uint64_t n = r.u64();
-  if (n != contexts_.size()) {
-    throw SnapshotError("snapshot CG context count does not match this fabric",
-                        at);
-  }
-  for (auto& c : contexts_) {
-    c.occupant = DataPathId{r.u32()};
-    c.ready_at = r.u64();
-  }
-  const bool has_active = r.boolean();
-  const std::size_t slot_at = r.pos();
-  const std::uint32_t slot = r.u32();
-  if (has_active && slot >= contexts_.size()) {
+  bool has_active = self.active_.has_value();
+  std::uint32_t slot = self.active_.value_or(0);
+  io.boolean(has_active);
+  const std::size_t slot_at = io.pos();
+  io.u32(slot);
+  if (has_active && slot >= self.contexts_.size()) {
     throw SnapshotError("snapshot active CG slot out of range", slot_at);
   }
-  active_ = has_active ? std::optional<unsigned>(slot) : std::nullopt;
+  if constexpr (Io::kLoading) {
+    self.active_ = has_active ? std::optional<unsigned>(slot) : std::nullopt;
+  }
 }
+
+void CgFabric::save_state(SnapshotWriter& w) const { walk(w, *this); }
+void CgFabric::load_state(SnapshotReader& r) { walk(r, *this); }
 
 }  // namespace mrts

@@ -96,6 +96,9 @@ class CgFabric {
   void load_state(SnapshotReader& r);
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
+
   CgFabricParams params_;
   std::vector<CgContext> contexts_;
   std::optional<unsigned> active_;

@@ -1017,25 +1017,6 @@ std::optional<Cycles> FabricManager::acquire_mono_cg(DataPathId mono_dp,
   return res.ready + switch_cost;
 }
 
-Cycles FabricManager::activate_cg_context(DataPathId dp, Cycles now) {
-  for (unsigned i = 0; i < cg_.size(); ++i) {
-    CgFabric& fabric = cg_[i];
-    if (auto slot = fabric.slot_of(dp)) {
-      if (fabric.context(*slot).ready_at > now) return 0;
-      ++state_epoch_;
-      const Cycles switch_cost = fabric.activate(*slot);
-      if (switch_cost > 0) {
-        trace_record({TraceEventKind::kCgContextSwitch,
-                      kTrackCgBase + static_cast<std::int32_t>(i), now,
-                      switch_cost, raw(dp), 0, 0.0, 0.0});
-        if (counters_ != nullptr) counters_->add("fabric.cg_context_switches");
-      }
-      return switch_cost;
-    }
-  }
-  return 0;
-}
-
 unsigned FabricManager::available_instances(DataPathId dp, Cycles t) const {
   unsigned n = 0;
   for (unsigned i = 0; i < fg_.num_prcs(); ++i) {
@@ -1129,104 +1110,60 @@ void FabricManager::reset() {
   next_scrub_ = 0;
 }
 
-namespace {
-
-void save_bool_vector(SnapshotWriter& w, const std::vector<bool>& v) {
-  w.u64(v.size());
-  for (bool b : v) w.boolean(b);
-}
-
-void load_bool_vector(SnapshotReader& r, std::vector<bool>& v,
-                      const char* what) {
-  const std::size_t n = r.length(1u << 20, what);
-  if (n != v.size()) {
-    throw SnapshotError(std::string("snapshot ") + what +
-                            " size does not match this fabric",
-                        r.pos());
-  }
-  for (std::size_t i = 0; i < n; ++i) v[i] = r.boolean();
-}
-
-void save_tenant_vector(SnapshotWriter& w, const std::vector<TenantId>& v) {
-  w.u64(v.size());
-  for (TenantId t : v) w.u32(t);
-}
-
-void load_tenant_vector(SnapshotReader& r, std::vector<TenantId>& v,
-                        const char* what) {
-  const std::size_t n = r.length(1u << 20, what);
-  if (n != v.size()) {
-    throw SnapshotError(std::string("snapshot ") + what +
-                            " size does not match this fabric",
-                        r.pos());
-  }
-  for (std::size_t i = 0; i < n; ++i) v[i] = r.u32();
-}
-
-}  // namespace
-
-void FabricManager::save_state(SnapshotWriter& w) const {
+template <typename Io, typename Self>
+void FabricManager::walk(Io& io, Self& self) {
   // Shape header first so a mismatched restore fails before any payload is
   // even parsed.
-  w.u32(fg_.num_prcs());
-  w.u32(static_cast<std::uint32_t>(cg_.size()));
-  fg_.save_state(w);
-  for (const auto& fabric : cg_) fabric.save_state(w);
-  reconfig_.save_state(w);
-  save_bool_vector(w, prc_reserved_);
-  save_bool_vector(w, cg_reserved_);
-  w.u64(cg_pinned_.size());
-  for (DataPathId dp : cg_pinned_) w.u32(raw(dp));
-  w.u64(reconfig_stats_.fg_loads);
-  w.u64(reconfig_stats_.cg_loads);
-  w.u64(reconfig_stats_.fg_bytes);
-  w.u64(reconfig_stats_.cg_bytes);
-  w.u64(reconfig_stats_.cancelled_loads);
-  w.u64(reconfig_stats_.reused_instances);
-  w.u32(active_tenant_);
-  save_tenant_vector(w, prc_owner_);
-  save_tenant_vector(w, cg_owner_);
-  save_bool_vector(w, prc_quarantined_);
-  save_bool_vector(w, cg_quarantined_);
-  w.u32(usable_prcs_);
-  w.u32(usable_cg_);
-  w.u64(next_scrub_);
-  w.u64(state_epoch_);
+  std::uint32_t prcs = self.fg_.num_prcs();
+  auto cgs = static_cast<std::uint32_t>(self.cg_.size());
+  io.u32(prcs);
+  io.u32(cgs);
+  if (prcs != self.fg_.num_prcs() || cgs != self.cg_.size()) {
+    throw SnapshotError("snapshot fabric shape does not match this fabric",
+                        io.pos());
+  }
+  const auto bit = [](auto& io, auto&& b) { io.boolean(b); };
+  const auto tenant = [](auto& io, auto& t) { io.u32(t); };
+  io.state(self.fg_);
+  for (auto& fabric : self.cg_) io.state(fabric);
+  io.state(self.reconfig_);
+  io.fixed(self.prc_reserved_, "PRC reservation set", bit);
+  io.fixed(self.cg_reserved_, "CG reservation set", bit);
+  io.fixed(self.cg_pinned_, "CG pin set",
+           [](auto& io, auto& dp) { io.id(dp); });
+  auto& stats = self.reconfig_stats_;
+  io.u64(stats.fg_loads);
+  io.u64(stats.cg_loads);
+  io.u64(stats.fg_bytes);
+  io.u64(stats.cg_bytes);
+  io.u64(stats.cancelled_loads);
+  io.u64(stats.reused_instances);
+  io.u32(self.active_tenant_);
+  io.fixed(self.prc_owner_, "PRC owner table", tenant);
+  io.fixed(self.cg_owner_, "CG owner table", tenant);
+  io.fixed(self.prc_quarantined_, "PRC quarantine set", bit);
+  io.fixed(self.cg_quarantined_, "CG quarantine set", bit);
+  io.u32(self.usable_prcs_);
+  io.u32(self.usable_cg_);
+  if constexpr (Io::kLoading) {
+    // Quarantine is the only way out of the usable pools; install relies on
+    // the counts to find a victim.
+    const auto usable = [](const std::vector<bool>& quarantined) {
+      return static_cast<unsigned>(
+          std::count(quarantined.begin(), quarantined.end(), false));
+    };
+    if (self.usable_prcs_ != usable(self.prc_quarantined_) ||
+        self.usable_cg_ != usable(self.cg_quarantined_)) {
+      throw SnapshotError(
+          "snapshot usable container counts do not match the quarantine sets",
+          io.pos());
+    }
+  }
+  io.u64(self.next_scrub_);
+  io.u64(self.state_epoch_);
 }
 
-void FabricManager::load_state(SnapshotReader& r) {
-  const std::uint32_t prcs = r.u32();
-  const std::uint32_t cgs = r.u32();
-  if (prcs != fg_.num_prcs() || cgs != cg_.size()) {
-    throw SnapshotError(
-        "snapshot fabric shape does not match this fabric", r.pos());
-  }
-  fg_.load_state(r);
-  for (auto& fabric : cg_) fabric.load_state(r);
-  reconfig_.load_state(r);
-  load_bool_vector(r, prc_reserved_, "PRC reservation set");
-  load_bool_vector(r, cg_reserved_, "CG reservation set");
-  const std::size_t pins = r.length(1u << 20, "CG pin set");
-  if (pins != cg_pinned_.size()) {
-    throw SnapshotError("snapshot CG pin set size does not match this fabric",
-                        r.pos());
-  }
-  for (std::size_t i = 0; i < pins; ++i) cg_pinned_[i] = DataPathId{r.u32()};
-  reconfig_stats_.fg_loads = r.u64();
-  reconfig_stats_.cg_loads = r.u64();
-  reconfig_stats_.fg_bytes = r.u64();
-  reconfig_stats_.cg_bytes = r.u64();
-  reconfig_stats_.cancelled_loads = r.u64();
-  reconfig_stats_.reused_instances = r.u64();
-  active_tenant_ = r.u32();
-  load_tenant_vector(r, prc_owner_, "PRC owner table");
-  load_tenant_vector(r, cg_owner_, "CG owner table");
-  load_bool_vector(r, prc_quarantined_, "PRC quarantine set");
-  load_bool_vector(r, cg_quarantined_, "CG quarantine set");
-  usable_prcs_ = r.u32();
-  usable_cg_ = r.u32();
-  next_scrub_ = r.u64();
-  state_epoch_ = r.u64();
-}
+void FabricManager::save_state(SnapshotWriter& w) const { walk(w, *this); }
+void FabricManager::load_state(SnapshotReader& r) { walk(r, *this); }
 
 }  // namespace mrts

@@ -170,10 +170,6 @@ class FabricManager {
   /// nullopt when no free CG fabric exists.
   std::optional<Cycles> acquire_mono_cg(DataPathId mono_dp, Cycles now);
 
-  /// Activates \p dp's context on the CG fabric where it resides, returning
-  /// the context-switch penalty (0 if already active or not CG-resident).
-  Cycles activate_cg_context(DataPathId dp, Cycles now);
-
   /// Number of instances of \p dp usable at \p t anywhere on the fabric.
   unsigned available_instances(DataPathId dp, Cycles t) const;
 
@@ -301,6 +297,9 @@ class FabricManager {
   void load_state(SnapshotReader& r);
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
+
   /// Forwards one event to the attached recorder, stamping the currently
   /// active tenant onto it (unless the site already stamped one). Keeps
   /// shared-fabric traces per-tenant attributable without threading a

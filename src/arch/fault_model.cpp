@@ -63,28 +63,21 @@ bool FaultModel::permanent() {
   return rng_.bernoulli(config_.permanent_fault_prob);
 }
 
-void FaultModel::save_state(SnapshotWriter& w) const {
-  rng_.save_state(w);
-  w.u64(stats_.injected);
-  w.u64(stats_.load_failures);
-  w.u64(stats_.retries);
-  w.u64(stats_.failed_loads);
-  w.u64(stats_.transient_upsets);
-  w.u64(stats_.scrub_repairs);
-  w.u64(stats_.quarantined_prcs);
-  w.u64(stats_.quarantined_cg);
+template <typename Io, typename Self>
+void FaultModel::walk(Io& io, Self& self) {
+  io.state(self.rng_);
+  auto& stats = self.stats_;
+  io.u64(stats.injected);
+  io.u64(stats.load_failures);
+  io.u64(stats.retries);
+  io.u64(stats.failed_loads);
+  io.u64(stats.transient_upsets);
+  io.u64(stats.scrub_repairs);
+  io.u64(stats.quarantined_prcs);
+  io.u64(stats.quarantined_cg);
 }
 
-void FaultModel::load_state(SnapshotReader& r) {
-  rng_.load_state(r);
-  stats_.injected = r.u64();
-  stats_.load_failures = r.u64();
-  stats_.retries = r.u64();
-  stats_.failed_loads = r.u64();
-  stats_.transient_upsets = r.u64();
-  stats_.scrub_repairs = r.u64();
-  stats_.quarantined_prcs = r.u64();
-  stats_.quarantined_cg = r.u64();
-}
+void FaultModel::save_state(SnapshotWriter& w) const { walk(w, *this); }
+void FaultModel::load_state(SnapshotReader& r) { walk(r, *this); }
 
 }  // namespace mrts

@@ -134,6 +134,9 @@ class FaultModel {
   void load_state(SnapshotReader& r);
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
+
   FaultModelConfig config_;
   Rng rng_;
   FaultStats stats_;

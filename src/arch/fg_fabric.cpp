@@ -62,24 +62,16 @@ std::vector<Cycles> FgFabric::instance_ready_times(DataPathId dp) const {
   return out;
 }
 
-void FgFabric::save_state(SnapshotWriter& w) const {
-  w.u64(prcs_.size());
-  for (const auto& prc : prcs_) {
-    w.u32(raw(prc.occupant));
-    w.u64(prc.ready_at);
+template <typename Io, typename Self>
+void FgFabric::walk(Io& io, Self& self) {
+  io.count(self.prcs_.size(), "PRC count");
+  for (auto& prc : self.prcs_) {
+    io.id(prc.occupant);
+    io.u64(prc.ready_at);
   }
 }
 
-void FgFabric::load_state(SnapshotReader& r) {
-  const std::size_t at = r.pos();
-  const std::uint64_t n = r.u64();
-  if (n != prcs_.size()) {
-    throw SnapshotError("snapshot PRC count does not match this fabric", at);
-  }
-  for (auto& prc : prcs_) {
-    prc.occupant = DataPathId{r.u32()};
-    prc.ready_at = r.u64();
-  }
-}
+void FgFabric::save_state(SnapshotWriter& w) const { walk(w, *this); }
+void FgFabric::load_state(SnapshotReader& r) { walk(r, *this); }
 
 }  // namespace mrts

@@ -72,6 +72,9 @@ class FgFabric {
   void load_state(SnapshotReader& r);
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
+
   std::vector<Prc> prcs_;
 };
 

@@ -81,49 +81,33 @@ void ReconfigPort::compact(Cycles now) {
               jobs_.end());
 }
 
-void ReconfigPort::save_state(SnapshotWriter& w) const {
-  w.u64(jobs_.size());
-  for (const auto& job : jobs_) {
-    w.u64(job.id);
-    w.u32(raw(job.dp));
-    w.u32(job.container);
-    w.u64(job.enqueued_at);
-    w.u64(job.duration);
-    w.u64(job.starts_at);
-    w.u64(job.completes_at);
-  }
-  w.u64(next_id_);
-  w.u64(total_busy_);
+template <typename Io, typename Self>
+void ReconfigPort::walk(Io& io, Self& self) {
+  io.seq(self.jobs_, 1u << 24, "reconfig job queue", [](auto& io, auto& job) {
+    io.u64(job.id);
+    io.id(job.dp);
+    io.u32(job.container);
+    io.u64(job.enqueued_at);
+    io.u64(job.duration);
+    io.u64(job.starts_at);
+    io.u64(job.completes_at);
+  });
+  io.u64(self.next_id_);
+  io.u64(self.total_busy_);
 }
 
-void ReconfigPort::load_state(SnapshotReader& r) {
-  std::vector<ReconfigJob> jobs;
-  const std::size_t n = r.length(1u << 24, "reconfig job queue");
-  jobs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ReconfigJob job;
-    job.id = r.u64();
-    job.dp = DataPathId{r.u32()};
-    job.container = r.u32();
-    job.enqueued_at = r.u64();
-    job.duration = r.u64();
-    job.starts_at = r.u64();
-    job.completes_at = r.u64();
-    jobs.push_back(job);
-  }
-  next_id_ = r.u64();
-  total_busy_ = r.u64();
-  jobs_ = std::move(jobs);
+void ReconfigPort::save_state(SnapshotWriter& w) const { walk(w, *this); }
+void ReconfigPort::load_state(SnapshotReader& r) { walk(r, *this); }
+
+template <typename Io, typename Self>
+void ReconfigController::walk(Io& io, Self& self) {
+  io.state(self.fg_);
+  io.state(self.cg_);
 }
 
 void ReconfigController::save_state(SnapshotWriter& w) const {
-  fg_.save_state(w);
-  cg_.save_state(w);
+  walk(w, *this);
 }
-
-void ReconfigController::load_state(SnapshotReader& r) {
-  fg_.load_state(r);
-  cg_.load_state(r);
-}
+void ReconfigController::load_state(SnapshotReader& r) { walk(r, *this); }
 
 }  // namespace mrts

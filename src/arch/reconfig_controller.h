@@ -83,6 +83,9 @@ class ReconfigPort {
   void load_state(SnapshotReader& r);
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
+
   void retime(Cycles now);
 
   std::vector<ReconfigJob> jobs_;  // FIFO order
@@ -102,6 +105,9 @@ class ReconfigController {
   void load_state(SnapshotReader& r);
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
+
   ReconfigPort fg_;
   ReconfigPort cg_;
 };

@@ -536,38 +536,29 @@ void Ecu::note_execution(KernelState& st, KernelId k, ImplKind kind,
   }
 }
 
-void Ecu::save_state(SnapshotWriter& w) const {
-  for (auto e : stats_.executions) w.u64(e);
-  for (auto c : stats_.cycles) w.u64(c);
-  w.u64(stats_.saved_vs_risc);
-  w.u64(stats_.context_switch_cycles);
-  w.u32(raw(last_executed_));
-  w.u64(state_.size());
-  for (const KernelState& st : state_) {
-    w.boolean(st.built);
-    w.u64(st.mono_ready);
-    w.u8(st.traced_impl);
-  }
+template <typename Io, typename Self>
+void Ecu::walk(Io& io, Self& self) {
+  auto& stats = self.stats_;
+  for (auto& e : stats.executions) io.u64(e);
+  for (auto& c : stats.cycles) io.u64(c);
+  io.u64(stats.saved_vs_risc);
+  io.u64(stats.context_switch_cycles);
+  io.id(self.last_executed_);
+  io.seq(self.state_, 1u << 20, "ECU kernel state table",
+         [](auto& io, auto& st) {
+           io.boolean(st.built);
+           io.u64(st.mono_ready);
+           io.u8(st.traced_impl);
+         });
 }
 
+void Ecu::save_state(SnapshotWriter& w) const { walk(w, *this); }
+
 void Ecu::load_state(SnapshotReader& r) {
-  EcuStats stats;
-  for (auto& e : stats.executions) e = r.u64();
-  for (auto& c : stats.cycles) c = r.u64();
-  stats.saved_vs_risc = r.u64();
-  stats.context_switch_cycles = r.u64();
-  const KernelId last{r.u32()};
-  const std::size_t n = r.length(1u << 20, "ECU kernel state table");
-  std::vector<KernelState> state(n);
-  for (KernelState& st : state) {
-    st.built = r.boolean();
+  walk(r, *this);
+  for (KernelState& st : state_) {
     st.next = kNeverCycles;  // needs-rebuild marker (see state_for)
-    st.mono_ready = r.u64();
-    st.traced_impl = r.u8();
   }
-  stats_ = stats;
-  last_executed_ = last;
-  state_ = std::move(state);
   memo_.clear();
 }
 

@@ -147,6 +147,9 @@ class Ecu {
   }
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
+
   /// One point where a (possibly better) implementation becomes available.
   struct Option {
     Cycles at = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "util/counters.h"
 #include "util/snapshot_io.h"
@@ -82,36 +81,29 @@ void Mpu::reset() {
   observations_ = 0;
 }
 
-void Mpu::save_state(SnapshotWriter& w) const {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(forecasts_.size());
-  for (const auto& [id, f] : forecasts_) keys.push_back(id);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (std::uint64_t id : keys) {
-    const KernelForecast& f = forecasts_.at(id);
-    w.u64(id);
-    f.executions.save_state(w);
-    f.time_to_first.save_state(w);
-    f.time_between.save_state(w);
-  }
-  w.u64(observations_);
+template <typename Io, typename Self>
+void Mpu::walk(Io& io, Self& self) {
+  io.map(self.forecasts_, 1u << 20, "MPU forecast table",
+         [](auto& io, auto& id, auto& f) {
+           io.u64(id);
+           io.state(f.executions);
+           io.state(f.time_to_first);
+           io.state(f.time_between);
+           // Forecasts average observed counts and cycles, and refine()
+           // converts them to Cycles: each must lie in [0, 2^64).
+           const auto in_range = [](const Ewma& e) {
+             return e.prediction() >= 0.0 && e.prediction() < 0x1p64;
+           };
+           if (!in_range(f.executions) || !in_range(f.time_to_first) ||
+               !in_range(f.time_between)) {
+             throw SnapshotError("snapshot MPU forecast out of range",
+                                 io.pos());
+           }
+         });
+  io.u64(self.observations_);
 }
 
-void Mpu::load_state(SnapshotReader& r) {
-  std::unordered_map<std::uint64_t, KernelForecast> forecasts;
-  const std::size_t n = r.length(1u << 20, "MPU forecast table");
-  forecasts.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t id = r.u64();
-    KernelForecast f;
-    f.executions.load_state(r);
-    f.time_to_first.load_state(r);
-    f.time_between.load_state(r);
-    forecasts.emplace(id, f);
-  }
-  observations_ = r.u64();
-  forecasts_ = std::move(forecasts);
-}
+void Mpu::save_state(SnapshotWriter& w) const { walk(w, *this); }
+void Mpu::load_state(SnapshotReader& r) { walk(r, *this); }
 
 }  // namespace mrts

@@ -61,6 +61,9 @@ class Mpu {
   }
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
+
   struct KernelForecast {
     Ewma executions;
     Ewma time_to_first;

@@ -1,6 +1,5 @@
 #include "rts/mrts.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -250,108 +249,53 @@ void MRts::on_block_end(const BlockObservation& observed, Cycles now) {
   mpu_.observe(observed, now);
 }
 
-void MRts::save_state(SnapshotWriter& w) const {
-  fabric_->save_state(w);
-  w.boolean(fault_model_ != nullptr);
-  if (fault_model_ != nullptr) fault_model_->save_state(w);
-  mpu_.save_state(w);
-  ecu_.save_state(w);
-  w.u64(stats_.triggers);
-  w.u64(stats_.profit_evaluations);
-  w.u64(stats_.total_selection_cycles);
-  w.u64(stats_.total_blocking_cycles);
-  w.u64(stats_.selected_ises);
-  w.u64(stats_.selected_mg_ises);
-  w.u64(stats_.selected_fg_ises);
-  w.u64(stats_.selected_cg_ises);
-  w.u64(stats_.reused_instances);
-  w.u64(stats_.lookahead_prefetches);
-  w.u64(stats_.defrag_passes);
-  w.u64(stats_.defrag_migrations);
-  // Lookahead predictor state, in ascending key order so the byte stream is
-  // independent of unordered_map iteration order.
-  std::vector<std::uint32_t> keys;
-  keys.reserve(successor_.size());
-  for (const auto& [from, to] : successor_) keys.push_back(from);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (std::uint32_t from : keys) {
-    w.u32(from);
-    w.u32(successor_.at(from));
+template <typename Io, typename Self>
+void MRts::walk(Io& io, Self& self) {
+  io.state(*self.fabric_);
+  if (io.present(self.fault_model_ != nullptr,
+                 "snapshot fault-model presence does not match this "
+                 "runtime")) {
+    io.state(*self.fault_model_);
   }
-  keys.clear();
-  for (const auto& [fb, ti] : trigger_cache_) keys.push_back(fb);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (std::uint32_t fb : keys) {
-    const TriggerInstruction& ti = trigger_cache_.at(fb);
-    w.u32(fb);
-    w.u32(raw(ti.functional_block));
-    w.u64(ti.entries.size());
-    for (const TriggerEntry& e : ti.entries) {
-      w.u32(raw(e.kernel));
-      w.f64(e.expected_executions);
-      w.u64(e.time_to_first);
-      w.u64(e.time_between);
-    }
-  }
-  w.u32(raw(last_block_));
-  w.u32(seen_quarantined_);
+  io.state(self.mpu_);
+  io.state(self.ecu_);
+  auto& stats = self.stats_;
+  io.u64(stats.triggers);
+  io.u64(stats.profit_evaluations);
+  io.u64(stats.total_selection_cycles);
+  io.u64(stats.total_blocking_cycles);
+  io.u64(stats.selected_ises);
+  io.u64(stats.selected_mg_ises);
+  io.u64(stats.selected_fg_ises);
+  io.u64(stats.selected_cg_ises);
+  io.u64(stats.reused_instances);
+  io.u64(stats.lookahead_prefetches);
+  io.u64(stats.defrag_passes);
+  io.u64(stats.defrag_migrations);
+  // Lookahead predictor state.
+  io.map(self.successor_, 1u << 20, "successor table",
+         [](auto& io, auto& from, auto& to) {
+           io.u32(from);
+           io.u32(to);
+         });
+  io.map(self.trigger_cache_, 1u << 20, "trigger cache",
+         [](auto& io, auto& fb, auto& ti) {
+           io.u32(fb);
+           io.id(ti.functional_block);
+           io.seq(ti.entries, 1u << 20, "trigger entry list",
+                  [](auto& io, auto& e) {
+                    io.id(e.kernel);
+                    io.f64(e.expected_executions);
+                    io.u64(e.time_to_first);
+                    io.u64(e.time_between);
+                  });
+         });
+  io.id(self.last_block_);
+  io.u32(self.seen_quarantined_);
 }
 
-void MRts::load_state(SnapshotReader& r) {
-  fabric_->load_state(r);
-  const bool has_fault = r.boolean();
-  if (has_fault != (fault_model_ != nullptr)) {
-    throw SnapshotError(
-        "snapshot fault-model presence does not match this runtime", r.pos());
-  }
-  if (fault_model_ != nullptr) fault_model_->load_state(r);
-  mpu_.load_state(r);
-  ecu_.load_state(r);
-  stats_.triggers = r.u64();
-  stats_.profit_evaluations = r.u64();
-  stats_.total_selection_cycles = r.u64();
-  stats_.total_blocking_cycles = r.u64();
-  stats_.selected_ises = r.u64();
-  stats_.selected_mg_ises = r.u64();
-  stats_.selected_fg_ises = r.u64();
-  stats_.selected_cg_ises = r.u64();
-  stats_.reused_instances = r.u64();
-  stats_.lookahead_prefetches = r.u64();
-  stats_.defrag_passes = r.u64();
-  stats_.defrag_migrations = r.u64();
-  std::unordered_map<std::uint32_t, std::uint32_t> successor;
-  const std::size_t ns = r.length(1u << 20, "successor table");
-  successor.reserve(ns);
-  for (std::size_t i = 0; i < ns; ++i) {
-    const std::uint32_t from = r.u32();
-    successor[from] = r.u32();
-  }
-  std::unordered_map<std::uint32_t, TriggerInstruction> triggers;
-  const std::size_t nt = r.length(1u << 20, "trigger cache");
-  triggers.reserve(nt);
-  for (std::size_t i = 0; i < nt; ++i) {
-    const std::uint32_t fb = r.u32();
-    TriggerInstruction ti;
-    ti.functional_block = FunctionalBlockId{r.u32()};
-    const std::size_t ne = r.length(1u << 20, "trigger entry list");
-    ti.entries.reserve(ne);
-    for (std::size_t j = 0; j < ne; ++j) {
-      TriggerEntry e;
-      e.kernel = KernelId{r.u32()};
-      e.expected_executions = r.f64();
-      e.time_to_first = r.u64();
-      e.time_between = r.u64();
-      ti.entries.push_back(e);
-    }
-    triggers.emplace(fb, std::move(ti));
-  }
-  last_block_ = FunctionalBlockId{r.u32()};
-  seen_quarantined_ = r.u32();
-  successor_ = std::move(successor);
-  trigger_cache_ = std::move(triggers);
-}
+void MRts::save_state(SnapshotWriter& w) const { walk(w, *this); }
+void MRts::load_state(SnapshotReader& r) { walk(r, *this); }
 
 void MRts::reset() {
   // A shared fabric belongs to the whole processor (other tasks may still

@@ -159,13 +159,18 @@ class MRts final : public RuntimeSystem {
   /// self-healing watermark. The restoring process must construct this
   /// instance from the *same* MRtsConfig/library/fabric shape first (the
   /// snapshot meta header carries those); load_state validates what it can
-  /// (fabric shape, fault-model presence) and throws SnapshotError before
-  /// mutating on mismatch. The profit cache needs no state — every select()
-  /// clears it.
+  /// (fabric shape, fault-model presence) and throws SnapshotError on
+  /// mismatch. A shape mismatch throws before anything changes; the
+  /// fault-model flag follows the fabric section, so apply_snapshot checks
+  /// the meta's fault config against this instance before loading. The
+  /// profit cache needs no state — every select() clears it.
   void save_state(SnapshotWriter& w) const;
   void load_state(SnapshotReader& r);
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
+
   const IseLibrary* lib_;
   MRtsConfig config_;
   std::unique_ptr<FabricManager> owned_fabric_;  ///< null in shared mode

@@ -18,119 +18,111 @@ constexpr char kMagic[8] = {'M', 'R', 'T', 'S', 'S', 'N', 'A', 'P'};
 constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 4;
 
-void save_meta(SnapshotWriter& w, const CheckpointMeta& meta) {
-  w.str(meta.app);
-  w.u32(meta.prcs);
-  w.u32(meta.cg);
-  w.u32(meta.frames);
-  w.u64(meta.fault.seed);
-  w.f64(meta.fault.fg_load_failure_prob);
-  w.f64(meta.fault.cg_load_failure_prob);
-  w.f64(meta.fault.transient_upset_prob);
-  w.f64(meta.fault.permanent_fault_prob);
-  w.u32(meta.fault.max_retries);
-  w.u64(meta.fault.retry_backoff_cycles);
-  w.u64(meta.fault.scrub_interval_cycles);
-  w.str(meta.trace_path);
-  w.str(meta.report_path);
-  w.u64(meta.checkpoint_every);
-  w.str(meta.checkpoint_path);
-  w.u64(meta.sequence);
+template <typename Io, typename Meta>
+void walk_meta(Io& io, Meta& meta) {
+  io.str(meta.app);
+  io.u32(meta.prcs);
+  io.u32(meta.cg);
+  io.u32(meta.frames);
+  auto& fault = meta.fault;
+  io.u64(fault.seed);
+  io.f64(fault.fg_load_failure_prob);
+  io.f64(fault.cg_load_failure_prob);
+  io.f64(fault.transient_upset_prob);
+  io.f64(fault.permanent_fault_prob);
+  io.u32(fault.max_retries);
+  io.u64(fault.retry_backoff_cycles);
+  io.u64(fault.scrub_interval_cycles);
+  io.str(meta.trace_path);
+  io.str(meta.report_path);
+  io.u64(meta.checkpoint_every);
+  io.str(meta.checkpoint_path);
+  io.u64(meta.sequence);
 }
 
-CheckpointMeta load_meta(SnapshotReader& r) {
-  CheckpointMeta meta;
-  meta.app = r.str();
-  meta.prcs = r.u32();
-  meta.cg = r.u32();
-  meta.frames = r.u32();
-  meta.fault.seed = r.u64();
-  meta.fault.fg_load_failure_prob = r.f64();
-  meta.fault.cg_load_failure_prob = r.f64();
-  meta.fault.transient_upset_prob = r.f64();
-  meta.fault.permanent_fault_prob = r.f64();
-  meta.fault.max_retries = r.u32();
-  meta.fault.retry_backoff_cycles = r.u64();
-  meta.fault.scrub_interval_cycles = r.u64();
-  meta.trace_path = r.str();
-  meta.report_path = r.str();
-  meta.checkpoint_every = r.u64();
-  meta.checkpoint_path = r.str();
-  meta.sequence = r.u64();
-  return meta;
-}
-
-void save_progress(SnapshotWriter& w, const AppRunProgress& p) {
-  w.u64(p.next_block);
-  w.u64(p.cursor);
-  w.str(p.partial.rts_name);
-  w.u64(p.partial.total_cycles);
-  w.u64(p.partial.blocking_overhead);
-  w.u64(p.partial.block_cycles.size());
-  for (Cycles c : p.partial.block_cycles) w.u64(c);
-  for (auto e : p.partial.impl_executions) w.u64(e);
-  for (auto c : p.partial.impl_cycles) w.u64(c);
-}
-
-AppRunProgress load_progress(SnapshotReader& r) {
-  AppRunProgress p;
-  p.next_block = r.u64();
-  p.cursor = r.u64();
-  p.partial.rts_name = r.str();
-  p.partial.total_cycles = r.u64();
-  p.partial.blocking_overhead = r.u64();
-  const std::size_t n = r.length(1u << 24, "block cycle list");
-  p.partial.block_cycles.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) p.partial.block_cycles.push_back(r.u64());
-  for (auto& e : p.partial.impl_executions) e = r.u64();
-  for (auto& c : p.partial.impl_cycles) c = r.u64();
-  return p;
-}
-
-void save_trace_events(SnapshotWriter& w, const TraceRecorder& recorder) {
-  w.u32(recorder.default_tenant());
-  w.u64(recorder.size());
-  for (const TraceEvent& e : recorder.events()) {
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.i32(e.track);
-    w.u64(e.at);
-    w.u64(e.duration);
-    w.u32(e.arg0);
-    w.u32(e.arg1);
-    w.f64(e.v0);
-    w.f64(e.v1);
-    w.u32(e.tenant);
-  }
-}
-
-void load_trace_events(SnapshotReader& r, TraceRecorder& recorder) {
-  const std::uint32_t default_tenant = r.u32();
-  const std::size_t n = r.length(1u << 26, "trace event list");
-  std::vector<TraceEvent> events;
-  events.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t at = r.pos();
-    TraceEvent e;
-    const std::uint8_t kind = r.u8();
-    if (kind >= kNumTraceEventKinds) {
-      throw SnapshotError("snapshot trace event kind out of range", at);
+template <typename Io, typename Progress>
+void walk_progress(Io& io, Progress& p) {
+  io.u64(p.next_block);
+  io.u64(p.cursor);
+  auto& run = p.partial;
+  io.str(run.rts_name);
+  io.u64(run.total_cycles);
+  io.u64(run.blocking_overhead);
+  io.seq(run.block_cycles, 1u << 24, "block cycle list",
+         [](auto& io, auto& cycles) { io.u64(cycles); });
+  for (auto& e : run.impl_executions) io.u64(e);
+  for (auto& c : run.impl_cycles) io.u64(c);
+  if constexpr (Io::kLoading) {
+    // run_application_portion advances all three together. A cursor far
+    // past the blocks would make the next scrub catch up on every epoch in
+    // between.
+    Cycles sum = 0;
+    for (Cycles c : run.block_cycles) sum += c;
+    if (p.next_block != run.block_cycles.size() || p.cursor != sum) {
+      throw SnapshotError(
+          "snapshot progress does not match its block cycle list", io.pos());
     }
-    e.kind = static_cast<TraceEventKind>(kind);
-    e.track = r.i32();
-    e.at = r.u64();
-    e.duration = r.u64();
-    e.arg0 = r.u32();
-    e.arg1 = r.u32();
-    e.v0 = r.f64();
-    e.v1 = r.f64();
-    e.tenant = r.u32();
-    events.push_back(e);
   }
-  recorder.clear();
-  recorder.set_default_tenant(default_tenant);
-  // record() stamps tenant-0 events with the default tenant; the stored
-  // events are post-stamp, so replaying them through record() is exact.
-  for (const TraceEvent& e : events) recorder.record(e);
+}
+
+template <typename Io, typename Events>
+void walk_events(Io& io, Events& events) {
+  io.seq(events, 1u << 26, "trace event list", [](auto& io, auto& e) {
+    io.enum8(e.kind, kNumTraceEventKinds, "trace event kind");
+    io.i32(e.track);
+    io.u64(e.at);
+    io.u64(e.duration);
+    io.u32(e.arg0);
+    io.u32(e.arg1);
+    io.f64(e.v0);
+    io.f64(e.v1);
+    io.u32(e.tenant);
+  });
+}
+
+/// The recorder's default tenant, then its events. A reader replays them
+/// through record(), which stamps tenant-0 events with the default tenant;
+/// the stored events are post-stamp, so replaying them is exact.
+template <typename Io, typename Recorder>
+void walk_trace(Io& io, Recorder& recorder) {
+  std::uint32_t tenant = recorder.default_tenant();
+  io.u32(tenant);
+  if constexpr (Io::kLoading) {
+    std::vector<TraceEvent> events;
+    walk_events(io, events);
+    recorder.clear();
+    recorder.set_default_tenant(tenant);
+    for (const TraceEvent& e : events) recorder.record(e);
+  } else {
+    walk_events(io, recorder.events());
+  }
+}
+
+/// The payload after the header. A reader checks the runtime's fault
+/// model against the meta before it changes anything.
+template <typename Io, typename Meta, typename Progress, typename Rts,
+          typename Recorder, typename Counters>
+void walk_payload(Io& io, Meta& meta, Progress& progress, Rts& rts,
+                  Recorder* recorder, Counters* counters) {
+  walk_meta(io, meta);
+  if constexpr (Io::kLoading) {
+    if (meta.fault.any_faults() != (rts.fault_model() != nullptr)) {
+      throw SnapshotError(
+          "snapshot fault-model presence does not match this runtime",
+          io.pos());
+    }
+  }
+  walk_progress(io, progress);
+  io.state(rts);
+  if (io.present(recorder != nullptr,
+                 "snapshot trace stream does not match the runtime's (attach "
+                 "the recorder the original run had, or none)")) {
+    walk_trace(io, *recorder);
+  }
+  if (io.present(counters != nullptr,
+                 "snapshot counter stream does not match the runtime's")) {
+    io.state(*counters);
+  }
 }
 
 /// Validates header + CRC and returns a reader positioned at the payload.
@@ -176,20 +168,14 @@ std::vector<std::uint8_t> build_snapshot(const CheckpointMeta& meta,
   SnapshotWriter w;
   for (char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
   w.u32(kFormatVersion);
-  const std::size_t size_pos = w.size();
+  const std::size_t size_pos = w.pos();
   w.u64(0);  // payload size, backpatched
-  const std::size_t crc_pos = w.size();
+  const std::size_t crc_pos = w.pos();
   w.u32(0);  // payload CRC, backpatched
 
-  save_meta(w, meta);
-  save_progress(w, progress);
-  rts.save_state(w);
-  w.boolean(recorder != nullptr);
-  if (recorder != nullptr) save_trace_events(w, *recorder);
-  w.boolean(counters != nullptr);
-  if (counters != nullptr) counters->save_state(w);
+  walk_payload(w, meta, progress, rts, recorder, counters);
 
-  const std::size_t payload_size = w.size() - kHeaderSize;
+  const std::size_t payload_size = w.pos() - kHeaderSize;
   w.patch_u64(size_pos, payload_size);
   w.patch_u32(crc_pos,
               snapshot_crc32(w.bytes().data() + kHeaderSize, payload_size));
@@ -198,30 +184,18 @@ std::vector<std::uint8_t> build_snapshot(const CheckpointMeta& meta,
 
 CheckpointMeta read_snapshot_meta(const std::vector<std::uint8_t>& bytes) {
   SnapshotReader r = validated_payload(bytes);
-  return load_meta(r);
+  CheckpointMeta meta;
+  walk_meta(r, meta);
+  return meta;
 }
 
 void apply_snapshot(const std::vector<std::uint8_t>& bytes, MRts& rts,
                     AppRunProgress& progress, TraceRecorder* recorder,
                     CounterRegistry* counters, TraceRecorder* marker) {
   SnapshotReader r = validated_payload(bytes);
-  const CheckpointMeta meta = load_meta(r);
-  AppRunProgress loaded = load_progress(r);
-  rts.load_state(r);
-  const bool has_trace = r.boolean();
-  if (has_trace != (recorder != nullptr)) {
-    throw SnapshotError(
-        "snapshot trace stream does not match the runtime's (attach the "
-        "recorder the original run had, or none)",
-        r.pos());
-  }
-  if (recorder != nullptr) load_trace_events(r, *recorder);
-  const bool has_counters = r.boolean();
-  if (has_counters != (counters != nullptr)) {
-    throw SnapshotError(
-        "snapshot counter stream does not match the runtime's", r.pos());
-  }
-  if (counters != nullptr) counters->load_state(r);
+  CheckpointMeta meta;
+  AppRunProgress loaded;
+  walk_payload(r, meta, loaded, rts, recorder, counters);
   r.expect_end();
   progress = std::move(loaded);
   if (marker != nullptr) {

@@ -185,10 +185,6 @@ std::uint64_t ServeCore::submit(std::uint32_t owner, const SubmitFrame& spec) {
   return id;
 }
 
-struct ServeCore::JobWorkload {
-  ApplicationTrace trace;
-};
-
 void ServeCore::run_job(JobRecord& job) {
   // Each job gets its own trace slice: the recorder restarts empty, so the
   // report is a function of this job alone (plus whatever residual fabric
@@ -196,7 +192,7 @@ void ServeCore::run_job(JobRecord& job) {
   recorder_.clear();
   const auto counters_before = counters_.counters();
 
-  JobWorkload w;
+  ApplicationTrace trace;
   Rng rng(job.spec.seed);
   for (std::uint32_t b = 0; b < job.spec.blocks; ++b) {
     FunctionalBlockInstance inst = make_block_instance(
@@ -204,7 +200,7 @@ void ServeCore::run_job(JobRecord& job) {
         {{kernels_[job.spec.job_class], 8.0, 25, 0.1}},
         /*entry_gap=*/200, /*tail_gap=*/200, rng);
     stamp_programmed_trigger(inst, library_);
-    w.trace.blocks.push_back(std::move(inst));
+    trace.blocks.push_back(std::move(inst));
   }
 
   // Caller-owned machine build (sim/machine.h make_rts): the instance dies
@@ -215,7 +211,7 @@ void ServeCore::run_job(JobRecord& job) {
   Task task;
   task.name = job.spec.name;
   task.rts = rts.get();
-  task.trace = &w.trace;
+  task.trace = &trace;
   task.recorder = &recorder_;
   task.priority = job.spec.priority;
   task.tenant = job.tenant;

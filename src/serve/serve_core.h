@@ -193,8 +193,6 @@ class ServeCore {
   const std::vector<std::string>& job_log() const { return log_; }
 
  private:
-  struct JobWorkload;
-
   void run_job(JobRecord& job);
   void log_submit(const JobRecord& job);
   /// Marks a polled terminal record for FIFO reclaim and evicts the oldest

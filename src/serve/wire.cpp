@@ -1,8 +1,9 @@
 #include "serve/wire.h"
-#include <algorithm>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 namespace mrts::serve {
 
@@ -19,25 +20,117 @@ std::uint32_t read_u32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-/// Shared tail of every payload decoder: decode via \p fn, require that the
-/// reader consumed the payload exactly, and map any SnapshotError (truncated
-/// field, implausible string length) to a clean false.
-template <typename Fn>
-bool decode_payload(const Frame& f, Fn&& fn) {
-  SnapshotReader r(f.payload.data(), f.payload.size());
-  try {
-    fn(r);
-    r.expect_end();
-  } catch (const SnapshotError&) {
-    return false;
-  }
-  return true;
+/// A frame as its walk visits it: const when encoding, mutable when
+/// decoding.
+template <typename F, typename Io>
+using Walked = std::conditional_t<Io::kLoading, F, const F>;
+
+// --- frame walks: each payload's fields in wire order ----------------------
+// Strings are a u64 length then the bytes; SnapshotReader bounds-checks the
+// length against the payload before it allocates.
+
+template <typename Io>
+void walk(Io& io, Walked<HelloFrame, Io>& f) {
+  io.u16(f.client_version);
+  io.str(f.client_name);
 }
 
-/// Strings inside frames are length-prefixed; cap them at the payload
-/// ceiling so a corrupt length fails fast instead of allocating.
-std::string read_string(SnapshotReader& r) {
-  return r.str();  // SnapshotReader::str() is bounds-checked already
+template <typename Io>
+void walk(Io& io, Walked<HelloOkFrame, Io>& f) {
+  io.u16(f.server_version);
+  io.u32(f.session_id);
+  io.u32(f.prcs);
+  io.u32(f.cg);
+  io.u32(f.job_classes);
+  io.str(f.banner);
+}
+
+template <typename Io>
+void walk(Io& io, Walked<SubmitFrame, Io>& f) {
+  io.str(f.name);
+  io.u8(f.share);
+  io.u32(f.weight);
+  io.u32(f.reserved_prcs);
+  io.u32(f.reserved_cg);
+  io.u32(f.priority);
+  io.u32(f.job_class);
+  io.u32(f.blocks);
+  io.u64(f.seed);
+}
+
+template <typename Io>
+void walk(Io& io, Walked<SubmitOkFrame, Io>& f) {
+  io.u64(f.job_id);
+  io.u32(f.tenant);
+  io.u8(f.admitted);
+  io.str(f.bounce_reason);
+}
+
+template <typename Io>
+void walk(Io& io, Walked<PollFrame, Io>& f) {
+  io.u64(f.job_id);
+}
+
+template <typename Io>
+void walk(Io& io, Walked<JobStatusFrame, Io>& f) {
+  io.u64(f.job_id);
+  io.u8(f.state);
+  io.u64(f.queue_position);
+  io.u64(f.admitted_at);
+  io.u64(f.finished_at);
+  io.u64(f.latency_cycles);
+  io.u8(f.report_included);
+  io.str(f.report_json);
+  io.str(f.counters_delta);
+  io.str(f.reason);
+}
+
+template <typename Io>
+void walk(Io& io, Walked<CancelFrame, Io>& f) {
+  io.u64(f.job_id);
+}
+
+template <typename Io>
+void walk(Io& io, Walked<CancelOkFrame, Io>& f) {
+  io.u64(f.job_id);
+  io.u8(f.cancelled);
+}
+
+template <typename Io>
+void walk(Io&, Walked<DisconnectFrame, Io>&) {}  // empty payload
+
+template <typename Io>
+void walk(Io& io, Walked<ByeFrame, Io>& f) {
+  io.u64(f.jobs_submitted);
+  io.u64(f.jobs_auto_cancelled);
+}
+
+template <typename Io>
+void walk(Io& io, Walked<ErrorFrame, Io>& f) {
+  io.u16(f.code);
+  io.u8(f.fatal);
+  io.str(f.detail);
+}
+
+// --- range checks: a decoded enum or flag field must name a value ---------
+
+bool in_range(const SubmitFrame& f) {
+  return f.share <= static_cast<std::uint8_t>(WireShare::kBestEffort);
+}
+bool in_range(const SubmitOkFrame& f) { return f.admitted <= 1; }
+bool in_range(const JobStatusFrame& f) {
+  return f.state <= static_cast<std::uint8_t>(WireJobState::kCancelled) &&
+         f.report_included <= 1;
+}
+bool in_range(const CancelOkFrame& f) { return f.cancelled <= 1; }
+bool in_range(const ErrorFrame& f) {
+  return f.code <= static_cast<std::uint16_t>(WireError::kShuttingDown) &&
+         f.fatal <= 1;
+}
+/// Frames without enum or flag fields.
+template <typename F>
+bool in_range(const F&) {
+  return true;
 }
 
 }  // namespace
@@ -151,230 +244,51 @@ std::vector<std::uint8_t> encode_frame(
   return frame;
 }
 
-// --- encoders --------------------------------------------------------------
+// --- codec ------------------------------------------------------------------
 
-std::vector<std::uint8_t> encode(const HelloFrame& f) {
+template <WireFrame F>
+std::vector<std::uint8_t> encode(const F& f) {
   SnapshotWriter w;
-  w.u8(static_cast<std::uint8_t>(f.client_version & 0xFF));
-  w.u8(static_cast<std::uint8_t>(f.client_version >> 8));
-  w.str(f.client_name);
-  return encode_frame(FrameType::kHello, w.bytes());
+  walk(w, f);
+  return encode_frame(F::kType, w.bytes());
 }
 
-std::vector<std::uint8_t> encode(const HelloOkFrame& f) {
-  SnapshotWriter w;
-  w.u8(static_cast<std::uint8_t>(f.server_version & 0xFF));
-  w.u8(static_cast<std::uint8_t>(f.server_version >> 8));
-  w.u32(f.session_id);
-  w.u32(f.prcs);
-  w.u32(f.cg);
-  w.u32(f.job_classes);
-  w.str(f.banner);
-  return encode_frame(FrameType::kHelloOk, w.bytes());
-}
-
-std::vector<std::uint8_t> encode(const SubmitFrame& f) {
-  SnapshotWriter w;
-  w.str(f.name);
-  w.u8(f.share);
-  w.u32(f.weight);
-  w.u32(f.reserved_prcs);
-  w.u32(f.reserved_cg);
-  w.u32(f.priority);
-  w.u32(f.job_class);
-  w.u32(f.blocks);
-  w.u64(f.seed);
-  return encode_frame(FrameType::kSubmit, w.bytes());
-}
-
-std::vector<std::uint8_t> encode(const SubmitOkFrame& f) {
-  SnapshotWriter w;
-  w.u64(f.job_id);
-  w.u32(f.tenant);
-  w.u8(f.admitted);
-  w.str(f.bounce_reason);
-  return encode_frame(FrameType::kSubmitOk, w.bytes());
-}
-
-std::vector<std::uint8_t> encode(const PollFrame& f) {
-  SnapshotWriter w;
-  w.u64(f.job_id);
-  return encode_frame(FrameType::kPoll, w.bytes());
-}
-
-std::vector<std::uint8_t> encode(const JobStatusFrame& f) {
-  SnapshotWriter w;
-  w.u64(f.job_id);
-  w.u8(f.state);
-  w.u64(f.queue_position);
-  w.u64(f.admitted_at);
-  w.u64(f.finished_at);
-  w.u64(f.latency_cycles);
-  w.u8(f.report_included);
-  w.str(f.report_json);
-  w.str(f.counters_delta);
-  w.str(f.reason);
-  return encode_frame(FrameType::kJobStatus, w.bytes());
-}
-
-std::vector<std::uint8_t> encode(const CancelFrame& f) {
-  SnapshotWriter w;
-  w.u64(f.job_id);
-  return encode_frame(FrameType::kCancel, w.bytes());
-}
-
-std::vector<std::uint8_t> encode(const CancelOkFrame& f) {
-  SnapshotWriter w;
-  w.u64(f.job_id);
-  w.u8(f.cancelled);
-  return encode_frame(FrameType::kCancelOk, w.bytes());
-}
-
-std::vector<std::uint8_t> encode(const DisconnectFrame&) {
-  return encode_frame(FrameType::kDisconnect, {});
-}
-
-std::vector<std::uint8_t> encode(const ByeFrame& f) {
-  SnapshotWriter w;
-  w.u64(f.jobs_submitted);
-  w.u64(f.jobs_auto_cancelled);
-  return encode_frame(FrameType::kBye, w.bytes());
-}
-
-std::vector<std::uint8_t> encode(const ErrorFrame& f) {
-  SnapshotWriter w;
-  w.u8(static_cast<std::uint8_t>(f.code & 0xFF));
-  w.u8(static_cast<std::uint8_t>(f.code >> 8));
-  w.u8(f.fatal);
-  w.str(f.detail);
-  return encode_frame(FrameType::kError, w.bytes());
-}
-
-// --- payload decoders ------------------------------------------------------
-
-bool decode(const Frame& f, HelloFrame* out) {
-  if (f.type != static_cast<std::uint8_t>(FrameType::kHello)) return false;
-  return decode_payload(f, [out](SnapshotReader& r) {
-    const std::uint8_t lo = r.u8();
-    const std::uint8_t hi = r.u8();
-    out->client_version = static_cast<std::uint16_t>(lo | (hi << 8));
-    out->client_name = read_string(r);
-  });
-}
-
-bool decode(const Frame& f, HelloOkFrame* out) {
-  if (f.type != static_cast<std::uint8_t>(FrameType::kHelloOk)) return false;
-  return decode_payload(f, [out](SnapshotReader& r) {
-    const std::uint8_t lo = r.u8();
-    const std::uint8_t hi = r.u8();
-    out->server_version = static_cast<std::uint16_t>(lo | (hi << 8));
-    out->session_id = r.u32();
-    out->prcs = r.u32();
-    out->cg = r.u32();
-    out->job_classes = r.u32();
-    out->banner = read_string(r);
-  });
-}
-
-bool decode(const Frame& f, SubmitFrame* out) {
-  if (f.type != static_cast<std::uint8_t>(FrameType::kSubmit)) return false;
-  if (!decode_payload(f, [out](SnapshotReader& r) {
-        out->name = read_string(r);
-        out->share = r.u8();
-        out->weight = r.u32();
-        out->reserved_prcs = r.u32();
-        out->reserved_cg = r.u32();
-        out->priority = r.u32();
-        out->job_class = r.u32();
-        out->blocks = r.u32();
-        out->seed = r.u64();
-      })) {
-    return false;
+template <WireFrame F>
+bool decode(const Frame& frame, F* out) {
+  if (frame.type != static_cast<std::uint8_t>(F::kType)) return false;
+  SnapshotReader r(frame.payload.data(), frame.payload.size());
+  try {
+    walk(r, *out);
+    r.expect_end();
+  } catch (const SnapshotError&) {
+    return false;  // truncated field, implausible length or trailing bytes
   }
-  return out->share <= static_cast<std::uint8_t>(WireShare::kBestEffort);
+  return in_range(*out);
 }
 
-bool decode(const Frame& f, SubmitOkFrame* out) {
-  if (f.type != static_cast<std::uint8_t>(FrameType::kSubmitOk)) return false;
-  if (!decode_payload(f, [out](SnapshotReader& r) {
-        out->job_id = r.u64();
-        out->tenant = r.u32();
-        out->admitted = r.u8();
-        out->bounce_reason = read_string(r);
-      })) {
-    return false;
-  }
-  return out->admitted <= 1;
-}
-
-bool decode(const Frame& f, PollFrame* out) {
-  if (f.type != static_cast<std::uint8_t>(FrameType::kPoll)) return false;
-  return decode_payload(f, [out](SnapshotReader& r) { out->job_id = r.u64(); });
-}
-
-bool decode(const Frame& f, JobStatusFrame* out) {
-  if (f.type != static_cast<std::uint8_t>(FrameType::kJobStatus)) return false;
-  if (!decode_payload(f, [out](SnapshotReader& r) {
-        out->job_id = r.u64();
-        out->state = r.u8();
-        out->queue_position = r.u64();
-        out->admitted_at = r.u64();
-        out->finished_at = r.u64();
-        out->latency_cycles = r.u64();
-        out->report_included = r.u8();
-        out->report_json = read_string(r);
-        out->counters_delta = read_string(r);
-        out->reason = read_string(r);
-      })) {
-    return false;
-  }
-  return out->state <= static_cast<std::uint8_t>(WireJobState::kCancelled) &&
-         out->report_included <= 1;
-}
-
-bool decode(const Frame& f, CancelFrame* out) {
-  if (f.type != static_cast<std::uint8_t>(FrameType::kCancel)) return false;
-  return decode_payload(f, [out](SnapshotReader& r) { out->job_id = r.u64(); });
-}
-
-bool decode(const Frame& f, CancelOkFrame* out) {
-  if (f.type != static_cast<std::uint8_t>(FrameType::kCancelOk)) return false;
-  if (!decode_payload(f, [out](SnapshotReader& r) {
-        out->job_id = r.u64();
-        out->cancelled = r.u8();
-      })) {
-    return false;
-  }
-  return out->cancelled <= 1;
-}
-
-bool decode(const Frame& f, DisconnectFrame* out) {
-  (void)out;
-  return f.type == static_cast<std::uint8_t>(FrameType::kDisconnect) &&
-         f.payload.empty();
-}
-
-bool decode(const Frame& f, ByeFrame* out) {
-  if (f.type != static_cast<std::uint8_t>(FrameType::kBye)) return false;
-  return decode_payload(f, [out](SnapshotReader& r) {
-    out->jobs_submitted = r.u64();
-    out->jobs_auto_cancelled = r.u64();
-  });
-}
-
-bool decode(const Frame& f, ErrorFrame* out) {
-  if (f.type != static_cast<std::uint8_t>(FrameType::kError)) return false;
-  if (!decode_payload(f, [out](SnapshotReader& r) {
-        const std::uint8_t lo = r.u8();
-        const std::uint8_t hi = r.u8();
-        out->code = static_cast<std::uint16_t>(lo | (hi << 8));
-        out->fatal = r.u8();
-        out->detail = read_string(r);
-      })) {
-    return false;
-  }
-  return out->fatal <= 1;
-}
+// The eleven v1 frame types.
+template std::vector<std::uint8_t> encode(const HelloFrame&);
+template std::vector<std::uint8_t> encode(const HelloOkFrame&);
+template std::vector<std::uint8_t> encode(const SubmitFrame&);
+template std::vector<std::uint8_t> encode(const SubmitOkFrame&);
+template std::vector<std::uint8_t> encode(const PollFrame&);
+template std::vector<std::uint8_t> encode(const JobStatusFrame&);
+template std::vector<std::uint8_t> encode(const CancelFrame&);
+template std::vector<std::uint8_t> encode(const CancelOkFrame&);
+template std::vector<std::uint8_t> encode(const DisconnectFrame&);
+template std::vector<std::uint8_t> encode(const ByeFrame&);
+template std::vector<std::uint8_t> encode(const ErrorFrame&);
+template bool decode(const Frame&, HelloFrame*);
+template bool decode(const Frame&, HelloOkFrame*);
+template bool decode(const Frame&, SubmitFrame*);
+template bool decode(const Frame&, SubmitOkFrame*);
+template bool decode(const Frame&, PollFrame*);
+template bool decode(const Frame&, JobStatusFrame*);
+template bool decode(const Frame&, CancelFrame*);
+template bool decode(const Frame&, CancelOkFrame*);
+template bool decode(const Frame&, DisconnectFrame*);
+template bool decode(const Frame&, ByeFrame*);
+template bool decode(const Frame&, ErrorFrame*);
 
 // --- incremental decoder ---------------------------------------------------
 

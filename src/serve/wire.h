@@ -29,6 +29,7 @@
 /// while payload-level violations (trailing bytes, truncated fields,
 /// out-of-range enums) reject only that frame and the session survives.
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -91,17 +92,21 @@ const char* to_string(WireError code);
 bool wire_error_fatal(WireError code);
 
 // ---------------------------------------------------------------------------
-// Payload structs. Field order in the struct == field order on the wire.
+// Payload structs. Field order in the struct == field order on the wire;
+// serve/wire.cpp spells each payload once, as the frame's field walk. kType
+// is the frame type byte encode() writes and decode() requires.
 // ---------------------------------------------------------------------------
 
 /// HELLO (client -> server): the first frame of every session.
 struct HelloFrame {
+  static constexpr FrameType kType = FrameType::kHello;
   std::uint16_t client_version = kWireVersion;
   std::string client_name;  ///< informational, <= 64 chars
 };
 
 /// HELLO_OK (server -> client).
 struct HelloOkFrame {
+  static constexpr FrameType kType = FrameType::kHelloOk;
   std::uint16_t server_version = kWireVersion;
   std::uint32_t session_id = 0;
   std::uint32_t prcs = 0;         ///< resident fabric: PRC count
@@ -119,6 +124,7 @@ enum class WireShare : std::uint8_t {
 
 /// SUBMIT (client -> server): one tenant job.
 struct SubmitFrame {
+  static constexpr FrameType kType = FrameType::kSubmit;
   std::string name;  ///< tenant name, [A-Za-z0-9_.-]{1,64}
   std::uint8_t share = 0;          ///< WireShare
   std::uint32_t weight = 1;        ///< weighted only, [1, 1000]
@@ -132,6 +138,7 @@ struct SubmitFrame {
 
 /// SUBMIT_OK (server -> client).
 struct SubmitOkFrame {
+  static constexpr FrameType kType = FrameType::kSubmitOk;
   std::uint64_t job_id = 0;
   std::uint32_t tenant = 0;     ///< arbiter tenant id
   std::uint8_t admitted = 0;    ///< 1 = queued; 0 = bounced by admission
@@ -140,6 +147,7 @@ struct SubmitOkFrame {
 
 /// POLL (client -> server).
 struct PollFrame {
+  static constexpr FrameType kType = FrameType::kPoll;
   std::uint64_t job_id = 0;
 };
 
@@ -158,6 +166,7 @@ const char* to_string(WireJobState state);
 /// once: the first done-poll carries report_json/counters_delta and the
 /// server then frees them (report_included = 0 on later polls).
 struct JobStatusFrame {
+  static constexpr FrameType kType = FrameType::kJobStatus;
   std::uint64_t job_id = 0;
   std::uint8_t state = 0;           ///< WireJobState
   std::uint64_t queue_position = 0; ///< 0 = next to run (queued only)
@@ -172,26 +181,32 @@ struct JobStatusFrame {
 
 /// CANCEL (client -> server).
 struct CancelFrame {
+  static constexpr FrameType kType = FrameType::kCancel;
   std::uint64_t job_id = 0;
 };
 
 /// CANCEL_OK (server -> client).
 struct CancelOkFrame {
+  static constexpr FrameType kType = FrameType::kCancelOk;
   std::uint64_t job_id = 0;
   std::uint8_t cancelled = 0;  ///< 1 = removed from queue; 0 = too late
 };
 
 /// DISCONNECT (client -> server): empty payload.
-struct DisconnectFrame {};
+struct DisconnectFrame {
+  static constexpr FrameType kType = FrameType::kDisconnect;
+};
 
 /// BYE (server -> client).
 struct ByeFrame {
+  static constexpr FrameType kType = FrameType::kBye;
   std::uint64_t jobs_submitted = 0;      ///< SUBMITs accepted this session
   std::uint64_t jobs_auto_cancelled = 0; ///< queued jobs cancelled at close
 };
 
 /// ERROR (server -> client).
 struct ErrorFrame {
+  static constexpr FrameType kType = FrameType::kError;
   std::uint16_t code = 0;   ///< WireError
   std::uint8_t fatal = 0;   ///< 1 = the server closes after this frame
   std::string detail;
@@ -206,17 +221,16 @@ struct ErrorFrame {
 std::vector<std::uint8_t> encode_frame(FrameType type,
                                        const std::vector<std::uint8_t>& payload);
 
-std::vector<std::uint8_t> encode(const HelloFrame& f);
-std::vector<std::uint8_t> encode(const HelloOkFrame& f);
-std::vector<std::uint8_t> encode(const SubmitFrame& f);
-std::vector<std::uint8_t> encode(const SubmitOkFrame& f);
-std::vector<std::uint8_t> encode(const PollFrame& f);
-std::vector<std::uint8_t> encode(const JobStatusFrame& f);
-std::vector<std::uint8_t> encode(const CancelFrame& f);
-std::vector<std::uint8_t> encode(const CancelOkFrame& f);
-std::vector<std::uint8_t> encode(const DisconnectFrame& f);
-std::vector<std::uint8_t> encode(const ByeFrame& f);
-std::vector<std::uint8_t> encode(const ErrorFrame& f);
+/// A payload struct of this codec: one of the eleven frame types above,
+/// for which serve/wire.cpp instantiates encode() and decode().
+template <typename F>
+concept WireFrame = requires {
+  { F::kType } -> std::convertible_to<FrameType>;
+};
+
+/// Encodes \p f as one whole frame of type F::kType (header + payload).
+template <WireFrame F>
+std::vector<std::uint8_t> encode(const F& f);
 
 // ---------------------------------------------------------------------------
 // Decoding
@@ -228,22 +242,13 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Payload decoders: false on malformed payloads (truncated fields,
-/// out-of-range enum values, trailing bytes) — the caller answers with
-/// WireError::kBadPayload. Never throws, never partially fills \p out
-/// observable state on failure paths that matter (a false return means
-/// "discard \p out").
-bool decode(const Frame& f, HelloFrame* out);
-bool decode(const Frame& f, HelloOkFrame* out);
-bool decode(const Frame& f, SubmitFrame* out);
-bool decode(const Frame& f, SubmitOkFrame* out);
-bool decode(const Frame& f, PollFrame* out);
-bool decode(const Frame& f, JobStatusFrame* out);
-bool decode(const Frame& f, CancelFrame* out);
-bool decode(const Frame& f, CancelOkFrame* out);
-bool decode(const Frame& f, DisconnectFrame* out);
-bool decode(const Frame& f, ByeFrame* out);
-bool decode(const Frame& f, ErrorFrame* out);
+/// Payload decoder for \p f of type F::kType: false on a wrong type byte
+/// or a malformed payload (truncated fields, out-of-range enum or flag
+/// values, trailing bytes) — the caller answers with
+/// WireError::kBadPayload. Never throws; a false return means "discard
+/// \p out", which may be partly filled.
+template <WireFrame F>
+bool decode(const Frame& f, F* out);
 
 /// Incremental frame decoder over an untrusted byte stream. Feed bytes as
 /// they arrive; next() yields complete frames. The first framing violation

@@ -107,54 +107,34 @@ void CounterRegistry::clear() {
   histograms_.clear();
 }
 
-void Histogram::save_state(SnapshotWriter& w) const {
-  w.u64(count_);
-  w.f64(sum_);
-  w.f64(min_);
-  w.f64(max_);
-  for (std::uint64_t b : buckets_) w.u64(b);
+template <typename Io, typename Self>
+void Histogram::walk(Io& io, Self& self) {
+  io.u64(self.count_);
+  io.f64(self.sum_);
+  io.f64(self.min_);
+  io.f64(self.max_);
+  for (auto& b : self.buckets_) io.u64(b);
 }
 
-void Histogram::load_state(SnapshotReader& r) {
-  count_ = r.u64();
-  sum_ = r.f64();
-  min_ = r.f64();
-  max_ = r.f64();
-  for (auto& b : buckets_) b = r.u64();
+void Histogram::save_state(SnapshotWriter& w) const { walk(w, *this); }
+void Histogram::load_state(SnapshotReader& r) { walk(r, *this); }
+
+template <typename Io, typename Self>
+void CounterRegistry::walk(Io& io, Self& self) {
+  io.map(self.counters_, 1u << 20, "counter table",
+         [](auto& io, auto& name, auto& value) {
+           io.str(name);
+           io.u64(value);
+         });
+  io.map(self.histograms_, 1u << 20, "histogram table",
+         [](auto& io, auto& name, auto& histogram) {
+           io.str(name);
+           io.state(histogram);
+         });
 }
 
-void CounterRegistry::save_state(SnapshotWriter& w) const {
-  w.u64(counters_.size());
-  for (const auto& [name, value] : counters_) {
-    w.str(name);
-    w.u64(value);
-  }
-  w.u64(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    w.str(name);
-    histogram.save_state(w);
-  }
-}
-
-void CounterRegistry::load_state(SnapshotReader& r) {
-  std::map<std::string, std::uint64_t, std::less<>> counters;
-  std::map<std::string, Histogram, std::less<>> histograms;
-  const std::size_t num_counters = r.length(1u << 20, "counter table");
-  for (std::size_t i = 0; i < num_counters; ++i) {
-    std::string name = r.str();
-    const std::uint64_t value = r.u64();
-    counters.emplace(std::move(name), value);
-  }
-  const std::size_t num_histograms = r.length(1u << 20, "histogram table");
-  for (std::size_t i = 0; i < num_histograms; ++i) {
-    std::string name = r.str();
-    Histogram h;
-    h.load_state(r);
-    histograms.emplace(std::move(name), h);
-  }
-  counters_ = std::move(counters);
-  histograms_ = std::move(histograms);
-}
+void CounterRegistry::save_state(SnapshotWriter& w) const { walk(w, *this); }
+void CounterRegistry::load_state(SnapshotReader& r) { walk(r, *this); }
 
 void CounterRegistry::merge(const CounterRegistry& other) {
   for (const auto& [name, value] : other.counters_) {

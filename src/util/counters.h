@@ -73,6 +73,9 @@ class Histogram {
   void load_state(SnapshotReader& r);
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
+
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;
@@ -119,6 +122,9 @@ class CounterRegistry {
   void load_state(SnapshotReader& r);
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
+
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };

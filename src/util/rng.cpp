@@ -75,16 +75,14 @@ bool Rng::bernoulli(double p) {
 
 Rng Rng::split() { return Rng(next_u64()); }
 
-void Rng::save_state(SnapshotWriter& w) const {
-  for (std::uint64_t word : state_) w.u64(word);
-  w.f64(spare_);
-  w.boolean(has_spare_);
+template <typename Io, typename Self>
+void Rng::walk(Io& io, Self& self) {
+  for (auto& word : self.state_) io.u64(word);
+  io.f64(self.spare_);
+  io.boolean(self.has_spare_);
 }
 
-void Rng::load_state(SnapshotReader& r) {
-  for (auto& word : state_) word = r.u64();
-  spare_ = r.f64();
-  has_spare_ = r.boolean();
-}
+void Rng::save_state(SnapshotWriter& w) const { walk(w, *this); }
+void Rng::load_state(SnapshotReader& r) { walk(r, *this); }
 
 }  // namespace mrts

@@ -67,6 +67,8 @@ class Rng {
   void load_state(SnapshotReader& r);
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
   std::uint64_t state_[4];
   double spare_ = 0.0;
   bool has_spare_ = false;

@@ -1,9 +1,22 @@
 #pragma once
 /// \file snapshot_io.h
 /// Little-endian binary reader/writer pair for whole-runtime snapshots
-/// (rts/snapshot.h, format `mrts.snapshot.v2`). Deliberately tiny and
+/// (rts/snapshot.h, format `mrts.snapshot.v2`) and the payloads of
+/// `mrts.wire.v1` frames (serve/wire.h). Deliberately tiny and
 /// dependency-free so every layer (util RNG / arch fabrics / rts units) can
 /// expose `save_state` / `load_state` hooks without pulling rts headers.
+///
+/// Field walks: each format is spelled once, as a function template that
+/// lists its fields in byte order. It is instantiated for SnapshotWriter
+/// (save, encode), which visits the state const, and for SnapshotReader
+/// (load, decode), which visits it mutable. Both classes therefore offer
+/// the same calls: `w.u64(x)` writes x and `r.u64(x)` reads into x, as do
+/// the shared helpers below (strong ids, enums, nested sections, optional
+/// sections, fixed-shape and length-prefixed sequences, maps in ascending
+/// key order). A check written after a field runs on both sides; live
+/// state passes it, so on the writer it never fires. Work that only
+/// loading needs (a recount, a commit) sits under
+/// `if constexpr (Io::kLoading)`.
 ///
 /// Error contract: SnapshotReader never crashes on truncated or corrupt
 /// bytes — every primitive read checks bounds first and throws
@@ -12,10 +25,12 @@
 /// Doubles round-trip through their IEEE-754 bit pattern (bit_cast), so a
 /// restored run's floating-point state is bit-identical, not just close.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace mrts {
@@ -34,10 +49,21 @@ class SnapshotError : public std::runtime_error {
   std::size_t offset_ = 0;
 };
 
-/// Append-only little-endian encoder.
+/// A strong id of util/types.h: an enum class over a u32, stored as one.
+template <typename T>
+concept StrongId = std::is_enum_v<T> &&
+                   std::is_same_v<std::underlying_type_t<T>, std::uint32_t>;
+
+/// Append-only little-endian encoder: the save/encode side of a walk.
 class SnapshotWriter {
  public:
+  static constexpr bool kLoading = false;
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
+  void u16(std::uint16_t v) {
+    u8(static_cast<std::uint8_t>(v));
+    u8(static_cast<std::uint8_t>(v >> 8));
+  }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
@@ -50,6 +76,55 @@ class SnapshotWriter {
   void str(const std::string& s) {
     u64(s.size());
     bytes_.insert(bytes_.end(), s.begin(), s.end());
+  }
+
+  // Walk helpers; SnapshotReader has the same ones, which also validate.
+  // Caps and names serve only the reader.
+  template <StrongId Id>
+  void id(Id v) {
+    u32(static_cast<std::uint32_t>(v));
+  }
+  /// An enum stored as one byte below \p count.
+  template <typename E>
+  void enum8(E v, std::uint8_t /*count*/, const char* /*what*/) {
+    u8(static_cast<std::uint8_t>(v));
+  }
+  /// A nested section: a member with its own save_state.
+  template <typename T>
+  void state(const T& t) {
+    t.save_state(*this);
+  }
+  /// Presence flag of an optional section that follows iff \p live.
+  bool present(bool live, const char* /*mismatch*/) {
+    boolean(live);
+    return live;
+  }
+  /// A u64 count that must equal the live \p n.
+  void count(std::uint64_t n, const char* /*what*/) { u64(n); }
+  /// Length-prefixed sequence, \p each(io, element) per element.
+  template <typename Seq, typename Fn>
+  void seq(const Seq& v, std::uint64_t /*max*/, const char* /*what*/,
+           Fn&& each) {
+    u64(v.size());
+    for (const auto& e : v) each(*this, e);
+  }
+  /// Length-prefixed sequence whose length must equal the live one.
+  template <typename Seq, typename Fn>
+  void fixed(const Seq& v, const char* what, Fn&& each) {
+    seq(v, 0, what, each);
+  }
+  /// Length-prefixed map in ascending key order, so the bytes do not depend
+  /// on hash-table iteration order; \p each(io, key, value) per entry.
+  template <typename Map, typename Fn>
+  void map(const Map& m, std::uint64_t /*max*/, const char* /*what*/,
+           Fn&& each) {
+    std::vector<const typename Map::value_type*> entries;
+    entries.reserve(m.size());
+    for (const auto& entry : m) entries.push_back(&entry);
+    std::sort(entries.begin(), entries.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    u64(entries.size());
+    for (const auto* entry : entries) each(*this, entry->first, entry->second);
   }
 
   /// Overwrites 4 bytes previously written at \p pos (size/CRC backpatch).
@@ -66,7 +141,7 @@ class SnapshotWriter {
     }
   }
 
-  std::size_t size() const { return bytes_.size(); }
+  std::size_t pos() const { return bytes_.size(); }
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
@@ -74,9 +149,12 @@ class SnapshotWriter {
   std::vector<std::uint8_t> bytes_;
 };
 
-/// Bounds-checked little-endian decoder over a caller-owned buffer.
+/// Bounds-checked little-endian decoder over a caller-owned buffer: the
+/// load/decode side of a walk.
 class SnapshotReader {
  public:
+  static constexpr bool kLoading = true;
+
   SnapshotReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
   explicit SnapshotReader(const std::vector<std::uint8_t>& bytes)
@@ -85,6 +163,13 @@ class SnapshotReader {
   std::uint8_t u8() {
     need(1, "u8");
     return data_[pos_++];
+  }
+  std::uint16_t u16() {
+    need(2, "u16");
+    const std::uint16_t v =
+        static_cast<std::uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
+    pos_ += 2;
+    return v;
   }
   std::uint32_t u32() {
     need(4, "u32");
@@ -114,6 +199,89 @@ class SnapshotReader {
                   static_cast<std::size_t>(n));
     pos_ += static_cast<std::size_t>(n);
     return s;
+  }
+
+  // The writer's calls, reading into their argument.
+  void u8(std::uint8_t& v) { v = u8(); }
+  void u16(std::uint16_t& v) { v = u16(); }
+  void u32(std::uint32_t& v) { v = u32(); }
+  void u64(std::uint64_t& v) { v = u64(); }
+  void i32(std::int32_t& v) { v = i32(); }
+  void f64(double& v) { v = f64(); }
+  void boolean(bool& v) { v = boolean(); }
+  /// An element of a std::vector<bool>, reached through its proxy.
+  void boolean(std::vector<bool>::reference v) { v = boolean(); }
+  void str(std::string& s) { s = str(); }
+
+  template <StrongId Id>
+  void id(Id& v) {
+    v = Id{u32()};
+  }
+  template <typename E>
+  void enum8(E& v, std::uint8_t count, const char* what) {
+    const std::size_t at = pos_;
+    const std::uint8_t raw = u8();
+    if (raw >= count) {
+      throw SnapshotError(std::string("snapshot ") + what + " out of range",
+                          at);
+    }
+    v = static_cast<E>(raw);
+  }
+  template <typename T>
+  void state(T& t) {
+    t.load_state(*this);
+  }
+  /// Throws \p mismatch when the stored flag differs from \p live.
+  bool present(bool live, const char* mismatch) {
+    if (boolean() != live) throw SnapshotError(mismatch, pos_);
+    return live;
+  }
+  void count(std::uint64_t n, const char* what) {
+    const std::size_t at = pos_;
+    if (u64() != n) {
+      throw SnapshotError(
+          std::string("snapshot ") + what + " does not match this fabric", at);
+    }
+  }
+  /// Replaces \p v once every element has been read. The reservation is
+  /// bounded by the bytes left, so a corrupt length allocates no more than
+  /// the buffer could hold.
+  template <typename T, typename Fn>
+  void seq(std::vector<T>& v, std::uint64_t max, const char* what,
+           Fn&& each) {
+    const std::size_t n = length(max, what);
+    std::vector<T> out;
+    out.reserve(std::min(n, remaining()));
+    for (std::size_t i = 0; i < n; ++i) each(*this, out.emplace_back());
+    v = std::move(out);
+  }
+  /// Reads the elements in place, after checking the stored length.
+  template <typename Seq, typename Fn>
+  void fixed(Seq& v, const char* what, Fn&& each) {
+    const std::size_t n = length(1u << 20, what);
+    if (n != v.size()) {
+      throw SnapshotError(std::string("snapshot ") + what +
+                              " size does not match this fabric",
+                          pos_);
+    }
+    for (auto&& e : v) each(*this, e);
+  }
+  /// Replaces \p m once every entry has been read; a repeated key keeps
+  /// its first value.
+  template <typename Map, typename Fn>
+  void map(Map& m, std::uint64_t max, const char* what, Fn&& each) {
+    const std::size_t n = length(max, what);
+    Map out;
+    if constexpr (requires { out.reserve(n); }) {
+      out.reserve(std::min(n, remaining()));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      auto key = typename Map::key_type();
+      auto value = typename Map::mapped_type();
+      each(*this, key, value);
+      out.emplace(std::move(key), std::move(value));
+    }
+    m = std::move(out);
   }
 
   /// u64 length prefix validated against an element-count ceiling before any

@@ -47,17 +47,20 @@ void Ewma::reset(double initial) {
   n_ = 0;
 }
 
-void Ewma::save_state(SnapshotWriter& w) const {
-  w.f64(alpha_);
-  w.f64(value_);
-  w.u64(n_);
+template <typename Io, typename Self>
+void Ewma::walk(Io& io, Self& self) {
+  const std::size_t alpha_at = io.pos();
+  io.f64(self.alpha_);
+  // The constructor's clamp: a gain outside (0, 1] diverges.
+  if (!(self.alpha_ > 0.0 && self.alpha_ <= 1.0)) {
+    throw SnapshotError("snapshot EWMA gain out of range", alpha_at);
+  }
+  io.f64(self.value_);
+  io.u64(self.n_);
 }
 
-void Ewma::load_state(SnapshotReader& r) {
-  alpha_ = r.f64();
-  value_ = r.f64();
-  n_ = static_cast<std::size_t>(r.u64());
-}
+void Ewma::save_state(SnapshotWriter& w) const { walk(w, *this); }
+void Ewma::load_state(SnapshotReader& r) { walk(r, *this); }
 
 double geometric_mean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;

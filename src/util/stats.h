@@ -61,6 +61,8 @@ class Ewma {
   void load_state(SnapshotReader& r);
 
  private:
+  template <typename Io, typename Self>
+  static void walk(Io& io, Self& self);
   double alpha_;
   double value_;
   std::size_t n_ = 0;

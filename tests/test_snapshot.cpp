@@ -97,6 +97,18 @@ TEST(Snapshot, MetaHeaderRoundTrips) {
   EXPECT_EQ(back.sequence, meta.sequence);
 }
 
+TEST(Snapshot, ImageBytesArePinned) {
+  // Every section's layout at once: a faulty observed run stopped at
+  // 1 Mcycle, whose image holds fabric placement, port backlogs, fault RNG,
+  // MPU forecasts, ECU tables, lookahead state, trace events and counters.
+  ObservedRun half;
+  ASSERT_FALSE(half.run(1'000'000));
+  const std::vector<std::uint8_t> bytes = build_snapshot(
+      test_meta(), half.rts, half.progress, &half.rec, &half.ctr);
+  EXPECT_EQ(bytes.size(), 6111u);
+  EXPECT_EQ(snapshot_crc32(bytes.data(), bytes.size()), 0xdcac6afdu);
+}
+
 TEST(Snapshot, SplitRunEqualsWholeRunWithFaults) {
   // Reference: the uninterrupted observed run.
   ObservedRun whole;
@@ -219,6 +231,49 @@ TEST(Snapshot, SeededByteFlipFuzzNeverCrashes) {
   EXPECT_EQ(victim.progress.next_block, half.progress.next_block);
 }
 
+/// Recomputes the payload CRC at [20, 24) after an edit of the payload.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  const std::uint32_t crc =
+      snapshot_crc32(bytes.data() + 24, bytes.size() - 24);
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[20 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+TEST(Snapshot, ResealedByteFlipFuzzThrowsOrFinishes) {
+  // The CRC stops every flip above before a loader sees it. Re-sealing the
+  // image after the flip hands the corrupt field to the loaders: each trial
+  // must be rejected with SnapshotError, or restore a runtime that then
+  // runs the trace to the end.
+  ObservedRun half;
+  ASSERT_FALSE(half.run(1'000'000));
+  const std::vector<std::uint8_t> bytes = build_snapshot(
+      test_meta(), half.rts, half.progress, &half.rec, &half.ctr);
+
+  Rng rng(0x5EA1);
+  int rejected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint8_t> corrupt = bytes;
+    const std::size_t pos = 24 + rng.next_below(corrupt.size() - 24);
+    const unsigned bit = static_cast<unsigned>(rng.next_below(8));
+    corrupt[pos] ^= static_cast<std::uint8_t>(1u << bit);
+    reseal(corrupt);
+    ObservedRun victim;
+    try {
+      apply_snapshot(corrupt, victim.rts, victim.progress, &victim.rec,
+                     &victim.ctr);
+    } catch (const SnapshotError&) {
+      ++rejected;
+      continue;
+    }
+    EXPECT_TRUE(victim.run()) << "bit " << bit << " at offset " << pos;
+  }
+  // Both outcomes occur: a bool or length flip is rejected, while most
+  // counts, cycles and trace fields load as different but valid values.
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(rejected, 300);
+}
+
 TEST(Snapshot, ErrorsNameTheFailingOffset) {
   ObservedRun run;
   std::vector<std::uint8_t> bytes = build_snapshot(
@@ -264,6 +319,28 @@ TEST(Snapshot, ApplyRejectsMismatchedRuntimeShape) {
   EXPECT_THROW(apply_snapshot(bytes, wrong, progress, &rec, &ctr),
                SnapshotError);
   EXPECT_FALSE(progress.started());
+
+  // Right shape, no fault model: the faulty run's image is rejected before
+  // the fabric is touched.
+  MRts fault_free(app.library, 1, 4);
+  fault_free.attach_observability(&rec, &ctr);
+  ASSERT_EQ(fault_free.fault_model(), nullptr);
+  const FabricManager& fabric = fault_free.fabric();
+  const std::uint64_t epoch = fabric.state_epoch();
+  const ReconfigStats stats = fabric.reconfig_stats();
+  ASSERT_NE(epoch, half.rts.fabric().state_epoch());
+  ASSERT_NE(stats.fg_loads, half.rts.fabric().reconfig_stats().fg_loads);
+  EXPECT_THROW(apply_snapshot(bytes, fault_free, progress, &rec, &ctr),
+               SnapshotError);
+  EXPECT_FALSE(progress.started());
+  EXPECT_EQ(fabric.state_epoch(), epoch);
+  EXPECT_EQ(fabric.reconfig_stats().fg_loads, stats.fg_loads);
+  EXPECT_EQ(fabric.reconfig_stats().cg_loads, stats.cg_loads);
+  EXPECT_EQ(fabric.reconfig_stats().fg_bytes, stats.fg_bytes);
+  EXPECT_EQ(fabric.reconfig_stats().cg_bytes, stats.cg_bytes);
+  EXPECT_EQ(fabric.reconfig_stats().cancelled_loads, stats.cancelled_loads);
+  EXPECT_EQ(fabric.reconfig_stats().reused_instances,
+            stats.reused_instances);
 }
 
 TEST(Snapshot, FileRoundTripIsAtomicAndWhole) {

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "serve/wire.h"
@@ -320,6 +322,108 @@ TEST(WireRoundTrip, PollCancelCancelOkDisconnectByeError) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden bytes: one whole frame of each type, every field away from its
+// default, pinned as hex (header, CRC and payload). A layout change in any
+// frame walk shows here before it reaches a peer.
+// ---------------------------------------------------------------------------
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+TEST(WireGolden, EveryFrameType) {
+  SubmitFrame submit;
+  submit.name = "tenant_a.1-x";
+  submit.share = static_cast<std::uint8_t>(WireShare::kBestEffort);
+  submit.weight = 3;
+  submit.reserved_prcs = 2;
+  submit.reserved_cg = 1;
+  submit.priority = 17;
+  submit.job_class = 3;
+  submit.blocks = 5;
+  submit.seed = 0xDEADBEEFCAFEF00Dull;
+
+  JobStatusFrame status;
+  status.job_id = 3;
+  status.state = static_cast<std::uint8_t>(WireJobState::kDone);
+  status.queue_position = 5;
+  status.admitted_at = 1000;
+  status.finished_at = 5200;
+  status.latency_cycles = 4200;
+  status.report_included = 1;
+  status.report_json = "{\"v\":1}";
+  status.counters_delta = "c +1\n";
+  status.reason = "why";
+
+  const struct {
+    const char* name;
+    std::vector<std::uint8_t> bytes;
+    const char* hex;
+  } kGolden[] = {
+      {"HELLO",
+       encode(HelloFrame{0x0A0B, "golden"}),
+       "6d52545701000100100000007b5a2192"
+       "0b0a0600000000000000676f6c64656e"},
+      {"HELLO_OK",
+       encode(HelloOkFrame{0x0C0D, 0x11223344, 6, 2, 4, "mrts_serve"}),
+       "6d5254570100020024000000d04e0bc0"
+       "0d0c443322110600000002000000040000000a0000000000"
+       "00006d7274735f7365727665"},
+      {"SUBMIT",
+       encode(submit),
+       "6d5254570100030035000000c71696f4"
+       "0c0000000000000074656e616e745f612e312d7802030000"
+       "0002000000010000001100000003000000050000000df0fe"
+       "caefbeadde"},
+      {"SUBMIT_OK",
+       encode(SubmitOkFrame{0x0102030405060708ull, 4, 1, "r"}),
+       "6d5254570100040016000000488d45fc"
+       "08070605040302010400000001010000000000000072"},
+      {"POLL",
+       encode(PollFrame{0x1122334455667788ull}),
+       "6d525457010005000800000010ec6ab8"
+       "8877665544332211"},
+      {"JOB_STATUS",
+       encode(status),
+       "6d525457010006005100000041d5b950"
+       "0300000000000000020500000000000000e8030000000000"
+       "005014000000000000681000000000000001070000000000"
+       "00007b2276223a317d050000000000000063202b310a0300"
+       "000000000000776879"},
+      {"CANCEL",
+       encode(CancelFrame{0x0807060504030201ull}),
+       "6d52545701000700080000005651fa7b"
+       "0102030405060708"},
+      {"CANCEL_OK",
+       encode(CancelOkFrame{8, 1}),
+       "6d52545701000800090000001f6e8aca"
+       "080000000000000001"},
+      {"DISCONNECT",
+       encode(DisconnectFrame{}),
+       "6d52545701000900000000003f8e878e"},
+      {"BYE",
+       encode(ByeFrame{5, 2}),
+       "6d52545701000a0010000000c9314d6d"
+       "05000000000000000200000000000000"},
+      {"ERROR",
+       encode(ErrorFrame{static_cast<std::uint16_t>(WireError::kBadSpec), 1,
+                         "weight out of range"}),
+       "6d52545701000f001e0000006d353fa5"
+       "0a00011300000000000000776569676874206f7574206f66"
+       "2072616e6765"},
+  };
+  for (const auto& g : kGolden) {
+    EXPECT_EQ(hex(g.bytes), g.hex) << g.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Incremental decoding.
 // ---------------------------------------------------------------------------
 
@@ -438,17 +542,95 @@ TEST(WirePayload, TrailingBytesRejected) {
   EXPECT_FALSE(decode(frame, &out));
 }
 
+/// One frame of each of the 11 types, with non-empty strings.
+auto sample_frames() {
+  SubmitFrame submit;
+  submit.name = "t";
+  submit.share = static_cast<std::uint8_t>(WireShare::kReserved);
+  submit.seed = 9;
+  JobStatusFrame status;
+  status.job_id = 4;
+  status.state = static_cast<std::uint8_t>(WireJobState::kDone);
+  status.report_included = 1;
+  status.report_json = "{}";
+  status.counters_delta = "c +1\n";
+  status.reason = "r";
+  return std::make_tuple(
+      HelloFrame{1, "c"}, HelloOkFrame{1, 2, 4, 1, 3, "b"}, submit,
+      SubmitOkFrame{1, 2, 1, "ok"}, PollFrame{3}, status, CancelFrame{5},
+      CancelOkFrame{5, 1}, DisconnectFrame{}, ByeFrame{1, 2},
+      ErrorFrame{static_cast<std::uint16_t>(WireError::kQueueFull), 0, "d"});
+}
+
+/// The payload bytes of \p frame's encoding.
+template <typename F>
+std::vector<std::uint8_t> payload_of(const F& frame) {
+  const std::vector<std::uint8_t> bytes = encode(frame);
+  return {bytes.begin() + kFrameHeaderSize, bytes.end()};
+}
+
 TEST(WirePayload, TruncatedFieldsRejected) {
-  const std::vector<std::uint8_t> good = encode(SubmitFrame{});
-  const std::vector<std::uint8_t> full(good.begin() + kFrameHeaderSize,
-                                       good.end());
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    Frame frame;
-    frame.type = static_cast<std::uint8_t>(FrameType::kSubmit);
-    frame.payload.assign(full.begin(), full.begin() + cut);
-    SubmitFrame out;
-    EXPECT_FALSE(decode(frame, &out)) << "payload truncated to " << cut;
-  }
+  std::apply(
+      [](const auto&... frames) {
+        const auto check = [](const auto& in) {
+          using F = std::decay_t<decltype(in)>;
+          Frame frame{static_cast<std::uint8_t>(F::kType), payload_of(in)};
+          F out;
+          EXPECT_TRUE(decode(frame, &out)) << to_string(F::kType);
+          const std::vector<std::uint8_t> full = frame.payload;
+          for (std::size_t cut = 0; cut < full.size(); ++cut) {
+            frame.payload.assign(full.begin(), full.begin() + cut);
+            EXPECT_FALSE(decode(frame, &out))
+                << to_string(F::kType) << " payload truncated to " << cut;
+          }
+        };
+        (check(frames), ...);
+      },
+      sample_frames());
+}
+
+/// Decodes \p in after setting one field through \p set: the largest
+/// valid value must decode, \p bad (one past it) must not.
+template <typename F, typename Set>
+void expect_range(F in, Set set, unsigned largest, const char* field) {
+  F out;
+  set(in, largest);
+  EXPECT_TRUE(decode(Frame{static_cast<std::uint8_t>(F::kType),
+                           payload_of(in)},
+                     &out))
+      << field << " = " << largest;
+  set(in, largest + 1);
+  EXPECT_FALSE(decode(Frame{static_cast<std::uint8_t>(F::kType),
+                            payload_of(in)},
+                      &out))
+      << field << " = " << largest + 1;
+}
+
+TEST(WirePayload, OutOfRangeEnumAndFlagValuesRejected) {
+  const auto frames = sample_frames();
+  const auto u8 = [](auto member) {
+    return [member](auto& f, unsigned v) {
+      f.*member = static_cast<std::uint8_t>(v);
+    };
+  };
+  expect_range(std::get<SubmitFrame>(frames), u8(&SubmitFrame::share),
+               static_cast<unsigned>(WireShare::kBestEffort), "share");
+  expect_range(std::get<SubmitOkFrame>(frames), u8(&SubmitOkFrame::admitted),
+               1, "admitted");
+  expect_range(std::get<JobStatusFrame>(frames), u8(&JobStatusFrame::state),
+               static_cast<unsigned>(WireJobState::kCancelled), "state");
+  expect_range(std::get<JobStatusFrame>(frames),
+               u8(&JobStatusFrame::report_included), 1, "report_included");
+  expect_range(std::get<CancelOkFrame>(frames), u8(&CancelOkFrame::cancelled),
+               1, "cancelled");
+  expect_range(std::get<ErrorFrame>(frames), u8(&ErrorFrame::fatal), 1,
+               "fatal");
+  expect_range(
+      std::get<ErrorFrame>(frames),
+      [](ErrorFrame& f, unsigned v) {
+        f.code = static_cast<std::uint16_t>(v);
+      },
+      static_cast<unsigned>(WireError::kShuttingDown), "code");
 }
 
 TEST(WirePayload, WrongTypeTagRejected) {
