@@ -12,7 +12,7 @@
 //               climbs between refreshes.
 //   defrag    — every window the DefragPolicy compacts the surviving
 //               configurations with live migrations
-//               (FabricManager::migrate_prc — real drain + copy streams on
+//               (FabricManager::migrate — real drain + copy streams on
 //               the reconfiguration port), folding the free space back into
 //               one contiguous run.
 //

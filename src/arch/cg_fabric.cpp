@@ -98,12 +98,6 @@ Cycles CgFabric::activate(unsigned slot) {
   return params_.context_switch_cycles;
 }
 
-std::vector<Cycles> CgFabric::instance_ready_times(DataPathId dp) const {
-  std::vector<Cycles> out;
-  append_instance_ready_times(dp, out);
-  return out;
-}
-
 void CgFabric::append_instance_ready_times(DataPathId dp,
                                            std::vector<Cycles>& out) const {
   for (const auto& c : contexts_) {

@@ -40,7 +40,6 @@ struct CgContext {
   Cycles ready_at = kNeverCycles;
 
   bool empty() const { return occupant == kInvalidDataPath; }
-  bool usable_at(Cycles t) const { return !empty() && ready_at <= t; }
 };
 
 /// State of one CG fabric: resident contexts plus the active one.
@@ -82,11 +81,9 @@ class CgFabric {
 
   std::optional<unsigned> active_slot() const { return active_; }
 
-  /// Ready times of resident instances of \p dp (0 or 1 entries — the same
-  /// data path is never loaded into two slots of one fabric).
-  std::vector<Cycles> instance_ready_times(DataPathId dp) const;
-
-  /// Allocation-free variant: appends the same ready times to \p out.
+  /// Appends the ready times of resident instances of \p dp to \p out (0
+  /// or 1 entries — the same data path is never loaded into two slots of
+  /// one fabric).
   void append_instance_ready_times(DataPathId dp,
                                    std::vector<Cycles>& out) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "arch/fault_model.h"
 #include "util/counters.h"
@@ -11,24 +10,39 @@
 
 namespace mrts {
 
+namespace {
+
+static_assert(static_cast<unsigned>(Grain::kCoarse) == 0 &&
+                  static_cast<unsigned>(Grain::kFine) == 1,
+              "FabricManager::grains_ is indexed by Grain");
+
+std::int32_t track(Grain grain, unsigned container) {
+  return (grain == Grain::kFine ? kTrackFgBase : kTrackCgBase) +
+         static_cast<std::int32_t>(container);
+}
+
+std::uint32_t grain_arg(Grain grain) {
+  return static_cast<std::uint32_t>(grain);
+}
+
+const char* load_counter(Grain grain) {
+  return grain == Grain::kFine ? "fabric.fg_loads" : "fabric.cg_loads";
+}
+
+}  // namespace
+
 FabricManager::FabricManager(unsigned num_cg_fabrics, unsigned num_prcs,
                              const DataPathTable* table,
                              CgFabricParams cg_params)
-    : table_(table), fg_(num_prcs) {
+    : table_(table),
+      fg_(num_prcs),
+      grains_{Containers(num_cg_fabrics), Containers(num_prcs)},
+      cg_pinned_(num_cg_fabrics, kInvalidDataPath) {
   if (table_ == nullptr) {
     throw std::invalid_argument("FabricManager: null data path table");
   }
   cg_.reserve(num_cg_fabrics);
   for (unsigned i = 0; i < num_cg_fabrics; ++i) cg_.emplace_back(cg_params);
-  prc_reserved_.assign(num_prcs, false);
-  cg_reserved_.assign(num_cg_fabrics, false);
-  cg_pinned_.assign(num_cg_fabrics, kInvalidDataPath);
-  prc_quarantined_.assign(num_prcs, false);
-  cg_quarantined_.assign(num_cg_fabrics, false);
-  usable_prcs_ = num_prcs;
-  usable_cg_ = num_cg_fabrics;
-  prc_owner_.assign(num_prcs, kUnownedTenant);
-  cg_owner_.assign(num_cg_fabrics, kUnownedTenant);
 }
 
 void FabricManager::attach_fault_model(FaultModel* model) {
@@ -85,216 +99,207 @@ void FabricManager::set_active_tenant(TenantId tenant) {
   if (arbitration_ != nullptr) ++state_epoch_;
 }
 
-TenantId FabricManager::prc_owner(unsigned index) const {
-  return index < prc_owner_.size() ? prc_owner_[index] : kUnownedTenant;
+// --- Per-grain primitives ---------------------------------------------------
+
+unsigned FabricManager::slots(Grain grain, unsigned index) const {
+  return grain == Grain::kFine ? 1 : cg_[index].capacity();
 }
 
-TenantId FabricManager::cg_owner(unsigned index) const {
-  return index < cg_owner_.size() ? cg_owner_[index] : kUnownedTenant;
-}
-
-unsigned FabricManager::owned_prcs(TenantId tenant) const {
-  unsigned n = 0;
-  for (unsigned i = 0; i < fg_.num_prcs(); ++i) {
-    if (prc_owner_[i] == tenant && !fg_.prc(i).empty()) ++n;
+FabricManager::Config FabricManager::config(Grain grain, unsigned index,
+                                            unsigned slot) const {
+  if (grain == Grain::kFine) {
+    const Prc& prc = fg_.prc(index);
+    return {prc.occupant, prc.ready_at};
   }
-  return n;
+  const CgContext& ctx = cg_[index].context(slot);
+  return {ctx.occupant, ctx.ready_at};
 }
 
-unsigned FabricManager::owned_cg(TenantId tenant) const {
-  unsigned n = 0;
+bool FabricManager::occupied(Grain grain, unsigned index) const {
+  return grain == Grain::kFine ? !fg_.prc(index).empty()
+                               : cg_[index].resident_count() > 0;
+}
+
+bool FabricManager::load_destroys(Grain grain, unsigned index) const {
+  return grain == Grain::kFine
+             ? !fg_.prc(index).empty()
+             : cg_[index].resident_count() >= cg_[index].capacity();
+}
+
+std::optional<Cycles> FabricManager::holds_since(Grain grain, unsigned index,
+                                                 DataPathId dp) const {
+  if (grain == Grain::kFine) {
+    const Prc& prc = fg_.prc(index);
+    if (prc.occupant != dp) return std::nullopt;
+    return prc.ready_at;
+  }
+  const auto slot = cg_[index].slot_of(dp);
+  if (!slot) return std::nullopt;
+  return cg_[index].context(*slot).ready_at;
+}
+
+void FabricManager::place(Grain grain, unsigned index, DataPathId dp,
+                          Cycles ready) {
+  if (grain == Grain::kFine) {
+    fg_.place(index, dp, ready);
+  } else {
+    cg_[index].load(dp, ready, cg_pinned_[index]);
+  }
+}
+
+void FabricManager::pin(Grain grain, unsigned index, DataPathId dp) {
+  if (grain == Grain::kCoarse) cg_pinned_[index] = dp;
+}
+
+void FabricManager::evict(Grain grain, unsigned index, unsigned slot) {
+  if (grain == Grain::kFine) {
+    fg_.evict(index);
+  } else {
+    cg_[index].evict(slot);
+  }
+}
+
+void FabricManager::clear(Grain grain, unsigned index) {
+  if (grain == Grain::kFine) {
+    fg_.evict(index);
+  } else {
+    cg_[index].clear();
+    cg_pinned_[index] = kInvalidDataPath;
+  }
+}
+
+void FabricManager::drop_failed_load(Grain grain, unsigned index) {
+  Containers& c = of(grain);
+  if (grain == Grain::kCoarse || c.quarantined[index]) return;
+  fg_.evict(index);
+  c.owner[index] = kUnownedTenant;
+}
+
+std::optional<unsigned> FabricManager::native_victim(
+    Grain grain, const std::vector<bool>& claimed) const {
+  if (grain == Grain::kFine) return fg_.find_victim(claimed);
   for (unsigned i = 0; i < cg_.size(); ++i) {
-    if (cg_owner_[i] == tenant && cg_[i].resident_count() > 0) ++n;
+    if (!claimed[i]) return i;
+  }
+  return std::nullopt;
+}
+
+// --- Ownership, arbitration and quarantine ----------------------------------
+
+TenantId FabricManager::owner(Grain grain, unsigned index) const {
+  const Containers& c = of(grain);
+  return index < c.size() ? c.owner[index] : kUnownedTenant;
+}
+
+unsigned FabricManager::owned(Grain grain, TenantId tenant) const {
+  const Containers& c = of(grain);
+  unsigned n = 0;
+  for (unsigned i = 0; i < c.size(); ++i) {
+    if (c.owner[i] == tenant && occupied(grain, i)) ++n;
   }
   return n;
 }
 
-bool FabricManager::placeable_prc(unsigned index) const {
+TenantId FabricManager::foreign_owner(Grain grain, unsigned index) const {
+  const TenantId owner = of(grain).owner[index];
+  return occupied(grain, index) && owner != active_tenant_ ? owner
+                                                           : kUnownedTenant;
+}
+
+bool FabricManager::placeable(Grain grain, unsigned index) const {
   return arbitration_ == nullptr ||
-         arbitration_->may_place(active_tenant_, Grain::kFine, index);
+         arbitration_->may_place(active_tenant_, grain, index);
 }
 
-bool FabricManager::placeable_cg(unsigned index) const {
-  return arbitration_ == nullptr ||
-         arbitration_->may_place(active_tenant_, Grain::kCoarse, index);
-}
-
-unsigned FabricManager::accessible_prcs() const {
+unsigned FabricManager::accessible(Grain grain) const {
+  const Containers& c = of(grain);
   unsigned n = 0;
-  for (unsigned i = 0; i < fg_.num_prcs(); ++i) {
-    if (!prc_quarantined_[i] && placeable_prc(i)) ++n;
-  }
-  return n;
-}
-
-unsigned FabricManager::accessible_cg_fabrics() const {
-  unsigned n = 0;
-  for (unsigned i = 0; i < cg_.size(); ++i) {
-    if (!cg_quarantined_[i] && placeable_cg(i)) ++n;
+  for (unsigned i = 0; i < c.size(); ++i) {
+    if (!c.quarantined[i] && placeable(grain, i)) ++n;
   }
   return n;
 }
 
 void FabricManager::note_tenant_eviction(Grain grain, unsigned container,
                                          Cycles now) {
-  const bool fine = grain == Grain::kFine;
-  const TenantId owner =
-      fine ? prc_owner_[container] : cg_owner_[container];
-  // An FG placement always destroys the occupant; a CG load only evicts a
-  // context when the fabric's context memory is full.
-  const bool destroys =
-      fine ? !fg_.prc(container).empty()
-           : cg_[container].resident_count() >= cg_[container].capacity();
-  if (!destroys || owner == kUnownedTenant || owner == active_tenant_) return;
-  trace_record({TraceEventKind::kTenantEviction,
-                (fine ? kTrackFgBase : kTrackCgBase) +
-                    static_cast<std::int32_t>(container),
-                now, 0, owner, static_cast<std::uint32_t>(grain),
-                static_cast<double>(active_tenant_), 0.0});
+  const TenantId owner = of(grain).owner[container];
+  if (!load_destroys(grain, container) || owner == kUnownedTenant ||
+      owner == active_tenant_) {
+    return;
+  }
+  trace_record({TraceEventKind::kTenantEviction, track(grain, container), now,
+                0, owner, grain_arg(grain), static_cast<double>(active_tenant_),
+                0.0});
   if (counters_ != nullptr) counters_->add("tenant.eviction");
   if (arbitration_ != nullptr) {
     arbitration_->note_eviction(active_tenant_, owner, grain, now);
   }
 }
 
-std::optional<unsigned> FabricManager::pick_fg_victim(
-    std::vector<bool>& claimed, Cycles now) {
-  const auto native = fg_.find_victim(claimed);
+std::optional<unsigned> FabricManager::pick_victim(Grain grain, Cycles now) {
+  const std::vector<bool>& claimed = of(grain).claimed;
+  const auto native = native_victim(grain, claimed);
   if (arbitration_ == nullptr || !native) return native;
-  const TenantId owner = prc_owner_[*native];
-  if (fg_.prc(*native).empty() || owner == kUnownedTenant ||
-      owner == active_tenant_ ||
-      arbitration_->prefer_evict(active_tenant_, owner, Grain::kFine)) {
+  const TenantId owner = foreign_owner(grain, *native);
+  if (owner == kUnownedTenant ||
+      arbitration_->prefer_evict(active_tenant_, owner, grain)) {
     return native;
   }
   // The native victim is a within-entitlement foreign tenant's live data
-  // path; redirect onto the coldest preferred (over-quota / best-effort)
-  // victim when one exists, else keep the native choice.
-  std::vector<bool> restricted = claimed;
+  // path; redirect onto the native choice among the preferred (over-quota /
+  // best-effort) victims when one exists, else keep the native choice.
+  std::vector<bool>& restricted = scratch_restricted_;
+  restricted.assign(claimed.begin(), claimed.end());
   bool any_preferred = false;
-  for (unsigned i = 0; i < fg_.num_prcs(); ++i) {
+  for (unsigned i = 0; i < restricted.size(); ++i) {
     if (restricted[i]) continue;
-    const TenantId candidate = prc_owner_[i];
-    const bool preferred =
-        !fg_.prc(i).empty() && candidate != kUnownedTenant &&
-        candidate != active_tenant_ &&
-        arbitration_->prefer_evict(active_tenant_, candidate, Grain::kFine);
-    if (preferred) {
+    const TenantId candidate = foreign_owner(grain, i);
+    if (candidate != kUnownedTenant &&
+        arbitration_->prefer_evict(active_tenant_, candidate, grain)) {
       any_preferred = true;
     } else {
       restricted[i] = true;
     }
   }
   if (!any_preferred) return native;
-  const auto redirect = fg_.find_victim(restricted);
+  const auto redirect = native_victim(grain, restricted);
   if (!redirect) return native;
-  const TenantId victim_owner = prc_owner_[*redirect];
-  trace_record({TraceEventKind::kTenantQuotaHit,
-                kTrackFgBase + static_cast<std::int32_t>(*redirect), now,
-                0, victim_owner,
-                static_cast<std::uint32_t>(Grain::kFine),
+  const TenantId victim_owner = of(grain).owner[*redirect];
+  trace_record({TraceEventKind::kTenantQuotaHit, track(grain, *redirect), now,
+                0, victim_owner, grain_arg(grain),
                 static_cast<double>(active_tenant_), 0.0});
   if (counters_ != nullptr) counters_->add("tenant.quota_hit");
-  arbitration_->note_quota_redirect(active_tenant_, victim_owner, Grain::kFine,
-                                    now);
+  arbitration_->note_quota_redirect(active_tenant_, victim_owner, grain, now);
   return redirect;
 }
 
-std::optional<unsigned> FabricManager::pick_cg_victim(
-    std::vector<bool>& claimed, Cycles now) {
-  // Native CG choice: the first unclaimed fabric (stale contexts there are
-  // evicted lazily by CgFabric::load when the context memory fills up).
-  std::optional<unsigned> native;
-  for (unsigned i = 0; i < cg_.size(); ++i) {
-    if (!claimed[i]) {
-      native = i;
-      break;
-    }
-  }
-  if (arbitration_ == nullptr || !native) return native;
-  const TenantId owner = cg_owner_[*native];
-  if (cg_[*native].resident_count() == 0 || owner == kUnownedTenant ||
-      owner == active_tenant_ ||
-      arbitration_->prefer_evict(active_tenant_, owner, Grain::kCoarse)) {
-    return native;
-  }
-  for (unsigned i = 0; i < cg_.size(); ++i) {
-    if (claimed[i] || cg_[i].resident_count() == 0) continue;
-    const TenantId candidate = cg_owner_[i];
-    if (candidate == kUnownedTenant || candidate == active_tenant_) continue;
-    if (!arbitration_->prefer_evict(active_tenant_, candidate,
-                                    Grain::kCoarse)) {
-      continue;
-    }
-    trace_record({TraceEventKind::kTenantQuotaHit,
-                  kTrackCgBase + static_cast<std::int32_t>(i), now, 0,
-                  candidate, static_cast<std::uint32_t>(Grain::kCoarse),
-                  static_cast<double>(active_tenant_), 0.0});
-    if (counters_ != nullptr) counters_->add("tenant.quota_hit");
-    arbitration_->note_quota_redirect(active_tenant_, candidate,
-                                      Grain::kCoarse, now);
-    return i;
-  }
-  return native;
+bool FabricManager::quarantined(Grain grain, unsigned index) const {
+  const Containers& c = of(grain);
+  return index < c.size() && c.quarantined[index];
 }
 
-unsigned FabricManager::usable_prcs() const {
-  // O(1): quarantine is the only way a container leaves service and it is
-  // permanent, so the counts are maintained incrementally (hot path — the
-  // ECU consults the CG count on every RISC-mode execution decision).
-  return usable_prcs_;
-}
-
-unsigned FabricManager::usable_cg_fabrics() const { return usable_cg_; }
-
-bool FabricManager::prc_quarantined(unsigned index) const {
-  return index < prc_quarantined_.size() && prc_quarantined_[index];
-}
-
-bool FabricManager::cg_quarantined(unsigned index) const {
-  return index < cg_quarantined_.size() && cg_quarantined_[index];
-}
-
-void FabricManager::quarantine_prc(unsigned index, Cycles at) {
-  if (index >= prc_quarantined_.size() || prc_quarantined_[index]) return;
+void FabricManager::quarantine(Grain grain, unsigned index, Cycles at) {
+  Containers& c = of(grain);
+  if (index >= c.size() || c.quarantined[index]) return;
   ++state_epoch_;
-  const TenantId owner = prc_owner_[index];
-  prc_quarantined_[index] = true;
-  --usable_prcs_;
-  fg_.evict(index);
-  prc_reserved_[index] = false;
-  prc_owner_[index] = kUnownedTenant;
-  if (fault_ != nullptr) ++fault_->stats().quarantined_prcs;
+  const TenantId owner = c.owner[index];
+  c.quarantined[index] = true;
+  --c.usable;
+  clear(grain, index);
+  c.reserved[index] = false;
+  c.owner[index] = kUnownedTenant;
+  const bool fine = grain == Grain::kFine;
+  if (fault_ != nullptr) {
+    FaultStats& stats = fault_->stats();
+    ++(fine ? stats.quarantined_prcs : stats.quarantined_cg);
+  }
   // v0 = the tenant that lost the container (0 = unowned/single-app).
-  trace_record({TraceEventKind::kQuarantine,
-                kTrackFgBase + static_cast<std::int32_t>(index), at, 0,
-                index, static_cast<std::uint32_t>(Grain::kFine),
-                static_cast<double>(owner), 0.0});
-  if (counters_ != nullptr) counters_->add("prc.quarantined");
-  if (arbitration_ != nullptr) {
-    arbitration_->note_quarantine(owner, Grain::kFine, at);
+  trace_record({TraceEventKind::kQuarantine, track(grain, index), at, 0,
+                index, grain_arg(grain), static_cast<double>(owner), 0.0});
+  if (counters_ != nullptr) {
+    counters_->add(fine ? "prc.quarantined" : "cg.quarantined");
   }
-}
-
-void FabricManager::quarantine_cg(unsigned index, Cycles at) {
-  if (index >= cg_quarantined_.size() || cg_quarantined_[index]) return;
-  ++state_epoch_;
-  const TenantId owner = cg_owner_[index];
-  cg_quarantined_[index] = true;
-  --usable_cg_;
-  cg_[index].clear();
-  cg_reserved_[index] = false;
-  cg_pinned_[index] = kInvalidDataPath;
-  cg_owner_[index] = kUnownedTenant;
-  if (fault_ != nullptr) ++fault_->stats().quarantined_cg;
-  trace_record({TraceEventKind::kQuarantine,
-                kTrackCgBase + static_cast<std::int32_t>(index), at, 0,
-                index, static_cast<std::uint32_t>(Grain::kCoarse),
-                static_cast<double>(owner), 0.0});
-  if (counters_ != nullptr) counters_->add("cg.quarantined");
-  if (arbitration_ != nullptr) {
-    arbitration_->note_quarantine(owner, Grain::kCoarse, at);
-  }
+  if (arbitration_ != nullptr) arbitration_->note_quarantine(owner, grain, at);
 }
 
 const CgFabric& FabricManager::cg_fabric(unsigned i) const {
@@ -302,34 +307,31 @@ const CgFabric& FabricManager::cg_fabric(unsigned i) const {
   return cg_[i];
 }
 
+// --- Load streams and scrubbing ---------------------------------------------
+
 void FabricManager::trace_load(const ReconfigJob& job, Grain grain) const {
   if (trace_ == nullptr) return;
-  const std::int32_t track =
-      (grain == Grain::kFine ? kTrackFgBase : kTrackCgBase) +
-      static_cast<std::int32_t>(job.container);
-  const auto grain_arg = static_cast<std::uint32_t>(grain);
   // Scheduled times at enqueue; a later install() may cancel pending loads
   // (recorded as kReconfigCancel) before they start.
-  trace_record({TraceEventKind::kReconfigStart, track, job.starts_at,
-                job.completes_at - job.starts_at, raw(job.dp), grain_arg,
-                0.0, 0.0});
-  trace_record({TraceEventKind::kReconfigComplete, track, job.completes_at,
-                0, raw(job.dp), grain_arg, 0.0, 0.0});
+  trace_record({TraceEventKind::kReconfigStart, track(grain, job.container),
+                job.starts_at, job.completes_at - job.starts_at, raw(job.dp),
+                grain_arg(grain), 0.0, 0.0});
+  trace_record({TraceEventKind::kReconfigComplete,
+                track(grain, job.container), job.completes_at, 0, raw(job.dp),
+                grain_arg(grain), 0.0, 0.0});
 }
 
 FabricManager::StreamedLoad FabricManager::stream_load(
     DataPathId dp, unsigned container, Grain grain, Cycles now,
-    const char* load_counter) {
+    const char* counter) {
   const auto& desc = (*table_)[dp];
   const Cycles duration = desc.reconfig_cycles();
   LoadFaultOutcome outcome;
   outcome.port_cycles = duration;
   if (fault_ != nullptr) outcome = fault_->plan_load(grain, duration);
 
-  ReconfigPort& port =
-      grain == Grain::kFine ? reconfig_.fg_port() : reconfig_.cg_port();
-  const ReconfigJob job =
-      port.enqueue(dp, container, outcome.port_cycles, now);
+  const ReconfigJob job = reconfig_.port(grain).enqueue(
+      dp, container, outcome.port_cycles, now);
   // Every attempt streams the full image, so retries move real bytes.
   const std::uint64_t attempts = outcome.retries + 1;
   if (grain == Grain::kFine) {
@@ -342,31 +344,26 @@ FabricManager::StreamedLoad FabricManager::stream_load(
         desc.units * attempts;
   }
   trace_load(job, grain);
-  if (counters_ != nullptr) counters_->add(load_counter);
+  if (counters_ != nullptr) counters_->add(counter);
 
   const unsigned failed_attempts =
       outcome.retries + (outcome.success ? 0u : 1u);
-  if (failed_attempts > 0) {
-    const std::int32_t track =
-        (grain == Grain::kFine ? kTrackFgBase : kTrackCgBase) +
-        static_cast<std::int32_t>(container);
-    const auto grain_arg = static_cast<std::uint32_t>(grain);
-    // Reconstruct the attempt timeline inside the enqueued job: attempt k
-    // streams for `duration` cycles and fails its CRC check at the end;
-    // retry k then waits out the exponential backoff before re-streaming.
-    Cycles attempt_start = job.starts_at;
-    for (unsigned k = 0; k < failed_attempts; ++k) {
-      const Cycles detect = attempt_start + duration;
-      trace_record({TraceEventKind::kFaultInject, track, detect, 0,
-                    raw(dp), grain_arg, static_cast<double>(k), 0.0});
-      if (counters_ != nullptr) counters_->add("fault.inject");
-      if (k < outcome.retries) {
-        const Cycles retry_start = detect + fault_->backoff(k);
-        trace_record({TraceEventKind::kReconfigRetry, track, retry_start,
-                      duration, raw(dp), k + 1, 0.0, 0.0});
-        if (counters_ != nullptr) counters_->add("reconfig.retry");
-        attempt_start = retry_start;
-      }
+  // Reconstruct the attempt timeline inside the enqueued job: attempt k
+  // streams for `duration` cycles and fails its CRC check at the end; retry
+  // k then waits out the exponential backoff before re-streaming.
+  Cycles attempt_start = job.starts_at;
+  for (unsigned k = 0; k < failed_attempts; ++k) {
+    const Cycles detect = attempt_start + duration;
+    trace_record({TraceEventKind::kFaultInject, track(grain, container),
+                  detect, 0, raw(dp), grain_arg(grain), static_cast<double>(k),
+                  0.0});
+    if (counters_ != nullptr) counters_->add("fault.inject");
+    if (k < outcome.retries) {
+      const Cycles retry_start = detect + fault_->backoff(k);
+      trace_record({TraceEventKind::kReconfigRetry, track(grain, container),
+                    retry_start, duration, raw(dp), k + 1, 0.0, 0.0});
+      if (counters_ != nullptr) counters_->add("reconfig.retry");
+      attempt_start = retry_start;
     }
   }
 
@@ -377,11 +374,7 @@ FabricManager::StreamedLoad FabricManager::stream_load(
   } else if (outcome.quarantine) {
     // Retry exhaustion diagnosed a permanent container fault at the final
     // CRC check.
-    if (grain == Grain::kFine) {
-      quarantine_prc(container, job.completes_at);
-    } else {
-      quarantine_cg(container, job.completes_at);
-    }
+    quarantine(grain, container, job.completes_at);
   }
   return result;
 }
@@ -405,80 +398,50 @@ void FabricManager::scrub(Cycles now) {
 }
 
 void FabricManager::scrub_epoch(Cycles at) {
-  for (unsigned i = 0; i < fg_.num_prcs(); ++i) {
-    if (prc_quarantined_[i]) continue;
-    const Prc prc = fg_.prc(i);  // copy: repair/quarantine mutates the slot
-    if (prc.empty() || prc.ready_at > at) continue;
-    if (!fault_->upset()) continue;
-    if (fault_->permanent()) {
-      quarantine_prc(i, at);
-      continue;
-    }
-    // Transient upset: scrubbing found corrupted configuration bits and
-    // re-streams the bitstream. Until the repair completes the data path is
-    // not usable, so affected ISEs degrade to their best intermediate.
-    const StreamedLoad repair =
-        stream_load(prc.occupant, i, Grain::kFine, at, "fabric.fg_loads");
-    ++fault_->stats().scrub_repairs;
-    trace_record({TraceEventKind::kScrubRepair,
-                  kTrackFgBase + static_cast<std::int32_t>(i), at, 0,
-                  raw(prc.occupant),
-                  static_cast<std::uint32_t>(Grain::kFine),
-                  repair.success ? static_cast<double>(repair.ready) : 0.0,
-                  0.0});
-    if (counters_ != nullptr) counters_->add("scrub.repair");
-    if (repair.success) {
-      fg_.place(i, prc.occupant, repair.ready);
-    } else if (!prc_quarantined_[i]) {
-      fg_.evict(i);  // repair failed: the PRC stays empty for this round
-      prc_owner_[i] = kUnownedTenant;
-    }
-  }
-  for (unsigned f = 0; f < static_cast<unsigned>(cg_.size()); ++f) {
-    for (unsigned slot = 0; slot < cg_[f].capacity(); ++slot) {
-      if (cg_quarantined_[f]) break;
-      const CgContext ctx = cg_[f].context(slot);
-      if (ctx.empty() || ctx.ready_at > at) continue;
-      if (!fault_->upset()) continue;
-      if (fault_->permanent()) {
-        quarantine_cg(f, at);
-        break;
+  for (Grain grain : kGrains) {
+    Containers& c = of(grain);
+    for (unsigned i = 0; i < c.size(); ++i) {
+      // Every loaded configuration draws its own trial: a PRC's one, each
+      // resident context of a CG fabric.
+      for (unsigned slot = 0; slot < slots(grain, i) && !c.quarantined[i];
+           ++slot) {
+        const Config cfg = config(grain, i, slot);  // repair mutates it
+        if (cfg.empty() || cfg.ready_at > at) continue;
+        if (!fault_->upset()) continue;
+        if (fault_->permanent()) {
+          quarantine(grain, i, at);
+          break;
+        }
+        // Transient upset: scrubbing found corrupted configuration bits and
+        // re-streams them. Until the repair completes the data path is not
+        // usable, so affected ISEs degrade to their best intermediate.
+        const StreamedLoad repair =
+            stream_load(cfg.dp, i, grain, at, load_counter(grain));
+        ++fault_->stats().scrub_repairs;
+        trace_record({TraceEventKind::kScrubRepair, track(grain, i), at, 0,
+                      raw(cfg.dp), grain_arg(grain),
+                      repair.success ? static_cast<double>(repair.ready) : 0.0,
+                      0.0});
+        if (counters_ != nullptr) counters_->add("scrub.repair");
+        if (c.quarantined[i]) break;  // the repair load itself went permanent
+        evict(grain, i, slot);
+        if (repair.success) {
+          place(grain, i, cfg.dp, repair.ready);
+        } else {
+          drop_failed_load(grain, i);
+        }
       }
-      const StreamedLoad repair =
-          stream_load(ctx.occupant, f, Grain::kCoarse, at, "fabric.cg_loads");
-      ++fault_->stats().scrub_repairs;
-      trace_record({TraceEventKind::kScrubRepair,
-                    kTrackCgBase + static_cast<std::int32_t>(f), at, 0,
-                    raw(ctx.occupant),
-                    static_cast<std::uint32_t>(Grain::kCoarse),
-                    repair.success ? static_cast<double>(repair.ready)
-                                   : 0.0,
-                    0.0});
-      if (counters_ != nullptr) counters_->add("scrub.repair");
-      if (cg_quarantined_[f]) break;  // the repair load itself went permanent
-      cg_[f].evict(slot);
-      if (repair.success) cg_[f].load(ctx.occupant, repair.ready);
     }
   }
 }
 
-std::optional<unsigned> FabricManager::claim_existing_fg(
-    DataPathId dp, std::vector<bool>& claimed) const {
-  for (unsigned i = 0; i < fg_.num_prcs(); ++i) {
-    if (claimed[i]) continue;
-    if (fg_.prc(i).occupant == dp) {
-      claimed[i] = true;
-      return i;
-    }
-  }
-  return std::nullopt;
-}
+// --- Installation -----------------------------------------------------------
 
-std::optional<unsigned> FabricManager::claim_existing_cg(
-    DataPathId dp, std::vector<bool>& claimed) const {
-  for (unsigned i = 0; i < cg_.size(); ++i) {
-    if (claimed[i]) continue;
-    if (cg_[i].slot_of(dp)) {
+std::optional<unsigned> FabricManager::claim_existing(Grain grain,
+                                                      DataPathId dp) {
+  std::vector<bool>& claimed = of(grain).claimed;
+  for (unsigned i = 0; i < claimed.size(); ++i) {
+    if (!claimed[i] && holds_since(grain, i, dp)) {
       claimed[i] = true;
       return i;
     }
@@ -499,36 +462,30 @@ std::vector<IsePlacement> FabricManager::install(
   // crashing: trailing ISEs of the selection are dropped (their kernels fall
   // down the ECU ladder to monoCG/RISC). Without a fault model the strict
   // contract stays: an oversized selection is a caller bug.
-  std::vector<unsigned> req_prcs(selection.size(), 0);
-  std::vector<unsigned> req_cg(selection.size(), 0);
-  unsigned need_prcs = 0;
-  unsigned need_cg = 0;
-  for (std::size_t s = 0; s < selection.size(); ++s) {
-    for (DataPathId dp : selection[s].data_paths) {
-      const auto& desc = (*table_)[dp];
-      if (desc.grain == Grain::kFine) {
-        req_prcs[s] += desc.units;
-      } else {
-        req_cg[s] += desc.units;
-      }
-    }
-    need_prcs += req_prcs[s];
-    need_cg += req_cg[s];
-  }
+  //
   // With arbitration attached the active tenant plans against the capacity
   // it may actually place into (pool + own partition), not the whole
   // machine; an arbitrated overflow degrades like a post-quarantine one
   // (the tenant-bound selector plans with visible capacity, so drops only
-  // happen on races it could not see).
-  const unsigned cap_prcs =
-      arbitration_ != nullptr ? accessible_prcs() : usable_prcs();
-  const unsigned cap_cg =
-      arbitration_ != nullptr ? accessible_cg_fabrics() : usable_cg_fabrics();
+  // happen on races it could not see). Arrays below are indexed by Grain.
+  std::vector<std::array<unsigned, 2>> units(selection.size());
+  std::array<unsigned, 2> need{};
+  std::array<unsigned, 2> capacity{};
+  for (std::size_t s = 0; s < selection.size(); ++s) {
+    for (DataPathId dp : selection[s].data_paths) {
+      const auto& desc = (*table_)[dp];
+      units[s][static_cast<unsigned>(desc.grain)] += desc.units;
+    }
+    for (unsigned g = 0; g < 2; ++g) need[g] += units[s][g];
+  }
+  for (Grain grain : kGrains) {
+    capacity[static_cast<unsigned>(grain)] =
+        arbitration_ != nullptr ? accessible(grain) : usable(grain);
+  }
   std::size_t accepted = selection.size();
-  while (accepted > 0 && (need_prcs > cap_prcs || need_cg > cap_cg)) {
+  while (accepted > 0 && (need[0] > capacity[0] || need[1] > capacity[1])) {
     --accepted;
-    need_prcs -= req_prcs[accepted];
-    need_cg -= req_cg[accepted];
+    for (unsigned g = 0; g < 2; ++g) need[g] -= units[accepted][g];
   }
   if (accepted != selection.size()) {
     if (fault_ == nullptr && arbitration_ == nullptr) {
@@ -545,22 +502,17 @@ std::vector<IsePlacement> FabricManager::install(
   // contents were evicted at quarantine time) and never picked as victims.
   // With arbitration, containers the active tenant may not place into
   // (other tenants' partitions) are pre-claimed the same way.
-  std::vector<bool>& prc_claimed = scratch_prc_claimed_;
-  std::vector<bool>& cg_claimed = scratch_cg_claimed_;
-  prc_claimed.assign(prc_quarantined_.begin(), prc_quarantined_.end());
-  cg_claimed.assign(cg_quarantined_.begin(), cg_quarantined_.end());
-  if (arbitration_ != nullptr) {
-    for (unsigned i = 0; i < fg_.num_prcs(); ++i) {
-      if (!placeable_prc(i)) prc_claimed[i] = true;
-    }
-    for (unsigned i = 0; i < cg_.size(); ++i) {
-      if (!placeable_cg(i)) cg_claimed[i] = true;
+  for (Grain grain : kGrains) {
+    Containers& c = of(grain);
+    c.claimed.assign(c.quarantined.begin(), c.quarantined.end());
+    if (arbitration_ == nullptr) continue;
+    for (unsigned i = 0; i < c.size(); ++i) {
+      if (!placeable(grain, i)) c.claimed[i] = true;
     }
   }
-  // Pre-claimed containers must not end up reserved by this selection.
-  const std::vector<bool>& prc_blocked =
-      (scratch_prc_blocked_ = prc_claimed);
-  const std::vector<bool>& cg_blocked = (scratch_cg_blocked_ = cg_claimed);
+  // The previous selection's pins go with it; this one's are set where it
+  // claims or loads a container.
+  cg_pinned_.assign(cg_.size(), kInvalidDataPath);
 
   struct PendingLoad {
     std::size_t ise_index;
@@ -579,54 +531,38 @@ std::vector<IsePlacement> FabricManager::install(
     if (s >= accepted) continue;  // dropped: every instance stays kNever
     for (std::size_t k = 0; k < req.data_paths.size(); ++k) {
       const DataPathId dp = req.data_paths[k];
-      const auto& desc = (*table_)[dp];
-      if (desc.grain == Grain::kFine) {
-        if (auto prc = claim_existing_fg(dp, prc_claimed)) {
-          placement.instance_ready[k] = fg_.prc(*prc).ready_at;
-          ++placement.reused_instances;
-          // The claimer's live selection now depends on this container.
-          prc_owner_[*prc] = active_tenant_;
-          continue;
-        }
-      } else {
-        if (auto fab = claim_existing_cg(dp, cg_claimed)) {
-          placement.instance_ready[k] =
-              cg_[*fab].context(*cg_[*fab].slot_of(dp)).ready_at;
-          ++placement.reused_instances;
-          cg_owner_[*fab] = active_tenant_;
-          continue;
-        }
+      const Grain grain = (*table_)[dp].grain;
+      if (const auto reused = claim_existing(grain, dp)) {
+        placement.instance_ready[k] = *holds_since(grain, *reused, dp);
+        ++placement.reused_instances;
+        // The claimer's live selection now depends on this container.
+        of(grain).owner[*reused] = active_tenant_;
+        pin(grain, *reused, dp);
+        continue;
       }
       loads.push_back({s, k, dp});
     }
   }
 
   // --- 3. Cancel pending loads of data paths the new selection evicts. ----
-  // A queued FG job is kept only if its target PRC was claimed (its data path
-  // is reused by this selection).
-  const std::size_t fg_cancelled = reconfig_.fg_port().cancel_pending(
-      now, [&prc_claimed](const ReconfigJob& job) {
-        return job.container >= prc_claimed.size() ||
-               !prc_claimed[job.container];
-      });
-  const std::size_t cg_cancelled = reconfig_.cg_port().cancel_pending(
-      now, [&cg_claimed](const ReconfigJob& job) {
-        return job.container >= cg_claimed.size() || !cg_claimed[job.container];
-      });
-  const std::size_t cancelled = fg_cancelled + cg_cancelled;
+  // A queued job is kept only if its target container was claimed (its data
+  // path is reused by this selection).
+  std::size_t cancelled = 0;
+  for (Grain grain : kGrains) {
+    const std::vector<bool>& claimed = of(grain).claimed;
+    const std::size_t n = reconfig_.port(grain).cancel_pending(
+        now, [&claimed](const ReconfigJob& job) {
+          return job.container >= claimed.size() || !claimed[job.container];
+        });
+    // One cancel event per port so analysis can attribute evicted loads to
+    // a reconfiguration unit (arg1 = grain) instead of one blended count.
+    if (n > 0) {
+      trace_record({TraceEventKind::kReconfigCancel, kTrackApp, now, 0, 0,
+                    grain_arg(grain), static_cast<double>(n), 0.0});
+    }
+    cancelled += n;
+  }
   reconfig_stats_.cancelled_loads += cancelled;
-  // One cancel event per port so analysis can attribute evicted loads to a
-  // reconfiguration unit (arg1 = grain) instead of one blended count.
-  if (fg_cancelled > 0) {
-    trace_record({TraceEventKind::kReconfigCancel, kTrackApp, now, 0, 0,
-                  static_cast<std::uint32_t>(Grain::kFine),
-                  static_cast<double>(fg_cancelled), 0.0});
-  }
-  if (cg_cancelled > 0) {
-    trace_record({TraceEventKind::kReconfigCancel, kTrackApp, now, 0, 0,
-                  static_cast<std::uint32_t>(Grain::kCoarse),
-                  static_cast<double>(cg_cancelled), 0.0});
-  }
   if (cancelled > 0 && counters_ != nullptr) {
     counters_->add("fabric.cancelled_loads", cancelled);
   }
@@ -636,66 +572,36 @@ std::vector<IsePlacement> FabricManager::install(
   // kNeverCycles: the data path is unloadable for this selection round and
   // the ECU executes the best prefix/intermediate instead.
   for (const auto& load : loads) {
-    const auto& desc = (*table_)[load.dp];
-    auto& placement = result[load.ise_index];
-    if (desc.grain == Grain::kFine) {
-      auto victim = pick_fg_victim(prc_claimed, now);
-      if (!victim) {
-        throw std::logic_error("FabricManager::install: no PRC victim");
-      }
-      prc_claimed[*victim] = true;
-      note_tenant_eviction(Grain::kFine, *victim, now);
-      const StreamedLoad res =
-          stream_load(load.dp, *victim, Grain::kFine, now, "fabric.fg_loads");
-      if (res.success) {
-        fg_.place(*victim, load.dp, res.ready);
-        prc_owner_[*victim] = active_tenant_;
-        placement.instance_ready[load.instance_index] = res.ready;
-      } else if (!prc_quarantined_[*victim]) {
-        fg_.evict(*victim);
-        prc_owner_[*victim] = kUnownedTenant;
-      }
+    const Grain grain = (*table_)[load.dp].grain;
+    Containers& c = of(grain);
+    const auto victim = pick_victim(grain, now);
+    if (!victim) {
+      throw std::logic_error(grain == Grain::kFine
+                                 ? "FabricManager::install: no PRC victim"
+                                 : "FabricManager::install: no CG victim");
+    }
+    c.claimed[*victim] = true;
+    note_tenant_eviction(grain, *victim, now);
+    const StreamedLoad res =
+        stream_load(load.dp, *victim, grain, now, load_counter(grain));
+    if (res.success) {
+      place(grain, *victim, load.dp, res.ready);
+      pin(grain, *victim, load.dp);
+      c.owner[*victim] = active_tenant_;
+      result[load.ise_index].instance_ready[load.instance_index] = res.ready;
     } else {
-      auto victim = pick_cg_victim(cg_claimed, now);
-      if (!victim) {
-        throw std::logic_error("FabricManager::install: no CG victim");
-      }
-      cg_claimed[*victim] = true;
-      note_tenant_eviction(Grain::kCoarse, *victim, now);
-      const StreamedLoad res = stream_load(load.dp, *victim, Grain::kCoarse,
-                                           now, "fabric.cg_loads");
-      if (res.success) {
-        cg_[*victim].load(load.dp, res.ready);
-        cg_owner_[*victim] = active_tenant_;
-        placement.instance_ready[load.instance_index] = res.ready;
-      }
+      drop_failed_load(grain, *victim);
     }
   }
 
   // --- 5. Reservations + prefix ready times. -------------------------------
-  // Containers quarantined while scheduling this round's loads must not end
-  // up reserved.
-  prc_reserved_ = prc_claimed;
-  cg_reserved_ = cg_claimed;
-  for (unsigned i = 0; i < fg_.num_prcs(); ++i) {
-    // Containers that started out blocked (quarantined or another tenant's
-    // partition) were only pre-claimed, never used by this selection.
-    if (prc_quarantined_[i] || prc_blocked[i]) prc_reserved_[i] = false;
-  }
-  for (unsigned i = 0; i < cg_.size(); ++i) {
-    if (cg_quarantined_[i] || cg_blocked[i]) cg_reserved_[i] = false;
-  }
-  cg_pinned_.assign(cg_.size(), kInvalidDataPath);
-  for (unsigned i = 0; i < cg_.size(); ++i) {
-    if (!cg_reserved_[i]) continue;
-    // The claimed context of this fabric is the one the selection uses; it
-    // must survive monoCG context churn.
-    for (const auto& req : selection) {
-      for (DataPathId dp : req.data_paths) {
-        if ((*table_)[dp].grain == Grain::kCoarse && cg_[i].slot_of(dp)) {
-          cg_pinned_[i] = dp;
-        }
-      }
+  // Containers quarantined while scheduling this round's loads, and those
+  // only pre-claimed because the active tenant may not use them, were never
+  // used by this selection: they must not end up reserved.
+  for (Grain grain : kGrains) {
+    Containers& c = of(grain);
+    for (unsigned i = 0; i < c.size(); ++i) {
+      c.reserved[i] = c.claimed[i] && !c.quarantined[i] && placeable(grain, i);
     }
   }
   for (auto& placement : result) {
@@ -706,9 +612,9 @@ std::vector<IsePlacement> FabricManager::install(
       placement.prefix_ready[i] = prefix;
     }
   }
-  for (const auto& placement : result) {
-    reconfig_stats_.reused_instances += placement.reused_instances;
-  }
+  std::uint64_t reused = 0;
+  for (const auto& placement : result) reused += placement.reused_instances;
+  reconfig_stats_.reused_instances += reused;
   if (trace_ != nullptr) {
     const FabricUsage u = usage();
     trace_record({TraceEventKind::kOccupancy, kTrackApp, now, 0,
@@ -718,12 +624,9 @@ std::vector<IsePlacement> FabricManager::install(
   }
   if (counters_ != nullptr) {
     counters_->add("fabric.installs");
-    std::uint64_t reused = 0;
-    for (const auto& placement : result) reused += placement.reused_instances;
     counters_->add("fabric.reused_instances", reused);
   }
-  reconfig_.fg_port().compact(now);
-  reconfig_.cg_port().compact(now);
+  for (Grain grain : kGrains) reconfig_.port(grain).compact(now);
   return result;
 }
 
@@ -731,63 +634,53 @@ std::size_t FabricManager::prefetch(
     const std::vector<IsePlacementRequest>& future, Cycles now) {
   ++state_epoch_;
   std::size_t started = 0;
-  // Containers already claimed during this prefetch round (quarantined ones
-  // count as claimed: speculation never targets broken silicon).
-  std::vector<bool>& prc_claimed = (scratch_prc_claimed_ = prc_reserved_);
-  std::vector<bool>& cg_claimed = (scratch_cg_claimed_ = cg_reserved_);
-  for (unsigned i = 0; i < fg_.num_prcs(); ++i) {
-    if (prc_quarantined_[i] || !placeable_prc(i)) prc_claimed[i] = true;
-  }
-  for (unsigned i = 0; i < cg_.size(); ++i) {
-    if (cg_quarantined_[i] || !placeable_cg(i)) cg_claimed[i] = true;
+  // Containers already claimed during this prefetch round: the current
+  // selection's, plus quarantined ones (speculation never targets broken
+  // silicon) and ones the active tenant may not place into.
+  for (Grain grain : kGrains) {
+    Containers& c = of(grain);
+    c.claimed.assign(c.reserved.begin(), c.reserved.end());
+    for (unsigned i = 0; i < c.size(); ++i) {
+      if (c.quarantined[i] || !placeable(grain, i)) c.claimed[i] = true;
+    }
   }
 
   for (const auto& req : future) {
     for (DataPathId dp : req.data_paths) {
-      const auto& desc = (*table_)[dp];
       // Placed (or loading) anywhere already: nothing to do. Instance
       // multiplicity is intentionally ignored for speculation — the goal is
       // warming the fabric, not exactness.
-      if (!instance_ready_times(dp).empty()) continue;
-      if (desc.grain == Grain::kFine) {
-        const auto victim = pick_fg_victim(prc_claimed, now);
-        if (!victim) continue;  // no unreserved PRC left
-        prc_claimed[*victim] = true;
-        note_tenant_eviction(Grain::kFine, *victim, now);
-        const StreamedLoad res = stream_load(dp, *victim, Grain::kFine, now,
-                                             "fabric.prefetch_loads");
-        if (res.success) {
-          fg_.place(*victim, dp, res.ready);
-          prc_owner_[*victim] = active_tenant_;
-        }
-        ++started;
+      if (available_instances(dp, kNeverCycles) > 0) continue;
+      const Grain grain = (*table_)[dp].grain;
+      Containers& c = of(grain);
+      std::optional<unsigned> target;
+      if (grain == Grain::kFine) {
+        target = pick_victim(grain, now);
+        if (!target) continue;  // no unreserved PRC left
+        c.claimed[*target] = true;
+        note_tenant_eviction(grain, *target, now);
       } else {
-        // Use a free context slot of any fabric (the speculative context
-        // must not evict live contexts).
-        std::optional<unsigned> target;
-        for (unsigned i = 0; i < cg_.size(); ++i) {
-          if (cg_quarantined_[i] || !placeable_cg(i)) continue;
-          if (!cg_claimed[i] || cg_[i].resident_count() < cg_[i].capacity()) {
-            target = i;
-            break;
-          }
+        // A free context slot of any fabric (the speculative context must
+        // not evict live contexts), or any unreserved fabric.
+        for (unsigned i = 0; i < c.size() && !target; ++i) {
+          if (c.quarantined[i] || !placeable(grain, i)) continue;
+          if (!c.claimed[i] || !load_destroys(grain, i)) target = i;
         }
         if (!target) continue;
-        const StreamedLoad res = stream_load(dp, *target, Grain::kCoarse, now,
-                                             "fabric.prefetch_loads");
-        if (res.success) {
-          const DataPathId keep = *target < cg_pinned_.size()
-                                      ? cg_pinned_[*target]
-                                      : kInvalidDataPath;
-          cg_[*target].load(dp, res.ready, keep);
-          cg_owner_[*target] = active_tenant_;
-        }
-        ++started;
       }
+      const StreamedLoad res =
+          stream_load(dp, *target, grain, now, "fabric.prefetch_loads");
+      if (res.success) {
+        place(grain, *target, dp, res.ready);
+        c.owner[*target] = active_tenant_;
+      }
+      ++started;
     }
   }
   return started;
 }
+
+// --- Migration --------------------------------------------------------------
 
 const char* to_string(MigrationStatus status) {
   switch (status) {
@@ -800,44 +693,55 @@ const char* to_string(MigrationStatus status) {
   return "?";
 }
 
-MigrationResult FabricManager::migrate_prc(unsigned from, unsigned to,
-                                           Cycles now) {
+MigrationResult FabricManager::migrate(Grain grain, unsigned from, unsigned to,
+                                       Cycles now) {
   MigrationResult res;
-  if (from >= fg_.num_prcs() || to >= fg_.num_prcs()) {
+  Containers& c = of(grain);
+  if (from >= c.size() || to >= c.size()) {
     res.status = MigrationStatus::kTargetUnavailable;
     return res;
   }
-  if (prc_quarantined_[from]) {
+  if (c.quarantined[from]) {
     // The source died before the drain completed: abort with nothing
     // mutated so the caller can pick another source.
     res.status = MigrationStatus::kSourceQuarantined;
     return res;
   }
-  const Prc src = fg_.prc(from);
-  if (src.empty()) {
+  // The source's oldest configuration (lowest ready_at; ties to the lowest
+  // slot).
+  std::optional<unsigned> slot;
+  Config moved;
+  for (unsigned s = 0; s < slots(grain, from); ++s) {
+    const Config cfg = config(grain, from, s);
+    if (!cfg.empty() && (!slot || cfg.ready_at < moved.ready_at)) {
+      slot = s;
+      moved = cfg;
+    }
+  }
+  if (!slot) {
     res.status = MigrationStatus::kNothingToMigrate;
     return res;
   }
-  if (to == from || prc_quarantined_[to] || !fg_.prc(to).empty() ||
-      !placeable_prc(to)) {
+  if (to == from || c.quarantined[to] || !placeable(grain, to) ||
+      load_destroys(grain, to)) {
+    // Migration never destroys a configuration on the target.
     res.status = MigrationStatus::kTargetUnavailable;
     return res;
   }
 
   ++state_epoch_;
-  res.dp = src.occupant;
+  res.dp = moved.dp;
   // Drain: in-flight executions bind the source until its configuration is
-  // fully streamed/usable; the context copy starts no earlier.
-  const Cycles start = std::max(now, src.ready_at);
+  // fully streamed/usable; the copy stream starts no earlier.
+  const Cycles start = std::max(now, moved.ready_at);
   res.drained_at = start;
-  trace_record({TraceEventKind::kMigrationStart,
-                kTrackFgBase + static_cast<std::int32_t>(from), start, 0,
-                raw(src.occupant), static_cast<std::uint32_t>(Grain::kFine),
-                static_cast<double>(from), static_cast<double>(to)});
+  trace_record({TraceEventKind::kMigrationStart, track(grain, from), start, 0,
+                raw(moved.dp), grain_arg(grain), static_cast<double>(from),
+                static_cast<double>(to)});
   if (counters_ != nullptr) counters_->add("migration.started");
 
   const StreamedLoad copy =
-      stream_load(src.occupant, to, Grain::kFine, start, "fabric.fg_loads");
+      stream_load(moved.dp, to, grain, start, load_counter(grain));
   if (!copy.success) {
     // CRC retries exhausted (the stream may have quarantined the target);
     // the source keeps serving, the caller retries elsewhere.
@@ -846,95 +750,31 @@ MigrationResult FabricManager::migrate_prc(unsigned from, unsigned to,
     return res;
   }
 
-  fg_.place(to, src.occupant, copy.ready);
-  prc_owner_[to] = prc_owner_[from];
-  fg_.evict(from);
-  prc_owner_[from] = kUnownedTenant;
-  if (prc_reserved_[from]) {
-    prc_reserved_[from] = false;
-    prc_reserved_[to] = true;
-  }
-  trace_record({TraceEventKind::kMigrationComplete,
-                kTrackFgBase + static_cast<std::int32_t>(to), copy.ready,
-                copy.ready - start, raw(src.occupant),
-                static_cast<std::uint32_t>(Grain::kFine),
-                static_cast<double>(from), static_cast<double>(to)});
-  if (counters_ != nullptr) counters_->add("migration.completed");
-  res.status = MigrationStatus::kMigrated;
-  res.ready_at = copy.ready;
-  return res;
-}
-
-MigrationResult FabricManager::migrate_cg(unsigned from, unsigned to,
-                                          Cycles now) {
-  MigrationResult res;
-  if (from >= cg_.size() || to >= cg_.size()) {
-    res.status = MigrationStatus::kTargetUnavailable;
-    return res;
-  }
-  if (cg_quarantined_[from]) {
-    res.status = MigrationStatus::kSourceQuarantined;
-    return res;
-  }
-  // Oldest resident context (lowest ready_at; ties to the lowest slot).
-  std::optional<unsigned> slot;
-  for (unsigned s = 0; s < cg_[from].capacity(); ++s) {
-    const CgContext& ctx = cg_[from].context(s);
-    if (ctx.empty()) continue;
-    if (!slot || ctx.ready_at < cg_[from].context(*slot).ready_at) slot = s;
-  }
-  if (!slot) {
-    res.status = MigrationStatus::kNothingToMigrate;
-    return res;
-  }
-  if (to == from || cg_quarantined_[to] || !placeable_cg(to) ||
-      cg_[to].resident_count() >= cg_[to].capacity()) {
-    // Migration never evicts live contexts on the target.
-    res.status = MigrationStatus::kTargetUnavailable;
-    return res;
-  }
-
-  ++state_epoch_;
-  const CgContext ctx = cg_[from].context(*slot);
-  res.dp = ctx.occupant;
-  const Cycles start = std::max(now, ctx.ready_at);
-  res.drained_at = start;
-  trace_record({TraceEventKind::kMigrationStart,
-                kTrackCgBase + static_cast<std::int32_t>(from), start, 0,
-                raw(ctx.occupant), static_cast<std::uint32_t>(Grain::kCoarse),
-                static_cast<double>(from), static_cast<double>(to)});
-  if (counters_ != nullptr) counters_->add("migration.started");
-
-  const StreamedLoad copy =
-      stream_load(ctx.occupant, to, Grain::kCoarse, start, "fabric.cg_loads");
-  if (!copy.success) {
-    res.status = MigrationStatus::kCopyFailed;
-    if (counters_ != nullptr) counters_->add("migration.failed");
-    return res;
-  }
-
-  cg_[to].load(ctx.occupant, copy.ready);
-  cg_owner_[to] = cg_owner_[from];
-  cg_[from].evict(*slot);
-  if (cg_pinned_[from] == ctx.occupant) {
-    cg_pinned_[to] = ctx.occupant;
+  place(grain, to, moved.dp, copy.ready);
+  c.owner[to] = c.owner[from];
+  evict(grain, from, *slot);
+  if (grain == Grain::kCoarse && cg_pinned_[from] == moved.dp) {
+    cg_pinned_[to] = moved.dp;
     cg_pinned_[from] = kInvalidDataPath;
   }
-  if (cg_reserved_[from] && cg_[from].resident_count() == 0) {
-    cg_reserved_[from] = false;
-    cg_reserved_[to] = true;
+  // A source that still holds other contexts keeps its reservation/owner.
+  if (!occupied(grain, from)) {
+    if (c.reserved[from]) {
+      c.reserved[from] = false;
+      c.reserved[to] = true;
+    }
+    c.owner[from] = kUnownedTenant;
   }
-  if (cg_[from].resident_count() == 0) cg_owner_[from] = kUnownedTenant;
-  trace_record({TraceEventKind::kMigrationComplete,
-                kTrackCgBase + static_cast<std::int32_t>(to), copy.ready,
-                copy.ready - start, raw(ctx.occupant),
-                static_cast<std::uint32_t>(Grain::kCoarse),
+  trace_record({TraceEventKind::kMigrationComplete, track(grain, to),
+                copy.ready, copy.ready - start, raw(moved.dp), grain_arg(grain),
                 static_cast<double>(from), static_cast<double>(to)});
   if (counters_ != nullptr) counters_->add("migration.completed");
   res.status = MigrationStatus::kMigrated;
   res.ready_at = copy.ready;
   return res;
 }
+
+// --- monoCG and availability ------------------------------------------------
 
 std::optional<Cycles> FabricManager::acquire_mono_cg(DataPathId mono_dp,
                                                      Cycles now) {
@@ -966,9 +806,13 @@ std::optional<Cycles> FabricManager::acquire_mono_cg(DataPathId mono_dp,
   // contexts there may be evicted), otherwise use a free context slot of a
   // reserved fabric — execution is serialized, only the 2-cycle context
   // switch is paid.
+  Containers& fabrics = of(Grain::kCoarse);
+  const auto host = [this, &fabrics](unsigned i) {
+    return !fabrics.quarantined[i] && placeable(Grain::kCoarse, i);
+  };
   std::optional<unsigned> target;
   for (unsigned i = 0; i < cg_.size(); ++i) {
-    if (cg_reserved_[i] || cg_quarantined_[i] || !placeable_cg(i)) continue;
+    if (fabrics.reserved[i] || !host(i)) continue;
     if (!target) target = i;
     if (cg_[i].resident_count() < cg_[i].capacity()) {
       target = i;
@@ -981,15 +825,14 @@ std::optional<Cycles> FabricManager::acquire_mono_cg(DataPathId mono_dp,
     // fabric with a free slot, else evict the oldest stale/mono context
     // (capacity permitting).
     for (unsigned i = 0; i < cg_.size(); ++i) {
-      if (cg_quarantined_[i] || !placeable_cg(i)) continue;
-      if (cg_[i].resident_count() < cg_[i].capacity()) {
+      if (host(i) && cg_[i].resident_count() < cg_[i].capacity()) {
         target = i;
         break;
       }
     }
     if (!target) {
       for (unsigned i = 0; i < cg_.size(); ++i) {
-        if (!cg_quarantined_[i] && placeable_cg(i) && cg_[i].capacity() > 1) {
+        if (host(i) && cg_[i].capacity() > 1) {
           target = i;
           break;
         }
@@ -1002,11 +845,9 @@ std::optional<Cycles> FabricManager::acquire_mono_cg(DataPathId mono_dp,
       stream_load(mono_dp, *target, Grain::kCoarse, now,
                   "fabric.mono_cg_loads");
   if (!res.success) return std::nullopt;  // CRC retries exhausted
-  const DataPathId keep = *target < cg_pinned_.size()
-                              ? cg_pinned_[*target]
-                              : kInvalidDataPath;
-  const unsigned slot = cg_[*target].load(mono_dp, res.ready, keep);
-  cg_owner_[*target] = active_tenant_;
+  const unsigned slot =
+      cg_[*target].load(mono_dp, res.ready, cg_pinned_[*target]);
+  fabrics.owner[*target] = active_tenant_;
   const Cycles switch_cost = cg_[*target].activate(slot);
   if (switch_cost > 0) {
     trace_record({TraceEventKind::kCgContextSwitch,
@@ -1027,12 +868,6 @@ unsigned FabricManager::available_instances(DataPathId dp, Cycles t) const {
     if (fabric.holds(dp, t)) ++n;
   }
   return n;
-}
-
-std::vector<Cycles> FabricManager::instance_ready_times(DataPathId dp) const {
-  std::vector<Cycles> out;
-  append_instance_ready_times(dp, out);
-  return out;
 }
 
 void FabricManager::append_instance_ready_times(DataPathId dp,
@@ -1068,24 +903,21 @@ void FabricManager::snapshot_instance_ready_times(
   }
 }
 
-unsigned FabricManager::free_cg_fabrics() const {
-  unsigned n = 0;
-  for (unsigned i = 0; i < cg_reserved_.size(); ++i) {
-    if (!cg_reserved_[i] && !cg_quarantined_[i]) ++n;
-  }
-  return n;
-}
-
 FabricUsage FabricManager::usage() const {
+  const auto reserved = [this](Grain grain) {
+    const std::vector<bool>& r = of(grain).reserved;
+    return static_cast<unsigned>(std::count(r.begin(), r.end(), true));
+  };
+  const auto quarantined = [this](Grain grain) {
+    return of(grain).size() - of(grain).usable;
+  };
   FabricUsage u;
-  u.total_prcs = fg_.num_prcs();
-  u.total_cg = static_cast<unsigned>(cg_.size());
-  u.reserved_prcs = static_cast<unsigned>(
-      std::count(prc_reserved_.begin(), prc_reserved_.end(), true));
-  u.reserved_cg = static_cast<unsigned>(
-      std::count(cg_reserved_.begin(), cg_reserved_.end(), true));
-  u.quarantined_prcs = fg_.num_prcs() - usable_prcs();
-  u.quarantined_cg = static_cast<unsigned>(cg_.size()) - usable_cg_fabrics();
+  u.total_prcs = num_prcs();
+  u.total_cg = num_cg_fabrics();
+  u.reserved_prcs = reserved(Grain::kFine);
+  u.reserved_cg = reserved(Grain::kCoarse);
+  u.quarantined_prcs = quarantined(Grain::kFine);
+  u.quarantined_cg = quarantined(Grain::kCoarse);
   return u;
 }
 
@@ -1095,16 +927,15 @@ Cycles FabricManager::fg_port_free_at(Cycles now) const {
 
 void FabricManager::reset() {
   ++state_epoch_;
-  for (unsigned i = 0; i < fg_.num_prcs(); ++i) fg_.evict(i);
-  for (auto& fabric : cg_) fabric.clear();
-  prc_reserved_.assign(fg_.num_prcs(), false);
-  cg_reserved_.assign(cg_.size(), false);
-  cg_pinned_.assign(cg_.size(), kInvalidDataPath);
-  prc_owner_.assign(fg_.num_prcs(), kUnownedTenant);
-  cg_owner_.assign(cg_.size(), kUnownedTenant);
+  for (Grain grain : kGrains) {
+    Containers& c = of(grain);
+    for (unsigned i = 0; i < c.size(); ++i) clear(grain, i);
+    c.reserved.assign(c.size(), false);
+    c.owner.assign(c.size(), kUnownedTenant);
+  }
   reconfig_ = ReconfigController{};
   reconfig_stats_ = ReconfigStats{};
-  // Quarantine bitmaps and the fault model's RNG deliberately survive:
+  // Quarantine sets and the fault model's RNG deliberately survive:
   // permanent faults are physical damage, and the injector's stream is one
   // deterministic timeline per simulator instance.
   next_scrub_ = 0;
@@ -1124,11 +955,13 @@ void FabricManager::walk(Io& io, Self& self) {
   }
   const auto bit = [](auto& io, auto&& b) { io.boolean(b); };
   const auto tenant = [](auto& io, auto& t) { io.u32(t); };
+  auto& fine = self.of(Grain::kFine);
+  auto& coarse = self.of(Grain::kCoarse);
   io.state(self.fg_);
   for (auto& fabric : self.cg_) io.state(fabric);
   io.state(self.reconfig_);
-  io.fixed(self.prc_reserved_, "PRC reservation set", bit);
-  io.fixed(self.cg_reserved_, "CG reservation set", bit);
+  io.fixed(fine.reserved, "PRC reservation set", bit);
+  io.fixed(coarse.reserved, "CG reservation set", bit);
   io.fixed(self.cg_pinned_, "CG pin set",
            [](auto& io, auto& dp) { io.id(dp); });
   auto& stats = self.reconfig_stats_;
@@ -1139,21 +972,21 @@ void FabricManager::walk(Io& io, Self& self) {
   io.u64(stats.cancelled_loads);
   io.u64(stats.reused_instances);
   io.u32(self.active_tenant_);
-  io.fixed(self.prc_owner_, "PRC owner table", tenant);
-  io.fixed(self.cg_owner_, "CG owner table", tenant);
-  io.fixed(self.prc_quarantined_, "PRC quarantine set", bit);
-  io.fixed(self.cg_quarantined_, "CG quarantine set", bit);
-  io.u32(self.usable_prcs_);
-  io.u32(self.usable_cg_);
+  io.fixed(fine.owner, "PRC owner table", tenant);
+  io.fixed(coarse.owner, "CG owner table", tenant);
+  io.fixed(fine.quarantined, "PRC quarantine set", bit);
+  io.fixed(coarse.quarantined, "CG quarantine set", bit);
+  io.u32(fine.usable);
+  io.u32(coarse.usable);
   if constexpr (Io::kLoading) {
     // Quarantine is the only way out of the usable pools; install relies on
     // the counts to find a victim.
-    const auto usable = [](const std::vector<bool>& quarantined) {
-      return static_cast<unsigned>(
-          std::count(quarantined.begin(), quarantined.end(), false));
+    const auto consistent = [](const Containers& c) {
+      const std::vector<bool>& q = c.quarantined;
+      return c.usable ==
+             static_cast<unsigned>(std::count(q.begin(), q.end(), false));
     };
-    if (self.usable_prcs_ != usable(self.prc_quarantined_) ||
-        self.usable_cg_ != usable(self.cg_quarantined_)) {
+    if (!consistent(fine) || !consistent(coarse)) {
       throw SnapshotError(
           "snapshot usable container counts do not match the quarantine sets",
           io.pos());

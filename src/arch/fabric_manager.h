@@ -6,6 +6,16 @@
 /// (evicting/reusing data paths), realizes monoCG-Extensions at run time and
 /// answers availability queries for the Execution Control Unit.
 ///
+/// PRCs and CG fabrics are both *containers*, placed, reused, evicted,
+/// quarantined, owned and migrated under one set of rules; every such method
+/// takes the Grain it acts on, and the bookkeeping (reservation, owner,
+/// quarantine) is one table per grain. The two kinds differ only in what a
+/// container holds: a PRC holds one data path, a CG fabric a context memory
+/// of several. A few private per-grain primitives (is it occupied, would a
+/// load destroy a configuration, what it holds since when, clear it, the
+/// native victim choice) carry that difference. The selection's context on
+/// each reserved CG fabric is pinned: monoCG context churn never evicts it.
+///
 /// With an attached FaultModel (arch/fault_model.h) the manager also applies
 /// the machine's fault semantics: load streams may fail their CRC check and
 /// are retried with backoff on the port, periodic scrubbing repairs
@@ -13,6 +23,7 @@
 /// container — it is removed from the usable capacity and never hosts a data
 /// path again (quarantine survives reset(), like real broken silicon).
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -78,7 +89,7 @@ struct ReconfigStats {
   std::uint64_t reused_instances = 0; ///< loads avoided by reuse
 };
 
-/// Outcome of one live-migration attempt (migrate_prc / migrate_cg).
+/// Outcome of one live-migration attempt (FabricManager::migrate).
 enum class MigrationStatus : std::uint8_t {
   kMigrated = 0,         ///< context copied; source released, target loading
   kNothingToMigrate,     ///< the source container holds no configuration
@@ -110,20 +121,18 @@ class FabricManager {
   unsigned num_prcs() const { return fg_.num_prcs(); }
   unsigned num_cg_fabrics() const { return static_cast<unsigned>(cg_.size()); }
 
-  /// Physical capacity minus quarantined containers — the budget the ISE
-  /// selector may plan with.
-  unsigned usable_prcs() const;
-  unsigned usable_cg_fabrics() const;
+  /// Physical capacity of \p grain minus its quarantined containers — the
+  /// budget the ISE selector may plan with. O(1): the ECU asks on every
+  /// RISC-mode execution decision.
+  unsigned usable(Grain grain) const { return of(grain).usable; }
 
-  bool prc_quarantined(unsigned index) const;
-  bool cg_quarantined(unsigned index) const;
+  bool quarantined(Grain grain, unsigned index) const;
 
   /// Permanently removes a container from service at cycle \p at: its
   /// contents are evicted, its reservation is released and no data path is
   /// ever placed there again. Idempotent. Exposed for tests / scripted
   /// fault scenarios; the fault model calls it on permanent faults.
-  void quarantine_prc(unsigned index, Cycles at);
-  void quarantine_cg(unsigned index, Cycles at);
+  void quarantine(Grain grain, unsigned index, Cycles at);
 
   const FgFabric& fg_fabric() const { return fg_; }
   const CgFabric& cg_fabric(unsigned i) const;
@@ -146,41 +155,38 @@ class FabricManager {
   std::size_t prefetch(const std::vector<IsePlacementRequest>& future,
                        Cycles now);
 
-  /// Live ISE migration (Mestra-style, PAPERS.md): moves the configuration
-  /// of PRC \p from onto the empty, non-quarantined PRC \p to. The move
-  /// first drains the source — the copy stream cannot start before the
-  /// source's configuration is fully loaded (max(now, ready_at)) — then
-  /// streams the context through the regular FG reconfiguration port (same
+  /// Live ISE migration (Mestra-style, PAPERS.md): moves one configuration
+  /// of container \p from (a PRC's data path, or a CG fabric's oldest
+  /// resident context) onto container \p to of the same grain, which must
+  /// be non-quarantined and take it without destroying a configuration (an
+  /// empty PRC, a CG fabric with a free context slot).
+  /// The move first drains the source — the copy stream cannot start before
+  /// the source's configuration is fully loaded (max(now, ready_at)) — then
+  /// streams it through the grain's regular reconfiguration port (same
   /// per-byte cost model and fault semantics as any load, including CRC
   /// retries and permanent-fault quarantine of the *target*). On success the
-  /// source is released and its reservation/ownership transfer to the
-  /// target; on a failed copy the source stays intact so the caller can
-  /// retry onto another container. Bumps state_epoch() on any mutation.
-  MigrationResult migrate_prc(unsigned from, unsigned to, Cycles now);
+  /// configuration leaves the source, its pin follows it, and once the
+  /// source holds nothing its reservation/ownership transfer to the target;
+  /// on a failed copy the source stays intact so the caller can retry onto
+  /// another container. Bumps state_epoch() on any mutation.
+  MigrationResult migrate(Grain grain, unsigned from, unsigned to,
+                          Cycles now);
 
-  /// CG counterpart: moves the oldest resident context of CG fabric \p from
-  /// into a free context slot of fabric \p to (live contexts on the target
-  /// are never evicted by a migration). Same drain/copy/fault semantics as
-  /// migrate_prc, on the fast CG port.
-  MigrationResult migrate_cg(unsigned from, unsigned to, Cycles now);
-
-  /// Realizes (or re-activates) a monoCG-Extension \p mono_dp on a CG fabric
-  /// that is not reserved by the current selection. Returns the cycle at
-  /// which it is executable (includes context load / switch penalty), or
-  /// nullopt when no free CG fabric exists.
+  /// Realizes (or re-activates) a monoCG-Extension \p mono_dp on a CG
+  /// fabric, preferring one the current selection does not reserve; on a
+  /// reserved fabric it takes a free context slot or evicts the oldest
+  /// context other than the pinned one the selection uses. Returns the cycle
+  /// at which it is executable (includes context load / switch penalty), or
+  /// nullopt when no CG fabric can host it.
   std::optional<Cycles> acquire_mono_cg(DataPathId mono_dp, Cycles now);
 
   /// Number of instances of \p dp usable at \p t anywhere on the fabric.
   unsigned available_instances(DataPathId dp, Cycles t) const;
 
-  /// Ready times (ascending) of all placed instances of \p dp, including
-  /// instances still being loaded.
-  std::vector<Cycles> instance_ready_times(DataPathId dp) const;
-
-  /// Allocation-free variant of instance_ready_times: clears \p out and
-  /// fills it with the same ascending ready times, reusing its capacity.
-  /// The result is a pure function of the fabric state — callers may cache
-  /// it keyed on state_epoch().
+  /// Clears \p out and fills it with the ready times (ascending) of all
+  /// placed instances of \p dp, including instances still being loaded,
+  /// reusing its capacity. The result is a pure function of the fabric
+  /// state — callers may cache it keyed on state_epoch().
   void append_instance_ready_times(DataPathId dp,
                                    std::vector<Cycles>& out) const;
 
@@ -192,9 +198,6 @@ class FabricManager {
   /// \p out must be pre-sized to the data-path table size.
   void snapshot_instance_ready_times(
       std::vector<std::vector<Cycles>>& out) const;
-
-  /// CG fabrics not reserved by the current selection (hosts for monoCG).
-  unsigned free_cg_fabrics() const;
 
   FabricUsage usage() const;
   const ReconfigStats& reconfig_stats() const { return reconfig_stats_; }
@@ -256,13 +259,11 @@ class FabricManager {
 
   /// Owner of a container: the tenant whose placement last targeted it
   /// (kUnownedTenant for empty containers or unmanaged placements).
-  TenantId prc_owner(unsigned index) const;
-  TenantId cg_owner(unsigned index) const;
+  TenantId owner(Grain grain, unsigned index) const;
 
-  /// Containers currently owned by \p tenant (used by the arbiter's
-  /// soft-quota accounting).
-  unsigned owned_prcs(TenantId tenant) const;
-  unsigned owned_cg(TenantId tenant) const;
+  /// Occupied containers of \p grain owned by \p tenant (used by the
+  /// arbiter's soft-quota accounting).
+  unsigned owned(Grain grain, TenantId tenant) const;
 
   /// Clears all placement state (power-on reset). Quarantined containers
   /// stay quarantined — permanent faults are broken silicon, not state.
@@ -300,6 +301,78 @@ class FabricManager {
   template <typename Io, typename Self>
   static void walk(Io& io, Self& self);
 
+  /// Bookkeeping of one grain's containers (PRCs or CG fabrics), one entry
+  /// per container.
+  struct Containers {
+    explicit Containers(unsigned n)
+        : reserved(n, false),
+          owner(n, kUnownedTenant),
+          quarantined(n, false),
+          usable(n) {}
+    unsigned size() const { return static_cast<unsigned>(owner.size()); }
+
+    /// Claimed by the currently installed selection.
+    std::vector<bool> reserved;
+    /// See FabricManager::owner(). Tracked even without arbitration so
+    /// tests can inspect unmanaged sharing.
+    std::vector<TenantId> owner;
+    /// Permanently faulted (inert while no fault model is attached).
+    std::vector<bool> quarantined;
+    /// size() minus quarantined containers, maintained incrementally.
+    unsigned usable;
+    /// Claim scratch of install()/prefetch(), reused across calls (one
+    /// install per trigger makes per-call allocations measurable). Only
+    /// valid within a single call; install and prefetch never nest.
+    std::vector<bool> claimed;
+  };
+
+  /// One configuration: a PRC's data path or one CG context slot's.
+  struct Config {
+    DataPathId dp = kInvalidDataPath;
+    Cycles ready_at = kNeverCycles;
+    bool empty() const { return dp == kInvalidDataPath; }
+  };
+
+  Containers& of(Grain grain) { return grains_[static_cast<unsigned>(grain)]; }
+  const Containers& of(Grain grain) const {
+    return grains_[static_cast<unsigned>(grain)];
+  }
+
+  // --- Per-grain primitives: the only place a PRC and a CG fabric differ.
+  /// Configuration slots of a container: 1 for a PRC, the context memory's
+  /// capacity for a CG fabric.
+  unsigned slots(Grain grain, unsigned index) const;
+  Config config(Grain grain, unsigned index, unsigned slot) const;
+  /// Does the container hold any configuration?
+  bool occupied(Grain grain, unsigned index) const;
+  /// Would a load into the container destroy a configuration (a PRC's
+  /// occupant; a CG fabric's oldest context once its memory is full)?
+  bool load_destroys(Grain grain, unsigned index) const;
+  /// Since when the container holds \p dp (nullopt when it does not).
+  std::optional<Cycles> holds_since(Grain grain, unsigned index,
+                                    DataPathId dp) const;
+  /// Places \p dp, usable at \p ready: a PRC is overwritten, a CG fabric
+  /// takes a free context slot or evicts its oldest unpinned context.
+  void place(Grain grain, unsigned index, DataPathId dp, Cycles ready);
+  /// Protects the selection's configuration \p dp in the container from
+  /// monoCG context churn: a CG fabric pins it, a PRC holds nothing else.
+  void pin(Grain grain, unsigned index, DataPathId dp);
+  /// Removes the configuration in \p slot (see slots()).
+  void evict(Grain grain, unsigned index, unsigned slot);
+  /// Empties the container (and drops a CG fabric's pin).
+  void clear(Grain grain, unsigned index);
+  /// A load stream into the container exhausted its CRC retries: it had
+  /// already overwritten a PRC's region, which is left empty and unowned; a
+  /// CG context commits only when its stream completes, so a CG fabric keeps
+  /// its contents.
+  void drop_failed_load(Grain grain, unsigned index);
+  /// The fabric's own victim choice among unclaimed containers: FG takes an
+  /// empty PRC first, then the oldest ready_at; CG takes the first
+  /// unclaimed fabric (its stale contexts are evicted lazily by
+  /// CgFabric::load when the context memory fills up).
+  std::optional<unsigned> native_victim(Grain grain,
+                                        const std::vector<bool>& claimed) const;
+
   /// Forwards one event to the attached recorder, stamping the currently
   /// active tenant onto it (unless the site already stamped one). Keeps
   /// shared-fabric traces per-tenant attributable without threading a
@@ -320,40 +393,36 @@ class FabricManager {
   /// observability events. On retry exhaustion the load fails; a permanent
   /// diagnosis additionally quarantines the container.
   StreamedLoad stream_load(DataPathId dp, unsigned container, Grain grain,
-                           Cycles now, const char* load_counter);
+                           Cycles now, const char* counter);
 
   /// One scrubbing pass over every loaded container at epoch time \p at.
   void scrub_epoch(Cycles at);
 
-  struct Claim {
-    Grain grain;
-    unsigned container;  // PRC index or CG fabric index
-  };
+  /// Claims (in of(grain).claimed) an unclaimed container already holding
+  /// \p dp, possibly still loading.
+  std::optional<unsigned> claim_existing(Grain grain, DataPathId dp);
 
-  std::optional<unsigned> claim_existing_fg(DataPathId dp,
-                                            std::vector<bool>& claimed) const;
-  std::optional<unsigned> claim_existing_cg(DataPathId dp,
-                                            std::vector<bool>& claimed) const;
+  /// Victim selection with arbitration among the containers not yet claimed
+  /// in of(grain).claimed. Starts from native_victim() and redirects only
+  /// when that choice would evict a live foreign data path whose owner is
+  /// *not* a preferred victim while a preferred victim (an over-quota or
+  /// best-effort tenant's container) exists: the redirect is the native
+  /// choice among the preferred containers (FG: the coldest; CG: the
+  /// first). With no arbitration attached — or when the policy reports no
+  /// preference, e.g. all-equal weights — the native choice is returned
+  /// untouched, which is what keeps the legacy scheduler bit-exact as the
+  /// degenerate case.
+  std::optional<unsigned> pick_victim(Grain grain, Cycles now);
 
-  /// Victim selection with arbitration. Both start from the fabric's native
-  /// choice (FG: empty-first then oldest ready_at; CG: first unclaimed) and
-  /// redirect only when that choice would evict a live foreign data path
-  /// whose owner is *not* a preferred victim while a preferred victim (an
-  /// over-quota or best-effort tenant's coldest container) exists. With no
-  /// arbitration attached — or when the policy reports no preference, e.g.
-  /// all-equal weights — the native choice is returned untouched, which is
-  /// what keeps the legacy scheduler bit-exact as the degenerate case.
-  std::optional<unsigned> pick_fg_victim(std::vector<bool>& claimed,
-                                         Cycles now);
-  std::optional<unsigned> pick_cg_victim(std::vector<bool>& claimed,
-                                         Cycles now);
+  /// Owner of the container when it holds another tenant's configuration,
+  /// else kUnownedTenant.
+  TenantId foreign_owner(Grain grain, unsigned index) const;
 
-  /// True when \p tenant may place into the container (no hook = may).
-  bool placeable_prc(unsigned index) const;
-  bool placeable_cg(unsigned index) const;
+  /// True when the active tenant may place into the container (no hook =
+  /// may).
+  bool placeable(Grain grain, unsigned index) const;
   /// Usable capacity restricted to containers the active tenant may use.
-  unsigned accessible_prcs() const;
-  unsigned accessible_cg_fabrics() const;
+  unsigned accessible(Grain grain) const;
 
   /// Records a cross-tenant eviction about to happen in \p container (trace
   /// event + counter + arbiter stats). No-op for empty/own/unowned victims.
@@ -364,16 +433,10 @@ class FabricManager {
   std::vector<CgFabric> cg_;
   ReconfigController reconfig_;
 
-  /// Fabrics/PRCs reserved by the currently installed selection.
-  std::vector<bool> prc_reserved_;
-  std::vector<bool> cg_reserved_;
-  /// Claim/blocked scratch reused across install()/prefetch() calls (one
-  /// install per trigger makes the four per-call allocations measurable).
-  /// Only valid within a single call; install and prefetch never nest.
-  std::vector<bool> scratch_prc_claimed_;
-  std::vector<bool> scratch_cg_claimed_;
-  std::vector<bool> scratch_prc_blocked_;
-  std::vector<bool> scratch_cg_blocked_;
+  /// Container bookkeeping, indexed by Grain.
+  std::array<Containers, 2> grains_;
+  /// Scratch of pick_victim's redirect (valid within one call).
+  std::vector<bool> scratch_restricted_;
   /// Data path the selection pinned on each reserved CG fabric (protected
   /// from monoCG context eviction).
   std::vector<DataPathId> cg_pinned_;
@@ -381,21 +444,12 @@ class FabricManager {
   TraceRecorder* trace_ = nullptr;
   CounterRegistry* counters_ = nullptr;
 
-  /// Multi-tenant state (all inert while arbitration_ == nullptr; owners
-  /// are still tracked so tests can inspect unmanaged sharing).
+  /// Multi-tenant state (inert while arbitration_ == nullptr).
   FabricArbitration* arbitration_ = nullptr;
   TenantId active_tenant_ = kUnownedTenant;
-  std::vector<TenantId> prc_owner_;
-  std::vector<TenantId> cg_owner_;
 
-  /// Fault state (all inert while fault_ == nullptr).
+  /// Fault state (inert while fault_ == nullptr).
   FaultModel* fault_ = nullptr;
-  std::vector<bool> prc_quarantined_;
-  std::vector<bool> cg_quarantined_;
-  /// Incrementally maintained counts (containers minus quarantined) so the
-  /// usable_* queries are O(1) on the ECU's per-execution hot path.
-  unsigned usable_prcs_ = 0;
-  unsigned usable_cg_ = 0;
   Cycles next_scrub_ = 0;  ///< next scrub epoch; 0 = not armed yet
 
   /// See state_epoch().

@@ -1,6 +1,5 @@
 #include "arch/fg_fabric.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "util/snapshot_io.h"
@@ -14,14 +13,6 @@ const Prc& FgFabric::prc(unsigned index) const {
   return prcs_[index];
 }
 
-unsigned FgFabric::free_or_evictable(const std::vector<bool>& pinned) const {
-  unsigned n = 0;
-  for (unsigned i = 0; i < prcs_.size(); ++i) {
-    if (i >= pinned.size() || !pinned[i]) ++n;
-  }
-  return n;
-}
-
 void FgFabric::place(unsigned index, DataPathId dp, Cycles ready_at) {
   if (index >= prcs_.size()) throw std::out_of_range("FgFabric::place");
   prcs_[index].occupant = dp;
@@ -33,15 +24,6 @@ void FgFabric::evict(unsigned index) {
   prcs_[index] = Prc{};
 }
 
-std::optional<unsigned> FgFabric::find_instance(
-    DataPathId dp, Cycles t, const std::vector<bool>& claimed) const {
-  for (unsigned i = 0; i < prcs_.size(); ++i) {
-    if (claimed.size() > i && claimed[i]) continue;
-    if (prcs_[i].occupant == dp && prcs_[i].ready_at <= t) return i;
-  }
-  return std::nullopt;
-}
-
 std::optional<unsigned> FgFabric::find_victim(
     const std::vector<bool>& claimed) const {
   std::optional<unsigned> best;
@@ -51,15 +33,6 @@ std::optional<unsigned> FgFabric::find_victim(
     if (!best || prcs_[i].ready_at < prcs_[*best].ready_at) best = i;
   }
   return best;
-}
-
-std::vector<Cycles> FgFabric::instance_ready_times(DataPathId dp) const {
-  std::vector<Cycles> out;
-  for (const auto& prc : prcs_) {
-    if (prc.occupant == dp) out.push_back(prc.ready_at);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 template <typename Io, typename Self>

@@ -40,11 +40,6 @@ class FgFabric {
 
   const Prc& prc(unsigned index) const;
 
-  /// Number of PRCs whose occupant is not pinned (i.e. candidates for
-  /// eviction) plus empty PRCs — the selector treats the whole fabric as
-  /// available because old contents may always be overwritten.
-  unsigned free_or_evictable(const std::vector<bool>& pinned) const;
-
   /// Places \p dp on PRC \p index, becoming usable at \p ready_at.
   /// Any previous occupant is evicted instantly (partial reconfiguration
   /// overwrites the region).
@@ -53,18 +48,9 @@ class FgFabric {
   /// Clears PRC \p index.
   void evict(unsigned index);
 
-  /// Finds a PRC currently holding \p dp that is usable at \p t and not
-  /// already claimed in \p claimed (bitmap sized num_prcs). Returns its index.
-  std::optional<unsigned> find_instance(DataPathId dp, Cycles t,
-                                        const std::vector<bool>& claimed) const;
-
   /// Finds an unclaimed PRC to overwrite: prefers empty PRCs, then the
   /// occupant with the oldest ready_at (pseudo-LRU).
   std::optional<unsigned> find_victim(const std::vector<bool>& claimed) const;
-
-  /// Ready times of all instances of \p dp currently placed (including ones
-  /// still being loaded), sorted ascending.
-  std::vector<Cycles> instance_ready_times(DataPathId dp) const;
 
   /// Placement-exact capture/restore (rts/snapshot.h). load_state validates
   /// the stored PRC count against the live fabric before mutating.

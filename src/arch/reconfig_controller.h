@@ -100,6 +100,10 @@ class ReconfigController {
   const ReconfigPort& fg_port() const { return fg_; }
   ReconfigPort& cg_port() { return cg_; }
   const ReconfigPort& cg_port() const { return cg_; }
+  /// The port that streams \p grain's configurations.
+  ReconfigPort& port(Grain grain) {
+    return grain == Grain::kFine ? fg_ : cg_;
+  }
 
   void save_state(SnapshotWriter& w) const;
   void load_state(SnapshotReader& r);

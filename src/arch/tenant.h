@@ -81,9 +81,9 @@ class FabricArbitration {
   virtual bool prefer_evict(TenantId tenant, TenantId owner,
                             Grain grain) const = 0;
 
-  /// Capacity (post-quarantine) that \p tenant's selector may plan with.
-  virtual unsigned visible_prcs(TenantId tenant) const = 0;
-  virtual unsigned visible_cg(TenantId tenant) const = 0;
+  /// Capacity of \p grain (post-quarantine) that \p tenant's selector may
+  /// plan with.
+  virtual unsigned visible(TenantId tenant, Grain grain) const = 0;
 
   /// Stats feedback from the fabric (the fabric also emits the
   /// tenant.eviction / tenant.quota_hit trace events and counters itself).

@@ -192,7 +192,7 @@ ExecOutcome Ecu::execute(KernelId k, Cycles now) {
   // ladder bottoms out at (d): plain RISC execution on the core — the
   // all-fabrics-dead machine still completes every kernel.
   if (kind == ImplKind::kRisc && config_.use_mono_cg && kernel.has_mono_cg() &&
-      fabric_->usable_cg_fabrics() > 0) {
+      fabric_->usable(Grain::kCoarse) > 0) {
     const IseVariant& mono = lib_->ise(kernel.mono_cg);
     const DataPathId mono_dp = mono.data_paths.front();
     if (st.mono_ready <= now &&
@@ -305,7 +305,7 @@ bool Ecu::derive_steady(KernelId k, const Kernel& kernel, const KernelState& st,
   Cycles latency = st.current_latency;
   bool uses_cg = st.current_uses_cg;
   if (kind == ImplKind::kRisc && config_.use_mono_cg && kernel.has_mono_cg() &&
-      fabric_->usable_cg_fabrics() > 0) {
+      fabric_->usable(Grain::kCoarse) > 0) {
     if (st.mono_ready <= now) {
       // monoCG decided the execution at `now`. At a fixed fabric state
       // availability is monotone in time, so the context stays usable for

@@ -27,7 +27,10 @@
 /// fig_grid `kexec_per_s` in BENCH_perfbench.json says how fast). The one
 /// approximation: a monoCG context load that evicts a stale leftover context
 /// mid-block is not reflected in already-built timelines of *other* kernels
-/// (the stale context would almost never be their best option anyway).
+/// (the stale context would almost never be their best option anyway). That
+/// it is only ever a *stale* context rests on FabricManager's pin rule:
+/// install() pins the context its selection claimed or loaded on each
+/// reserved CG fabric, and a monoCG load never evicts a pinned context.
 
 #include <array>
 #include <vector>

@@ -17,8 +17,8 @@ FreeSpace scan_free_space(const FabricManager& fabric) {
   FreeSpace s;
   unsigned run = 0;
   for (unsigned i = 0; i < fabric.num_prcs(); ++i) {
-    const bool free =
-        !fabric.prc_quarantined(i) && fabric.fg_fabric().prc(i).empty();
+    const bool free = !fabric.quarantined(Grain::kFine, i) &&
+                      fabric.fg_fabric().prc(i).empty();
     if (free) {
       ++s.free;
       ++run;
@@ -54,7 +54,8 @@ double fg_fragmentation_floor(const FabricManager& fabric) {
   // full, the rest as free. Quarantined slots still break runs.
   unsigned occupied = 0;
   for (unsigned i = 0; i < fabric.num_prcs(); ++i) {
-    if (!fabric.prc_quarantined(i) && !fabric.fg_fabric().prc(i).empty()) {
+    if (!fabric.quarantined(Grain::kFine, i) &&
+        !fabric.fg_fabric().prc(i).empty()) {
       ++occupied;
     }
   }
@@ -63,7 +64,7 @@ double fg_fragmentation_floor(const FabricManager& fabric) {
   unsigned run = 0;
   unsigned largest_run = 0;
   for (unsigned i = 0; i < fabric.num_prcs(); ++i) {
-    if (fabric.prc_quarantined(i) || rank++ < occupied) {
+    if (fabric.quarantined(Grain::kFine, i) || rank++ < occupied) {
       run = 0;
       continue;
     }
@@ -90,18 +91,18 @@ DefragReport DefragPolicy::compact(FabricManager& fabric, Cycles now) const {
       break;
     }
     while (lo < n && !(fabric.fg_fabric().prc(lo).empty() &&
-                       !fabric.prc_quarantined(lo))) {
+                       !fabric.quarantined(Grain::kFine, lo))) {
       ++lo;
     }
     while (hi >= 0 &&
            (fabric.fg_fabric().prc(static_cast<unsigned>(hi)).empty() ||
-            fabric.prc_quarantined(static_cast<unsigned>(hi)))) {
+            fabric.quarantined(Grain::kFine, static_cast<unsigned>(hi)))) {
       --hi;
     }
     if (hi < 0 || lo >= static_cast<unsigned>(hi)) break;
 
     const MigrationResult res =
-        fabric.migrate_prc(static_cast<unsigned>(hi), lo, now);
+        fabric.migrate(Grain::kFine, static_cast<unsigned>(hi), lo, now);
     switch (res.status) {
       case MigrationStatus::kMigrated:
         ++rep.attempted;

@@ -6,10 +6,10 @@
 /// space that future selections must fit into. obs/occupancy measures the
 /// damage post-hoc (fragmentation_index, compaction_opportunity); this
 /// policy *repairs* it live: after a quarantine it migrates surviving
-/// configurations into the low end of the PRC array (FabricManager::
-/// migrate_prc — real drain + copy streams on the reconfiguration port, same
-/// per-byte cost and fault semantics as any load) until the remaining free
-/// space is one contiguous run.
+/// configurations into the low end of the PRC array (FabricManager::migrate
+/// — real drain + copy streams on the reconfiguration port, same per-byte
+/// cost and fault semantics as any load) until the remaining free space is
+/// one contiguous run.
 ///
 /// The policy is deliberately mechanism-free: it owns no fabric state and
 /// every mutation goes through the public migration API, so a pass is

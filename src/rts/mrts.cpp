@@ -130,7 +130,8 @@ SelectionOutcome MRts::on_trigger(const TriggerInstruction& programmed,
   // would accept.
   ReconfigPlanner planner(lib_->data_paths(), *fabric_, now);
   if (const FabricArbitration* arb = fabric_->arbitration()) {
-    planner.clamp_budget(arb->visible_prcs(tenant_), arb->visible_cg(tenant_));
+    planner.clamp_budget(arb->visible(tenant_, Grain::kFine),
+                         arb->visible(tenant_, Grain::kCoarse));
   }
   SelectionResult selection =
       config_.use_optimal_selector
@@ -185,8 +186,8 @@ SelectionOutcome MRts::on_trigger(const TriggerInstruction& programmed,
                                  usage.usable_prcs() - usage.reserved_prcs,
                                  usage.usable_cg() - usage.reserved_cg, now);
         if (const FabricArbitration* arb = fabric_->arbitration()) {
-          const unsigned vis_prcs = arb->visible_prcs(tenant_);
-          const unsigned vis_cg = arb->visible_cg(tenant_);
+          const unsigned vis_prcs = arb->visible(tenant_, Grain::kFine);
+          const unsigned vis_cg = arb->visible(tenant_, Grain::kCoarse);
           leftover.clamp_budget(
               vis_prcs > usage.reserved_prcs ? vis_prcs - usage.reserved_prcs
                                              : 0,

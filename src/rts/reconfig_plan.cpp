@@ -26,8 +26,8 @@ ReconfigPlanner::ReconfigPlanner(const DataPathTable& table,
       now_(now),
       fg_cursor_(fabric.fg_port_free_at(now)),
       cg_cursor_(fabric.reconfig().cg_port().busy_until(now)),
-      free_prcs_(fabric.usable_prcs()),
-      free_cg_(fabric.usable_cg_fabrics()),
+      free_prcs_(fabric.usable(Grain::kFine)),
+      free_cg_(fabric.usable(Grain::kCoarse)),
       fabric_epoch_(fabric.state_epoch()),
       existing_(table.size()),
       claimed_(table.size(), 0),

@@ -88,7 +88,7 @@ class ReconfigPlanner {
   unsigned free_cg() const { return free_cg_; }
 
   /// Restricts the budget to what a fabric tenant may actually place into
-  /// (FabricArbitration::visible_prcs/visible_cg). Call right after
+  /// (FabricArbitration::visible). Call right after
   /// construction, before any commit(): the tenant-bound selector then
   /// never plans a selection its arbiter would make install() degrade.
   /// plan()'s *output* does not depend on the budget.

@@ -4,9 +4,19 @@
 
 namespace mrts {
 
-FabricArbiter::FabricArbiter(FabricManager& fabric) : fabric_(&fabric) {
-  prc_partition_.assign(fabric.num_prcs(), kUnownedTenant);
-  cg_partition_.assign(fabric.num_cg_fabrics(), kUnownedTenant);
+namespace {
+
+/// Containers of \p grain a reserved tenant asks for.
+unsigned reservation(const TenantPolicy& policy, Grain grain) {
+  return grain == Grain::kFine ? policy.reserved_prcs : policy.reserved_cg;
+}
+
+}  // namespace
+
+FabricArbiter::FabricArbiter(FabricManager& fabric)
+    : fabric_(&fabric),
+      partition_{std::vector<TenantId>(fabric.num_cg_fabrics(), kUnownedTenant),
+                 std::vector<TenantId>(fabric.num_prcs(), kUnownedTenant)} {
   fabric_->attach_arbitration(this);
 }
 
@@ -26,29 +36,22 @@ FabricArbiter::Registration FabricArbiter::register_tenant(
     // Assign the partition from the lowest-index unpartitioned usable
     // containers; on failure roll the partial assignment back and register
     // the tenant as not admitted.
-    std::vector<unsigned> taken_prcs;
-    std::vector<unsigned> taken_cg;
-    for (unsigned i = 0;
-         i < prc_partition_.size() && taken_prcs.size() < policy.reserved_prcs;
-         ++i) {
-      if (prc_partition_[i] == kUnownedTenant &&
-          !fabric_->prc_quarantined(i)) {
-        prc_partition_[i] = id;
-        taken_prcs.push_back(i);
+    bool fits = true;
+    for (Grain grain : kGrains) {
+      std::vector<TenantId>& partition = partition_of(grain);
+      const unsigned wanted = reservation(policy, grain);
+      unsigned taken = 0;
+      for (unsigned i = 0; i < partition.size() && taken < wanted; ++i) {
+        if (partition[i] == kUnownedTenant &&
+            !fabric_->quarantined(grain, i)) {
+          partition[i] = id;
+          ++taken;
+        }
       }
+      fits = fits && taken == wanted;
     }
-    for (unsigned i = 0;
-         i < cg_partition_.size() && taken_cg.size() < policy.reserved_cg;
-         ++i) {
-      if (cg_partition_[i] == kUnownedTenant && !fabric_->cg_quarantined(i)) {
-        cg_partition_[i] = id;
-        taken_cg.push_back(i);
-      }
-    }
-    if (taken_prcs.size() < policy.reserved_prcs ||
-        taken_cg.size() < policy.reserved_cg) {
-      for (unsigned i : taken_prcs) prc_partition_[i] = kUnownedTenant;
-      for (unsigned i : taken_cg) cg_partition_[i] = kUnownedTenant;
+    if (!fits) {
+      drop_partition(id);
       tenant.registered_ok = false;
       tenant.reject_reason =
           "reservation exceeds usable capacity (" +
@@ -76,14 +79,7 @@ void FabricArbiter::release_tenant(TenantId id) {
   t->released_slot = true;
   // Reserved partitions return to the shared pool; any data paths the tenant
   // still has installed there become pool-reclaimable immediately.
-  if (t->policy.share == TenantShare::kReserved) {
-    for (TenantId& owner : prc_partition_) {
-      if (owner == id) owner = kUnownedTenant;
-    }
-    for (TenantId& owner : cg_partition_) {
-      if (owner == id) owner = kUnownedTenant;
-    }
-  }
+  if (t->policy.share == TenantShare::kReserved) drop_partition(id);
   if (t->policy.share == TenantShare::kWeighted) {
     const auto it = live_weight_counts_.find(t->policy.weight);
     if (it != live_weight_counts_.end() && --it->second == 0) {
@@ -91,6 +87,14 @@ void FabricArbiter::release_tenant(TenantId id) {
     }
     total_weight_ -= t->policy.weight;
     equal_weights_ = live_weight_counts_.size() <= 1;
+  }
+}
+
+void FabricArbiter::drop_partition(TenantId id) {
+  for (auto& partition : partition_) {
+    for (TenantId& owner : partition) {
+      if (owner == id) owner = kUnownedTenant;
+    }
   }
 }
 
@@ -110,16 +114,12 @@ bool FabricArbiter::admitted(TenantId id) const {
   if (t->policy.share != TenantShare::kReserved) return true;
   // Quarantines after registration shrink the partition; the reservation
   // must still fit the usable capacity.
-  unsigned usable_prcs = 0;
-  for (unsigned i = 0; i < prc_partition_.size(); ++i) {
-    if (prc_partition_[i] == id && !fabric_->prc_quarantined(i)) ++usable_prcs;
+  for (Grain grain : kGrains) {
+    if (usable_partition(grain, id) < reservation(t->policy, grain)) {
+      return false;
+    }
   }
-  unsigned usable_cg = 0;
-  for (unsigned i = 0; i < cg_partition_.size(); ++i) {
-    if (cg_partition_[i] == id && !fabric_->cg_quarantined(i)) ++usable_cg;
-  }
-  return usable_prcs >= t->policy.reserved_prcs &&
-         usable_cg >= t->policy.reserved_cg;
+  return true;
 }
 
 std::string FabricArbiter::admission_reason(TenantId id) const {
@@ -157,26 +157,19 @@ const TenantStats& FabricArbiter::stats(TenantId id) const {
   return t->stats;
 }
 
-std::vector<unsigned> FabricArbiter::partition_prcs(TenantId id) const {
+std::vector<unsigned> FabricArbiter::partition(TenantId id,
+                                               Grain grain) const {
+  const std::vector<TenantId>& owners = partition_of(grain);
   std::vector<unsigned> out;
-  for (unsigned i = 0; i < prc_partition_.size(); ++i) {
-    if (prc_partition_[i] == id) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<unsigned> FabricArbiter::partition_cg(TenantId id) const {
-  std::vector<unsigned> out;
-  for (unsigned i = 0; i < cg_partition_.size(); ++i) {
-    if (cg_partition_[i] == id) out.push_back(i);
+  for (unsigned i = 0; i < owners.size(); ++i) {
+    if (owners[i] == id) out.push_back(i);
   }
   return out;
 }
 
 bool FabricArbiter::may_place(TenantId tenant, Grain grain,
                               unsigned index) const {
-  const auto& partition =
-      grain == Grain::kFine ? prc_partition_ : cg_partition_;
+  const std::vector<TenantId>& partition = partition_of(grain);
   if (index >= partition.size()) return false;
   const Tenant* t = find(tenant);
   if (t != nullptr && t->policy.share == TenantShare::kReserved) {
@@ -215,16 +208,11 @@ bool FabricArbiter::prefer_evict(TenantId tenant, TenantId owner,
   return false;
 }
 
-unsigned FabricArbiter::pool_capacity(Grain grain) const {
-  const auto& partition =
-      grain == Grain::kFine ? prc_partition_ : cg_partition_;
+unsigned FabricArbiter::usable_partition(Grain grain, TenantId holder) const {
+  const std::vector<TenantId>& partition = partition_of(grain);
   unsigned n = 0;
   for (unsigned i = 0; i < partition.size(); ++i) {
-    if (partition[i] != kUnownedTenant) continue;
-    const bool quarantined = grain == Grain::kFine
-                                 ? fabric_->prc_quarantined(i)
-                                 : fabric_->cg_quarantined(i);
-    if (!quarantined) ++n;
+    if (partition[i] == holder && !fabric_->quarantined(grain, i)) ++n;
   }
   return n;
 }
@@ -235,38 +223,20 @@ bool FabricArbiter::over_quota(const Tenant& owner, TenantId owner_id,
                                Grain grain) const {
   const std::uint64_t sum = total_weight();
   if (sum == 0) return false;
-  const unsigned owned = grain == Grain::kFine ? fabric_->owned_prcs(owner_id)
-                                               : fabric_->owned_cg(owner_id);
+  const unsigned owned = fabric_->owned(grain, owner_id);
   // owned / pool > weight / sum, in integers.
   return static_cast<std::uint64_t>(owned) * sum >
-         static_cast<std::uint64_t>(pool_capacity(grain)) *
+         static_cast<std::uint64_t>(usable_partition(grain, kUnownedTenant)) *
              owner.policy.weight;
 }
 
-unsigned FabricArbiter::visible_prcs(TenantId tenant) const {
+unsigned FabricArbiter::visible(TenantId tenant, Grain grain) const {
   const Tenant* t = find(tenant);
-  if (t != nullptr && t->policy.share == TenantShare::kReserved) {
-    unsigned n = 0;
-    for (unsigned i = 0; i < prc_partition_.size(); ++i) {
-      if (prc_partition_[i] == tenant && !fabric_->prc_quarantined(i)) ++n;
-    }
-    return n;
-  }
-  // Soft quotas bias eviction, not planning: pool tenants may plan with the
-  // whole pool.
-  return pool_capacity(Grain::kFine);
-}
-
-unsigned FabricArbiter::visible_cg(TenantId tenant) const {
-  const Tenant* t = find(tenant);
-  if (t != nullptr && t->policy.share == TenantShare::kReserved) {
-    unsigned n = 0;
-    for (unsigned i = 0; i < cg_partition_.size(); ++i) {
-      if (cg_partition_[i] == tenant && !fabric_->cg_quarantined(i)) ++n;
-    }
-    return n;
-  }
-  return pool_capacity(Grain::kCoarse);
+  // A reserved tenant plans with its partition. Soft quotas bias eviction,
+  // not planning: pool tenants may plan with the whole pool.
+  const bool partitioned =
+      t != nullptr && t->policy.share == TenantShare::kReserved;
+  return usable_partition(grain, partitioned ? tenant : kUnownedTenant);
 }
 
 void FabricArbiter::note_eviction(TenantId tenant, TenantId owner, Grain grain,

@@ -23,6 +23,7 @@
 /// The arbiter attaches itself to the fabric on construction and detaches
 /// in its destructor.
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -98,10 +99,9 @@ class FabricArbiter final : public FabricArbitration {
   const TenantPolicy& policy(TenantId id) const;
   const TenantStats& stats(TenantId id) const;
 
-  /// Partition containers assigned to a reserved tenant (ascending; empty
-  /// for pool tenants).
-  std::vector<unsigned> partition_prcs(TenantId id) const;
-  std::vector<unsigned> partition_cg(TenantId id) const;
+  /// Partition containers of \p grain assigned to a reserved tenant
+  /// (ascending; empty for pool tenants).
+  std::vector<unsigned> partition(TenantId id, Grain grain) const;
 
   const FabricManager& fabric() const { return *fabric_; }
 
@@ -109,8 +109,7 @@ class FabricArbiter final : public FabricArbitration {
   bool may_place(TenantId tenant, Grain grain, unsigned index) const override;
   bool prefer_evict(TenantId tenant, TenantId owner,
                     Grain grain) const override;
-  unsigned visible_prcs(TenantId tenant) const override;
-  unsigned visible_cg(TenantId tenant) const override;
+  unsigned visible(TenantId tenant, Grain grain) const override;
   void note_eviction(TenantId tenant, TenantId owner, Grain grain,
                      Cycles at) override;
   void note_quota_redirect(TenantId tenant, TenantId owner, Grain grain,
@@ -142,8 +141,17 @@ class FabricArbiter final : public FabricArbitration {
     return i < tenants_.size() ? &tenants_[i] : nullptr;
   }
 
-  /// Non-quarantined unpartitioned containers (the shared pool).
-  unsigned pool_capacity(Grain grain) const;
+  std::vector<TenantId>& partition_of(Grain grain) {
+    return partition_[static_cast<unsigned>(grain)];
+  }
+  const std::vector<TenantId>& partition_of(Grain grain) const {
+    return partition_[static_cast<unsigned>(grain)];
+  }
+  /// Non-quarantined containers of \p grain whose partition owner is
+  /// \p holder (kUnownedTenant: the shared pool).
+  unsigned usable_partition(Grain grain, TenantId holder) const;
+  /// Returns \p id's partition containers to the shared pool.
+  void drop_partition(TenantId id);
   /// Sum of weights over all weighted tenants.
   std::uint64_t total_weight() const;
   /// Is \p owner (a weighted tenant) holding more than its soft quota?
@@ -151,8 +159,9 @@ class FabricArbiter final : public FabricArbitration {
 
   FabricManager* fabric_;
   std::vector<Tenant> tenants_;
-  std::vector<TenantId> prc_partition_;  ///< kUnownedTenant = pool
-  std::vector<TenantId> cg_partition_;
+  /// Partition owner per container, indexed by Grain (kUnownedTenant =
+  /// pool).
+  std::array<std::vector<TenantId>, 2> partition_;
   /// All live weighted tenants share one weight: quota preference is off and
   /// the fabric's native eviction order applies (the legacy degenerate
   /// case). Maintained incrementally (weight -> live tenant count) so a

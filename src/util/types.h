@@ -87,6 +87,11 @@ enum class Grain : std::uint8_t {
   kFine,    ///< fine-grained reconfigurable fabric (embedded FPGA / PRC)
 };
 
+/// Both grains, FG first: the order in which every walk over the two emits
+/// trace events and counters, draws fault-RNG trials and lays out snapshot
+/// fields.
+inline constexpr Grain kGrains[] = {Grain::kFine, Grain::kCoarse};
+
 /// Human-readable name of a grain.
 constexpr const char* to_string(Grain g) {
   return g == Grain::kCoarse ? "CG" : "FG";

@@ -106,9 +106,11 @@ TEST(Arbiter, RegistrationAndAccessors) {
   EXPECT_EQ(arbiter.policy(r.id).share, TenantShare::kReserved);
 
   // The reserved partition takes the lowest-index free containers.
-  EXPECT_EQ(arbiter.partition_prcs(r.id), (std::vector<unsigned>{0, 1}));
-  EXPECT_EQ(arbiter.partition_cg(r.id), (std::vector<unsigned>{0}));
-  EXPECT_TRUE(arbiter.partition_prcs(w.id).empty());
+  EXPECT_EQ(arbiter.partition(r.id, Grain::kFine),
+            (std::vector<unsigned>{0, 1}));
+  EXPECT_EQ(arbiter.partition(r.id, Grain::kCoarse),
+            (std::vector<unsigned>{0}));
+  EXPECT_TRUE(arbiter.partition(w.id, Grain::kFine).empty());
 
   // Pool tenants may not place into the partition; the owner may.
   EXPECT_FALSE(arbiter.may_place(w.id, Grain::kFine, 0));
@@ -119,10 +121,10 @@ TEST(Arbiter, RegistrationAndAccessors) {
   EXPECT_TRUE(arbiter.may_place(w.id, Grain::kCoarse, 1));
 
   // Visible capacity: partition for reserved tenants, pool for the rest.
-  EXPECT_EQ(arbiter.visible_prcs(r.id), 2u);
-  EXPECT_EQ(arbiter.visible_cg(r.id), 1u);
-  EXPECT_EQ(arbiter.visible_prcs(w.id), 2u);
-  EXPECT_EQ(arbiter.visible_cg(w.id), 1u);
+  EXPECT_EQ(arbiter.visible(r.id, Grain::kFine), 2u);
+  EXPECT_EQ(arbiter.visible(r.id, Grain::kCoarse), 1u);
+  EXPECT_EQ(arbiter.visible(w.id, Grain::kFine), 2u);
+  EXPECT_EQ(arbiter.visible(w.id, Grain::kCoarse), 1u);
 
   // Bindings: valid for admitted tenants, null fabric for unknown ids.
   EXPECT_EQ(arbiter.binding(w.id).fabric, &fabric);
@@ -143,8 +145,8 @@ TEST(Arbiter, OversizedReservationIsBouncedAndRolledBack) {
   EXPECT_FALSE(reg.reason.empty());
   EXPECT_FALSE(arbiter.admitted(reg.id));
   // The partial partition was rolled back: the pool is untouched.
-  EXPECT_TRUE(arbiter.partition_prcs(reg.id).empty());
-  EXPECT_EQ(arbiter.visible_prcs(kUnownedTenant), 2u);
+  EXPECT_TRUE(arbiter.partition(reg.id, Grain::kFine).empty());
+  EXPECT_EQ(arbiter.visible(kUnownedTenant, Grain::kFine), 2u);
   // A bounced tenant's binding has no fabric; constructing an MRts from it
   // throws — that is the admission bounce at the API level.
   EXPECT_EQ(arbiter.binding(reg.id).fabric, nullptr);
@@ -251,13 +253,172 @@ TEST(Arbiter, ReservedPartitionIsNeverTouchedByPoolTenants) {
   EXPECT_TRUE(result.tasks[1].admitted);
 
   // The pool tenant never placed into (or evicted from) the partition.
-  for (unsigned i : arbiter.partition_prcs(rt.id)) {
-    EXPECT_NE(fabric.prc_owner(i), pool.id) << "PRC " << i;
+  for (unsigned i : arbiter.partition(rt.id, Grain::kFine)) {
+    EXPECT_NE(fabric.owner(Grain::kFine, i), pool.id) << "PRC " << i;
   }
-  for (unsigned i : arbiter.partition_cg(rt.id)) {
-    EXPECT_NE(fabric.cg_owner(i), pool.id) << "CG fabric " << i;
+  for (unsigned i : arbiter.partition(rt.id, Grain::kCoarse)) {
+    EXPECT_NE(fabric.owner(Grain::kCoarse, i), pool.id) << "CG fabric " << i;
   }
   EXPECT_EQ(arbiter.stats(rt.id).evictions_suffered, 0u);
+}
+
+// The quota redirect: when the fabric's native victim is a live container
+// of a foreign tenant within its entitlement, the placement moves onto a
+// preferred victim (an over-quota or best-effort tenant's container) when
+// one exists. On PRCs that is the coldest preferred PRC, on CG fabrics the
+// first preferred fabric.
+class QuotaRedirect : public ::testing::Test {
+ protected:
+  QuotaRedirect() {
+    for (unsigned i = 0; i < 4; ++i) {
+      DataPathDesc fg;
+      fg.name = std::string("fg").append(std::to_string(i));
+      fg.grain = Grain::kFine;
+      fg_.push_back(table_.add(fg));
+    }
+    for (unsigned i = 0; i < 6; ++i) {
+      DataPathDesc cg;
+      cg.name = std::string("cg").append(std::to_string(i));
+      cg.grain = Grain::kCoarse;
+      cg_.push_back(table_.add(cg));
+    }
+  }
+
+  /// `within` and `placer` are weighted tenants of equal weight, so neither
+  /// is ever a preferred victim; `other` has the policy the test picks.
+  struct Tenants {
+    TenantId within = kUnownedTenant;
+    TenantId other = kUnownedTenant;
+    TenantId placer = kUnownedTenant;
+  };
+
+  static Tenants register_tenants(FabricArbiter& arbiter,
+                                  TenantPolicy other) {
+    Tenants t;
+    t.within = arbiter.register_tenant("within", weighted(1)).id;
+    t.other = arbiter.register_tenant("other", other).id;
+    t.placer = arbiter.register_tenant("placer", weighted(1)).id;
+    return t;
+  }
+
+  static void install_as(FabricManager& fabric, TenantId tenant,
+                         std::vector<DataPathId> dps, Cycles now) {
+    fabric.set_active_tenant(tenant);
+    fabric.install({{IseId{0}, KernelId{0}, std::move(dps)}}, now);
+  }
+
+  /// Leaves PRC 0 = fg3 (other, hottest), PRC 1 = fg1 (within, coldest)
+  /// and PRC 2 = fg2 (other), so the native victim of the next load is
+  /// within's PRC 1 and the coldest of other's PRCs is PRC 2, not PRC 0.
+  Cycles occupy_prcs(FabricManager& fabric, const Tenants& t) const {
+    const Cycles c = table_[fg_[0]].reconfig_cycles();
+    install_as(fabric, t.within, {fg_[0], fg_[1]}, 0);
+    install_as(fabric, t.other, {fg_[2]}, 10 * c);
+    install_as(fabric, t.other, {fg_[2], fg_[3]}, 20 * c);
+    return 30 * c;
+  }
+
+  /// Leaves fabrics 0 and 1 owned by within and fabric 2 by other, so the
+  /// native victim of the next load is within's fabric 0.
+  void occupy_cg(FabricManager& fabric, const Tenants& t) const {
+    install_as(fabric, t.other, {cg_[0], cg_[1], cg_[2]}, 0);
+    install_as(fabric, t.within, {cg_[3], cg_[4]}, 1000);
+  }
+
+  static std::vector<TraceEvent> quota_hits(const TraceRecorder& trace) {
+    std::vector<TraceEvent> hits;
+    for (const TraceEvent& e : trace.events()) {
+      if (e.kind == TraceEventKind::kTenantQuotaHit) hits.push_back(e);
+    }
+    return hits;
+  }
+
+  DataPathTable table_;
+  std::vector<DataPathId> fg_;
+  std::vector<DataPathId> cg_;
+};
+
+TEST_F(QuotaRedirect, PrcGoesToTheColdestPreferredPrc) {
+  FabricManager fabric(0, 3, &table_);
+  FabricArbiter arbiter(fabric);
+  TraceRecorder trace;
+  CounterRegistry counters;
+  fabric.attach_observability(&trace, &counters);
+  const Tenants t = register_tenants(arbiter, best_effort());
+  const Cycles now = occupy_prcs(fabric, t);
+  ASSERT_EQ(fabric.owner(Grain::kFine, 1), t.within);
+  ASSERT_TRUE(quota_hits(trace).empty());
+
+  install_as(fabric, t.placer, {fg_[0]}, now);
+  EXPECT_EQ(fabric.fg_fabric().prc(2).occupant, fg_[0]);
+  EXPECT_EQ(fabric.owner(Grain::kFine, 2), t.placer);
+  EXPECT_EQ(fabric.fg_fabric().prc(1).occupant, fg_[1]);  // within kept it
+  EXPECT_EQ(fabric.fg_fabric().prc(0).occupant, fg_[3]);
+  const std::vector<TraceEvent> hits = quota_hits(trace);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].track, kTrackFgBase + 2);
+  EXPECT_EQ(hits[0].at, now);
+  EXPECT_EQ(hits[0].arg0, t.other);
+  EXPECT_EQ(hits[0].arg1, static_cast<std::uint32_t>(Grain::kFine));
+  EXPECT_EQ(hits[0].v0, static_cast<double>(t.placer));
+  EXPECT_EQ(counters.counter("tenant.quota_hit"), 1u);
+  EXPECT_EQ(arbiter.stats(t.other).quota_redirects, 1u);
+  EXPECT_EQ(arbiter.stats(t.within).quota_redirects, 0u);
+  EXPECT_EQ(arbiter.stats(t.within).evictions_suffered, 1u);  // occupy_prcs
+}
+
+TEST_F(QuotaRedirect, CgGoesToTheFirstPreferredFabric) {
+  FabricManager fabric(3, 0, &table_);
+  FabricArbiter arbiter(fabric);
+  TraceRecorder trace;
+  CounterRegistry counters;
+  fabric.attach_observability(&trace, &counters);
+  const Tenants t = register_tenants(arbiter, best_effort());
+  occupy_cg(fabric, t);
+  ASSERT_EQ(fabric.owner(Grain::kCoarse, 0), t.within);
+  ASSERT_EQ(fabric.owner(Grain::kCoarse, 1), t.within);
+  ASSERT_EQ(fabric.owner(Grain::kCoarse, 2), t.other);
+  ASSERT_TRUE(quota_hits(trace).empty());
+
+  install_as(fabric, t.placer, {cg_[5]}, 2000);
+  EXPECT_TRUE(fabric.cg_fabric(2).slot_of(cg_[5]).has_value());
+  EXPECT_FALSE(fabric.cg_fabric(0).slot_of(cg_[5]).has_value());
+  EXPECT_EQ(fabric.owner(Grain::kCoarse, 2), t.placer);
+  EXPECT_EQ(fabric.owner(Grain::kCoarse, 0), t.within);
+  const std::vector<TraceEvent> hits = quota_hits(trace);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].track, kTrackCgBase + 2);
+  EXPECT_EQ(hits[0].at, 2000u);
+  EXPECT_EQ(hits[0].arg0, t.other);
+  EXPECT_EQ(hits[0].arg1, static_cast<std::uint32_t>(Grain::kCoarse));
+  EXPECT_EQ(hits[0].v0, static_cast<double>(t.placer));
+  EXPECT_EQ(counters.counter("tenant.quota_hit"), 1u);
+  EXPECT_EQ(arbiter.stats(t.other).quota_redirects, 1u);
+  EXPECT_EQ(arbiter.stats(t.within).quota_redirects, 0u);
+}
+
+TEST_F(QuotaRedirect, NoPreferredContainerKeepsTheNativeVictim) {
+  // Every tenant weighted with one weight: nobody is a preferred victim.
+  FabricManager fabric(3, 3, &table_);
+  FabricArbiter arbiter(fabric);
+  TraceRecorder trace;
+  CounterRegistry counters;
+  fabric.attach_observability(&trace, &counters);
+  const Tenants t = register_tenants(arbiter, weighted(1));
+  const Cycles now = occupy_prcs(fabric, t);
+  occupy_cg(fabric, t);
+
+  install_as(fabric, t.placer, {fg_[0], cg_[5]}, now);
+  EXPECT_EQ(fabric.fg_fabric().prc(1).occupant, fg_[0]);
+  EXPECT_EQ(fabric.owner(Grain::kFine, 1), t.placer);
+  EXPECT_TRUE(fabric.cg_fabric(0).slot_of(cg_[5]).has_value());
+  EXPECT_EQ(fabric.owner(Grain::kCoarse, 0), t.placer);
+  EXPECT_EQ(fabric.owner(Grain::kCoarse, 2), t.other);
+  EXPECT_TRUE(quota_hits(trace).empty());
+  EXPECT_EQ(counters.counter("tenant.quota_hit"), 0u);
+  for (TenantId id : {t.within, t.other, t.placer}) {
+    EXPECT_EQ(arbiter.stats(id).quota_redirects, 0u);
+  }
 }
 
 TEST(Arbiter, TenantEvictionsAreAttributedAndCounted) {

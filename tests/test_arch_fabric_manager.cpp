@@ -113,7 +113,7 @@ TEST_F(FabricManagerTest, AvailableInstancesCountsBothFabrics) {
 TEST_F(FabricManagerTest, MonoCgPrefersUnreservedFabric) {
   FabricManager fm(2, 0, &table_);
   fm.install({{IseId{0}, KernelId{0}, {cg1_}}}, 0);
-  EXPECT_EQ(fm.free_cg_fabrics(), 1u);
+  EXPECT_EQ(fm.usage().usable_cg() - fm.usage().reserved_cg, 1u);
   const auto ready = fm.acquire_mono_cg(mono_, 100);
   ASSERT_TRUE(ready.has_value());
   // 32 instructions x 2 cycles = 64 cycle stream + 2 cycle context switch.
@@ -129,7 +129,7 @@ TEST_F(FabricManagerTest, MonoCgUsesFreeContextSlotOfReservedFabric) {
   // the 2-cycle context switch at execution time.
   FabricManager fm(1, 0, &table_);
   fm.install({{IseId{0}, KernelId{0}, {cg1_}}}, 0);
-  EXPECT_EQ(fm.free_cg_fabrics(), 0u);
+  EXPECT_EQ(fm.usage().usable_cg() - fm.usage().reserved_cg, 0u);
   const auto ready = fm.acquire_mono_cg(mono_, 100);
   ASSERT_TRUE(ready.has_value());
   EXPECT_EQ(*ready, 100u + 64u + 2u);
@@ -143,6 +143,38 @@ TEST_F(FabricManagerTest, MonoCgFailsWhenAllContextSlotsTaken) {
   FabricManager fm(1, 0, &table_, tiny);
   fm.install({{IseId{0}, KernelId{0}, {cg1_}}}, 0);
   EXPECT_FALSE(fm.acquire_mono_cg(mono_, 100).has_value());
+}
+
+TEST_F(FabricManagerTest, MonoCgKeepsTheContextTheSelectionClaimed) {
+  // The native CG victim is the first unclaimed fabric, so fabric 0
+  // collects contexts: after the fourth install it holds x (claimed by the
+  // selection) and a stale copy of y (the selection loads y onto fabric 1).
+  // A monoCG load onto the full, reserved fabric 0 must evict the stale y,
+  // never x: x has no other instance, and the ECU credits its ISE.
+  DataPathDesc desc;
+  desc.grain = Grain::kCoarse;
+  desc.name = "y";
+  const DataPathId x = cg1_;
+  const DataPathId y = table_.add(desc);
+  desc.name = "z";
+  const DataPathId z = table_.add(desc);
+  CgFabricParams two;
+  two.max_resident_contexts = 2;
+  FabricManager fm(2, 0, &table_, two);
+  fm.install({{IseId{0}, KernelId{0}, {x}}}, 0);
+  fm.install({{IseId{1}, KernelId{1}, {y}}}, 1000);
+  fm.install({{IseId{0}, KernelId{0}, {x, z}}}, 2000);
+  fm.install({{IseId{0}, KernelId{0}, {x, y}}}, 3000);
+  ASSERT_TRUE(fm.cg_fabric(0).slot_of(x).has_value());
+  ASSERT_TRUE(fm.cg_fabric(0).slot_of(y).has_value());
+  ASSERT_TRUE(fm.cg_fabric(1).slot_of(y).has_value());
+
+  ASSERT_TRUE(fm.acquire_mono_cg(mono_, 4000).has_value());
+  EXPECT_TRUE(fm.cg_fabric(0).slot_of(mono_).has_value());
+  EXPECT_EQ(fm.available_instances(x, kNeverCycles), 1u);
+  EXPECT_TRUE(fm.cg_fabric(0).slot_of(x).has_value());
+  EXPECT_FALSE(fm.cg_fabric(0).slot_of(y).has_value());
+  EXPECT_EQ(fm.available_instances(y, kNeverCycles), 1u);
 }
 
 TEST_F(FabricManagerTest, MonoCgReacquisitionIsCheap) {
@@ -187,9 +219,13 @@ TEST_F(FabricManagerTest, InstanceReadyTimesMergedAcrossFabrics) {
   FabricManager fm(2, 1, &table_);
   fm.install({{IseId{0}, KernelId{0}, {cg1_}}, {IseId{1}, KernelId{1}, {fg1_}}},
              0);
-  EXPECT_EQ(fm.instance_ready_times(cg1_).size(), 1u);
-  EXPECT_EQ(fm.instance_ready_times(fg1_).size(), 1u);
-  EXPECT_TRUE(fm.instance_ready_times(fg2_).empty());
+  std::vector<Cycles> times;
+  fm.append_instance_ready_times(cg1_, times);
+  EXPECT_EQ(times, (std::vector<Cycles>{60}));
+  fm.append_instance_ready_times(fg1_, times);
+  EXPECT_EQ(times, (std::vector<Cycles>{fg_cost()}));
+  fm.append_instance_ready_times(fg2_, times);
+  EXPECT_TRUE(times.empty());
 }
 
 // The ECU's per-kernel decision memo (rts/ecu.h) is exact only if every
@@ -211,10 +247,10 @@ TEST(FabricEpoch, BumpsOnEveryFabricMutation) {
   const IseVariant& v = lib.ises().front();
   fabric.install({{IseId{0}, v.kernel, v.data_paths}}, 0);
   bumped("install");
-  fabric.quarantine_prc(1, 10);
-  bumped("quarantine_prc");
-  fabric.quarantine_cg(1, 10);
-  bumped("quarantine_cg");
+  fabric.quarantine(Grain::kFine, 1, 10);
+  bumped("quarantine PRC");
+  fabric.quarantine(Grain::kCoarse, 1, 10);
+  bumped("quarantine CG fabric");
   fabric.reset();
   bumped("reset");
 
@@ -228,8 +264,8 @@ TEST(FabricEpoch, BumpsOnEveryFabricMutation) {
 
   // Out-of-range quarantines are ignored and must not bump either (the
   // early-return guard precedes the epoch increment).
-  fabric.quarantine_prc(1000, 0);
-  fabric.quarantine_cg(1000, 0);
+  fabric.quarantine(Grain::kFine, 1000, 0);
+  fabric.quarantine(Grain::kCoarse, 1000, 0);
   EXPECT_EQ(fabric.state_epoch(), before_reads);
 }
 

@@ -32,20 +32,6 @@ TEST(FgFabric, EvictClears) {
   EXPECT_TRUE(fg.prc(0).empty());
 }
 
-TEST(FgFabric, FindInstanceRespectsClaimsAndTime) {
-  FgFabric fg(3);
-  fg.place(0, DataPathId{5}, 50);
-  fg.place(1, DataPathId{5}, 10);
-  std::vector<bool> claimed(3, false);
-  // At t=20 only PRC 1 is usable.
-  auto found = fg.find_instance(DataPathId{5}, 20, claimed);
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(*found, 1u);
-  claimed[1] = true;
-  EXPECT_FALSE(fg.find_instance(DataPathId{5}, 20, claimed).has_value());
-  EXPECT_TRUE(fg.find_instance(DataPathId{5}, 60, claimed).has_value());
-}
-
 TEST(FgFabric, VictimPrefersEmptyThenOldest) {
   FgFabric fg(3);
   fg.place(0, DataPathId{1}, 100);
@@ -62,17 +48,6 @@ TEST(FgFabric, VictimPrefersEmptyThenOldest) {
   victim = fg.find_victim(claimed);
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(*victim, 0u);
-}
-
-TEST(FgFabric, InstanceReadyTimesSorted) {
-  FgFabric fg(3);
-  fg.place(0, DataPathId{9}, 300);
-  fg.place(1, DataPathId{9}, 100);
-  fg.place(2, DataPathId{8}, 50);
-  const auto times = fg.instance_ready_times(DataPathId{9});
-  ASSERT_EQ(times.size(), 2u);
-  EXPECT_EQ(times[0], 100u);
-  EXPECT_EQ(times[1], 300u);
 }
 
 TEST(FgFabric, OutOfRangeThrows) {

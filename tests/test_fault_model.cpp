@@ -130,16 +130,16 @@ class QuarantineTest : public ::testing::Test {
 
 TEST_F(QuarantineTest, QuarantineShrinksUsableCapacity) {
   FabricManager fm(2, 2, &table_);
-  EXPECT_EQ(fm.usable_prcs(), 2u);
-  EXPECT_EQ(fm.usable_cg_fabrics(), 2u);
-  fm.quarantine_prc(0, 0);
-  fm.quarantine_prc(0, 0);  // idempotent
-  fm.quarantine_cg(1, 0);
-  EXPECT_EQ(fm.usable_prcs(), 1u);
-  EXPECT_EQ(fm.usable_cg_fabrics(), 1u);
-  EXPECT_TRUE(fm.prc_quarantined(0));
-  EXPECT_FALSE(fm.prc_quarantined(1));
-  EXPECT_TRUE(fm.cg_quarantined(1));
+  EXPECT_EQ(fm.usable(Grain::kFine), 2u);
+  EXPECT_EQ(fm.usable(Grain::kCoarse), 2u);
+  fm.quarantine(Grain::kFine, 0, 0);
+  fm.quarantine(Grain::kFine, 0, 0);  // idempotent
+  fm.quarantine(Grain::kCoarse, 1, 0);
+  EXPECT_EQ(fm.usable(Grain::kFine), 1u);
+  EXPECT_EQ(fm.usable(Grain::kCoarse), 1u);
+  EXPECT_TRUE(fm.quarantined(Grain::kFine, 0));
+  EXPECT_FALSE(fm.quarantined(Grain::kFine, 1));
+  EXPECT_TRUE(fm.quarantined(Grain::kCoarse, 1));
   const FabricUsage usage = fm.usage();
   EXPECT_EQ(usage.quarantined_prcs, 1u);
   EXPECT_EQ(usage.quarantined_cg, 1u);
@@ -149,15 +149,15 @@ TEST_F(QuarantineTest, QuarantineShrinksUsableCapacity) {
 
 TEST_F(QuarantineTest, QuarantineSurvivesReset) {
   FabricManager fm(1, 2, &table_);
-  fm.quarantine_prc(1, 0);
+  fm.quarantine(Grain::kFine, 1, 0);
   fm.reset();
-  EXPECT_TRUE(fm.prc_quarantined(1));
-  EXPECT_EQ(fm.usable_prcs(), 1u);
+  EXPECT_TRUE(fm.quarantined(Grain::kFine, 1));
+  EXPECT_EQ(fm.usable(Grain::kFine), 1u);
 }
 
 TEST_F(QuarantineTest, InstallNeverPlacesOnQuarantinedPrc) {
   FabricManager fm(0, 2, &table_);
-  fm.quarantine_prc(0, 0);
+  fm.quarantine(Grain::kFine, 0, 0);
   const auto placements =
       fm.install({{IseId{0}, KernelId{0}, {fg_}}}, /*now=*/0);
   ASSERT_EQ(placements.size(), 1u);
@@ -170,7 +170,7 @@ TEST_F(QuarantineTest, InstallNeverPlacesOnQuarantinedPrc) {
 
 TEST_F(QuarantineTest, OversizedSelectionThrowsWithoutFaultModel) {
   FabricManager fm(0, 2, &table_);
-  fm.quarantine_prc(0, 0);
+  fm.quarantine(Grain::kFine, 0, 0);
   // Two FG instances no longer fit; the fault-free strict contract throws.
   EXPECT_THROW(fm.install({{IseId{0}, KernelId{0}, {fg_, fg_}}}, 0),
                std::invalid_argument);
@@ -180,7 +180,7 @@ TEST_F(QuarantineTest, OversizedSelectionDegradesWithFaultModel) {
   FaultModel model(FaultModelConfig::uniform(0.0, 1));
   FabricManager fm(0, 2, &table_);
   fm.attach_fault_model(&model);
-  fm.quarantine_prc(0, 0);
+  fm.quarantine(Grain::kFine, 0, 0);
   // With an attached injector the manager drops what no longer fits instead
   // of crashing the run mid-simulation.
   const auto placements =
@@ -192,11 +192,11 @@ TEST_F(QuarantineTest, OversizedSelectionDegradesWithFaultModel) {
 TEST_F(QuarantineTest, MonoCgUnavailableWhenAllCgQuarantined) {
   FabricManager fm(2, 1, &table_);
   EXPECT_TRUE(fm.acquire_mono_cg(mono_, 0).has_value());
-  fm.quarantine_cg(0, 0);
-  fm.quarantine_cg(1, 0);
-  EXPECT_EQ(fm.usable_cg_fabrics(), 0u);
+  fm.quarantine(Grain::kCoarse, 0, 0);
+  fm.quarantine(Grain::kCoarse, 1, 0);
+  EXPECT_EQ(fm.usable(Grain::kCoarse), 0u);
   EXPECT_FALSE(fm.acquire_mono_cg(mono_, 0).has_value());
-  EXPECT_EQ(fm.free_cg_fabrics(), 0u);
+  EXPECT_EQ(fm.usage().usable_cg(), 0u);
 }
 
 // --- End-to-end properties on the H.264 workload ---------------------------

@@ -66,8 +66,8 @@ TEST(Lookahead, PrefetchLeavesReservationsIntact) {
   const FabricUsage after = fm.usage();
   EXPECT_EQ(after.reserved_prcs, before.reserved_prcs);
   // fg1 is untouched; fg2 is loading.
-  EXPECT_EQ(fm.instance_ready_times(fg1_id).size(), 1u);
-  EXPECT_EQ(fm.instance_ready_times(fg2_id).size(), 1u);
+  EXPECT_EQ(fm.available_instances(fg1_id, kNeverCycles), 1u);
+  EXPECT_EQ(fm.available_instances(fg2_id, kNeverCycles), 1u);
 
   // No room left: a second prefetch finds no victim.
   DataPathDesc fg3;
@@ -79,7 +79,7 @@ TEST(Lookahead, PrefetchLeavesReservationsIntact) {
   const std::size_t second =
       fm.prefetch({{IseId{2}, KernelId{2}, {fg3_id}}}, 200);
   EXPECT_EQ(second, 1u);
-  EXPECT_EQ(fm.instance_ready_times(fg1_id).size(), 1u)
+  EXPECT_EQ(fm.available_instances(fg1_id, kNeverCycles), 1u)
       << "the reserved data path must never be evicted by speculation";
 }
 

@@ -1,4 +1,4 @@
-// Live ISE migration (FabricManager::migrate_prc / migrate_cg) and the
+// Live ISE migration (FabricManager::migrate, on PRCs and CG fabrics) and the
 // DefragPolicy built on it: drain semantics, port serialization, abort paths
 // under quarantine and copy failures, and compaction of scattered holes down
 // to the fragmentation floor. All scenarios are deterministic — holes are
@@ -81,7 +81,7 @@ class MigrationTest : public ::testing::Test {
 TEST_F(MigrationTest, DrainWaitsForSourceConfigurationToFinishLoading) {
   FabricManager fm(0, 2, &table_);
   fill_prcs(fm, 1);  // loading until fg_cost
-  const MigrationResult res = fm.migrate_prc(0, 1, /*now=*/0);
+  const MigrationResult res = fm.migrate(Grain::kFine, 0, 1, /*now=*/0);
   ASSERT_EQ(res.status, MigrationStatus::kMigrated);
   EXPECT_EQ(res.dp, fg_[0]);
   // The copy cannot start before the source is usable...
@@ -95,7 +95,7 @@ TEST_F(MigrationTest, DrainWaitsForSourceConfigurationToFinishLoading) {
 TEST_F(MigrationTest, CopyWaitsBehindPendingPortBacklog) {
   FabricManager fm(0, 3, &table_);
   fill_prcs(fm, 2);  // port busy until 2*fg_cost
-  const MigrationResult res = fm.migrate_prc(0, 2, /*now=*/0);
+  const MigrationResult res = fm.migrate(Grain::kFine, 0, 2, /*now=*/0);
   ASSERT_EQ(res.status, MigrationStatus::kMigrated);
   EXPECT_EQ(res.drained_at, fg_cost());
   // Drained at fg_cost, but the port still owes fg_[1]'s stream: the copy
@@ -108,7 +108,7 @@ TEST_F(MigrationTest, SuccessMovesOccupantReservationAndAvailability) {
   fill_prcs(fm, 1);
   const Cycles now = 10 * fg_cost();
   const std::uint64_t epoch = fm.state_epoch();
-  const MigrationResult res = fm.migrate_prc(0, 1, now);
+  const MigrationResult res = fm.migrate(Grain::kFine, 0, 1, now);
   ASSERT_EQ(res.status, MigrationStatus::kMigrated);
   EXPECT_GT(fm.state_epoch(), epoch);
   // The instance is unavailable while the copy streams, then reappears on
@@ -121,21 +121,21 @@ TEST_F(MigrationTest, SuccessMovesOccupantReservationAndAvailability) {
 TEST_F(MigrationTest, AbortPathsMutateNothing) {
   FabricManager fm(0, 3, &table_);
   fill_prcs(fm, 1);
-  fm.quarantine_prc(2, 0);
+  fm.quarantine(Grain::kFine, 2, 0);
   const std::uint64_t epoch = fm.state_epoch();
 
   // Empty source.
-  EXPECT_EQ(fm.migrate_prc(1, 0, 0).status,
+  EXPECT_EQ(fm.migrate(Grain::kFine, 1, 0, 0).status,
             MigrationStatus::kNothingToMigrate);
   // Quarantined source: abort so the caller can retry from another PRC.
-  EXPECT_EQ(fm.migrate_prc(2, 1, 0).status,
+  EXPECT_EQ(fm.migrate(Grain::kFine, 2, 1, 0).status,
             MigrationStatus::kSourceQuarantined);
   // Occupied / quarantined / self / out-of-range targets.
-  EXPECT_EQ(fm.migrate_prc(0, 0, 0).status,
+  EXPECT_EQ(fm.migrate(Grain::kFine, 0, 0, 0).status,
             MigrationStatus::kTargetUnavailable);
-  EXPECT_EQ(fm.migrate_prc(0, 2, 0).status,
+  EXPECT_EQ(fm.migrate(Grain::kFine, 0, 2, 0).status,
             MigrationStatus::kTargetUnavailable);
-  EXPECT_EQ(fm.migrate_prc(0, 99, 0).status,
+  EXPECT_EQ(fm.migrate(Grain::kFine, 0, 99, 0).status,
             MigrationStatus::kTargetUnavailable);
 
   EXPECT_EQ(fm.state_epoch(), epoch) << "aborted migrations must not mutate";
@@ -147,7 +147,7 @@ TEST_F(MigrationTest, CopyFailureKeepsSourceServing) {
   FabricManager fm(0, 2, &table_);
   fill_prcs(fm, 1);
   fm.attach_fault_model(&model);
-  const MigrationResult res = fm.migrate_prc(0, 1, 10 * fg_cost());
+  const MigrationResult res = fm.migrate(Grain::kFine, 0, 1, 10 * fg_cost());
   EXPECT_EQ(res.status, MigrationStatus::kCopyFailed);
   EXPECT_EQ(fm.fg_fabric().prc(0).occupant, fg_[0])
       << "a failed copy must leave the source intact";
@@ -161,7 +161,7 @@ TEST_F(MigrationTest, SuccessEmitsTraceEventsAndCounters) {
   FabricManager fm(0, 2, &table_);
   fm.attach_observability(&rec, &ctr);
   fill_prcs(fm, 1);
-  fm.migrate_prc(0, 1, 10 * fg_cost());
+  fm.migrate(Grain::kFine, 0, 1, 10 * fg_cost());
   unsigned starts = 0, completes = 0;
   for (const TraceEvent& e : rec.events()) {
     if (e.kind == TraceEventKind::kMigrationStart) ++starts;
@@ -176,19 +176,19 @@ TEST_F(MigrationTest, SuccessEmitsTraceEventsAndCounters) {
 TEST_F(MigrationTest, CgMigrationMovesOldestContext) {
   FabricManager fm(2, 1, &table_);
   fm.install({{IseId{0}, KernelId{0}, {cg_}}}, 0);
-  const MigrationResult res = fm.migrate_cg(0, 1, 1000);
+  const MigrationResult res = fm.migrate(Grain::kCoarse, 0, 1, 1000);
   ASSERT_EQ(res.status, MigrationStatus::kMigrated);
   EXPECT_EQ(res.dp, cg_);
   EXPECT_EQ(fm.cg_fabric(0).resident_count(), 0u);
   EXPECT_EQ(fm.cg_fabric(1).resident_count(), 1u);
   // Nothing left to move.
-  EXPECT_EQ(fm.migrate_cg(0, 1, 2000).status,
+  EXPECT_EQ(fm.migrate(Grain::kCoarse, 0, 1, 2000).status,
             MigrationStatus::kNothingToMigrate);
 }
 
 TEST_F(MigrationTest, FragmentationFloorIsIrreducibleUnderQuarantineSplit) {
   FabricManager fm(0, 4, &table_);
-  fm.quarantine_prc(2, 0);
+  fm.quarantine(Grain::kFine, 2, 0);
   fill_prcs(fm, 1);  // lands on PRC 0
   // Free space {1, 3} is split by the quarantined PRC 2: fragmentation 0.5
   // and no migration can merge it — the floor equals the live value.
@@ -248,7 +248,7 @@ TEST_F(MigrationTest, DefragRetriesFromAnotherSourceAfterQuarantine) {
   // The fabric hosting the would-be first source dies before the pass: the
   // quarantine evicts PRC 7, and the policy must fall through to PRC 6/5
   // instead of wedging on the dead container.
-  fm.quarantine_prc(7, 20 * fg_cost());
+  fm.quarantine(Grain::kFine, 7, 20 * fg_cost());
   DefragConfig cfg;
   cfg.enabled = true;
   const DefragReport rep = DefragPolicy(cfg).compact(fm, 20 * fg_cost());

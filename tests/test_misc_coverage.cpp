@@ -36,7 +36,7 @@ TEST(FabricManagerMultiset, RepeatedDataPathNeedsTwoInstances) {
   ASSERT_EQ(placements[0].instance_ready.size(), 2u);
   EXPECT_GT(placements[0].instance_ready[1], placements[0].instance_ready[0]);
   EXPECT_EQ(fm.usage().reserved_prcs, 2u);
-  EXPECT_EQ(fm.instance_ready_times(fg_id).size(), 2u);
+  EXPECT_EQ(fm.available_instances(fg_id, kNeverCycles), 2u);
   // Only one instance is available until the second completes.
   EXPECT_EQ(fm.available_instances(fg_id, placements[0].instance_ready[0]),
             1u);

@@ -886,8 +886,8 @@ TEST(SelectorTuningEquivalence, HoldsAfterFaultInducedQuarantines) {
   const std::uint64_t epoch_before = fabric.state_epoch();
 
   // Force a degraded fabric regardless of the stochastic diagnosis path.
-  fabric.quarantine_prc(0, 0);
-  fabric.quarantine_cg(0, 0);
+  fabric.quarantine(Grain::kFine, 0, 0);
+  fabric.quarantine(Grain::kCoarse, 0, 0);
   EXPECT_GT(fabric.state_epoch(), epoch_before);
 
   const std::uint64_t epoch_quarantined = fabric.state_epoch();
